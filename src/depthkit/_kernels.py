@@ -1,18 +1,17 @@
-"""Neighborhood-covariance kernels behind surface-normal estimation.
+"""Neighborhood-covariance kernel behind surface-normal estimation.
 
-Two interchangeable implementations: a numba-compiled per-pixel loop and
-a pure-numpy fallback built on integral images.  Selection is driven by
-the ``DEPTHKIT_NUMBA`` environment variable ("0"/"false"/"off"/"no"
-forces the fallback) and by whether numba imports at all.  Both paths
-use the same window rule and the same covariance formula; they differ
-only in float summation order, which stays far inside the 1e-6 normal
-tolerance.
+One pure-numpy implementation built on integral images: the masked
+first and second moments of the points are summed once into a 10-plane
+integral image, so the sums over any window cost four lookups.
 
 Window rule: start from the smallest square window holding at least
 ``k`` cells, clip to the image, and grow it one ring at a time until it
-contains ``k`` valid points or covers the whole image.  A pixel with
-fewer than 3 gathered points, or with a degenerate neighborhood, gets
-no normal.
+contains ``k`` valid points or its radius reaches ``max(H, W)``.  Growth
+is vectorized: each step widens the window of every still-pending pixel
+by one ring through the same four-lookup window sum, so a pixel's sums
+are those of the first radius at which it holds ``k`` points (or of
+radius ``max(H, W)``).  A pixel with fewer than 3 gathered points, or
+with a degenerate neighborhood, gets no normal.
 """
 from __future__ import annotations
 
@@ -21,30 +20,12 @@ import os
 
 import numpy as np
 
-try:
-    import numba
-    from numba import njit, prange
-
-    _HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    _HAVE_NUMBA = False
-
-_FALSEY = {"0", "false", "off", "no"}
-
 _DEGENERATE_EIG = 1e-15
 
 
-def numba_requested() -> bool:
-    return os.environ.get("DEPTHKIT_NUMBA", "1").strip().lower() not in _FALSEY
-
-
-def using_numba() -> bool:
-    """True when the compiled path will serve the next kernel call."""
-    return _HAVE_NUMBA and numba_requested()
-
-
 def backend_name() -> str:
-    return "numba" if using_numba() else "numpy"
+    """Name of the normals implementation, for run reports."""
+    return "numpy"
 
 
 def thread_cap() -> int | None:
@@ -65,97 +46,6 @@ def base_radius(k: int) -> int:
     """Smallest r such that the (2r+1)^2 window can hold k cells."""
     side = math.isqrt(max(k - 1, 0)) + 1
     return max((side - 1 + 1) // 2, 1) if side > 1 else 1
-
-
-def _solve_normal(cov: np.ndarray) -> tuple[np.ndarray, bool]:
-    w, v = np.linalg.eigh(cov)
-    if not np.all(np.isfinite(w)) or w[1] <= _DEGENERATE_EIG:
-        return np.zeros(3), False
-    return v[:, 0], True
-
-
-if _HAVE_NUMBA:
-
-    @njit(cache=True, parallel=True)
-    def _normals_numba(points, valid, k, mean, out_n, out_valid):  # pragma: no cover
-        h, wdt = valid.shape
-        side = int(math.sqrt(k - 1.0)) + 1
-        r0 = max((side - 1 + 1) // 2, 1)
-        max_r = max(h, wdt)
-        for i in prange(h):
-            for j in range(wdt):
-                if not valid[i, j]:
-                    continue
-                r = r0
-                count = 0
-                i0 = i1 = j0 = j1 = 0
-                while True:
-                    i0 = max(i - r, 0)
-                    i1 = min(i + r, h - 1)
-                    j0 = max(j - r, 0)
-                    j1 = min(j + r, wdt - 1)
-                    count = 0
-                    for a in range(i0, i1 + 1):
-                        for b in range(j0, j1 + 1):
-                            if valid[a, b]:
-                                count += 1
-                    if count >= k or r >= max_r:
-                        break
-                    r += 1
-                if count < 3:
-                    continue
-                sx = sy = sz = 0.0
-                sxx = sxy = sxz = syy = syz = szz = 0.0
-                for a in range(i0, i1 + 1):
-                    for b in range(j0, j1 + 1):
-                        if not valid[a, b]:
-                            continue
-                        x = points[a, b, 0]
-                        y = points[a, b, 1]
-                        z = points[a, b, 2]
-                        sx += x
-                        sy += y
-                        sz += z
-                        sxx += x * x
-                        sxy += x * y
-                        sxz += x * z
-                        syy += y * y
-                        syz += y * z
-                        szz += z * z
-                n = float(count)
-                mx = sx / n
-                my = sy / n
-                mz = sz / n
-                cov = np.empty((3, 3))
-                cov[0, 0] = sxx / n - mx * mx
-                cov[0, 1] = sxy / n - mx * my
-                cov[0, 2] = sxz / n - mx * mz
-                cov[1, 0] = cov[0, 1]
-                cov[1, 1] = syy / n - my * my
-                cov[1, 2] = syz / n - my * mz
-                cov[2, 0] = cov[0, 2]
-                cov[2, 1] = cov[1, 2]
-                cov[2, 2] = szz / n - mz * mz
-                evals, evecs = np.linalg.eigh(cov)
-                ok = True
-                for q in range(3):
-                    if not math.isfinite(evals[q]):
-                        ok = False
-                if not ok or evals[1] <= 1e-15:
-                    continue
-                nx = evecs[0, 0]
-                ny = evecs[1, 0]
-                nz = evecs[2, 0]
-                # orient toward the camera: n . p < 0 for the pixel's own point
-                px = points[i, j, 0] + mean[0]
-                py = points[i, j, 1] + mean[1]
-                pz = points[i, j, 2] + mean[2]
-                if nx * px + ny * py + nz * pz > 0.0:
-                    nx, ny, nz = -nx, -ny, -nz
-                out_n[i, j, 0] = nx
-                out_n[i, j, 1] = ny
-                out_n[i, j, 2] = nz
-                out_valid[i, j] = True
 
 
 def _normals_numpy(
@@ -183,38 +73,27 @@ def _normals_numpy(
     integ = np.zeros((h + 1, w + 1, 10))
     np.cumsum(np.cumsum(planes, axis=0), axis=1, out=integ[1:, 1:])
 
-    def rect_sums(i0, i1, j0, j1):
-        # inclusive rectangle [i0..i1] x [j0..j1]
-        return (
-            integ[i1 + 1, j1 + 1]
-            - integ[i0, j1 + 1]
-            - integ[i1 + 1, j0]
-            + integ[i0, j0]
-        )
+    def window_sums(ci, cj, r):
+        # sums over the window of radius r around (ci, cj), clipped to the image
+        i0 = np.maximum(ci - r, 0)
+        i1 = np.minimum(ci + r, h - 1) + 1
+        j0 = np.maximum(cj - r, 0)
+        j1 = np.minimum(cj + r, w - 1) + 1
+        return integ[i1, j1] - integ[i0, j1] - integ[i1, j0] + integ[i0, j0]
 
     ii, jj = np.nonzero(valid)
     if ii.size == 0:
         return out_n, out_valid
-    r0 = base_radius(k)
+    r = base_radius(k)
     max_r = max(h, w)
+    sums = window_sums(ii, jj, r)
 
-    i0 = np.maximum(ii - r0, 0)
-    i1 = np.minimum(ii + r0, h - 1)
-    j0 = np.maximum(jj - r0, 0)
-    j1 = np.minimum(jj + r0, w - 1)
-    sums = rect_sums(i0, i1, j0, j1)
-
-    needs_grow = sums[:, 0] < k
-    for idx in np.nonzero(needs_grow)[0]:
-        r = r0
-        while True:
-            r += 1
-            a0, a1 = max(ii[idx] - r, 0), min(ii[idx] + r, h - 1)
-            b0, b1 = max(jj[idx] - r, 0), min(jj[idx] + r, w - 1)
-            s = rect_sums(a0, a1, b0, b1)
-            if s[0] >= k or r >= max_r:
-                sums[idx] = s
-                break
+    pending = np.nonzero(sums[:, 0] < k)[0]
+    while pending.size and r < max_r:
+        r += 1
+        grown = window_sums(ii[pending], jj[pending], r)
+        sums[pending] = grown
+        pending = pending[grown[:, 0] < k]
 
     counts = sums[:, 0]
     enough = counts >= 3
@@ -265,12 +144,4 @@ def normals_from_points(
     else:
         mean = np.zeros(3)
     centered = np.where(valid[..., None], points - mean, 0.0)
-    if using_numba():
-        cap = thread_cap()
-        if cap is not None:
-            numba.set_num_threads(min(cap, numba.config.NUMBA_NUM_THREADS))
-        out_n = np.zeros(points.shape)
-        out_valid = np.zeros(valid.shape, dtype=bool)
-        _normals_numba(centered, valid, k, mean, out_n, out_valid)
-        return out_n, out_valid
     return _normals_numpy(centered, valid, k, mean)

@@ -8,9 +8,8 @@ location of the fault), 3 bad parameter or missing file, 4 internal
 invariant violation.  Given identical inputs and flags, every
 subcommand writes byte-identical output files on every run.
 
-``DEPTHKIT_THREADS`` caps worker threads (file-level parallelism in
-``encode`` and the compiled kernels); ``DEPTHKIT_NUMBA=0`` selects the
-pure-numpy kernel path.
+``DEPTHKIT_THREADS`` caps the worker threads that encode files in
+parallel in ``encode``.
 """
 from __future__ import annotations
 
@@ -114,10 +113,17 @@ def _parse_gravity(text: str) -> np.ndarray:
     return np.array([float(p) for p in parts])
 
 
-def _encode_one(path: str, args, cam, gravity, stats) -> str:
+def _encode_one(path: str, args, cam, gravity, stats, defer: bool):
+    """Load, encode and write one map; return its summary line and a deferral.
+
+    With ``defer`` set (hdha stats still to be computed from the batch),
+    nothing is written and the deferral is ``(out_path, HdhaImage)``;
+    otherwise it is None.
+    """
     depth = encoding.load_depth(path)
     stem = _stem(path)
     info = depth.summary()
+    deferred = None
     if args.mode in ("gray", "jet"):
         gray = encoding.grayscale_encode(depth, args.dmin, args.dmax)
         if args.mode == "gray":
@@ -131,12 +137,21 @@ def _encode_one(path: str, args, cam, gravity, stats) -> str:
         hdha = geometry.hdha_encode(depth, cam, gravity=gravity,
                                     k_neighbors=args.k_neighbors)
         out_path = os.path.join(args.out, f"{stem}_hdha.ppm")
-        netpbm.write_ppm8(out_path, encoding.hdha_to_rgb(hdha, stats=stats))
+        if defer:
+            deferred = (out_path, hdha)
+        else:
+            _write_hdha(out_path, hdha, stats)
     scale_note = "" if args.scale is None else f" scale={args.scale:g}"
     if info["min"] is None:
-        return f"{path}: valid=0.000{scale_note} -> {out_path}"
-    return (f"{path}: valid={info['valid_fraction']:.3f} "
-            f"min={info['min']:.3f}m max={info['max']:.3f}m{scale_note} -> {out_path}")
+        line = f"{path}: valid=0.000{scale_note} -> {out_path}"
+    else:
+        line = (f"{path}: valid={info['valid_fraction']:.3f} "
+                f"min={info['min']:.3f}m max={info['max']:.3f}m{scale_note} -> {out_path}")
+    return line, deferred
+
+
+def _write_hdha(out_path: str, hdha, stats) -> None:
+    netpbm.write_ppm8(out_path, encoding.hdha_to_rgb(hdha, stats=stats))
 
 
 def _cmd_encode(args) -> int:
@@ -159,21 +174,20 @@ def _cmd_encode(args) -> int:
             raise ValueError("--stats applies to --mode hdha only")
         if os.path.exists(args.stats):
             stats = encoding.ChannelStats.from_json(args.stats)
-        else:
-            images = [
-                geometry.hdha_encode(encoding.load_depth(p), cam, gravity=gravity,
-                                     k_neighbors=args.k_neighbors)
-                for p in args.files
-            ]
-            stats = encoding.compute_channel_stats(images)
-            stats.to_json(args.stats)
+    # without the stats file the batch itself defines the stats: every map
+    # is encoded once, held until the stats are known, then rendered
+    defer = bool(args.stats) and stats is None
 
     cap = _kernels.thread_cap()
     workers = min(cap or 4, len(args.files))
     with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
-        lines = list(pool.map(
-            lambda p: _encode_one(p, args, cam, gravity, stats), args.files
+        lines, held = zip(*pool.map(
+            lambda p: _encode_one(p, args, cam, gravity, stats, defer), args.files
         ))
+        if defer:
+            stats = encoding.compute_channel_stats([hdha for _, hdha in held])
+            stats.to_json(args.stats)
+            list(pool.map(lambda d: _write_hdha(*d, stats), held))
     for line in lines:
         print(line)
     return 0

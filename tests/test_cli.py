@@ -6,7 +6,7 @@ import sys
 import numpy as np
 import pytest
 
-from depthkit import analysis, cli, encoding, evaluation, netpbm
+from depthkit import analysis, cli, encoding, evaluation, geometry, netpbm
 
 
 def _write_jsonl(path, records):
@@ -145,6 +145,59 @@ def test_encode_hdha_writes_stats_then_reuses_them(tmp_path):
                    "--out", str(tmp_path / "b")])
     assert rc == 0
     assert (tmp_path / "b" / "room_hdha.ppm").read_bytes() == first
+
+
+def test_encode_hdha_stats_creation_encodes_each_map_once(tmp_path, monkeypatch):
+    cam_path = tmp_path / "cam.json"
+    srcs = []
+    for name, cam_height, wall_z in (("c", 1.2, 6.0), ("a", 1.5, 4.0), ("b", 0.9, 5.0)):
+        depth, cam = _floor_wall_scene(cam_height=cam_height, wall_z=wall_z)
+        srcs.append(tmp_path / f"{name}.pfm")
+        netpbm.write_pfm(str(srcs[-1]), depth)
+    cam_path.write_text(json.dumps(cam))
+    stats_path = tmp_path / "stats.json"
+
+    real_encode = geometry.hdha_encode
+    calls = []
+
+    def counting_encode(*args, **kwargs):
+        calls.append(1)
+        return real_encode(*args, **kwargs)
+
+    monkeypatch.setattr(geometry, "hdha_encode", counting_encode)
+    rc = cli.main(["encode", *map(str, srcs), "--mode", "hdha",
+                   "--intrinsics", str(cam_path), "--stats", str(stats_path),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert len(calls) == 3
+
+    cam_obj = encoding.CameraIntrinsics.from_json(str(cam_path))
+    images = [real_encode(encoding.load_depth(str(p)), cam_obj) for p in srcs]
+    expected = encoding.compute_channel_stats(images)
+    written = json.loads(stats_path.read_text())
+    assert written == {"mean": list(expected.means), "std": list(expected.stds)}
+    for src, image in zip(srcs, images):
+        rgb, _ = netpbm.read_ppm(str(tmp_path / "out" / f"{src.stem}_hdha.ppm"))
+        assert np.array_equal(rgb, encoding.hdha_to_rgb(image, stats=expected))
+
+
+def test_encode_hdha_stats_failure_writes_no_images(tmp_path, capsys):
+    # frontal walls at one constant depth have a constant disparity channel
+    depth, cam = _floor_wall_scene()
+    walls = [tmp_path / "wall1.pfm", tmp_path / "wall2.pfm"]
+    for wall in walls:
+        netpbm.write_pfm(str(wall), np.full_like(depth, 6.0))
+    cam_path = tmp_path / "cam.json"
+    cam_path.write_text(json.dumps(cam))
+    stats_path = tmp_path / "stats.json"
+    out = tmp_path / "out"
+    rc = cli.main(["encode", *map(str, walls), "--mode", "hdha",
+                   "--intrinsics", str(cam_path), "--stats", str(stats_path),
+                   "--out", str(out)])
+    assert rc == 3
+    assert "constant channel" in capsys.readouterr().err
+    assert not stats_path.exists()
+    assert list(out.glob("*_hdha.ppm")) == []
 
 
 def test_encode_hdha_accepts_fixed_gravity(tmp_path):

@@ -1,4 +1,4 @@
-"""Backprojection, surface normals (both kernel backends), gravity, HDHA."""
+"""Backprojection, surface normals, gravity, HDHA."""
 import numpy as np
 import pytest
 
@@ -49,12 +49,7 @@ def test_pointcloud_keeps_only_valid_pixels():
 
 # ----------------------------------------------------------------- normals
 
-@pytest.mark.parametrize("backend", ["numba", "numpy"])
-def test_plane_normals_both_backends(backend, monkeypatch):
-    monkeypatch.setenv("DEPTHKIT_NUMBA", "1" if backend == "numba" else "0")
-    if backend == "numba" and not _kernels.using_numba():
-        pytest.skip("numba unavailable")
-    assert _kernels.backend_name() == backend
+def test_plane_normals():
     depth, floor = _floor_wall_scene()
     normals, valid = normals_grid(depth, CAM, k_neighbors=25)
     # squarely inside each region the normal is exact; pixels whose
@@ -70,24 +65,79 @@ def test_plane_normals_both_backends(backend, monkeypatch):
         assert errs.max() < 1e-6
 
 
-def test_backends_agree_on_curved_scene():
-    if not _kernels.using_numba():
-        pytest.skip("numba unavailable")
-    rng = np.random.default_rng(4)
-    depth_vals = 3.0 + 0.5 * rng.standard_normal((40, 50)).cumsum(axis=1) / 10
-    depth_vals[rng.random((40, 50)) < 0.07] = 0.0
-    depth = DepthMap(np.abs(depth_vals))
-    cloud_pts = backproject_grid(depth, CAM)
-    na, va = _kernels.normals_from_points(cloud_pts, depth.valid, 25)
-    import os
-    os.environ["DEPTHKIT_NUMBA"] = "0"
-    try:
-        nb, vb = _kernels.normals_from_points(cloud_pts, depth.valid, 25)
-    finally:
-        os.environ.pop("DEPTHKIT_NUMBA")
-    np.testing.assert_array_equal(va, vb)
-    diff = np.linalg.norm(na[va] - nb[vb], axis=1)
-    assert diff.max() < 1e-6
+def _oracle_normals(points, valid, k):
+    """Per-pixel loops: grow a square window, gather, take the covariance."""
+    h, w = valid.shape
+    normals = np.zeros((h, w, 3))
+    ok = np.zeros((h, w), dtype=bool)
+    radius = np.zeros((h, w), dtype=int)
+    count = np.zeros((h, w), dtype=int)
+    r0 = 1
+    while (2 * r0 + 1) ** 2 < k:
+        r0 += 1
+    for i in range(h):
+        for j in range(w):
+            if not valid[i, j]:
+                continue
+            r = r0
+            while True:
+                rows = slice(max(i - r, 0), min(i + r, h - 1) + 1)
+                cols = slice(max(j - r, 0), min(j + r, w - 1) + 1)
+                gathered = points[rows, cols][valid[rows, cols]]
+                if len(gathered) >= k or r >= max(h, w):
+                    break
+                r += 1
+            radius[i, j], count[i, j] = r, len(gathered)
+            if len(gathered) < 3:
+                continue
+            centered = gathered - gathered.mean(axis=0)
+            evals, evecs = np.linalg.eigh(centered.T @ centered / len(gathered))
+            if evals[1] <= 1e-15:
+                continue
+            n = evecs[:, 0]
+            normals[i, j] = -n if n @ points[i, j] > 0 else n
+            ok[i, j] = True
+    return normals, ok, radius, count
+
+
+def _curved_grid(h, w, rng):
+    us, vs = np.meshgrid(np.arange(w, dtype=float), np.arange(h, dtype=float))
+    z = 3.0 + 0.4 * np.sin(us / 3.0) + 0.3 * np.cos(vs / 4.0) + 0.05 * rng.random((h, w))
+    return np.stack([(us - w / 2) / 20.0 * z, (vs - h / 2) / 20.0 * z, z], axis=-1)
+
+
+@pytest.mark.parametrize("case", ["holes", "sparse", "pair"])
+def test_normals_match_brute_force_oracle(case):
+    rng = np.random.default_rng(11)
+    h, w, k = 16, 20, 25
+    points = _curved_grid(h, w, rng)
+    valid = rng.random((h, w)) > 0.3
+    if case == "holes":
+        valid[:, 14:] = True  # a solid band whose pixels keep the base window
+        valid[3:12, 4:13] = False  # pixels on this hole's rim grow two or more rings
+    elif case == "sparse":
+        valid[:] = False  # fewer than k points in the whole grid
+        valid[rng.integers(0, h, 12), rng.integers(0, w, 12)] = True
+    else:
+        valid[:] = False  # fewer than 3 points: no normal anywhere
+        valid[2, 3] = valid[9, 14] = True
+    # garbage at invalid pixels must not leak into any window
+    points[~valid] = 1e6
+    ref_n, ref_ok, radius, count = _oracle_normals(points, valid, k)
+    r0 = _kernels.base_radius(k)
+    if case == "holes":
+        assert (radius[valid] == r0).any() and (radius[valid] >= r0 + 2).any()
+        assert (count[valid] >= k).all()
+    elif case == "sparse":
+        assert (radius[valid] == max(h, w)).all() and (count[valid] < k).all()
+        assert ref_ok.any()
+    else:
+        assert (count[valid] < 3).all()
+
+    normals, ok = _kernels.normals_from_points(points, valid, k)
+    np.testing.assert_array_equal(ok, ref_ok)
+    assert np.abs(normals[ok] - ref_n[ok]).max(initial=0.0) < 1e-6
+    assert not normals[~ok].any()
 
 
 def test_normals_face_the_camera():
