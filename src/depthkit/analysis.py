@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import DepthMap, quantize_u8
-from .evaluation import GroundTruth
+from .evaluation import GroundTruth, _csv_table
 
 
 @dataclass(frozen=True)
@@ -173,24 +173,23 @@ def pearson_r(x, y) -> float:
 
 
 def samples_csv(samples: list[DepthSizeSample], classes: list[str] | None = None) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["image_id", "class", "mean_depth", "area"])
-    for s in samples:
-        name = classes[s.class_id] if classes and 0 <= s.class_id < len(classes) else s.class_id
-        writer.writerow([s.image_id, name, f"{s.mean_depth:.6f}", f"{s.area:.6f}"])
-    return out.getvalue()
+    def name(cid):
+        return classes[cid] if classes and 0 <= cid < len(classes) else cid
+
+    return _csv_table(
+        ["image_id", "class", "mean_depth", "area"],
+        ([s.image_id, name(s.class_id), f"{s.mean_depth:.6f}", f"{s.area:.6f}"]
+         for s in samples),
+    )
 
 
 def heatmap_csv(hm: Heatmap2D) -> str:
     """Grid as CSV; the two header rows carry the bin edges."""
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["x_edges", *(f"{e!r}" for e in hm.x_edges.tolist())])
-    writer.writerow(["y_edges", *(f"{e!r}" for e in hm.y_edges.tolist())])
-    for row in hm.counts:
-        writer.writerow([f"{v!r}" for v in row.tolist()])
-    return out.getvalue()
+    return _csv_table(
+        ["x_edges", *(f"{e!r}" for e in hm.x_edges.tolist())],
+        [["y_edges", *(f"{e!r}" for e in hm.y_edges.tolist())],
+         *([f"{v!r}" for v in row.tolist()] for row in hm.counts)],
+    )
 
 
 def parse_heatmap_csv(text: str) -> Heatmap2D:

@@ -14,6 +14,7 @@ parallel in ``encode``.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -254,6 +255,11 @@ def _resolve_class_ids(gts) -> list[int]:
 
 
 def _cmd_eval(args) -> int:
+    # "not" so that NaN, which fails every comparison, is rejected too
+    if not 0 < args.iou <= 1:
+        raise ValueError(f"--iou must be in (0, 1], got {args.iou}")
+    if not math.isfinite(args.score_thresh):
+        raise ValueError(f"--score-thresh must be finite, got {args.score_thresh}")
     classes = evaluation.load_classes(args.classes) if args.classes else None
     dets = evaluation.load_detections(args.dets, classes)
     gts = evaluation.load_groundtruth(args.gts, classes)
@@ -268,7 +274,7 @@ def _cmd_eval(args) -> int:
         path = os.path.join(args.out, "voc_ap.csv")
         with open(path, "w") as fh:
             fh.write(text)
-        print(f"mAP: {'NA' if map_value is None else f'{map_value:.6f}'}")
+        print(f"mAP: {evaluation.format_metric(map_value)}")
         print(f"wrote {path}")
         return 0
 
@@ -278,8 +284,7 @@ def _cmd_eval(args) -> int:
         path = os.path.join(args.out, "coco_ap.csv")
         with open(path, "w") as fh:
             fh.write(evaluation.coco_csv(summary))
-        ap = summary["ap"]
-        print(f"AP: {'NA' if ap is None else f'{ap:.6f}'}")
+        print(f"AP: {evaluation.format_metric(summary['ap'])}")
         print(f"wrote {path}")
         return 0
 

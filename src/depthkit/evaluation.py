@@ -1,13 +1,30 @@
 """Detection-quality metrics: IoU, NMS, average precision, confusion.
 
-Two AP protocols are provided.  The 11-point protocol ranks detections
-by score, credits a detection when it is the best-overlap match of an
-unmatched ground-truth box of its class at the IoU threshold, skips
-ground truth flagged difficult, and averages interpolated precision at
-recalls 0, 0.1, .., 1.  The multi-threshold protocol sweeps IoU 0.50 to
-0.95 in steps of 0.05, interpolates precision at 101 recall points, and
-also reports size-bucketed values where ground truth outside the bucket
-is ignored rather than counted against recall.
+Both AP protocols share one ranking per class: the class's ground truth
+grouped by image, and its detections sorted by score, each carrying the
+IoUs with the ground truth of its image, computed once.  Two match rules
+read that ranking.
+
+- 11-point (PASCAL VOC): a detection's best match is the first box of
+  highest IoU among *all* boxes in its image.  With no such box, or one
+  below the IoU threshold, it is a false positive; on a difficult box it
+  is ignored (unless difficult boxes count); on a box already matched it
+  is a false positive; otherwise it is a true positive.  Precision is
+  interpolated at recalls 0, 0.1, .., 1.
+- Multi-threshold (COCO): IoU 0.50 to 0.95 in steps of 0.05, in size
+  buckets all / small / medium / large.  A detection takes the
+  best-overlap box not yet matched at the threshold, preferring boxes
+  that count (not difficult, inside the bucket); matching only an
+  ignored box, or matching nothing while itself outside the bucket,
+  makes it ignored rather than a false positive.  Every
+  (bucket, threshold, class) cell is computed once and every summary
+  is a mean over those cells.  Precision is interpolated at 101 recall
+  points.
+
+Both interpolate the same way: with ignored detections left out,
+recall never decreases with rank, so the best precision at recall >= r
+is the running maximum of precision taken from the right, read at the
+first rank that reaches r.
 
 The confusion matrix is class-agnostic at match time: each ground-truth
 box, in input order, takes the highest-scoring unmatched detection that
@@ -22,6 +39,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,12 +132,46 @@ def nms(dets: list[Detection], iou_thresh: float, top_k: int | None = None) -> l
     return kept
 
 
-def _interp_ap(recall: np.ndarray, precision: np.ndarray, points: np.ndarray) -> float:
+# arange/10, not linspace: recall levels must be the correctly rounded
+# doubles of i/10 (i/100) or a recall of exactly 3/5 misses 0.6
+_VOC_RECALLS = np.arange(11) / 10.0
+_COCO_RECALLS = np.arange(101) / 100.0
+
+
+def _interp_ap(flags: list[int], npos: int, points: np.ndarray) -> float:
+    """Interpolated AP of ranked TP (1) / FP (0) flags, ignored ones left out.
+
+    Recall never decreases with rank, so the best precision at recall >= r
+    is the running maximum of precision taken from the right, read at the
+    first rank reaching r; a point no rank reaches scores 0.
+    """
+    tp_cum = np.cumsum(flags)
+    recall = tp_cum / npos
+    precision = tp_cum / np.arange(1, len(flags) + 1)
+    best = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
     total = 0.0
-    for r in points:
-        mask = recall >= r
-        total += float(precision[mask].max()) if mask.any() else 0.0
+    # left to right as floats: sum() compensates (3.12+), np.sum pairs
+    for value in best[np.searchsorted(recall, points)].tolist():
+        total += value
     return total / len(points)
+
+
+def _rank_class(dets: list[Detection], gts: list[GroundTruth], class_id: int):
+    """One class ranked once, for both matchers.
+
+    Returns the class's ground truth and its detections in
+    ``_det_sort_key`` order, each paired with the indices (into that
+    ground truth) of the boxes in its image and its IoU with each.
+    """
+    cls_gts = [gt for gt in gts if gt.class_id == class_id]
+    by_image: dict[str, list[int]] = {}
+    for j, gt in enumerate(cls_gts):
+        by_image.setdefault(gt.image_id, []).append(j)
+    ranked = []
+    for det in sorted((d for d in dets if d.class_id == class_id), key=_det_sort_key):
+        cands = by_image.get(det.image_id, [])
+        ranked.append((det, cands, [iou(det.box, cls_gts[j].box) for j in cands]))
+    return cls_gts, ranked
 
 
 def voc_ap(
@@ -135,46 +187,23 @@ def voc_ap(
     detection matched to it (unless ``use_difficult``).  Returns None
     when the class has no creditable ground truth.
     """
-    gt_by_image: dict[str, list[GroundTruth]] = {}
-    npos = 0
-    for gt in gts:
-        if gt.class_id != class_id:
-            continue
-        gt_by_image.setdefault(gt.image_id, []).append(gt)
-        if use_difficult or not gt.difficult:
-            npos += 1
+    cls_gts, ranked = _rank_class(dets, gts, class_id)
+    npos = sum(1 for gt in cls_gts if use_difficult or not gt.difficult)
     if npos == 0:
         return None
-
-    cls_dets = sorted((d for d in dets if d.class_id == class_id), key=_det_sort_key)
-    matched: set[tuple[str, int]] = set()
-    tp = np.zeros(len(cls_dets))
-    fp = np.zeros(len(cls_dets))
-    for i, det in enumerate(cls_dets):
-        cands = gt_by_image.get(det.image_id, [])
-        best_iou, best_j = 0.0, -1
-        for j, gt in enumerate(cands):
-            ov = iou(det.box, gt.box)
-            if ov > best_iou:
-                best_iou, best_j = ov, j
-        if best_j >= 0 and best_iou >= iou_thresh:
-            gt = cands[best_j]
-            if gt.difficult and not use_difficult:
-                continue
-            if (det.image_id, best_j) in matched:
-                fp[i] = 1
-            else:
-                matched.add((det.image_id, best_j))
-                tp[i] = 1
-        else:
-            fp[i] = 1
-    tp_cum = np.cumsum(tp)
-    fp_cum = np.cumsum(fp)
-    recall = tp_cum / npos
-    precision = tp_cum / np.maximum(tp_cum + fp_cum, 1e-12)
-    # arange/10, not linspace: recall levels must be the correctly
-    # rounded doubles of i/10 or a recall of exactly 3/5 misses 0.6
-    return _interp_ap(recall, precision, np.arange(11) / 10.0)
+    matched: set[int] = set()
+    flags = []
+    for _, cands, ious in ranked:
+        best = max(ious, default=0.0)
+        if not (best > 0 and best >= iou_thresh):
+            flags.append(0)
+            continue
+        j = cands[ious.index(best)]
+        if cls_gts[j].difficult and not use_difficult:
+            continue
+        flags.append(0 if j in matched else 1)
+        matched.add(j)
+    return _interp_ap(flags, npos, _VOC_RECALLS)
 
 
 def mean_ap(
@@ -202,62 +231,29 @@ def _area_in_bucket(area: float, bucket: str) -> bool:
     return area > _MEDIUM_MAX
 
 
-def _coco_single(
-    dets: list[Detection],
-    gts: list[GroundTruth],
-    class_id: int,
-    thresh: float,
-    bucket: str,
-) -> float | None:
-    """AP for one (class, IoU threshold, size bucket) cell, or None."""
-    gt_by_image: dict[str, list[tuple[GroundTruth, bool]]] = {}
-    npos = 0
-    for gt in gts:
-        if gt.class_id != class_id:
-            continue
-        ignored = gt.difficult or not _area_in_bucket(gt.box.area, bucket)
-        gt_by_image.setdefault(gt.image_id, []).append((gt, ignored))
-        if not ignored:
-            npos += 1
-    if npos == 0:
-        return None
-
-    cls_dets = sorted((d for d in dets if d.class_id == class_id), key=_det_sort_key)
-    matched: set[tuple[str, int]] = set()
-    flags = []  # 1 = TP, 0 = FP, None = ignored detection
-    for det in cls_dets:
-        cands = gt_by_image.get(det.image_id, [])
+def _coco_cell(ranked, ignored: list[bool], npos: int, thresh: float, bucket: str) -> float:
+    """AP for one (bucket, IoU threshold, class) cell of a ranked class."""
+    matched: set[int] = set()
+    flags = []
+    for det, cands, ious in ranked:
         best_iou, best_j = 0.0, -1
         best_ign_iou, best_ign_j = 0.0, -1
-        for j, (gt, ignored) in enumerate(cands):
-            if (det.image_id, j) in matched:
+        for j, ov in zip(cands, ious):
+            if ov < thresh or j in matched:
                 continue
-            ov = iou(det.box, gt.box)
-            if ov < thresh:
-                continue
-            if ignored:
+            if ignored[j]:
                 if ov > best_ign_iou:
                     best_ign_iou, best_ign_j = ov, j
             elif ov > best_iou:
                 best_iou, best_j = ov, j
         if best_j >= 0:
-            matched.add((det.image_id, best_j))
+            matched.add(best_j)
             flags.append(1)
         elif best_ign_j >= 0:
-            matched.add((det.image_id, best_ign_j))
-            flags.append(None)
-        elif not _area_in_bucket(det.box.area, bucket):
-            flags.append(None)
-        else:
+            matched.add(best_ign_j)
+        elif _area_in_bucket(det.box.area, bucket):
             flags.append(0)
-    counted = [f for f in flags if f is not None]
-    if not counted:
-        return 0.0
-    tp_cum = np.cumsum(counted)
-    fp_cum = np.cumsum([1 - f for f in counted])
-    recall = tp_cum / npos
-    precision = tp_cum / np.maximum(tp_cum + fp_cum, 1e-12)
-    return _interp_ap(recall, precision, np.arange(101) / 100.0)
+    return _interp_ap(flags, npos, _COCO_RECALLS)
 
 
 def coco_ap(
@@ -272,23 +268,30 @@ def coco_ap(
     over the (class, threshold) cells with creditable ground truth; a
     bucket nobody populates reports None.
     """
+    cells: dict[tuple[str, float, int], float | None] = {}
+    for cid in set(class_ids):
+        cls_gts, ranked = _rank_class(dets, gts, cid)
+        for bucket in ("all", "small", "medium", "large"):
+            ignored = [gt.difficult or not _area_in_bucket(gt.box.area, bucket)
+                       for gt in cls_gts]
+            npos = ignored.count(False)
+            for t in COCO_THRESHOLDS:
+                cells[bucket, t, cid] = (
+                    _coco_cell(ranked, ignored, npos, t, bucket) if npos else None
+                )
 
-    def aggregate(bucket: str, thresholds) -> float | None:
-        cells = []
-        for t in thresholds:
-            for cid in class_ids:
-                v = _coco_single(dets, gts, cid, t, bucket)
-                if v is not None:
-                    cells.append(v)
-        return sum(cells) / len(cells) if cells else None
+    def mean(bucket: str, thresholds) -> float | None:
+        defined = [v for t in thresholds for cid in class_ids
+                   if (v := cells[bucket, t, cid]) is not None]
+        return sum(defined) / len(defined) if defined else None
 
     return {
-        "ap": aggregate("all", COCO_THRESHOLDS),
-        "ap50": aggregate("all", [COCO_THRESHOLDS[0]]),
-        "ap75": aggregate("all", [COCO_THRESHOLDS[5]]),
-        "ap_small": aggregate("small", COCO_THRESHOLDS),
-        "ap_medium": aggregate("medium", COCO_THRESHOLDS),
-        "ap_large": aggregate("large", COCO_THRESHOLDS),
+        "ap": mean("all", COCO_THRESHOLDS),
+        "ap50": mean("all", COCO_THRESHOLDS[:1]),
+        "ap75": mean("all", COCO_THRESHOLDS[5:6]),
+        "ap_small": mean("small", COCO_THRESHOLDS),
+        "ap_medium": mean("medium", COCO_THRESHOLDS),
+        "ap_large": mean("large", COCO_THRESHOLDS),
     }
 
 
@@ -305,12 +308,7 @@ class ConfusionMatrix:
         return self.counts.sum(axis=1) + self.fn
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["class", *self.classes, "FN"])
-        for i, name in enumerate(self.classes):
-            writer.writerow([name, *self.counts[i].tolist(), int(self.fn[i])])
-        return out.getvalue()
+        return _confusion_csv(self)
 
 
 @dataclass
@@ -322,12 +320,7 @@ class ConfusionDiff:
     fn: np.ndarray
 
     def to_csv(self) -> str:
-        out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(["class", *self.classes, "FN"])
-        for i, name in enumerate(self.classes):
-            writer.writerow([name, *self.counts[i].tolist(), int(self.fn[i])])
-        return out.getvalue()
+        return _confusion_csv(self)
 
     def format_text(self) -> str:
         """Plain-text table; improvements are marked with a trailing '+'.
@@ -415,8 +408,8 @@ def _parse_box(raw: dict, where: str, offset: int) -> BBox:
         box = BBox(float(raw["x1"]), float(raw["y1"]), float(raw["x2"]), float(raw["y2"]))
     except KeyError as exc:
         raise ParseError(f"{where}: missing box field {exc}", offset) from None
-    except ValueError as exc:
-        raise ParseError(f"{where}: {exc}", offset) from None
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ParseError(f"{where}: bad box: {exc}", offset) from None
     return box
 
 
@@ -432,7 +425,23 @@ def _class_id(raw: dict, classes: list[str] | None, where: str, offset: int) -> 
             return classes.index(value)
         except ValueError:
             raise ParseError(f"{where}: unknown class {value!r}", offset) from None
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (isinstance(value, float) and not value.is_integer()) or value < 0):
+        raise ParseError(f"{where}: class id must be a non-negative integer, got {value!r}",
+                         offset)
     return int(value)
+
+
+def _score(raw: dict, where: str, offset: int) -> float:
+    # scores order every ranking; NaN compares false with everything, so
+    # non-finite scores are refused outright
+    try:
+        value = float(raw["score"])
+    except (TypeError, ValueError, OverflowError):
+        raise ParseError(f"{where}: score must be a number, got {raw['score']!r}", offset) from None
+    if not math.isfinite(value):
+        raise ParseError(f"{where}: score must be finite, got {value!r}", offset)
+    return value
 
 
 def _iter_jsonl(path: str):
@@ -442,17 +451,21 @@ def _iter_jsonl(path: str):
             stripped = line.strip()
             if stripped:
                 try:
-                    yield lineno, offset, json.loads(stripped)
+                    record = json.loads(stripped)
                 except json.JSONDecodeError as exc:
                     raise ParseError(f"{path} line {lineno}: {exc.msg}", offset) from None
+                if not isinstance(record, dict):
+                    raise ParseError(f"{path} line {lineno}: record must be a JSON object",
+                                     offset)
+                yield lineno, offset, record
             offset += len(line)
 
 
 def load_detections(path: str, classes: list[str] | None = None) -> list[Detection]:
     """Read detections from JSON lines.
 
-    Each record: ``image_id``, ``class`` (table name or integer id),
-    ``score``, and box corners ``x1 y1 x2 y2``.
+    Each record: ``image_id``, ``class`` (table name or non-negative
+    integer id), a finite ``score``, and box corners ``x1 y1 x2 y2``.
     """
     out = []
     for lineno, offset, raw in _iter_jsonl(path):
@@ -465,7 +478,7 @@ def load_detections(path: str, classes: list[str] | None = None) -> list[Detecti
             Detection(
                 image_id=str(raw["image_id"]),
                 class_id=_class_id(raw, classes, where, offset),
-                score=float(raw["score"]),
+                score=_score(raw, where, offset),
                 box=_parse_box(raw, where, offset),
             )
         )
@@ -501,27 +514,44 @@ def load_classes(path: str) -> list[str]:
     return raw
 
 
+def format_metric(value: float | None) -> str:
+    """A metric as written everywhere: six decimals, or NA when undefined."""
+    return "NA" if value is None else f"{value:.6f}"
+
+
+def _csv_table(header: list, rows) -> str:
+    """CSV text of a header row and rows: minimal quoting, LF line ends."""
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return out.getvalue()
+
+
+def _confusion_csv(table: ConfusionMatrix | ConfusionDiff) -> str:
+    return _csv_table(
+        ["class", *table.classes, "FN"],
+        ([name, *table.counts[i].tolist(), int(table.fn[i])]
+         for i, name in enumerate(table.classes)),
+    )
+
+
 def ap_csv(
     per_class: dict[int, float | None],
     classes: list[str] | tuple[str, ...],
     map_value: float | None,
 ) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["class", "ap"])
-    for cid in sorted(per_class):
-        name = classes[cid] if 0 <= cid < len(classes) else str(cid)
-        value = per_class[cid]
-        writer.writerow([name, "NA" if value is None else f"{value:.6f}"])
-    writer.writerow(["mAP", "NA" if map_value is None else f"{map_value:.6f}"])
-    return out.getvalue()
+    rows = [
+        [classes[cid] if 0 <= cid < len(classes) else str(cid), format_metric(per_class[cid])]
+        for cid in sorted(per_class)
+    ]
+    rows.append(["mAP", format_metric(map_value)])
+    return _csv_table(["class", "ap"], rows)
 
 
 def coco_csv(summary: dict[str, float | None]) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["metric", "value"])
-    for key in ("ap", "ap50", "ap75", "ap_small", "ap_medium", "ap_large"):
-        value = summary[key]
-        writer.writerow([key, "NA" if value is None else f"{value:.6f}"])
-    return out.getvalue()
+    return _csv_table(
+        ["metric", "value"],
+        ([key, format_metric(summary[key])]
+         for key in ("ap", "ap50", "ap75", "ap_small", "ap_medium", "ap_large")),
+    )

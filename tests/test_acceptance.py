@@ -374,6 +374,116 @@ def test_oracle_equivalence():
             f"coco x{checked_coco} within 1e-9")
 
 
+def _in_bucket_oracle(box, bucket):
+    area = (box.x2 - box.x1) * (box.y2 - box.y1)
+    return {"small": area < 32 * 32, "medium": 32 * 32 <= area <= 96 * 96,
+            "large": area > 96 * 96}[bucket]
+
+
+def _coco_bucket_oracle(dets, gts, class_id, thresh, bucket):
+    """``_coco_oracle`` with a size bucket: ground truth outside it is
+    ignored like difficult ground truth, and a detection outside it that
+    matches nothing is ignored rather than counted as a false positive."""
+    gt_list = [g for g in gts if g.class_id == class_id]
+    ignored = [g.difficult or not _in_bucket_oracle(g.box, bucket) for g in gt_list]
+    npos = ignored.count(False)
+    if npos == 0:
+        return None
+    order = sorted((d for d in dets if d.class_id == class_id),
+                   key=lambda d: (-d.score, d.image_id, d.box.x1, d.box.y1,
+                                  d.box.x2, d.box.y2))
+    claimed = set()
+    flags = []
+    for d in order:
+        best = {False: (0.0, None), True: (0.0, None)}
+        for i, g in enumerate(gt_list):
+            if g.image_id != d.image_id or i in claimed:
+                continue
+            ov = evaluation.iou(d.box, g.box)
+            if ov < thresh:
+                continue
+            if ov > best[ignored[i]][0]:
+                best[ignored[i]] = (ov, i)
+        if best[False][1] is not None:
+            claimed.add(best[False][1])
+            flags.append(1)
+        elif best[True][1] is not None:
+            claimed.add(best[True][1])
+        elif _in_bucket_oracle(d.box, bucket):
+            flags.append(0)
+    if not flags:
+        return 0.0
+    tp = np.cumsum(flags)
+    fp = np.cumsum([1 - f for f in flags])
+    return _interp_ap_oracle(
+        [i / 100 for i in range(101)], tp / npos, tp / np.maximum(tp + fp, 1e-12)
+    )
+
+
+def _bucket_scene(rng):
+    """Like ``_rand_scene`` but with box sides from 4 to 160 pixels, so
+    every size bucket holds ground truth and detections."""
+    n_classes = int(rng.integers(1, 4))
+    gts, dets = [], []
+    for _ in range(int(rng.integers(1, 31))):
+        image_id = f"im{rng.integers(0, 3)}"
+        cls = int(rng.integers(0, n_classes))
+        x1, y1 = rng.uniform(0, 200, 2)
+        sides = rng.choice([4.0, 24.0, 32.0, 60.0, 96.0, 130.0, 160.0], 2)
+        bw, bh = sides * rng.uniform(0.8, 1.2, 2)
+        box = BBox(x1, y1, x1 + bw, y1 + bh)
+        if rng.random() < 0.5:
+            gts.append(GroundTruth(image_id, cls, box, difficult=rng.random() < 0.15))
+        else:
+            dets.append(Detection(image_id, cls, float(rng.uniform(0, 1)), box))
+    for gt in gts:
+        for _ in range(int(rng.integers(0, 3))):
+            j = rng.uniform(-8, 8, 4)
+            b = gt.box
+            try:
+                jb = BBox(b.x1 + j[0], b.y1 + j[1], b.x2 + j[2], b.y2 + j[3])
+            except ValueError:
+                continue
+            dets.append(Detection(gt.image_id, gt.class_id, float(rng.uniform(0, 1)), jb))
+    return dets, gts, n_classes
+
+
+def test_size_buckets_match_oracle():
+    rng = np.random.default_rng(20261017)
+    compared = {"small": 0, "medium": 0, "large": 0}
+    for trial in range(40):
+        dets, gts, n_classes = _bucket_scene(rng)
+        class_ids = list(range(n_classes))
+        summary = evaluation.coco_ap(dets, gts, class_ids)
+        for bucket in compared:
+            cells = [
+                v
+                for t in evaluation.COCO_THRESHOLDS
+                for v in (_coco_bucket_oracle(dets, gts, cid, t, bucket) for cid in class_ids)
+                if v is not None
+            ]
+            got = summary[f"ap_{bucket}"]
+            if not cells:
+                assert got is None, (trial, bucket)
+                continue
+            assert got == pytest.approx(sum(cells) / len(cells), abs=1e-9), (trial, bucket)
+            compared[bucket] += 1
+    assert all(compared.values()), compared
+
+
+def test_interpolation_matches_oracle_on_random_flags():
+    rng = np.random.default_rng(7)
+    sequences = [[], [0], [0, 0, 0], [1], [1, 1, 0, 1]]
+    sequences += [rng.integers(0, 2, int(rng.integers(1, 40))).tolist() for _ in range(200)]
+    for flags in sequences:
+        npos = sum(flags) + int(rng.integers(0 if sum(flags) else 1, 4))
+        tp = np.cumsum(flags)
+        fp = np.cumsum([1 - f for f in flags])
+        for points in ([i / 10 for i in range(11)], [i / 100 for i in range(101)]):
+            want = _interp_ap_oracle(points, tp / npos, tp / np.maximum(tp + fp, 1))
+            assert evaluation._interp_ap(flags, npos, np.array(points)) == want, (flags, npos)
+
+
 # ------------------------------------------------------------- criterion 5
 
 @criterion("criterion 5 (depth-run dominance, end to end)")

@@ -414,6 +414,67 @@ def test_eval_unknown_metric_exits_3(tmp_path, eval_files):
                      "--gts", eval_files["gts_ids"], "--out", str(tmp_path)]) == 3
 
 
+_GOOD_DET = '{"image_id": "im1", "class": 1, "score": 0.5, "x1": 0, "y1": 0, "x2": 9, "y2": 9}'
+
+
+@pytest.mark.parametrize("record", [
+    '{"image_id": "im1", "class": [0], "score": 0.5, "x1": 0, "y1": 0, "x2": 9, "y2": 9}',
+    '{"image_id": "im1", "class": 1.7, "score": 0.5, "x1": 0, "y1": 0, "x2": 9, "y2": 9}',
+    '{"image_id": "im1", "class": -1, "score": 0.5, "x1": 0, "y1": 0, "x2": 9, "y2": 9}',
+    '{"image_id": "im1", "class": 1, "score": 0.5, "x1": null, "y1": 0, "x2": 9, "y2": 9}',
+    '{"image_id": "im1", "class": 1, "score": "hi", "x1": 0, "y1": 0, "x2": 9, "y2": 9}',
+    '{"image_id": "im1", "class": 1, "score": NaN, "x1": 0, "y1": 0, "x2": 9, "y2": 9}',
+    '{"image_id": "im1", "class": 1, "score": Infinity, "x1": 0, "y1": 0, "x2": 9, "y2": 9}',
+    '42',
+], ids=["class-list", "class-fraction", "class-negative", "box-null", "score-text",
+        "score-nan", "score-infinity", "not-an-object"])
+def test_eval_bad_record_exits_2_with_offset(tmp_path, capsys, eval_files, record):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(_GOOD_DET + "\n" + record + "\n")
+    rc = cli.main(["eval", "--metric", "voc", "--dets", str(bad),
+                   "--gts", eval_files["gts_ids"], "--out", str(tmp_path)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "line 2" in err and f"(byte offset {len(_GOOD_DET) + 1})" in err
+    assert not (tmp_path / "voc_ap.csv").exists()
+
+
+def test_eval_ground_truth_with_negative_class_exits_2(tmp_path, capsys, eval_files):
+    bad = tmp_path / "gts.jsonl"
+    bad.write_text('{"image_id": "im1", "class": -2, "x1": 0, "y1": 0, "x2": 9, "y2": 9}\n')
+    rc = cli.main(["eval", "--metric", "voc", "--dets", eval_files["dets_ids"],
+                   "--gts", str(bad), "--out", str(tmp_path)])
+    assert rc == 2
+    assert "(byte offset 0)" in capsys.readouterr().err
+
+
+def test_eval_integral_float_class_id_still_loads(tmp_path):
+    dets = tmp_path / "dets.jsonl"
+    dets.write_text(_GOOD_DET.replace('"class": 1', '"class": 1.0') + "\n")
+    assert evaluation.load_detections(str(dets))[0].class_id == 1
+
+
+@pytest.mark.parametrize("flags", [
+    ["--iou", "1.5"], ["--iou", "-1"], ["--iou", "0"], ["--iou", "nan"],
+    ["--score-thresh", "nan"], ["--score-thresh", "inf"],
+], ids=["iou-above-1", "iou-negative", "iou-zero", "iou-nan", "score-nan", "score-inf"])
+@pytest.mark.parametrize("metric", ["voc", "confusion"])
+def test_eval_bad_threshold_exits_3(tmp_path, capsys, eval_files, flags, metric):
+    rc = cli.main(["eval", "--metric", metric, "--dets", eval_files["dets"],
+                   "--gts", eval_files["gts"], "--classes", eval_files["classes"],
+                   *flags, "--out", str(tmp_path)])
+    assert rc == 3
+    assert flags[0] in capsys.readouterr().err
+    assert not any(tmp_path.glob("*.csv"))
+
+
+def test_eval_iou_of_exactly_one_is_accepted(tmp_path, eval_files):
+    rc = cli.main(["eval", "--metric", "voc", "--dets", eval_files["dets"],
+                   "--gts", eval_files["gts"], "--classes", eval_files["classes"],
+                   "--iou", "1", "--out", str(tmp_path)])
+    assert rc == 0
+
+
 # ----------------------------------------------------------------- analyze
 
 @pytest.fixture
