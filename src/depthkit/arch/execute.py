@@ -7,13 +7,9 @@ is a pure function of (graph, inputs, seed) and bitwise reproducible.
 Generator: ``x' = (6364136223846793005 * x + 1442695040888963407) mod 2^64``,
 seeded directly with ``seed``.  Each successive state maps to a weight
 via ``0.2 * (x / 2^64) - 0.1``, i.e. uniform [-0.1, 0.1).  Weights are
-drawn in node construction order; within a node, each weight tensor is
-filled in C (row-major) order, weights before the bias.  Conv weights
-are ``(c_out, c_in, k, k)``, fc weights ``(n_out, n_in)``; the proposal
-head draws its 3x3 conv, then the objectness conv, then the delta conv;
-the detection head draws the score map then the delta map.  Frozen
-layers draw like any other; frozen batch-norm executes as identity and
-draws nothing.
+drawn in node construction order; within a node, one draw per tensor
+of ``LayerSpec.weight_shapes``, in its order, filled in C (row-major)
+order.  Frozen batch-norm executes as identity and draws nothing.
 
 Construction order is topological by construction (edges always point
 backward), so nodes execute in that same order and each node's weights
@@ -21,9 +17,11 @@ are freed right after use.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .graph import ArchGraph, LayerSpec, StructuralError, propagate_shapes
+from .graph import CONCAT_AXIS, ArchGraph, LayerSpec, StructuralError, propagate_shapes
 
 LCG_A = 6364136223846793005
 LCG_C = 1442695040888963407
@@ -161,48 +159,11 @@ def _roi_align(feat: np.ndarray, rois: np.ndarray, pool: int, scale: float) -> n
     return out
 
 
-def _draw_node(lcg: Lcg, spec: LayerSpec, in_shapes: list) -> dict[str, np.ndarray]:
-    kind = spec.kind
-    if kind == "conv2d":
-        c_in = in_shapes[0][-3]
-        k = spec.kernel
-        w = lcg.draws(k * k * c_in * spec.out_channels).reshape(
-            spec.out_channels, c_in, k, k)
-        b = lcg.draws(spec.out_channels) if spec.bias else None
-        return {"w": w, "b": b}
-    if kind == "fc":
-        n_in = in_shapes[0][-1]
-        w = lcg.draws(n_in * spec.out_features).reshape(spec.out_features, n_in)
-        b = lcg.draws(spec.out_features)
-        return {"w": w, "b": b}
-    if kind == "rpn_head":
-        c_in = in_shapes[0][-3]
-        hid, na = spec.hidden, spec.num_anchors
-        return {
-            "conv_w": lcg.draws(9 * c_in * hid).reshape(hid, c_in, 3, 3),
-            "conv_b": lcg.draws(hid),
-            "obj_w": lcg.draws(hid * 2 * na).reshape(2 * na, hid, 1, 1),
-            "obj_b": lcg.draws(2 * na),
-            "del_w": lcg.draws(hid * 4 * na).reshape(4 * na, hid, 1, 1),
-            "del_b": lcg.draws(4 * na),
-        }
-    if kind == "det_head":
-        n_in = in_shapes[0][-1]
-        nc = spec.num_classes
-        return {
-            "score_w": lcg.draws(n_in * nc).reshape(nc, n_in),
-            "score_b": lcg.draws(nc),
-            "del_w": lcg.draws(n_in * 4 * nc).reshape(4 * nc, n_in),
-            "del_b": lcg.draws(4 * nc),
-        }
-    return {}
-
-
 def _run_node(spec: LayerSpec, params: dict, xs: list[np.ndarray],
               num_rois: int) -> dict[str, np.ndarray]:
     kind = spec.kind
     if kind == "conv2d":
-        return {"out": _conv2d(xs[0], params["w"], params["b"], spec.stride, spec.pad)}
+        return {"out": _conv2d(xs[0], params["w"], params.get("b"), spec.stride, spec.pad)}
     if kind == "relu":
         return {"out": np.maximum(xs[0], 0.0)}
     if kind == "maxpool":
@@ -216,8 +177,7 @@ def _run_node(spec: LayerSpec, params: dict, xs: list[np.ndarray],
             oh, ow = xs[1].shape[-2:]
         return {"out": _bilinear_resize(xs[0], oh, ow)}
     if kind == "channel_concat":
-        axis = {2: 1, 3: 0, 4: 1}[xs[0].ndim]
-        return {"out": np.concatenate(xs, axis=axis)}
+        return {"out": np.concatenate(xs, axis=CONCAT_AXIS[xs[0].ndim])}
     if kind == "batch_repeat_concat":
         return {"out": np.repeat(xs[0][None], num_rois, axis=0)}
     if kind == "flatten":
@@ -260,10 +220,12 @@ def execute_forward(graph: ArchGraph, inputs: dict[str, np.ndarray],
             parts.append(f"unexpected inputs: {sorted(extra)}")
         raise StructuralError("; ".join(parts))
 
+    values = {f"{name}:out": np.asarray(inputs[name], dtype=np.float64)
+              for name in graph.inputs}
     num_rois = 1
     primary_shape = None
     for name, ispec in graph.inputs.items():
-        arr = np.asarray(inputs[name], dtype=np.float64)
+        arr = values[f"{name}:out"]
         if ispec.rois:
             num_rois = arr.shape[0]
         elif primary_shape is None and ispec.shape is None:
@@ -274,22 +236,21 @@ def execute_forward(graph: ArchGraph, inputs: dict[str, np.ndarray],
         raise StructuralError("graph has no image input")
     shapes = propagate_shapes(graph, primary_shape, num_rois)
 
-    values: dict[str, np.ndarray] = {}
     pending: dict[str, int] = {}
-    for name, ispec in graph.inputs.items():
-        arr = np.asarray(inputs[name], dtype=np.float64)
-        want = shapes[f"{name}:out"]
-        if arr.shape != want:
-            raise StructuralError(f"input {name!r} has shape {arr.shape}, expected {want}")
-        values[f"{name}:out"] = arr
-        pending[f"{name}:out"] = len(graph.consumers(name, "out"))
+    for name in graph.inputs:
+        key = f"{name}:out"
+        if values[key].shape != shapes[key]:
+            raise StructuralError(
+                f"input {name!r} has shape {values[key].shape}, expected {shapes[key]}")
+        pending[key] = len(graph.consumers(name, "out"))
 
     leaves = {f"{n}:{p}" for n, p in graph.leaf_ports()}
     lcg = Lcg(seed)
     for name, spec in graph.nodes.items():
         edges = graph.in_edges(name)
         in_shapes = [shapes[f"{e.src}:{e.src_port}"] for e in edges]
-        params = _draw_node(lcg, spec, in_shapes)
+        params = {key: lcg.draws(math.prod(shape)).reshape(shape)
+                  for key, shape in spec.weight_shapes(in_shapes)}
         xs = [values[f"{e.src}:{e.src_port}"] for e in edges]
         outs = _run_node(spec, params, xs, num_rois)
         del params

@@ -4,7 +4,8 @@ A graph is a DAG of typed layer nodes.  Nodes are added in construction
 order, and every edge must point at an already-existing node, so
 construction order is always a valid execution order.  Shape
 propagation walks the graph symbolically and annotates every edge; the
-parameter counter and the numeric executor both build on that.
+parameter counter and the numeric executor both build on that, and both
+read a layer's weight tensors from ``LayerSpec.weight_shapes``.
 
 Tensor shape conventions: image tensors are ``(C, H, W)`` before the
 region stage and ``(N, C, H, W)`` after it, feature vectors are
@@ -45,6 +46,9 @@ KINDS = frozenset(
         "det_head",
     }
 )
+
+# the channel axis of a concat by input rank: (N, F), (C, H, W), (N, C, H, W)
+CONCAT_AXIS = {2: 1, 3: 0, 4: 1}
 
 
 @dataclass
@@ -94,6 +98,38 @@ class LayerSpec:
         if self.kind == "bilinear_resize" and self.out_size is not None:
             if self.out_size[0] < 1 or self.out_size[1] < 1:
                 raise StructuralError(f"node {name}: resize target must be >= 1")
+
+    def weight_shapes(self, in_shapes: list[Shape]) -> list[tuple[str, Shape]]:
+        """The weight tensors this layer owns, as ``(name, shape)`` in draw order.
+
+        A conv2d holds ``w`` as ``(c_out, c_in, k, k)`` and then, when
+        biased, ``b`` as ``(c_out,)``; an fc holds ``w`` as
+        ``(n_out, n_in)`` and ``b``.  The proposal head holds its 3x3
+        conv, then the objectness and the delta 1x1 convs; the detection
+        head holds the score map, then the delta map; each weights before
+        bias.  Other kinds hold none.  Frozen layers own their tensors
+        like any other.  Batch-norm is not listed and never drawn: it is
+        always frozen, and ``count_parameters`` adds two fixed parameters
+        per output channel (scale and shift; running statistics are
+        buffers, not parameters).
+        """
+        kind = self.kind
+        if kind == "conv2d":
+            c_out, k = self.out_channels, self.kernel
+            w = [("w", (c_out, in_shapes[0][-3], k, k))]
+            return w + [("b", (c_out,))] if self.bias else w
+        if kind == "fc":
+            return [("w", (self.out_features, in_shapes[0][-1])), ("b", (self.out_features,))]
+        if kind == "rpn_head":
+            hid, na = self.hidden, self.num_anchors
+            return [("conv_w", (hid, in_shapes[0][-3], 3, 3)), ("conv_b", (hid,)),
+                    ("obj_w", (2 * na, hid, 1, 1)), ("obj_b", (2 * na,)),
+                    ("del_w", (4 * na, hid, 1, 1)), ("del_b", (4 * na,))]
+        if kind == "det_head":
+            n_in, nc = in_shapes[0][-1], self.num_classes
+            return [("score_w", (nc, n_in)), ("score_b", (nc,)),
+                    ("del_w", (4 * nc, n_in)), ("del_b", (4 * nc,))]
+        return []
 
     def output_ports(self) -> tuple[str, ...]:
         if self.kind == "rpn_head":
@@ -263,14 +299,9 @@ def _node_output_shapes(
         if len(ranks) != 1:
             raise StructuralError(f"node {name}: concat inputs have mixed ranks {in_shapes}")
         rank = ranks.pop()
-        if rank == 2:
-            axis = 1
-        elif rank == 3:
-            axis = 0
-        elif rank == 4:
-            axis = 1
-        else:
+        if rank not in CONCAT_AXIS:
             raise StructuralError(f"node {name}: concat needs rank 2..4, got rank {rank}")
+        axis = CONCAT_AXIS[rank]
         base = in_shapes[0]
         for i, s in enumerate(in_shapes[1:], start=1):
             if s[:axis] + s[axis + 1 :] != base[:axis] + base[axis + 1 :]:

@@ -1,20 +1,17 @@
 """Parameter inventory of an architecture graph.
 
-Counting rules: a conv2d holds ``k*k*c_in*c_out`` weights plus ``c_out``
-biases when biased; an fc holds ``n_in*n_out + n_out``; the proposal
-head is its 3x3 conv plus the two 1x1 scoring convs; the detection head
-is two linear maps (scores and box deltas).  Batch-norm contributes two
-parameters per channel (scale and shift) and is always frozen here, so
-it lands in the fixed column; running statistics are buffers, not
-parameters, and are not counted.  A frozen layer's weights count as
+A node's parameters are the tensors ``LayerSpec.weight_shapes`` lists,
+the same list the executor draws, plus its frozen batch-norm pairs; that
+method's docstring gives the rules.  A frozen layer's weights count as
 fixed rather than trainable.
 """
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
-from .graph import ArchGraph, LayerSpec, Shape, StateError
+from .graph import ArchGraph, StateError
 
 
 @dataclass(frozen=True)
@@ -60,33 +57,6 @@ class ParamReport:
             writer.writerow(["TOTAL", "", self.trainable, self.fixed])
 
 
-def _node_params(spec: LayerSpec, in_shapes: list[Shape]) -> tuple[int, int]:
-    """(weight_params, fixed_bn_params) before the trainable/frozen split."""
-    kind = spec.kind
-    if kind == "conv2d":
-        c_in = in_shapes[0][-3]
-        weights = spec.kernel * spec.kernel * c_in * spec.out_channels
-        if spec.bias:
-            weights += spec.out_channels
-        bn = 2 * spec.out_channels if spec.batch_norm else 0
-        return weights, bn
-    if kind == "fc":
-        n_in = in_shapes[0][-1]
-        return n_in * spec.out_features + spec.out_features, 0
-    if kind == "rpn_head":
-        c_in = in_shapes[0][-3]
-        conv = 9 * c_in * spec.hidden + spec.hidden
-        obj = spec.hidden * 2 * spec.num_anchors + 2 * spec.num_anchors
-        deltas = spec.hidden * 4 * spec.num_anchors + 4 * spec.num_anchors
-        return conv + obj + deltas, 0
-    if kind == "det_head":
-        n_in = in_shapes[0][-1]
-        scores = n_in * spec.num_classes + spec.num_classes
-        deltas = n_in * 4 * spec.num_classes + 4 * spec.num_classes
-        return scores + deltas, 0
-    return 0, 0
-
-
 def count_parameters(graph: ArchGraph) -> ParamReport:
     """Per-node parameter rows plus totals.  Shapes must be propagated."""
     if graph.shapes is None:
@@ -95,7 +65,8 @@ def count_parameters(graph: ArchGraph) -> ParamReport:
     rows = []
     for name, spec in graph.nodes.items():
         in_shapes = [graph.shapes[f"{e.src}:{e.src_port}"] for e in graph.in_edges(name)]
-        weights, bn = _node_params(spec, in_shapes)
+        weights = sum(math.prod(shape) for _, shape in spec.weight_shapes(in_shapes))
+        bn = 2 * spec.out_channels if spec.kind == "conv2d" and spec.batch_norm else 0
         if weights == 0 and bn == 0:
             continue
         if spec.trainable:

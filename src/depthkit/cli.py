@@ -31,6 +31,7 @@ from .arch import (
     format_shape,
     propagate_shapes,
     shape_csv,
+    shape_rows,
     to_dot,
 )
 from .netpbm import ParseError
@@ -221,9 +222,7 @@ def _cmd_arch(args) -> int:
 
     print(f"{args.variant} / {args.backbone}: trainable={report.trainable:,} "
           f"fixed={report.fixed:,} total={report.total:,}")
-    det = next(n for n, s in graph.nodes.items() if s.kind == "det_head")
-    edge = graph.in_edges(det)[0]
-    print(f"head input: {format_shape(graph.shapes[f'{edge.src}:{edge.src_port}'])}")
+    print(f"head input: {format_shape(dict(shape_rows(graph))['head_input'])}")
     for name in written:
         print(f"wrote {name}")
 

@@ -404,8 +404,13 @@ def confusion_diff(base: ConfusionMatrix, other: ConfusionMatrix) -> ConfusionDi
 
 
 def _parse_box(raw: dict, where: str, offset: int) -> BBox:
+    # a non-finite corner makes the IoU NaN, which every threshold test
+    # then misreads, so it is refused like a malformed box
     try:
-        box = BBox(float(raw["x1"]), float(raw["y1"]), float(raw["x2"]), float(raw["y2"]))
+        corners = tuple(float(raw[k]) for k in ("x1", "y1", "x2", "y2"))
+        if not all(math.isfinite(v) for v in corners):
+            raise ValueError(f"corners must be finite, got {corners}")
+        box = BBox(*corners)
     except KeyError as exc:
         raise ParseError(f"{where}: missing box field {exc}", offset) from None
     except (TypeError, ValueError, OverflowError) as exc:
@@ -430,6 +435,13 @@ def _class_id(raw: dict, classes: list[str] | None, where: str, offset: int) -> 
         raise ParseError(f"{where}: class id must be a non-negative integer, got {value!r}",
                          offset)
     return int(value)
+
+
+def _difficult(raw: dict, where: str, offset: int) -> bool:
+    value = raw.get("difficult", False)
+    if not isinstance(value, bool):
+        raise ParseError(f"{where}: difficult must be true or false, got {value!r}", offset)
+    return value
 
 
 def _score(raw: dict, where: str, offset: int) -> float:
@@ -465,7 +477,7 @@ def load_detections(path: str, classes: list[str] | None = None) -> list[Detecti
     """Read detections from JSON lines.
 
     Each record: ``image_id``, ``class`` (table name or non-negative
-    integer id), a finite ``score``, and box corners ``x1 y1 x2 y2``.
+    integer id), a finite ``score``, and finite box corners ``x1 y1 x2 y2``.
     """
     out = []
     for lineno, offset, raw in _iter_jsonl(path):
@@ -486,7 +498,8 @@ def load_detections(path: str, classes: list[str] | None = None) -> list[Detecti
 
 
 def load_groundtruth(path: str, classes: list[str] | None = None) -> list[GroundTruth]:
-    """Read ground truth from JSON lines; ``difficult`` defaults false."""
+    """Read ground truth from JSON lines; ``difficult``, a JSON boolean,
+    defaults false."""
     out = []
     for lineno, offset, raw in _iter_jsonl(path):
         where = f"{path} line {lineno}"
@@ -497,7 +510,7 @@ def load_groundtruth(path: str, classes: list[str] | None = None) -> list[Ground
                 image_id=str(raw["image_id"]),
                 class_id=_class_id(raw, classes, where, offset),
                 box=_parse_box(raw, where, offset),
-                difficult=bool(raw.get("difficult", False)),
+                difficult=_difficult(raw, where, offset),
             )
         )
     return out

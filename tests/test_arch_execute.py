@@ -3,9 +3,12 @@ import numpy as np
 import pytest
 
 from depthkit.arch import (
+    BACKBONES,
+    VARIANTS,
     GraphError,
     Lcg,
     build_architecture,
+    count_parameters,
     execute_forward,
     propagate_shapes,
 )
@@ -223,3 +226,23 @@ def test_forward_propagates_shapes_itself():
     graph = build_architecture("baseline", "vgg16")
     outputs = execute_forward(graph, _toy_inputs(graph, 64, 64), seed=0)
     assert outputs["det:scores"].shape == (2, 21)
+
+
+@pytest.mark.parametrize("backbone", BACKBONES)
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_drawn_values_equal_counted_parameters(monkeypatch, variant, backbone):
+    # the executor draws exactly the weights the counter reports; only the
+    # frozen batch-norm pairs are counted without being drawn
+    graph = build_architecture(variant, backbone)
+    inputs = _toy_inputs(graph, 32, 32)
+    drawn = []
+
+    def counting_draws(self, n):
+        drawn.append(n)
+        return np.zeros(n)
+
+    monkeypatch.setattr(Lcg, "draws", counting_draws)
+    execute_forward(graph, inputs, seed=0)
+    bn = sum(2 * s.out_channels for s in graph.nodes.values()
+             if s.kind == "conv2d" and s.batch_norm)
+    assert sum(drawn) == count_parameters(graph).total - bn

@@ -426,8 +426,9 @@ _GOOD_DET = '{"image_id": "im1", "class": 1, "score": 0.5, "x1": 0, "y1": 0, "x2
     '{"image_id": "im1", "class": 1, "score": NaN, "x1": 0, "y1": 0, "x2": 9, "y2": 9}',
     '{"image_id": "im1", "class": 1, "score": Infinity, "x1": 0, "y1": 0, "x2": 9, "y2": 9}',
     '42',
+    '{"image_id": "im1", "class": 1, "score": 0.5, "x1": -Infinity, "y1": 0, "x2": 9, "y2": 9}',
 ], ids=["class-list", "class-fraction", "class-negative", "box-null", "score-text",
-        "score-nan", "score-infinity", "not-an-object"])
+        "score-nan", "score-infinity", "not-an-object", "box-infinity"])
 def test_eval_bad_record_exits_2_with_offset(tmp_path, capsys, eval_files, record):
     bad = tmp_path / "bad.jsonl"
     bad.write_text(_GOOD_DET + "\n" + record + "\n")
@@ -439,9 +440,15 @@ def test_eval_bad_record_exits_2_with_offset(tmp_path, capsys, eval_files, recor
     assert not (tmp_path / "voc_ap.csv").exists()
 
 
-def test_eval_ground_truth_with_negative_class_exits_2(tmp_path, capsys, eval_files):
+@pytest.mark.parametrize("record", [
+    '{"image_id": "im1", "class": -2, "x1": 0, "y1": 0, "x2": 9, "y2": 9}',
+    '{"image_id": "im1", "class": 1, "difficult": "false", "x1": 0, "y1": 0, "x2": 9, "y2": 9}',
+    '{"image_id": "im1", "class": 1, "difficult": 0, "x1": 0, "y1": 0, "x2": 9, "y2": 9}',
+    '{"image_id": "im1", "class": 1, "x1": -Infinity, "y1": 0, "x2": 9, "y2": 9}',
+], ids=["class-negative", "difficult-string", "difficult-int", "box-infinity"])
+def test_eval_bad_ground_truth_exits_2(tmp_path, capsys, eval_files, record):
     bad = tmp_path / "gts.jsonl"
-    bad.write_text('{"image_id": "im1", "class": -2, "x1": 0, "y1": 0, "x2": 9, "y2": 9}\n')
+    bad.write_text(record + "\n")
     rc = cli.main(["eval", "--metric", "voc", "--dets", eval_files["dets_ids"],
                    "--gts", str(bad), "--out", str(tmp_path)])
     assert rc == 2

@@ -1,10 +1,12 @@
-"""Golden freeze of ``depthkit eval``: every metric, byte for byte.
+"""Golden freeze of ``depthkit eval`` and ``depthkit arch``, byte for byte.
 
 Each case runs the CLI in process and hashes its exit code, its stdout
 (with the output directory replaced by ``<out>``) and every file it
-wrote.  The digests live in ``tests/golden/eval.json``; a refactor of
-the metrics must leave all of them unchanged.  After an intended output
-change, regenerate them with::
+wrote.  The digests live in ``tests/golden/eval.json`` (every metric)
+and ``tests/golden/arch.json`` (every variant and backbone at the
+default input, plus two small seeded forwards); a refactor must leave
+all of them unchanged.  After an intended output change, regenerate
+them with::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -18,10 +20,11 @@ import tempfile
 import numpy as np
 
 from depthkit import cli
+from depthkit.arch import BACKBONES, VARIANTS
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURES = os.path.join(HERE, "fixtures")
-GOLDEN = os.path.join(HERE, "golden", "eval.json")
+GOLDEN_DIR = os.path.join(HERE, "golden")
 
 _CLASSES = ["background", "person", "car", "chair", "bottle"]
 # box sides spanning the three size buckets, with the bucket edges
@@ -123,10 +126,22 @@ CASES = [
 ]
 
 
+# (name, argv): every graph at the default input, then two
+# resnet101 forwards that reach the rank-4 and rank-2 concats, the batch
+# repeat, the fixed-size resize, bias-free convs and both heads
+_FORWARD = ["--backbone", "resnet101", "--input", "32x32", "--rois", "4",
+            "--forward", "--seed", "3"]
+ARCH_CASES = [(f"{v}/{b}", ["arch", "--variant", v, "--backbone", b])
+              for b in BACKBONES for v in VARIANTS] + [
+    ("raw-MC/resnet101-forward", ["arch", "--variant", "raw-MC", *_FORWARD]),
+    ("raw-LC/resnet101-forward", ["arch", "--variant", "raw-LC", *_FORWARD]),
+]
+
+
 def _digest(argv, out_dir):
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
-        rc = cli.main(["eval", *argv, "--out", out_dir])
+        rc = cli.main([*argv, "--out", out_dir])
     h = hashlib.sha256(f"exit {rc}\n".encode())
     h.update(stdout.getvalue().replace(out_dir, "<out>").encode())
     for name in sorted(os.listdir(out_dir)):
@@ -135,16 +150,34 @@ def _digest(argv, out_dir):
     return h.hexdigest()
 
 
-def compute_digests():
-    """Run every case and return its digest by name."""
+def _eval_cases(work):
+    corpora = {"fixtures": _fixture_paths(), "corpus": _corpus(work)}
+    return [(name, ["eval", *(a.format(**corpora[corpus]) for a in argv)])
+            for name, corpus, argv in CASES]
+
+
+GOLDENS = {"eval": _eval_cases, "arch": lambda work: ARCH_CASES}
+
+
+def compute_digests(command):
+    """Run every case of one golden file and return its digest by name."""
     digests = {}
     with tempfile.TemporaryDirectory() as work:
-        corpora = {"fixtures": _fixture_paths(), "corpus": _corpus(work)}
-        for name, corpus, argv in CASES:
+        for name, argv in GOLDENS[command](work):
             out_dir = os.path.join(work, "out", name)
             os.makedirs(out_dir)
-            digests[name] = _digest([a.format(**corpora[corpus]) for a in argv], out_dir)
+            digests[name] = _digest(argv, out_dir)
     return digests
+
+
+def _golden(command):
+    with open(os.path.join(GOLDEN_DIR, f"{command}.json")) as fh:
+        return json.load(fh)
+
+
+def _mismatches(command):
+    want = _golden(command)
+    return {k: v for k, v in compute_digests(command).items() if want.get(k) != v}
 
 
 def test_corpus_has_ties_duplicates_difficult_and_every_bucket(tmp_path):
@@ -163,20 +196,23 @@ def test_corpus_has_ties_duplicates_difficult_and_every_bucket(tmp_path):
 
 
 def test_golden_covers_every_case():
-    with open(GOLDEN) as fh:
-        assert sorted(json.load(fh)) == sorted(name for name, _, _ in CASES)
+    assert sorted(_golden("eval")) == sorted(name for name, _, _ in CASES)
+    assert sorted(_golden("arch")) == sorted(name for name, _ in ARCH_CASES)
 
 
 def test_eval_outputs_match_golden_digests():
-    with open(GOLDEN) as fh:
-        want = json.load(fh)
-    got = compute_digests()
-    assert {k: v for k, v in got.items() if want.get(k) != v} == {}
+    assert _mismatches("eval") == {}
+
+
+def test_arch_outputs_match_golden_digests():
+    assert _mismatches("arch") == {}
 
 
 if __name__ == "__main__":
-    os.makedirs(os.path.dirname(GOLDEN), exist_ok=True)
-    with open(GOLDEN, "w") as fh:
-        json.dump(compute_digests(), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    print(f"wrote {GOLDEN}")
+    os.makedirs(GOLDEN_DIR, exist_ok=True)
+    for command in GOLDENS:
+        path = os.path.join(GOLDEN_DIR, f"{command}.json")
+        with open(path, "w") as fh:
+            json.dump(compute_digests(command), fh, indent=2, sort_keys=True)
+            fh.write("\n")
+        print(f"wrote {path}")
