@@ -6,14 +6,22 @@ is a pure function of (graph, inputs, seed) and bitwise reproducible.
 
 Generator: ``x' = (6364136223846793005 * x + 1442695040888963407) mod 2^64``,
 seeded directly with ``seed``.  Each successive state maps to a weight
-via ``0.2 * (x / 2^64) - 0.1``, i.e. uniform [-0.1, 0.1).  Weights are
-drawn in node construction order; within a node, one draw per tensor
-of ``LayerSpec.weight_shapes``, in its order, filled in C (row-major)
-order.  Frozen batch-norm executes as identity and draws nothing.
+via ``0.2 * (x / 2^64) - 0.1`` in float64, uniform over [-0.1, 0.1]:
+``x / 2^64`` rounds to 1.0 for states within 2^10 of 2^64, so 0.1
+itself can be drawn.  Weights are drawn in node construction order;
+within a node, tensor after tensor of ``LayerSpec.weight_shapes``, each
+in C (row-major) order.  Frozen batch-norm executes as identity and
+draws nothing.
 
 Construction order is topological by construction (edges always point
 backward), so nodes execute in that same order and each node's weights
-are freed right after use.
+are freed right after use.  An fc weight is never whole: it is drawn
+and multiplied one row block at a time (whole multiples of
+``FC_ROW_ALIGN`` rows, about ``FC_BLOCK_VALUES`` values).  Conv and head
+weights are drawn whole; the largest in the shipped graphs is the
+ResNet-101 proposal conv, 4.72M values (36 MiB).  The generator holds
+``BLOCK`` states.  Peak memory is thus the live activations plus one
+such tensor: it is set by the input, not by the parameter count.
 """
 from __future__ import annotations
 
@@ -26,6 +34,12 @@ from .graph import CONCAT_AXIS, ArchGraph, LayerSpec, StructuralError, propagate
 LCG_A = 6364136223846793005
 LCG_C = 1442695040888963407
 _M64 = 1 << 64
+# generator states filled and converted per step; bounds its scratch memory
+BLOCK = 1 << 16
+# an fc weight is drawn about this many values at a time, in whole
+# multiples of FC_ROW_ALIGN rows
+FC_BLOCK_VALUES = 1 << 20
+FC_ROW_ALIGN = 64
 
 
 def _affine_power(n: int) -> tuple[int, int]:
@@ -42,33 +56,48 @@ def _affine_power(n: int) -> tuple[int, int]:
     return ra, rc
 
 
+_BLOCK_A, _BLOCK_C = (np.uint64(v) for v in _affine_power(BLOCK))
+
+
 class Lcg:
-    """Sequential generator with vectorized block fills."""
+    """Sequential generator that fills and converts ``BLOCK`` states at a time."""
 
     def __init__(self, seed: int):
         self.state = seed % _M64
 
     def draws(self, n: int) -> np.ndarray:
-        """The next n values in [-0.1, 0.1) as float64."""
+        """The next n values in [-0.1, 0.1] as float64."""
+        out = np.empty(n)
         if n == 0:
-            return np.empty(0)
-        states = np.empty(n, dtype=np.uint64)
+            return out
+        states = np.empty(min(n, BLOCK), dtype=np.uint64)
         states[0] = (LCG_A * self.state + LCG_C) % _M64
         filled = 1
-        while filled < n:
-            span = min(filled, n - filled)
+        while filled < states.size:
+            span = min(filled, states.size - filled)
             a, c = _affine_power(filled)
             block = states[filled : filled + span]
             np.multiply(states[:span], np.uint64(a), out=block)
             np.add(block, np.uint64(c), out=block)
             filled += span
-        a, c = _affine_power(n)
-        self.state = (a * self.state + c) % _M64
-        u = states.astype(np.float64)
-        np.multiply(u, 2.0**-64, out=u)
-        np.multiply(u, 0.2, out=u)
-        np.subtract(u, 0.1, out=u)
-        return u
+        half = np.empty_like(states)
+        for start in range(0, n, BLOCK):
+            if start:
+                np.multiply(states, _BLOCK_A, out=states)
+                np.add(states, _BLOCK_C, out=states)
+            m = min(BLOCK, n - start)
+            u = out[start : start + m]
+            # both halves convert exactly, so the one rounding in the add
+            # gives the bits of a direct uint64 -> float64 cast
+            np.right_shift(states[:m], np.uint64(32), out=half[:m])
+            np.multiply(half[:m], 2.0**32, out=u)
+            np.bitwise_and(states[:m], np.uint64(0xFFFFFFFF), out=half[:m])
+            np.add(u, half[:m], out=u)
+            np.multiply(u, 2.0**-64, out=u)
+            np.multiply(u, 0.2, out=u)
+            np.subtract(u, 0.1, out=u)
+        self.state = int(states[m - 1])
+        return out
 
 
 def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
@@ -89,6 +118,25 @@ def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
     if b is not None:
         out = out + b[None, :, None, None]
     return out[0] if squeeze else out
+
+
+def _fc(x: np.ndarray, n_out: int, lcg: Lcg) -> np.ndarray:
+    """``x @ w.T + b`` with ``w`` drawn and consumed one row block at a time.
+
+    Rows come off the stream in C order, then the bias, as
+    ``LayerSpec.weight_shapes`` lists them.  OpenBLAS picks its kernel by
+    the block's row count: blocks of a multiple of 64 rows reproduce the
+    whole-matrix product bit for bit, other counts (1, 7, 33, ...) may
+    differ in the last bits.
+    """
+    n_in = x.shape[-1]
+    rows = FC_ROW_ALIGN * max(1, FC_BLOCK_VALUES // (FC_ROW_ALIGN * n_in))
+    out = np.empty(x.shape[:-1] + (n_out,))
+    for r in range(0, n_out, rows):
+        m = min(rows, n_out - r)
+        out[..., r : r + m] = x @ lcg.draws(m * n_in).reshape(m, n_in).T
+    out += lcg.draws(n_out)
+    return out
 
 
 def _maxpool(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
@@ -168,8 +216,6 @@ def _run_node(spec: LayerSpec, params: dict, xs: list[np.ndarray],
         return {"out": np.maximum(xs[0], 0.0)}
     if kind == "maxpool":
         return {"out": _maxpool(xs[0], spec.kernel, spec.stride, spec.pad)}
-    if kind == "fc":
-        return {"out": xs[0] @ params["w"].T + params["b"]}
     if kind == "bilinear_resize":
         if spec.out_size is not None:
             oh, ow = spec.out_size
@@ -248,12 +294,15 @@ def execute_forward(graph: ArchGraph, inputs: dict[str, np.ndarray],
     lcg = Lcg(seed)
     for name, spec in graph.nodes.items():
         edges = graph.in_edges(name)
-        in_shapes = [shapes[f"{e.src}:{e.src_port}"] for e in edges]
-        params = {key: lcg.draws(math.prod(shape)).reshape(shape)
-                  for key, shape in spec.weight_shapes(in_shapes)}
         xs = [values[f"{e.src}:{e.src_port}"] for e in edges]
-        outs = _run_node(spec, params, xs, num_rois)
-        del params
+        if spec.kind == "fc":
+            outs = {"out": _fc(xs[0], spec.out_features, lcg)}
+        else:
+            in_shapes = [shapes[f"{e.src}:{e.src_port}"] for e in edges]
+            params = {key: lcg.draws(math.prod(shape)).reshape(shape)
+                      for key, shape in spec.weight_shapes(in_shapes)}
+            outs = _run_node(spec, params, xs, num_rois)
+            del params
         for port, arr in outs.items():
             key = f"{name}:{port}"
             if arr.shape != shapes[key]:

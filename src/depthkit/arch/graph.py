@@ -178,6 +178,11 @@ class ArchGraph:
     inputs: dict[str, InputSpec] = field(default_factory=dict)
     shapes: dict[str, Shape] | None = None
     num_rois: int | None = None
+    # edges indexed by destination and by producer port, filled by ``add``
+    _in: dict[str, list[Edge]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
+    _out: dict[tuple[str, str], list[Edge]] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def add_input(self, name: str, channels: int = 0, rois: bool = False,
                   shape: Shape | None = None) -> str:
@@ -215,16 +220,19 @@ class ArchGraph:
             resolved.append(Edge(src=src, src_port=port, dst=name, dst_slot=slot))
         self.nodes[name] = spec
         self.edges.extend(resolved)
+        self._in[name] = resolved
+        for edge in resolved:
+            self._out.setdefault((edge.src, edge.src_port), []).append(edge)
         self.shapes = None
         return name
 
     def in_edges(self, name: str) -> list[Edge]:
-        found = [e for e in self.edges if e.dst == name]
-        found.sort(key=lambda e: e.dst_slot)
-        return found
+        """Edges into ``name``, by slot."""
+        return list(self._in.get(name, ()))
 
     def consumers(self, name: str, port: str) -> list[Edge]:
-        return [e for e in self.edges if e.src == name and e.src_port == port]
+        """Edges out of ``name:port``, in construction order."""
+        return list(self._out.get((name, port), ()))
 
     def leaf_ports(self) -> list[tuple[str, str]]:
         """Output ports nothing consumes, in construction order."""

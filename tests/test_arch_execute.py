@@ -1,4 +1,6 @@
 """Seeded numeric execution: generator stream, kernels, full forwards."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -13,15 +15,21 @@ from depthkit.arch import (
     propagate_shapes,
 )
 from depthkit.arch.execute import (
+    BLOCK,
     LCG_A,
     LCG_C,
     _bilinear_resize,
     _conv2d,
+    _fc,
     _maxpool,
     _roi_align,
 )
 
 M64 = 1 << 64
+
+
+# the first state of this seed is 2^64 - 1, which rounds to 2^64 as a float
+EDGE_SEED = 15635871386175874928
 
 
 def _scalar_stream(seed, n):
@@ -41,10 +49,26 @@ def test_draws_match_scalar_recurrence():
         np.testing.assert_array_equal(Lcg(seed).draws(257), _scalar_stream(seed, 257))
 
 
+@pytest.mark.parametrize("n", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+def test_draws_match_scalar_recurrence_across_blocks(n):
+    # the draw after the call checks the state the call left behind
+    for seed in (7, EDGE_SEED):
+        lcg = Lcg(seed)
+        got = np.append(lcg.draws(n), lcg.draws(1))
+        np.testing.assert_array_equal(got, _scalar_stream(seed, n + 1))
+
+
+def test_edge_seed_draws_exactly_the_upper_bound():
+    assert (LCG_A * EDGE_SEED + LCG_C) % M64 == M64 - 1
+    assert Lcg(EDGE_SEED).draws(1)[0] == 0.1
+
+
 def test_draws_are_consumed_sequentially():
-    whole = Lcg(3).draws(100)
+    # later calls continue the stream, also across generator block edges
+    sizes = [1, 9, 64, 26, BLOCK - 100, 7, BLOCK + 2, 1, BLOCK - 2]
+    whole = Lcg(3).draws(sum(sizes))
     split = Lcg(3)
-    parts = np.concatenate([split.draws(1), split.draws(9), split.draws(64), split.draws(26)])
+    parts = np.concatenate([split.draws(k) for k in sizes])
     np.testing.assert_array_equal(whole, parts)
 
 
@@ -157,6 +181,20 @@ def test_roi_align_scale_maps_image_to_feature():
     assert out[0, 0, 0, 0] == pytest.approx(8.0 * 0.25)
 
 
+@pytest.mark.parametrize("lead", [(), (3,)])
+def test_streamed_fc_matches_materialised_product(lead):
+    # 500 rows of 5000 inputs stream as 192 + 192 + 116 rows
+    n_in, n_out = 5000, 500
+    x = np.random.default_rng(2).standard_normal(lead + (n_in,))
+    streamed = Lcg(4)
+    got = _fc(x, n_out, streamed)
+    whole = Lcg(4)
+    w = whole.draws(n_out * n_in).reshape(n_out, n_in)
+    b = whole.draws(n_out)
+    np.testing.assert_allclose(got, x @ w.T + b, rtol=1e-12)
+    assert streamed.state == whole.state
+
+
 # ----------------------------------------------------------------- forwards
 
 def _toy_inputs(graph, h, w, seed=99):
@@ -246,3 +284,17 @@ def test_drawn_values_equal_counted_parameters(monkeypatch, variant, backbone):
     bn = sum(2 * s.out_channels for s in graph.nodes.values()
              if s.kind == "conv2d" and s.batch_norm)
     assert sum(drawn) == count_parameters(graph).total - bn
+
+
+def test_forward_memory_is_bounded_by_the_input():
+    # fc6 alone holds 102.8M weights (784 MiB as float64); streamed, the
+    # whole forward stays far below that
+    graph = build_architecture("raw-LC", "vgg16")
+    inputs = _toy_inputs(graph, 32, 32)
+    tracemalloc.start()
+    try:
+        execute_forward(graph, inputs, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20

@@ -77,6 +77,22 @@ def test_edges_always_point_backward():
             assert order[edge.src] < order[edge.dst], edge
 
 
+@pytest.mark.parametrize("backbone", sorted(BACKBONES))
+def test_edge_indexes_match_a_scan_of_the_edge_list(backbone):
+    for variant in sorted(VARIANTS):
+        graph = build_architecture(variant, backbone)
+        for name, spec in graph.nodes.items():
+            scanned = sorted((e for e in graph.edges if e.dst == name),
+                             key=lambda e: e.dst_slot)
+            assert graph.in_edges(name) == scanned
+            for port in spec.output_ports():
+                assert graph.consumers(name, port) == [
+                    e for e in graph.edges if e.src == name and e.src_port == port]
+        for name in graph.inputs:
+            assert graph.consumers(name, "out") == [
+                e for e in graph.edges if e.src == name and e.src_port == "out"]
+
+
 def test_shape_queries_require_propagation():
     graph = build_architecture("baseline", "vgg16")
     with pytest.raises(StateError):
