@@ -112,7 +112,10 @@ def _parse_gravity(text: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"--gravity needs 'x,y,z', got {text!r}")
-    return np.array([float(p) for p in parts])
+    g = np.array([float(p) for p in parts])
+    if not np.isfinite(g).all():
+        raise ValueError(f"--gravity needs finite components, got {text!r}")
+    return g
 
 
 def _encode_one(path: str, args, cam, gravity, stats, defer: bool):

@@ -202,9 +202,12 @@ def hdha_encode(
         g = est.direction
     else:
         g = np.asarray(gravity, dtype=np.float64)
-        norm = np.linalg.norm(g)
-        if norm == 0:
-            raise ValueError("gravity must be a nonzero vector")
+        with np.errstate(over="ignore"):
+            norm = np.linalg.norm(g)
+        # a component that is not finite or a norm that overflows or
+        # vanishes leaves no direction
+        if not (np.isfinite(norm) and norm > 0):
+            raise ValueError("gravity must be a finite nonzero vector")
         g = g / norm
 
     valid = depth.valid & n_valid

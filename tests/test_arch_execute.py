@@ -23,6 +23,7 @@ from depthkit.arch.execute import (
     _fc,
     _maxpool,
     _roi_align,
+    _states_to_weights,
 )
 
 M64 = 1 << 64
@@ -72,10 +73,39 @@ def test_draws_are_consumed_sequentially():
     np.testing.assert_array_equal(whole, parts)
 
 
-def test_draws_stay_inside_half_open_interval():
+def test_draws_stay_inside_closed_interval():
     vals = Lcg(123).draws(10_000)
     assert vals.min() >= -0.1
-    assert vals.max() < 0.1
+    assert vals.max() <= 0.1
+
+
+def _rounding_ties():
+    # states exactly halfway between two floats of exponent e, and their
+    # neighbours; even k rounds the tie down, odd k rounds it up
+    rng = np.random.default_rng(11)
+    ks = [2**52, 2**52 + 1, 2**53 - 2, 2**53 - 1]
+    ks += [int(k) for k in rng.integers(2**52, 2**53, size=8)]
+    for e in (54, 60, 63):
+        for k in ks:
+            tie = (k << (e - 52)) | (1 << (e - 53))
+            yield from (tie - 1, tie, tie + 1)
+
+
+def test_block_conversion_matches_integer_oracle():
+    edges = [0, 1, 2**32 - 1, 2**32, 2**53 - 1, 2**53 + 1, 2**63,
+             M64 - 1024, M64 - 1025, M64 - 1]
+    ties = list(_rounding_ties())
+    # ties round to even, so both directions are exercised
+    assert {float(t) > t for t in ties[1::3]} == {False, True}
+    rng = np.random.default_rng(5)
+    states = np.concatenate([
+        np.array(edges + ties, dtype=np.uint64),
+        rng.integers(0, 2**64, size=100_000, dtype=np.uint64, endpoint=False),
+    ])
+    got = np.empty(states.size)
+    _states_to_weights(states, got, np.empty_like(states))
+    want = np.array([int(s) / 2.0**64 * 0.2 - 0.1 for s in states])
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def test_different_seeds_differ():

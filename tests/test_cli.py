@@ -1,10 +1,15 @@
 """End-to-end command-line behavior: exit codes, artifacts, determinism."""
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from depthkit import analysis, cli, encoding, evaluation, geometry, netpbm
 
@@ -227,6 +232,59 @@ def test_encode_parameter_errors_exit_3(tmp_path, capsys):
     assert cli.main(["encode", str(src), "--mode", "hdha",
                      "--intrinsics", str(cam_path), "--gravity", "0,1"]) == 3
     assert "x,y,z" in capsys.readouterr().err
+
+
+def _encode_with_gravity(tmp_path, gravity, out):
+    """Run ``encode --mode hdha --gravity=<gravity>`` in process on a small scene.
+
+    Returns the exit code, stderr and every warning raised during the run.
+    """
+    depth, cam = _floor_wall_scene(h=12, w=16, fx=20.0)
+    src = tmp_path / "room.pfm"
+    netpbm.write_pfm(str(src), depth)
+    cam_path = tmp_path / "cam.json"
+    cam_path.write_text(json.dumps(cam))
+    err = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
+        warnings.simplefilter("always")
+        rc = cli.main(["encode", str(src), "--mode", "hdha",
+                       "--intrinsics", str(cam_path), f"--gravity={gravity}",
+                       "--out", str(out)])
+    return rc, err.getvalue(), caught
+
+
+@pytest.mark.parametrize("gravity", ["nan,0,0", "inf,1,0", "0,-inf,1", "1e308,1e308,0"])
+def test_encode_non_finite_gravity_exits_3(tmp_path, gravity):
+    out = tmp_path / "out"
+    rc, err, caught = _encode_with_gravity(tmp_path, gravity, out)
+    assert rc == 3
+    assert "gravity" in err and "finite" in err
+    assert "Traceback" not in err
+    assert caught == []
+    assert list(out.glob("*")) == []
+
+
+_FLOATS = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 1e-170, 1e154, 1e308, -1.7e308]),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+    st.lists(_FLOATS, min_size=3, max_size=3).map(lambda v: ",".join(map(repr, v))),
+    st.lists(_FLOATS, min_size=0, max_size=5).map(lambda v: ",".join(map(repr, v))),
+    st.text(alphabet="0123456789.,-+eEinfatxyz ", max_size=16),
+))
+def test_encode_gravity_fuzz_never_crashes_or_warns(tmp_path_factory, gravity):
+    tmp = tmp_path_factory.mktemp("gravity")
+    out = tmp / "out"
+    rc, err, caught = _encode_with_gravity(tmp, gravity, out)
+    assert rc in (0, 3), err
+    assert "Traceback" not in err and "Warning" not in err
+    assert caught == []
+    if rc == 3:
+        assert list(out.glob("*")) == []
 
 
 def test_encode_missing_file_exits_3(tmp_path, capsys):
