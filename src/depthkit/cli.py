@@ -170,7 +170,7 @@ def _cmd_encode(args) -> int:
         if not args.intrinsics:
             raise ValueError("--mode hdha requires --intrinsics (camera intrinsics JSON)")
         cam = encoding.CameraIntrinsics.from_json(args.intrinsics)
-    gravity = _parse_gravity(args.gravity) if args.gravity else None
+    gravity = _parse_gravity(args.gravity) if args.gravity is not None else None
     os.makedirs(args.out, exist_ok=True)
 
     stats = None

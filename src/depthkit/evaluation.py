@@ -1,43 +1,67 @@
 """Detection-quality metrics: IoU, NMS, average precision, confusion.
 
-Both AP protocols share one ranking per class: the class's ground truth
-grouped by image, and its detections sorted by score, each carrying the
-IoUs with the ground truth of its image, computed once.  Two match rules
-read that ranking.
+Every scorer works on numpy columns built once per call: box corners,
+scores, class ids, ``difficult`` flags and image codes, assigned in
+sorted ``image_id`` order so that codes order like the ids.  Detections
+rank by score descending, ties broken by image id then box coordinates
+ascending (``_det_sort_key``); one ``np.lexsort`` on
+``(y2, x2, y1, x1, image, -score)`` gives that order, stable like
+``sorted``.  ``iou`` is the one IoU, element-wise on arrays, and every
+(detection, candidate box) pair is scored once per call.
+
+Two AP protocols read the same columns.  A detection's candidates are
+the ground truth of its class in its image, in input order.
 
 - 11-point (PASCAL VOC): a detection's best match is the first box of
-  highest IoU among *all* boxes in its image.  With no such box, or one
-  below the IoU threshold, it is a false positive; on a difficult box it
-  is ignored (unless difficult boxes count); on a box already matched it
-  is a false positive; otherwise it is a true positive.  Precision is
-  interpolated at recalls 0, 0.1, .., 1.
+  highest IoU among its candidates.  With no such box, or one below the
+  IoU threshold, it is a false positive; on a difficult box it is
+  ignored (unless difficult boxes count); on a box an earlier-ranked
+  detection took it is a false positive; otherwise it is a true
+  positive.  The best box never depends on what was taken before, so
+  the first detection in rank order to take a box is its TP and every
+  later one an FP: no loop over ranks is needed.
 - Multi-threshold (COCO): IoU 0.50 to 0.95 in steps of 0.05, in size
   buckets all / small / medium / large.  A detection takes the
   best-overlap box not yet matched at the threshold, preferring boxes
   that count (not difficult, inside the bucket); matching only an
   ignored box, or matching nothing while itself outside the bucket,
-  makes it ignored rather than a false positive.  Every
-  (bucket, threshold, class) cell is computed once and every summary
-  is a mean over those cells.  Precision is interpolated at 101 recall
-  points.
+  makes it ignored rather than a false positive.
 
-Both interpolate the same way: with ignored detections left out,
-recall never decreases with rank, so the best precision at recall >= r
-is the running maximum of precision taken from the right, read at the
-first rank that reaches r.
+  That greedy rule is sequential only within one (class, image) group:
+  a detection's candidates belong to its group alone, so groups never
+  share a box.  Matching therefore steps over ranks, not detections:
+  step k takes the k-th ranked detection of every group at once and
+  decides it for all 4 buckets x 10 thresholds in one array operation,
+  exactly as the k-th iteration of each group's own loop would, after
+  the same k-1 earlier detections.  Ties go to the first of equal IoUs,
+  as a scan with a strict ``>`` does.  The number of steps is the
+  largest group, not the number of detections.
+
+Both protocols interpolate the same way: with ignored detections left
+out, recall never decreases with rank, so the best precision at recall
+>= r is the running maximum of precision taken from the right, read at
+the first rank that reaches r.  Every (bucket, threshold, class) cell is
+computed once, all cells in one pass with the same divisions and the
+same left-to-right sum as a cell alone, and every summary is a mean over
+those cells.  Precision is interpolated at 11 (VOC) or 101 (COCO)
+recall points.
 
 The confusion matrix is class-agnostic at match time: each ground-truth
 box, in input order, takes the highest-scoring unmatched detection that
 overlaps it at the IoU threshold, whatever class that detection claims.
-Unmatched ground truth lands in a trailing false-negative column.
+Boxes of different images never compete, so it too steps over the k-th
+box of every image at once.  Unmatched ground truth lands in a trailing
+false-negative column.
 
-Deterministic ordering everywhere: detections sort by score descending
-with ties broken by image id then box coordinates ascending.
+JSON lines are read once per file and decoded line by line: each line
+holds exactly one JSON object, and a malformed line, undecodable text
+included, is a ``ParseError`` with its line number and byte offset.
 """
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -92,22 +116,44 @@ class GroundTruth:
     difficult: bool = False
 
 
-def iou(a: BBox, b: BBox) -> float:
-    """Intersection over union; 0 for disjoint boxes."""
-    ix1 = max(a.x1, b.x1)
-    iy1 = max(a.y1, b.y1)
-    ix2 = min(a.x2, b.x2)
-    iy2 = min(a.y2, b.y2)
-    iw = ix2 - ix1
-    ih = iy2 - iy1
-    if iw <= 0 or ih <= 0:
-        return 0.0
+def _corners(box) -> np.ndarray:
+    if isinstance(box, BBox):
+        return np.array(box.as_tuple(), dtype=float)
+    return np.asarray(box, dtype=float)
+
+
+def iou(a, b):
+    """Intersection over union; 0 for disjoint boxes.
+
+    ``a`` and ``b`` are each a ``BBox`` or an array of corners
+    ``(..., 4)``; arrays broadcast against each other and give an array,
+    a ``BBox`` pair gives a float.  The operations run in one order
+    (intersection sides, ``inter = iw * ih``, then
+    ``inter / (area_a + area_b - inter)``), so a pair scores the same
+    bits alone or inside any batch.
+    """
+    p, q = _corners(a), _corners(b)
+    iw = np.minimum(p[..., 2], q[..., 2]) - np.maximum(p[..., 0], q[..., 0])
+    ih = np.minimum(p[..., 3], q[..., 3]) - np.maximum(p[..., 1], q[..., 1])
     inter = iw * ih
-    return inter / (a.area + b.area - inter)
+    union = _area(p) + _area(q) - inter
+    out = np.zeros(np.shape(inter))
+    np.divide(inter, union, out=out, where=~((iw <= 0) | (ih <= 0)))
+    return float(out) if out.ndim == 0 else out
+
+
+def _area(corners: np.ndarray):
+    return (corners[..., 2] - corners[..., 0]) * (corners[..., 3] - corners[..., 1])
 
 
 def _det_sort_key(d: Detection):
     return (-d.score, d.image_id, d.box.x1, d.box.y1, d.box.x2, d.box.y2)
+
+
+def _boxes(records) -> np.ndarray:
+    """Corners ``(n, 4)`` of detections or ground truth."""
+    corners = itertools.chain.from_iterable([r.box.as_tuple() for r in records])
+    return np.fromiter(corners, dtype=float, count=4 * len(records)).reshape(-1, 4)
 
 
 def nms(dets: list[Detection], iou_thresh: float, top_k: int | None = None) -> list[Detection]:
@@ -123,10 +169,15 @@ def nms(dets: list[Detection], iou_thresh: float, top_k: int | None = None) -> l
         raise ValueError(f"top_k must be >= 1, got {top_k}")
     if len({(d.image_id, d.class_id) for d in dets}) > 1:
         raise ValueError("nms expects detections from a single image and class")
+    ranked = sorted(dets, key=_det_sort_key)
+    boxes = _boxes(ranked)
+    overlaps = iou(boxes[:, None], boxes[None])
+    suppressed = np.zeros(len(ranked), dtype=bool)
     kept: list[Detection] = []
-    for det in sorted(dets, key=_det_sort_key):
-        if all(iou(det.box, k.box) < iou_thresh for k in kept):
+    for i, det in enumerate(ranked):
+        if not suppressed[i]:
             kept.append(det)
+            suppressed |= ~(overlaps[i] < iou_thresh)
     if top_k is not None:
         kept = kept[:top_k]
     return kept
@@ -138,40 +189,185 @@ _VOC_RECALLS = np.arange(11) / 10.0
 _COCO_RECALLS = np.arange(101) / 100.0
 
 
-def _interp_ap(flags: list[int], npos: int, points: np.ndarray) -> float:
-    """Interpolated AP of ranked TP (1) / FP (0) flags, ignored ones left out.
+def _interp_runs(tp: np.ndarray, kept: np.ndarray, lengths: np.ndarray,
+                 npos: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Interpolated AP of runs of ranked TP flags, one AP per run.
+
+    ``tp`` and ``kept`` are flat bool arrays holding the runs back to
+    back, run r being the next ``lengths[r]`` entries; entries not kept
+    are left out and ``npos[r]`` sets run r's recall.
 
     Recall never decreases with rank, so the best precision at recall >= r
     is the running maximum of precision taken from the right, read at the
-    first rank reaching r; a point no rank reaches scores 0.
+    first rank reaching r; a point no rank reaches scores 0.  Only true
+    positives matter: precision rises only at one, and the first rank
+    reaching a recall above 0 is one.  The k-th TP of a run, the s-th
+    entry kept, has recall ``k / npos`` and precision ``k / s``: the same
+    divisions, so the same bits, as over every rank.
     """
-    tp_cum = np.cumsum(flags)
-    recall = tp_cum / npos
-    precision = tp_cum / np.arange(1, len(flags) + 1)
-    best = np.append(np.maximum.accumulate(precision[::-1])[::-1], 0.0)
-    total = 0.0
+    runs, width = len(lengths), len(points)
+    ends = np.cumsum(lengths)
+    kept_at = np.flatnonzero(kept)
+    hits = np.flatnonzero(tp[kept_at])          # TPs, by position among kept
+    run = np.searchsorted(ends, kept_at[hits], side="right")
+    first_hit = np.searchsorted(run, np.arange(runs))
+    k = np.arange(1, len(hits) + 1) - first_hit[run]
+    seen = hits + 1 - np.searchsorted(kept_at, ends - lengths)[run]
+    # every run's TPs, then precision 0 for the ranks past its last one
+    precision = np.zeros(len(hits) + runs)
+    precision[np.arange(len(hits)) + run] = k / seen
+    # running maximum from the right within each run: rank the values
+    # exactly and put the run above the rank, earlier runs higher
+    values, rank = np.unique(precision, return_inverse=True)
+    span = np.diff(first_hit, append=len(hits)) + 1
+    key = np.repeat(np.arange(runs, 0, -1), span) * len(values) + rank
+    best = values[np.maximum.accumulate(key[::-1])[::-1] % len(values)]
+    # the first TP reaching points[i] follows every TP below it: count,
+    # per run, the TPs whose recall lies below each point
+    above = np.searchsorted(points, k / npos[run], side="right")
+    below = np.bincount(above * runs + run, minlength=(width + 1) * runs)
+    below = below.reshape(width + 1, runs)
+    at = np.cumsum(span) - span                 # each run's first slot
     # left to right as floats: sum() compensates (3.12+), np.sum pairs
-    for value in best[np.searchsorted(recall, points)].tolist():
-        total += value
-    return total / len(points)
+    total = np.zeros(runs)
+    for count in below[:-1]:
+        at = at + count
+        total += best[at]
+    return total / width
 
 
-def _rank_class(dets: list[Detection], gts: list[GroundTruth], class_id: int):
-    """One class ranked once, for both matchers.
+def _interp_ap(flags: list[int], npos: int, points: np.ndarray) -> float:
+    """Interpolated AP of ranked TP (1) / FP (0) flags."""
+    tp = np.array(flags, dtype=bool)
+    return float(_interp_runs(tp, np.ones_like(tp), np.array([len(tp)]),
+                              np.array([npos]), points)[0])
 
-    Returns the class's ground truth and its detections in
-    ``_det_sort_key`` order, each paired with the indices (into that
-    ground truth) of the boxes in its image and its IoU with each.
+
+_BUCKETS = ("all", "small", "medium", "large")
+
+
+def _area_in_bucket(area, bucket: str):
+    """Size-bucket membership of a box area or an array of them."""
+    if bucket == "all":
+        return np.full(np.shape(area), True)
+    if bucket == "small":
+        return area < _SMALL_MAX
+    if bucket == "medium":
+        return (_SMALL_MAX <= area) & (area <= _MEDIUM_MAX)
+    return area > _MEDIUM_MAX
+
+
+def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Start and length of each run of equal sorted ``keys``, longest run
+    first (ties in position order), so the runs still going after k
+    entries are always a prefix."""
+    starts = np.flatnonzero(np.diff(keys, prepend=keys[:1] - 1))
+    sizes = np.diff(starts, append=len(keys))
+    longest = np.argsort(-sizes, kind="stable")
+    return starts[longest], sizes[longest]
+
+
+def _overlaps(boxes: np.ndarray, keys: np.ndarray, cand_boxes: np.ndarray,
+              cand_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Each box against every candidate of the same key, candidates in
+    their given order.
+
+    Returns ``(cand, ious)``, both ``(n, M)`` with M the most candidates
+    any box has (at least 1): candidate indices and IoUs, -1 in both
+    where a row has fewer candidates.  One ``iou`` call scores every pair.
     """
-    cls_gts = [gt for gt in gts if gt.class_id == class_id]
-    by_image: dict[str, list[int]] = {}
-    for j, gt in enumerate(cls_gts):
-        by_image.setdefault(gt.image_id, []).append(j)
-    ranked = []
-    for det in sorted((d for d in dets if d.class_id == class_id), key=_det_sort_key):
-        cands = by_image.get(det.image_id, [])
-        ranked.append((det, cands, [iou(det.box, cls_gts[j].box) for j in cands]))
-    return cls_gts, ranked
+    order = np.argsort(cand_keys, kind="stable")
+    ranked = cand_keys[order]
+    start = np.searchsorted(ranked, keys)
+    count = np.searchsorted(ranked, keys, side="right") - start
+    slots = np.arange(max(int(count.max(initial=0)), 1))
+    real = slots < count[:, None]
+    cand = np.full(real.shape, -1)
+    cand[real] = order[(start[:, None] + slots)[real]]
+    ious = np.full(real.shape, -1.0)
+    if real.any():
+        ious[real] = iou(boxes[np.nonzero(real)[0]], cand_boxes[cand[real]])
+    return cand, ious
+
+
+def _image_codes(dets, gts) -> tuple[np.ndarray, np.ndarray]:
+    """Image codes in sorted ``image_id`` (code point) order, so they
+    order like the ids themselves."""
+    names = sorted({d.image_id for d in dets} | {g.image_id for g in gts})
+    code = {name: i for i, name in enumerate(names)}
+    return (np.array([code[d.image_id] for d in dets], dtype=np.int64),
+            np.array([code[g.image_id] for g in gts], dtype=np.int64))
+
+
+class _Columns:
+    """The detections and ground truth of ``class_ids`` as numpy columns.
+
+    ``det_cls``/``gt_cls`` are class positions in ``classes`` (the
+    distinct ``class_ids`` in first-seen order); records of other
+    classes are dropped.  ``rank`` lists the detections class by class,
+    each class in ``_det_sort_key`` order; ``cand``/``ious`` hold each
+    detection's candidates, the ground truth of its class in its image in
+    input order (see ``_overlaps``).
+    """
+
+    def __init__(self, dets: list[Detection], gts: list[GroundTruth], class_ids):
+        self.classes = list(dict.fromkeys(class_ids))
+        code = {cid: i for i, cid in enumerate(self.classes)}
+        dets = [d for d in dets if d.class_id in code]
+        gts = [g for g in gts if g.class_id in code]
+        det_img, gt_img = _image_codes(dets, gts)
+        self.det_box, self.gt_box = _boxes(dets), _boxes(gts)
+        self.det_cls = np.array([code[d.class_id] for d in dets], dtype=np.int64)
+        self.gt_cls = np.array([code[g.class_id] for g in gts], dtype=np.int64)
+        self.difficult = np.array([g.difficult for g in gts], dtype=bool)
+        score = np.array([d.score for d in dets], dtype=float)
+        x1, y1, x2, y2 = self.det_box.T
+        ranked = np.lexsort((y2, x2, y1, x1, det_img, -score))
+        self.rank = ranked[np.argsort(self.det_cls[ranked], kind="stable")]
+        # one key per (class, image): a detection's group and its candidates
+        self.det_key = self.det_cls * (len(gt_img) + len(det_img)) + det_img
+        gt_key = self.gt_cls * (len(gt_img) + len(det_img)) + gt_img
+        self.cand, self.ious = _overlaps(self.det_box, self.det_key, self.gt_box, gt_key)
+        self.group_rank = ranked[np.argsort(self.det_key[ranked], kind="stable")]
+
+
+def _class_aps(c: _Columns, tp: np.ndarray, kept: np.ndarray, npos: np.ndarray,
+               points: np.ndarray) -> np.ndarray:
+    """Interpolated AP ``(rows, classes)`` of every row of ``tp`` and
+    ``kept`` flags ``(rows, n)`` per detection, for every class; a class
+    with ``npos`` 0 reads 0."""
+    sizes = np.bincount(c.det_cls, minlength=len(c.classes))
+    ap = _interp_runs(tp[:, c.rank].ravel(), kept[:, c.rank].ravel(), np.tile(sizes, len(tp)),
+                      np.maximum(npos, 1).ravel(), points)
+    return ap.reshape(len(tp), -1)
+
+
+def _voc_table(dets, gts, class_ids, iou_thresh: float,
+               use_difficult: bool) -> dict:
+    """11-point AP of every class in ``class_ids`` (None without
+    creditable ground truth).
+
+    A detection's best box is the first of highest IoU among all boxes
+    of its class in its image; it does not depend on what was matched
+    before.  So, in rank order, the first detection to take a creditable
+    box is its true positive and every later one a false positive.
+    """
+    c = _Columns(dets, gts, class_ids)
+    if not len(c.gt_cls):
+        return dict.fromkeys(c.classes)
+    rows = np.arange(len(c.ious))
+    pick = c.ious.argmax(axis=1)
+    best, box = c.ious[rows, pick], c.cand[rows, pick]
+    hit = (best > 0) & (best >= iou_thresh)
+    credit = hit & (use_difficult | ~c.difficult[box])
+    tp = np.zeros(len(rows), dtype=bool)
+    claims = c.rank[credit[c.rank]]
+    tp[claims[np.unique(box[claims], return_index=True)[1]]] = True
+    # a best box that is difficult (and not credited) drops the detection
+    kept = ~hit | credit
+    npos = np.bincount(c.gt_cls[use_difficult | ~c.difficult], minlength=len(c.classes))
+    ap = _class_aps(c, tp[None], kept[None], npos[None], _VOC_RECALLS)[0].tolist()
+    return {cid: ap[i] if npos[i] else None for i, cid in enumerate(c.classes)}
 
 
 def voc_ap(
@@ -187,23 +383,7 @@ def voc_ap(
     detection matched to it (unless ``use_difficult``).  Returns None
     when the class has no creditable ground truth.
     """
-    cls_gts, ranked = _rank_class(dets, gts, class_id)
-    npos = sum(1 for gt in cls_gts if use_difficult or not gt.difficult)
-    if npos == 0:
-        return None
-    matched: set[int] = set()
-    flags = []
-    for _, cands, ious in ranked:
-        best = max(ious, default=0.0)
-        if not (best > 0 and best >= iou_thresh):
-            flags.append(0)
-            continue
-        j = cands[ious.index(best)]
-        if cls_gts[j].difficult and not use_difficult:
-            continue
-        flags.append(0 if j in matched else 1)
-        matched.add(j)
-    return _interp_ap(flags, npos, _VOC_RECALLS)
+    return _voc_table(dets, gts, [class_id], iou_thresh, use_difficult)[class_id]
 
 
 def mean_ap(
@@ -214,46 +394,57 @@ def mean_ap(
     use_difficult: bool = False,
 ) -> tuple[float | None, dict[int, float | None]]:
     """Per-class 11-point AP and their mean over defined classes."""
-    per_class = {
-        cid: voc_ap(dets, gts, cid, iou_thresh, use_difficult) for cid in class_ids
-    }
+    per_class = _voc_table(dets, gts, class_ids, iou_thresh, use_difficult)
     defined = [v for v in per_class.values() if v is not None]
     return (sum(defined) / len(defined) if defined else None), per_class
 
 
-def _area_in_bucket(area: float, bucket: str) -> bool:
-    if bucket == "all":
-        return True
-    if bucket == "small":
-        return area < _SMALL_MAX
-    if bucket == "medium":
-        return _SMALL_MAX <= area <= _MEDIUM_MAX
-    return area > _MEDIUM_MAX
+def _coco_flags(c: _Columns) -> tuple[np.ndarray, np.ndarray]:
+    """TP and false-positive flags ``(4, 10, n)`` of every detection in
+    every (bucket, threshold) cell.
 
-
-def _coco_cell(ranked, ignored: list[bool], npos: int, thresh: float, bucket: str) -> float:
-    """AP for one (bucket, IoU threshold, class) cell of a ranked class."""
-    matched: set[int] = set()
-    flags = []
-    for det, cands, ious in ranked:
-        best_iou, best_j = 0.0, -1
-        best_ign_iou, best_ign_j = 0.0, -1
-        for j, ov in zip(cands, ious):
-            if ov < thresh or j in matched:
-                continue
-            if ignored[j]:
-                if ov > best_ign_iou:
-                    best_ign_iou, best_ign_j = ov, j
-            elif ov > best_iou:
-                best_iou, best_j = ov, j
-        if best_j >= 0:
-            matched.add(best_j)
-            flags.append(1)
-        elif best_ign_j >= 0:
-            matched.add(best_ign_j)
-        elif _area_in_bucket(det.box.area, bucket):
-            flags.append(0)
-    return _interp_ap(flags, npos, _COCO_RECALLS)
+    Step k takes the k-th ranked detection of every (class, image) group
+    at once and, for each bucket and threshold, its free box of highest
+    IoU (the first of equal ones) at or above the threshold, preferring
+    boxes that count over ignored ones.  One value per candidate slot
+    encodes that preference exactly: the IoU of a box that counts, the
+    IoU minus 1 of an ignored one (exact, as every threshold is at least
+    0.5), -2 for no box.
+    """
+    n = len(c.det_cls)
+    det_in = np.stack([_area_in_bucket(_area(c.det_box), b) for b in _BUCKETS])
+    gt_ign = np.stack([c.difficult | ~_area_in_bucket(_area(c.gt_box), b) for b in _BUCKETS])
+    thresholds = np.array(COCO_THRESHOLDS)[:, None]
+    tp = np.zeros((len(_BUCKETS), len(COCO_THRESHOLDS), n), dtype=bool)
+    # a group without candidates matches nothing: its detections stay
+    # false positives inside the bucket
+    fp = np.repeat(det_in[:, None], len(COCO_THRESHOLDS), axis=1)
+    if not len(c.gt_cls):
+        return tp, fp  # every cell is undefined
+    starts, sizes = _runs(c.det_key[c.group_rank])
+    real = c.cand[c.group_rank[starts], 0] >= 0
+    starts, sizes = starts[real], sizes[real]
+    # slot-major: every reduction over a group's candidates runs across
+    # whole (bucket, threshold, group) planes
+    cand = c.cand[c.group_rank[starts]].T                            # (M, groups)
+    ignored = gt_ign[:, cand.clip(0)].transpose(1, 0, 2)[:, :, None]  # (M, 4, 1, groups)
+    free = np.ones((len(cand), *tp.shape[:2], cand.shape[1]), dtype=bool)
+    for k in range(int(sizes.max(initial=0))):
+        live = int(np.count_nonzero(sizes > k))
+        det = c.group_rank[starts[:live] + k]
+        ov = c.ious[det].T[:, None, None]
+        value = np.where((ov >= thresholds) & free[..., :live], ov - ignored[..., :live], -2.0)
+        best = value[0]
+        pick = np.zeros(best.shape, dtype=np.intp)
+        for m in range(1, len(value)):
+            pick[value[m] > best] = m  # strict: the first of equal IoUs stays
+            best = np.maximum(best, value[m])
+        took = best > -2.0
+        for m in range(len(value)):
+            free[m, ..., :live] &= ~(took & (pick == m))
+        tp[:, :, det] = best > 0
+        fp[:, :, det] = ~took & det_in[:, None, det]
+    return tp, fp
 
 
 def coco_ap(
@@ -268,17 +459,20 @@ def coco_ap(
     over the (class, threshold) cells with creditable ground truth; a
     bucket nobody populates reports None.
     """
-    cells: dict[tuple[str, float, int], float | None] = {}
-    for cid in set(class_ids):
-        cls_gts, ranked = _rank_class(dets, gts, cid)
-        for bucket in ("all", "small", "medium", "large"):
-            ignored = [gt.difficult or not _area_in_bucket(gt.box.area, bucket)
-                       for gt in cls_gts]
-            npos = ignored.count(False)
-            for t in COCO_THRESHOLDS:
-                cells[bucket, t, cid] = (
-                    _coco_cell(ranked, ignored, npos, t, bucket) if npos else None
-                )
+    c = _Columns(dets, gts, class_ids)
+    tp, fp = _coco_flags(c)
+    kept = tp | fp
+    gt_area = _area(c.gt_box)
+    npos = np.stack([np.bincount(c.gt_cls[~c.difficult & _area_in_bucket(gt_area, b)],
+                                 minlength=len(c.classes)) for b in _BUCKETS])
+    npos = np.repeat(npos, len(COCO_THRESHOLDS), axis=0)           # (40, classes)
+    ap = _class_aps(c, tp.reshape(len(npos), -1), kept.reshape(len(npos), -1), npos,
+                    _COCO_RECALLS).tolist()
+    cells = {
+        (bucket, t, cid): ap[row][i] if npos[row, i] else None
+        for row, (bucket, t) in enumerate((b, t) for b in _BUCKETS for t in COCO_THRESHOLDS)
+        for i, cid in enumerate(c.classes)
+    }
 
     def mean(bucket: str, thresholds) -> float | None:
         defined = [v for t in thresholds for cid in class_ids
@@ -359,36 +553,39 @@ def confusion_matrix(
     sums to that class's instance count.
     """
     k = len(classes)
-    counts = np.zeros((k, k), dtype=np.int64)
-    fn = np.zeros(k, dtype=np.int64)
     strong = [d for d in dets if d.score >= score_thresh]
     for d in strong:
         if not 0 <= d.class_id < k:
             raise ValueError(f"detection class id {d.class_id} outside table of {k}")
-    dets_by_image: dict[str, list[Detection]] = {}
-    for d in strong:
-        dets_by_image.setdefault(d.image_id, []).append(d)
-    used: dict[str, set[int]] = {}
     for gt in gts:
         if not 0 <= gt.class_id < k:
             raise ValueError(f"ground-truth class id {gt.class_id} outside table of {k}")
-        cands = dets_by_image.get(gt.image_id, [])
-        taken = used.setdefault(gt.image_id, set())
-        best = None
-        best_key = None
-        for j, det in enumerate(cands):
-            if j in taken:
-                continue
-            if iou(det.box, gt.box) < iou_thresh:
-                continue
-            key = (-det.score, det.box.x1, det.box.y1, det.box.x2, det.box.y2, j)
-            if best_key is None or key < best_key:
-                best, best_key = j, key
-        if best is None:
-            fn[gt.class_id] += 1
-        else:
-            taken.add(best)
-            counts[gt.class_id, cands[best].class_id] += 1
+    det_img, gt_img = _image_codes(strong, gts)
+    det_box = _boxes(strong)
+    score = np.array([d.score for d in strong], dtype=float)
+    x1, y1, x2, y2 = det_box.T
+    # each image's detections by (-score, x1, y1, x2, y2), ties in input order
+    order = np.lexsort((y2, x2, y1, x1, -score, det_img))
+    det_cls = np.array([d.class_id for d in strong], dtype=np.int64)[order]
+    cand, ious = _overlaps(_boxes(gts), gt_img, det_box[order], det_img[order])
+    # step k takes the k-th ground-truth box of every image: the first
+    # free candidate overlapping it is the best-keyed one
+    match = np.full(len(gts), -1)
+    by_image = np.argsort(gt_img, kind="stable")
+    starts, sizes = _runs(gt_img[by_image])
+    taken = np.zeros((len(starts), cand.shape[1]), dtype=bool)
+    for step in range(int(sizes.max(initial=0))):
+        live = int(np.count_nonzero(sizes > step))
+        gt = by_image[starts[:live] + step]
+        free = (cand[gt] >= 0) & (ious[gt] >= iou_thresh) & ~taken[:live]
+        hit = np.flatnonzero(free.any(axis=1))
+        pick = free[hit].argmax(axis=1)
+        taken[hit, pick] = True
+        match[gt[hit]] = cand[gt[hit], pick]
+    gt_cls = np.array([g.class_id for g in gts], dtype=np.int64)
+    counts = np.zeros((k, k), dtype=np.int64)
+    np.add.at(counts, (gt_cls[match >= 0], det_cls[match[match >= 0]]), 1)
+    fn = np.bincount(gt_cls[match < 0], minlength=k).astype(np.int64)
     return ConfusionMatrix(classes=tuple(classes), counts=counts, fn=fn)
 
 
@@ -407,19 +604,23 @@ def _parse_box(raw: dict, where: str, offset: int) -> BBox:
     # a non-finite corner makes the IoU NaN, which every threshold test
     # then misreads, so it is refused like a malformed box
     try:
-        corners = tuple(float(raw[k]) for k in ("x1", "y1", "x2", "y2"))
-        if not all(math.isfinite(v) for v in corners):
-            raise ValueError(f"corners must be finite, got {corners}")
-        box = BBox(*corners)
+        corners = (float(raw["x1"]), float(raw["y1"]), float(raw["x2"]), float(raw["y2"]))
     except KeyError as exc:
         raise ParseError(f"{where}: missing box field {exc}", offset) from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: bad box: {exc}", offset) from None
-    return box
+    if not all(map(math.isfinite, corners)):
+        raise ParseError(f"{where}: bad box: corners must be finite, got {corners}", offset)
+    try:
+        return BBox(*corners)
+    except ValueError as exc:
+        raise ParseError(f"{where}: bad box: {exc}", offset) from None
 
 
 def _class_id(raw: dict, classes: list[str] | None, where: str, offset: int) -> int:
     value = raw.get("class")
+    if type(value) is int and value >= 0:
+        return value
     if value is None:
         raise ParseError(f"{where}: missing 'class'", offset)
     if isinstance(value, str):
@@ -447,6 +648,9 @@ def _difficult(raw: dict, where: str, offset: int) -> bool:
 def _score(raw: dict, where: str, offset: int) -> float:
     # scores order every ranking; NaN compares false with everything, so
     # non-finite scores are refused outright
+    value = raw["score"]
+    if type(value) is float and math.isfinite(value):
+        return value
     try:
         value = float(raw["score"])
     except (TypeError, ValueError, OverflowError):
@@ -456,21 +660,47 @@ def _score(raw: dict, where: str, offset: int) -> float:
     return value
 
 
+_DECODER = json.JSONDecoder()
+
+
+def _decode_line(line: bytes):
+    """One JSON value from a stripped line, as ``json.loads`` reads it."""
+    # a line opening with '{' and no NUL after it is UTF-8 to
+    # json.detect_encoding; anything else (a BOM, UTF-16) goes through it
+    if line[0] != 0x7B or line[1:2] == b"\0":
+        return json.loads(line)
+    text = line.decode("utf-8", "surrogatepass")
+    record, end = _DECODER.raw_decode(text)
+    if end != len(text):  # the line is stripped: what follows is not blank
+        raise json.JSONDecodeError("Extra data", text, end)
+    return record
+
+
 def _iter_jsonl(path: str):
-    offset = 0
+    """``(line number, byte offset, record)`` of each non-blank line.
+
+    The file is read once; each line holds exactly one JSON object.
+    """
     with open(path, "rb") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            stripped = line.strip()
-            if stripped:
-                try:
-                    record = json.loads(stripped)
-                except json.JSONDecodeError as exc:
-                    raise ParseError(f"{path} line {lineno}: {exc.msg}", offset) from None
-                if not isinstance(record, dict):
-                    raise ParseError(f"{path} line {lineno}: record must be a JSON object",
-                                     offset)
-                yield lineno, offset, record
-            offset += len(line)
+        data = fh.read()
+    offset = 0
+    for lineno, line in enumerate(data.split(b"\n"), start=1):
+        stripped = line.strip()
+        if stripped:
+            where = f"{path} line {lineno}"
+            try:
+                record = _decode_line(stripped)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"{where}: {exc.msg}", offset) from None
+            except UnicodeDecodeError as exc:
+                raise ParseError(f"{where}: not valid {exc.encoding} ({exc.reason})",
+                                 offset) from None
+            except RecursionError:
+                raise ParseError(f"{where}: values nested too deeply", offset) from None
+            if not isinstance(record, dict):
+                raise ParseError(f"{where}: record must be a JSON object", offset)
+            yield where, offset, record
+        offset += len(line) + 1
 
 
 def load_detections(path: str, classes: list[str] | None = None) -> list[Detection]:
@@ -480,8 +710,7 @@ def load_detections(path: str, classes: list[str] | None = None) -> list[Detecti
     integer id), a finite ``score``, and finite box corners ``x1 y1 x2 y2``.
     """
     out = []
-    for lineno, offset, raw in _iter_jsonl(path):
-        where = f"{path} line {lineno}"
+    for where, offset, raw in _iter_jsonl(path):
         if "image_id" not in raw:
             raise ParseError(f"{where}: missing 'image_id'", offset)
         if "score" not in raw:
@@ -501,8 +730,7 @@ def load_groundtruth(path: str, classes: list[str] | None = None) -> list[Ground
     """Read ground truth from JSON lines; ``difficult``, a JSON boolean,
     defaults false."""
     out = []
-    for lineno, offset, raw in _iter_jsonl(path):
-        where = f"{path} line {lineno}"
+    for where, offset, raw in _iter_jsonl(path):
         if "image_id" not in raw:
             raise ParseError(f"{where}: missing 'image_id'", offset)
         out.append(

@@ -484,6 +484,194 @@ def test_interpolation_matches_oracle_on_random_flags():
             assert evaluation._interp_ap(flags, npos, np.array(points)) == want, (flags, npos)
 
 
+def test_ranked_runs_with_left_out_entries_match_oracle():
+    # _interp_runs reads every run's ranks at once, with entries left out
+    # in place: each run must score as its kept entries alone
+    rng = np.random.default_rng(11)
+    for trial in range(200):
+        lengths = rng.integers(0, 30, int(rng.integers(1, 6)))
+        tp = rng.random(int(lengths.sum())) < 0.5
+        kept = rng.random(len(tp)) < 0.7
+        npos = rng.integers(1, 12, len(lengths))
+        points = [i / 100 for i in range(101)]
+        got = evaluation._interp_runs(tp, kept, lengths, npos, np.array(points))
+        ends = np.cumsum(lengths)
+        for run, (lo, hi) in enumerate(zip(ends - lengths, ends)):
+            flags = tp[lo:hi][kept[lo:hi]].astype(int)
+            cum_tp = np.cumsum(flags)
+            want = _interp_ap_oracle(points, cum_tp / npos[run],
+                                     cum_tp / np.arange(1, len(flags) + 1))
+            assert got[run] == want, (trial, run)
+
+
+def _iou_scalar(a, b):
+    """The textbook IoU of two boxes in Python floats."""
+    iw = min(a.x2, b.x2) - max(a.x1, b.x1)
+    ih = min(a.y2, b.y2) - max(a.y1, b.y1)
+    if iw <= 0 or ih <= 0:
+        return 0.0
+    inter = iw * ih
+    return inter / ((a.x2 - a.x1) * (a.y2 - a.y1) + (b.x2 - b.x1) * (b.y2 - b.y1) - inter)
+
+
+def test_array_iou_is_bitwise_the_pair_iou():
+    rng = np.random.default_rng(5)
+    corners = rng.uniform(0, 100, (300, 2))
+    sides = rng.uniform(0.5, 60, (300, 2))
+    boxes = np.hstack([corners, corners + sides])
+    # touching edges and corners, a disjoint box, duplicates and a nested box
+    boxes[1] = [boxes[0, 2], boxes[0, 1], boxes[0, 2] + 5, boxes[0, 3]]
+    boxes[2] = [boxes[0, 2], boxes[0, 3], boxes[0, 2] + 3, boxes[0, 3] + 3]
+    boxes[3] = [500, 500, 510, 510]
+    boxes[4] = boxes[0]
+    boxes[5] = [boxes[0, 0] + 0.25, boxes[0, 1] + 0.25, boxes[0, 2] - 0.25, boxes[0, 3] - 0.25]
+    table = evaluation.iou(boxes[:, None], boxes[None])
+    pairs = [BBox(*b) for b in boxes.tolist()]
+    want = np.array([[_iou_scalar(a, b) for b in pairs] for a in pairs])
+    got_pairs = np.array([[evaluation.iou(a, b) for b in pairs[:40]] for a in pairs[:40]])
+    assert table.tobytes() == want.tobytes()
+    assert got_pairs.tobytes() == want[:40, :40].tobytes()
+    assert isinstance(evaluation.iou(pairs[0], pairs[1]), float)
+    assert table[0, 1] == table[0, 2] == table[0, 3] == 0.0 and table[0, 4] == 1.0
+
+
+def _confusion_oracle(dets, gts, k, iou_thresh, score_thresh):
+    """Ground truth in input order, each taking the unmatched detection of
+    its image with the smallest (-score, x1, y1, x2, y2, index) key."""
+    counts = np.zeros((k, k), dtype=np.int64)
+    fn = np.zeros(k, dtype=np.int64)
+    strong = [d for d in dets if d.score >= score_thresh]
+    taken = set()
+    for gt in gts:
+        best = None
+        for j, d in enumerate(strong):
+            if d.image_id != gt.image_id or j in taken:
+                continue
+            if evaluation.iou(d.box, gt.box) < iou_thresh:
+                continue
+            key = (-d.score, d.box.x1, d.box.y1, d.box.x2, d.box.y2, j)
+            if best is None or key < best:
+                best = key
+        if best is None:
+            fn[gt.class_id] += 1
+        else:
+            taken.add(best[-1])
+            counts[gt.class_id, strong[best[-1]].class_id] += 1
+    return counts, fn
+
+
+# square and oblong sides whose areas fall exactly on 32^2 and 96^2
+_EDGE_SIDES = [(32.0, 32.0), (16.0, 64.0), (96.0, 96.0), (48.0, 192.0),
+               (31.0, 33.0), (20.0, 20.0), (60.0, 60.0), (130.0, 110.0)]
+
+
+def _edge_scene(rng):
+    """A scene built to reach every branch of the matchers.
+
+    Class 3 has ground truth but no detections; image ``hard`` holds only
+    difficult boxes; image ``empty`` holds detections and no ground
+    truth; twin boxes give a detection equal IoUs.  Each box draws up to seven detections from four scores (so
+    scores tie) as exact copies or small shifts of it (so boxes repeat),
+    and some sides land exactly on the size-bucket edges.
+    """
+    gts, dets = [], []
+    for image in ("im0", "im1", "hard"):
+        for _ in range(int(rng.integers(2, 6))):
+            w, h = _EDGE_SIDES[int(rng.integers(len(_EDGE_SIDES)))]
+            x1, y1 = (float(v) for v in rng.integers(0, 200, 2))
+            gts.append(GroundTruth(image, int(rng.integers(0, 4)), BBox(x1, y1, x1 + w, y1 + h),
+                                   difficult=image == "hard" or rng.random() < 0.15))
+        if rng.random() < 0.7:
+            # a twin 4 px to the right, a detection halfway with equal IoU
+            # on both, then a copy of the first: which twin the halfway
+            # one takes decides the copy's fate
+            b, cls = gts[-1].box, gts[-1].class_id % 3
+            gts.append(GroundTruth(image, cls, BBox(b.x1 + 4, b.y1, b.x2 + 4, b.y2)))
+            gts[-2] = GroundTruth(image, cls, b, gts[-2].difficult)
+            dets.append(Detection(image, cls, 0.95, BBox(b.x1 + 2, b.y1, b.x2 + 2, b.y2)))
+            dets.append(Detection(image, cls, 0.6, b))
+    scores = [0.3, 0.5, 0.5, 0.9]
+    for gt in gts:
+        cls = gt.class_id if gt.class_id != 3 else int(rng.integers(0, 3))
+        for _ in range(int(rng.integers(0, 8))):
+            b = gt.box
+            if rng.random() < 0.4:
+                box = b
+            else:
+                dx, dy = (float(v) for v in rng.integers(-6, 7, 2) / 2)
+                box = BBox(b.x1 + dx, b.y1 + dy, b.x2 + dx, b.y2 + dy)
+            label = cls if rng.random() < 0.8 else int(rng.integers(0, 3))
+            dets.append(Detection(gt.image_id, label, scores[int(rng.integers(4))], box))
+    for _ in range(3):
+        x1, y1 = (float(v) for v in rng.integers(0, 200, 2))
+        dets.append(Detection("empty", int(rng.integers(0, 3)), 0.5, BBox(x1, y1, x1 + 32, y1 + 32)))
+    order = rng.permutation(len(dets))
+    return [dets[i] for i in order], gts
+
+
+def _edge_cases_seen(dets, gts):
+    per_group = {}
+    for d in dets:
+        per_group.setdefault((d.class_id, d.image_id), []).append(d)
+    gt_images = {g.image_id for g in gts}
+    areas = {g.box.area for g in gts} | {d.box.area for d in dets}
+    return {
+        "group of 5+": max(map(len, per_group.values())) >= 5,
+        "score tie": any(len({d.score for d in g}) < len(g) for g in per_group.values()),
+        "duplicate box": any(len({d.box for d in g}) < len(g) for g in per_group.values()),
+        "only difficult": any(all(g.difficult for g in gts if g.image_id == im)
+                              for im in gt_images),
+        "no ground truth": any(d.image_id not in gt_images for d in dets),
+        "class without dets": bool({g.class_id for g in gts} - {d.class_id for d in dets}),
+        "edge 32^2": 32.0 * 32.0 in areas,
+        "edge 96^2": 96.0 * 96.0 in areas,
+        "equal IoU": any(
+            len(ious) > len(set(ious))
+            for d in dets
+            if (ious := [evaluation.iou(d.box, g.box) for g in gts
+                         if (g.image_id, g.class_id) == (d.image_id, d.class_id)
+                         and evaluation.iou(d.box, g.box) > 0.5])
+        ),
+    }
+
+
+def test_array_matchers_equal_oracles_on_edge_scenes():
+    rng = np.random.default_rng(20261018)
+    seen = dict.fromkeys(_edge_cases_seen(*_edge_scene(np.random.default_rng(0))), 0)
+    for trial in range(30):
+        dets, gts = _edge_scene(rng)
+        for case, hit in _edge_cases_seen(dets, gts).items():
+            seen[case] += hit
+        class_ids = [0, 1, 2, 3]
+        summary = evaluation.coco_ap(dets, gts, class_ids)
+        for key, thresholds, oracle in (
+            ("ap", evaluation.COCO_THRESHOLDS, _coco_oracle),
+            ("ap50", [0.5], _coco_oracle),
+            ("ap75", [0.75], _coco_oracle),
+            ("ap_small", evaluation.COCO_THRESHOLDS, "small"),
+            ("ap_medium", evaluation.COCO_THRESHOLDS, "medium"),
+            ("ap_large", evaluation.COCO_THRESHOLDS, "large"),
+        ):
+            cells = [
+                v for t in thresholds for cid in class_ids
+                if (v := (oracle(dets, gts, cid, t) if callable(oracle)
+                          else _coco_bucket_oracle(dets, gts, cid, t, oracle))) is not None
+            ]
+            assert summary[key] == (sum(cells) / len(cells) if cells else None), (trial, key)
+        for use_difficult in (False, True):
+            got_map, per_class = evaluation.mean_ap(dets, gts, class_ids, 0.5, use_difficult)
+            want = {cid: _voc_oracle(dets, gts, cid, 0.5, use_difficult) for cid in class_ids}
+            assert per_class == want, (trial, use_difficult)
+            defined = [v for v in want.values() if v is not None]
+            assert got_map == (sum(defined) / len(defined) if defined else None)
+        for iou_thresh, score_thresh in ((0.5, 0.5), (0.3, 0.0), (0.75, 0.9)):
+            cm = evaluation.confusion_matrix(dets, gts, ["c0", "c1", "c2", "c3"],
+                                             iou_thresh, score_thresh)
+            counts, fn = _confusion_oracle(dets, gts, 4, iou_thresh, score_thresh)
+            assert np.array_equal(cm.counts, counts) and np.array_equal(cm.fn, fn), trial
+    assert all(seen.values()), seen
+
+
 # ------------------------------------------------------------- criterion 5
 
 @criterion("criterion 5 (depth-run dominance, end to end)")

@@ -264,6 +264,16 @@ def test_encode_non_finite_gravity_exits_3(tmp_path, gravity):
     assert list(out.glob("*")) == []
 
 
+def test_encode_empty_gravity_exits_3(tmp_path):
+    out = tmp_path / "out"
+    rc, err, caught = _encode_with_gravity(tmp_path, "", out)
+    assert rc == 3
+    assert "--gravity needs 'x,y,z', got ''" in err
+    assert "Traceback" not in err
+    assert caught == []
+    assert not out.exists()
+
+
 _FLOATS = st.one_of(
     st.floats(allow_nan=True, allow_infinity=True),
     st.sampled_from([0.0, -0.0, 5e-324, -2.2e-308, 1e-170, 1e154, 1e308, -1.7e308]),
@@ -485,11 +495,17 @@ _GOOD_DET = '{"image_id": "im1", "class": 1, "score": 0.5, "x1": 0, "y1": 0, "x2
     '{"image_id": "im1", "class": 1, "score": Infinity, "x1": 0, "y1": 0, "x2": 9, "y2": 9}',
     '42',
     '{"image_id": "im1", "class": 1, "score": 0.5, "x1": -Infinity, "y1": 0, "x2": 9, "y2": 9}',
+    _GOOD_DET.encode().replace(b"im1", b"im\xff"),
+    _GOOD_DET + " " + _GOOD_DET,
+    "[" * 100000,
 ], ids=["class-list", "class-fraction", "class-negative", "box-null", "score-text",
-        "score-nan", "score-infinity", "not-an-object", "box-infinity"])
+        "score-nan", "score-infinity", "not-an-object", "box-infinity", "invalid-utf8",
+        "two-objects", "deep-nesting"])
 def test_eval_bad_record_exits_2_with_offset(tmp_path, capsys, eval_files, record):
     bad = tmp_path / "bad.jsonl"
-    bad.write_text(_GOOD_DET + "\n" + record + "\n")
+    if isinstance(record, str):
+        record = record.encode()
+    bad.write_bytes(_GOOD_DET.encode() + b"\n" + record + b"\n")
     rc = cli.main(["eval", "--metric", "voc", "--dets", str(bad),
                    "--gts", eval_files["gts_ids"], "--out", str(tmp_path)])
     assert rc == 2
@@ -511,6 +527,15 @@ def test_eval_bad_ground_truth_exits_2(tmp_path, capsys, eval_files, record):
                    "--gts", str(bad), "--out", str(tmp_path)])
     assert rc == 2
     assert "(byte offset 0)" in capsys.readouterr().err
+
+
+def test_eval_bom_on_first_line_still_loads(tmp_path, capsys, eval_files):
+    dets = tmp_path / "dets.jsonl"
+    dets.write_bytes(b"\xef\xbb\xbf" + _GOOD_DET.encode() + b"\r\n\r\n" + _GOOD_DET.encode())
+    assert len(evaluation.load_detections(str(dets))) == 2
+    rc = cli.main(["eval", "--metric", "voc", "--dets", str(dets),
+                   "--gts", eval_files["gts_ids"], "--out", str(tmp_path / "out")])
+    assert rc == 0, capsys.readouterr().err
 
 
 def test_eval_integral_float_class_id_still_loads(tmp_path):
