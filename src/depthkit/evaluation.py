@@ -237,7 +237,8 @@ def _interp_runs(tp: np.ndarray, kept: np.ndarray, lengths: np.ndarray,
 
 
 def _interp_ap(flags: list[int], npos: int, points: np.ndarray) -> float:
-    """Interpolated AP of ranked TP (1) / FP (0) flags."""
+    """Interpolated AP of ranked TP (1) / FP (0) flags: ``_interp_runs``
+    on one run with every entry kept."""
     tp = np.array(flags, dtype=bool)
     return float(_interp_runs(tp, np.ones_like(tp), np.array([len(tp)]),
                               np.array([npos]), points)[0])
@@ -399,9 +400,10 @@ def mean_ap(
     return (sum(defined) / len(defined) if defined else None), per_class
 
 
-def _coco_flags(c: _Columns) -> tuple[np.ndarray, np.ndarray]:
+def _coco_flags(c: _Columns, gt_ign: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """TP and false-positive flags ``(4, 10, n)`` of every detection in
-    every (bucket, threshold) cell.
+    every (bucket, threshold) cell; ``gt_ign`` ``(4, g)`` marks the
+    ground truth each bucket ignores.
 
     Step k takes the k-th ranked detection of every (class, image) group
     at once and, for each bucket and threshold, its free box of highest
@@ -413,7 +415,6 @@ def _coco_flags(c: _Columns) -> tuple[np.ndarray, np.ndarray]:
     """
     n = len(c.det_cls)
     det_in = np.stack([_area_in_bucket(_area(c.det_box), b) for b in _BUCKETS])
-    gt_ign = np.stack([c.difficult | ~_area_in_bucket(_area(c.gt_box), b) for b in _BUCKETS])
     thresholds = np.array(COCO_THRESHOLDS)[:, None]
     tp = np.zeros((len(_BUCKETS), len(COCO_THRESHOLDS), n), dtype=bool)
     # a group without candidates matches nothing: its detections stay
@@ -460,11 +461,10 @@ def coco_ap(
     bucket nobody populates reports None.
     """
     c = _Columns(dets, gts, class_ids)
-    tp, fp = _coco_flags(c)
+    gt_ign = np.stack([c.difficult | ~_area_in_bucket(_area(c.gt_box), b) for b in _BUCKETS])
+    tp, fp = _coco_flags(c, gt_ign)
     kept = tp | fp
-    gt_area = _area(c.gt_box)
-    npos = np.stack([np.bincount(c.gt_cls[~c.difficult & _area_in_bucket(gt_area, b)],
-                                 minlength=len(c.classes)) for b in _BUCKETS])
+    npos = np.stack([np.bincount(c.gt_cls[~ign], minlength=len(c.classes)) for ign in gt_ign])
     npos = np.repeat(npos, len(COCO_THRESHOLDS), axis=0)           # (40, classes)
     ap = _class_aps(c, tp.reshape(len(npos), -1), kept.reshape(len(npos), -1), npos,
                     _COCO_RECALLS).tolist()
@@ -652,12 +652,12 @@ def _score(raw: dict, where: str, offset: int) -> float:
     if type(value) is float and math.isfinite(value):
         return value
     try:
-        value = float(raw["score"])
+        score = float(value)
     except (TypeError, ValueError, OverflowError):
-        raise ParseError(f"{where}: score must be a number, got {raw['score']!r}", offset) from None
-    if not math.isfinite(value):
-        raise ParseError(f"{where}: score must be finite, got {value!r}", offset)
-    return value
+        raise ParseError(f"{where}: score must be a number, got {value!r}", offset) from None
+    if not math.isfinite(score):
+        raise ParseError(f"{where}: score must be finite, got {score!r}", offset)
+    return score
 
 
 _DECODER = json.JSONDecoder()
@@ -677,7 +677,8 @@ def _decode_line(line: bytes):
 
 
 def _iter_jsonl(path: str):
-    """``(line number, byte offset, record)`` of each non-blank line.
+    """``(where, byte offset, record)`` of each non-blank line, ``where``
+    naming the file and line.
 
     The file is read once; each line holds exactly one JSON object.
     """
@@ -716,11 +717,12 @@ def load_detections(path: str, classes: list[str] | None = None) -> list[Detecti
         if "score" not in raw:
             raise ParseError(f"{where}: missing 'score'", offset)
         out.append(
+            # positional: a frozen dataclass binds keywords more slowly
             Detection(
-                image_id=str(raw["image_id"]),
-                class_id=_class_id(raw, classes, where, offset),
-                score=_score(raw, where, offset),
-                box=_parse_box(raw, where, offset),
+                str(raw["image_id"]),
+                _class_id(raw, classes, where, offset),
+                _score(raw, where, offset),
+                _parse_box(raw, where, offset),
             )
         )
     return out
@@ -735,10 +737,10 @@ def load_groundtruth(path: str, classes: list[str] | None = None) -> list[Ground
             raise ParseError(f"{where}: missing 'image_id'", offset)
         out.append(
             GroundTruth(
-                image_id=str(raw["image_id"]),
-                class_id=_class_id(raw, classes, where, offset),
-                box=_parse_box(raw, where, offset),
-                difficult=_difficult(raw, where, offset),
+                str(raw["image_id"]),
+                _class_id(raw, classes, where, offset),
+                _parse_box(raw, where, offset),
+                _difficult(raw, where, offset),
             )
         )
     return out
