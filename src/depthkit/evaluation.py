@@ -65,6 +65,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -268,27 +269,51 @@ def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return starts[longest], sizes[longest]
 
 
-def _overlaps(boxes: np.ndarray, keys: np.ndarray, cand_boxes: np.ndarray,
-              cand_keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Each box against every candidate of the same key, candidates in
-    their given order.
+class _Pairs(NamedTuple):
+    """Box i's candidates are ``cand[start[i]:start[i] + count[i]]``,
+    with their IoUs at the same places in ``ious``."""
 
-    Returns ``(cand, ious)``, both ``(n, M)`` with M the most candidates
-    any box has (at least 1): candidate indices and IoUs, -1 in both
-    where a row has fewer candidates.  One ``iou`` call scores every pair.
-    """
+    start: np.ndarray
+    count: np.ndarray
+    cand: np.ndarray
+    ious: np.ndarray
+
+    def padded(self, rows: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+        """Candidates and IoUs ``(len(rows), width)`` of ``rows``, -1 in
+        both past a row's own candidates."""
+        slots = np.arange(width)
+        real = slots < self.count[rows][:, None]
+        at = (self.start[rows][:, None] + slots)[real]
+        cand = np.full(real.shape, -1)
+        ious = np.full(real.shape, -1.0)
+        cand[real], ious[real] = self.cand[at], self.ious[at]
+        return cand, ious
+
+
+def _overlaps(boxes: np.ndarray, keys: np.ndarray, cand_boxes: np.ndarray,
+              cand_keys: np.ndarray) -> _Pairs:
+    """Each box against every candidate of the same key, candidates in
+    their given order; one ``iou`` call scores every pair."""
     order = np.argsort(cand_keys, kind="stable")
     ranked = cand_keys[order]
-    start = np.searchsorted(ranked, keys)
-    count = np.searchsorted(ranked, keys, side="right") - start
-    slots = np.arange(max(int(count.max(initial=0)), 1))
-    real = slots < count[:, None]
-    cand = np.full(real.shape, -1)
-    cand[real] = order[(start[:, None] + slots)[real]]
-    ious = np.full(real.shape, -1.0)
-    if real.any():
-        ious[real] = iou(boxes[np.nonzero(real)[0]], cand_boxes[cand[real]])
-    return cand, ious
+    first = np.searchsorted(ranked, keys)
+    count = np.searchsorted(ranked, keys, side="right") - first
+    start = np.cumsum(count) - count
+    owner = np.repeat(np.arange(len(keys)), count)
+    cand = order[first[owner] + np.arange(len(owner)) - start[owner]]
+    return _Pairs(start, count, cand, iou(boxes[owner], cand_boxes[cand]))
+
+
+def _width_classes(width: np.ndarray):
+    """``(rows, widest)`` for the rows with candidates, grouped so that
+    widths in a group lie within a factor of two: padding a group to its
+    widest row at most doubles it, however wide one crowded image is.
+    Rows keep their order within a group."""
+    has = width > 0
+    group = np.ceil(np.log2(np.where(has, width, 1))).astype(np.int64)
+    for g in np.unique(group[has]):
+        rows = np.flatnonzero(has & (group == g))
+        yield rows, int(width[rows].max())
 
 
 def _image_codes(dets, gts) -> tuple[np.ndarray, np.ndarray]:
@@ -306,9 +331,9 @@ class _Columns:
     ``det_cls``/``gt_cls`` are class positions in ``classes`` (the
     distinct ``class_ids`` in first-seen order); records of other
     classes are dropped.  ``rank`` lists the detections class by class,
-    each class in ``_det_sort_key`` order; ``cand``/``ious`` hold each
+    each class in ``_det_sort_key`` order; ``pairs`` holds each
     detection's candidates, the ground truth of its class in its image in
-    input order (see ``_overlaps``).
+    input order.
     """
 
     def __init__(self, dets: list[Detection], gts: list[GroundTruth], class_ids):
@@ -328,7 +353,7 @@ class _Columns:
         # one key per (class, image): a detection's group and its candidates
         self.det_key = self.det_cls * (len(gt_img) + len(det_img)) + det_img
         gt_key = self.gt_cls * (len(gt_img) + len(det_img)) + gt_img
-        self.cand, self.ious = _overlaps(self.det_box, self.det_key, self.gt_box, gt_key)
+        self.pairs = _overlaps(self.det_box, self.det_key, self.gt_box, gt_key)
         self.group_rank = ranked[np.argsort(self.det_key[ranked], kind="stable")]
 
 
@@ -356,12 +381,15 @@ def _voc_table(dets, gts, class_ids, iou_thresh: float,
     c = _Columns(dets, gts, class_ids)
     if not len(c.gt_cls):
         return dict.fromkeys(c.classes)
-    rows = np.arange(len(c.ious))
-    pick = c.ious.argmax(axis=1)
-    best, box = c.ious[rows, pick], c.cand[rows, pick]
+    best, box = np.zeros(len(c.det_cls)), np.full(len(c.det_cls), -1)
+    for rows, width in _width_classes(c.pairs.count):
+        cand, ious = c.pairs.padded(rows, width)
+        pick = ious.argmax(axis=1)
+        best[rows] = ious[np.arange(len(rows)), pick]
+        box[rows] = cand[np.arange(len(rows)), pick]
     hit = (best > 0) & (best >= iou_thresh)
     credit = hit & (use_difficult | ~c.difficult[box])
-    tp = np.zeros(len(rows), dtype=bool)
+    tp = np.zeros(len(c.det_cls), dtype=bool)
     claims = c.rank[credit[c.rank]]
     tp[claims[np.unique(box[claims], return_index=True)[1]]] = True
     # a best box that is difficult (and not credited) drops the detection
@@ -415,37 +443,39 @@ def _coco_flags(c: _Columns, gt_ign: np.ndarray) -> tuple[np.ndarray, np.ndarray
     """
     n = len(c.det_cls)
     det_in = np.stack([_area_in_bucket(_area(c.det_box), b) for b in _BUCKETS])
-    thresholds = np.array(COCO_THRESHOLDS)[:, None]
     tp = np.zeros((len(_BUCKETS), len(COCO_THRESHOLDS), n), dtype=bool)
     # a group without candidates matches nothing: its detections stay
     # false positives inside the bucket
     fp = np.repeat(det_in[:, None], len(COCO_THRESHOLDS), axis=1)
-    if not len(c.gt_cls):
-        return tp, fp  # every cell is undefined
     starts, sizes = _runs(c.det_key[c.group_rank])
-    real = c.cand[c.group_rank[starts], 0] >= 0
-    starts, sizes = starts[real], sizes[real]
+    for groups, width in _width_classes(c.pairs.count[c.group_rank[starts]]):
+        _coco_steps(c, starts[groups], sizes[groups], width, gt_ign, tp, fp, det_in)
+    return tp, fp
+
+
+def _coco_steps(c: _Columns, starts: np.ndarray, sizes: np.ndarray, width: int,
+                gt_ign: np.ndarray, tp: np.ndarray, fp: np.ndarray, det_in: np.ndarray):
+    """Match the groups ranked from ``starts`` (``sizes`` long, longest
+    first, so the groups still going at step k are a prefix), whose
+    candidates all fit ``width`` slots, into ``tp`` and ``fp``."""
+    thresholds = np.array(COCO_THRESHOLDS)[:, None]
     # slot-major: every reduction over a group's candidates runs across
     # whole (bucket, threshold, group) planes
-    cand = c.cand[c.group_rank[starts]].T                            # (M, groups)
+    cand = c.pairs.padded(c.group_rank[starts], width)[0].T             # (M, groups)
     ignored = gt_ign[:, cand.clip(0)].transpose(1, 0, 2)[:, :, None]  # (M, 4, 1, groups)
-    free = np.ones((len(cand), *tp.shape[:2], cand.shape[1]), dtype=bool)
-    for k in range(int(sizes.max(initial=0))):
+    free = np.ones((width, *tp.shape[:2], len(starts)), dtype=bool)
+    for k in range(int(sizes[0])):
         live = int(np.count_nonzero(sizes > k))
         det = c.group_rank[starts[:live] + k]
-        ov = c.ious[det].T[:, None, None]
+        ov = c.pairs.padded(det, width)[1].T[:, None, None]
         value = np.where((ov >= thresholds) & free[..., :live], ov - ignored[..., :live], -2.0)
-        best = value[0]
-        pick = np.zeros(best.shape, dtype=np.intp)
-        for m in range(1, len(value)):
-            pick[value[m] > best] = m  # strict: the first of equal IoUs stays
-            best = np.maximum(best, value[m])
-        took = best > -2.0
-        for m in range(len(value)):
-            free[m, ..., :live] &= ~(took & (pick == m))
+        best = value.max(axis=0)
+        # the first slot holding the best value takes it, as a scan with
+        # a strict '>' keeps the first of equal IoUs
+        ties = (value == best) & (best > -2.0)
+        free[..., :live] &= ~(ties & (ties.cumsum(axis=0, dtype=np.min_scalar_type(width)) == 1))
         tp[:, :, det] = best > 0
-        fp[:, :, det] = ~took & det_in[:, None, det]
-    return tp, fp
+        fp[:, :, det] = (best == -2.0) & det_in[:, None, det]
 
 
 def coco_ap(
@@ -567,21 +597,23 @@ def confusion_matrix(
     # each image's detections by (-score, x1, y1, x2, y2), ties in input order
     order = np.lexsort((y2, x2, y1, x1, -score, det_img))
     det_cls = np.array([d.class_id for d in strong], dtype=np.int64)[order]
-    cand, ious = _overlaps(_boxes(gts), gt_img, det_box[order], det_img[order])
+    pairs = _overlaps(_boxes(gts), gt_img, det_box[order], det_img[order])
     # step k takes the k-th ground-truth box of every image: the first
     # free candidate overlapping it is the best-keyed one
     match = np.full(len(gts), -1)
     by_image = np.argsort(gt_img, kind="stable")
     starts, sizes = _runs(gt_img[by_image])
-    taken = np.zeros((len(starts), cand.shape[1]), dtype=bool)
-    for step in range(int(sizes.max(initial=0))):
-        live = int(np.count_nonzero(sizes > step))
-        gt = by_image[starts[:live] + step]
-        free = (cand[gt] >= 0) & (ious[gt] >= iou_thresh) & ~taken[:live]
-        hit = np.flatnonzero(free.any(axis=1))
-        pick = free[hit].argmax(axis=1)
-        taken[hit, pick] = True
-        match[gt[hit]] = cand[gt[hit], pick]
+    for images, width in _width_classes(pairs.count[by_image[starts]]):
+        taken = np.zeros((len(images), width), dtype=bool)
+        for step in range(int(sizes[images[0]])):
+            live = int(np.count_nonzero(sizes[images] > step))
+            gt = by_image[starts[images[:live]] + step]
+            cand, ious = pairs.padded(gt, width)
+            free = (cand >= 0) & (ious >= iou_thresh) & ~taken[:live]
+            hit = np.flatnonzero(free.any(axis=1))
+            pick = free[hit].argmax(axis=1)
+            taken[hit, pick] = True
+            match[gt[hit]] = cand[hit, pick]
     gt_cls = np.array([g.class_id for g in gts], dtype=np.int64)
     counts = np.zeros((k, k), dtype=np.int64)
     np.add.at(counts, (gt_cls[match >= 0], det_cls[match[match >= 0]]), 1)
