@@ -35,7 +35,9 @@ the ground truth of its class in its image, in input order.
   exactly as the k-th iteration of each group's own loop would, after
   the same k-1 earlier detections.  Ties go to the first of equal IoUs,
   as a scan with a strict ``>`` does.  The number of steps is the
-  largest group, not the number of detections.
+  largest group, not the number of detections.  Groups step together
+  only with groups whose candidate counts are within a factor of two
+  of theirs, so one crowded image pads no other group.
 
 Both protocols interpolate the same way: with ignored detections left
 out, recall never decreases with rank, so the best precision at recall

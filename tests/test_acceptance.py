@@ -570,7 +570,8 @@ def _edge_scene(rng):
 
     Class 3 has ground truth but no detections; image ``hard`` holds only
     difficult boxes; image ``empty`` holds detections and no ground
-    truth; twin boxes give a detection equal IoUs.  Each box draws up to seven detections from four scores (so
+    truth; twin boxes give a detection equal IoUs; image ``crowd``, when
+    drawn, holds one class's boxes by the dozen.  Each box draws up to seven detections from four scores (so
     scores tie) as exact copies or small shifts of it (so boxes repeat),
     and some sides land exactly on the size-bucket edges.
     """
@@ -590,6 +591,10 @@ def _edge_scene(rng):
             gts[-2] = GroundTruth(image, cls, b, gts[-2].difficult)
             dets.append(Detection(image, cls, 0.95, BBox(b.x1 + 2, b.y1, b.x2 + 2, b.y2)))
             dets.append(Detection(image, cls, 0.6, b))
+    # sometimes a crowded image: one class, overlapping boxes on a 12 px grid
+    for i in range(int(rng.integers(9, 12)) if rng.random() < 0.3 else 0):
+        x1, y1 = 12.0 * (i % 5), 12.0 * (i // 5)
+        gts.append(GroundTruth("crowd", 0, BBox(x1, y1, x1 + 20, y1 + 20)))
     scores = [0.3, 0.5, 0.5, 0.9]
     for gt in gts:
         cls = gt.class_id if gt.class_id != 3 else int(rng.integers(0, 3))
@@ -623,6 +628,8 @@ def _edge_cases_seen(dets, gts):
                               for im in gt_images),
         "no ground truth": any(d.image_id not in gt_images for d in dets),
         "class without dets": bool({g.class_id for g in gts} - {d.class_id for d in dets}),
+        "crowded image": max(sum(g.image_id == im and g.class_id == 0 for g in gts)
+                             for im in gt_images) >= 9,
         "edge 32^2": 32.0 * 32.0 in areas,
         "edge 96^2": 96.0 * 96.0 in areas,
         "equal IoU": any(
@@ -638,7 +645,7 @@ def _edge_cases_seen(dets, gts):
 def test_array_matchers_equal_oracles_on_edge_scenes():
     rng = np.random.default_rng(20261018)
     seen = dict.fromkeys(_edge_cases_seen(*_edge_scene(np.random.default_rng(0))), 0)
-    for trial in range(30):
+    for trial in range(20):
         dets, gts = _edge_scene(rng)
         for case, hit in _edge_cases_seen(dets, gts).items():
             seen[case] += hit
