@@ -1,12 +1,15 @@
-"""Golden freeze of ``depthkit eval`` and ``depthkit arch``, byte for byte.
+"""Golden freeze of every ``depthkit`` subcommand, byte for byte.
 
 Each case runs the CLI in process and hashes its exit code, its stdout
-(with the output directory replaced by ``<out>``) and every file it
-wrote.  The digests live in ``tests/golden/eval.json`` (every metric)
-and ``tests/golden/arch.json`` (every variant and backbone at the
-default input, plus two small seeded forwards); a refactor must leave
-all of them unchanged.  After an intended output change, regenerate
-them with::
+(with the output directory replaced by ``<out>`` and the work directory
+by ``<work>``) and every file it wrote.  The digests live in
+``tests/golden/<command>.json``: ``encode`` (gray, jet and hdha over a
+PFM and a 16-bit PGM map, hdha plain, with a smaller window, with
+stats computed then applied, and with a fixed gravity), ``analyze``
+(two builds and their similarity), ``eval`` (every metric) and
+``arch`` (every variant and backbone at the default input, plus two
+small seeded forwards); a refactor must leave all of them unchanged.
+After an intended output change, regenerate them with::
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -19,7 +22,7 @@ import tempfile
 
 import numpy as np
 
-from depthkit import cli
+from depthkit import cli, netpbm
 from depthkit.arch import BACKBONES, VARIANTS
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -138,12 +141,99 @@ ARCH_CASES = [(f"{v}/{b}", ["arch", "--variant", v, "--backbone", b])
 ]
 
 
-def _digest(argv, out_dir):
+# intrinsics of the 48x64 encode maps
+_CAM = {"fx": 60.0, "fy": 60.0, "cx": 31.5, "cy": 23.5, "baseline": 0.075}
+
+
+def _room(rng, cam_height, wall_z, h=48, w=64):
+    """Floor below the camera meeting a frontal wall, in meters, with
+    sensor noise, a dropout patch and scattered invalid readings."""
+    vs = np.arange(h, dtype=float)[:, None].repeat(w, axis=1)
+    ys = (vs - _CAM["cy"]) / _CAM["fy"]
+    depth = np.full((h, w), wall_z)
+    floor = ys > cam_height / wall_z
+    depth[floor] = cam_height / ys[floor]
+    depth *= 1.0 + 0.01 * rng.standard_normal((h, w))
+    r, c = (int(v) for v in rng.integers(4, 30, 2))
+    depth[r:r + 6, c:c + 9] = 0.0
+    depth[rng.random((h, w)) < 0.03] = 0.0
+    return depth
+
+
+def _depth_maps(directory):
+    """A PFM map in meters (with NaN readings) and a 16-bit PGM map in
+    millimeters, plus their intrinsics; returns (map paths, intrinsics path)."""
+    os.makedirs(directory)
+    rng = np.random.default_rng(20261018)
+    room = _room(rng, cam_height=1.2, wall_z=6.0).astype(np.float32)
+    room[rng.random(room.shape) < 0.01] = np.nan
+    hall = _room(rng, cam_height=1.5, wall_z=4.5)
+    paths = [os.path.join(directory, "room.pfm"), os.path.join(directory, "hall.pgm")]
+    netpbm.write_pfm(paths[0], room)
+    netpbm.write_pgm16(paths[1], np.round(hall * 1000.0).astype(np.uint16))
+    cam = os.path.join(directory, "cam.json")
+    with open(cam, "w") as fh:
+        json.dump(_CAM, fh)
+    return paths, cam
+
+
+def _out_dir(work, name):
+    return os.path.join(work, "out", name)
+
+
+def _encode_cases(work):
+    files, cam = _depth_maps(os.path.join(work, "maps"))
+    hdha = ["encode", *files, "--mode", "hdha", "--intrinsics", cam]
+    # the compute case writes the stats into its own output directory
+    # (so they are hashed); the apply case, run after it, reads them
+    stats = os.path.join(_out_dir(work, "hdha-stats-compute"), "stats.json")
+    return [
+        ("gray", ["encode", *files, "--mode", "gray", "--dmin", "0.7", "--dmax", "8"]),
+        ("jet", ["encode", *files, "--mode", "jet", "--dmin", "0.7", "--dmax", "8"]),
+        ("hdha", hdha),
+        ("hdha-k9", [*hdha, "--k-neighbors", "9"]),
+        ("hdha-stats-compute", [*hdha, "--stats", stats]),
+        ("hdha-stats-apply", [*hdha, "--stats", stats]),
+        ("hdha-gravity", [*hdha, "--gravity", "0.05,1,0.2"]),
+    ]
+
+
+def _analyze_cases(work):
+    maps = os.path.join(work, "maps")
+    _depth_maps(maps)
+    rng = np.random.default_rng(20261019)
+    gts = []
+    for image_id in ("room", "hall"):
+        for _ in range(30):
+            w, h = (int(v) for v in rng.integers(2, 24, 2))
+            x1, y1 = int(rng.integers(0, 64 - w)), int(rng.integers(0, 48 - h))
+            gts.append({"image_id": image_id, "class": _CLASSES[int(rng.integers(1, 5))],
+                        "x1": x1, "y1": y1, "x2": x1 + w, "y2": y1 + h})
+    classes = os.path.join(work, "classes.json")
+    with open(classes, "w") as fh:
+        json.dump(_CLASSES, fh)
+    named, ids = os.path.join(work, "gts.jsonl"), os.path.join(work, "gts_ids.jsonl")
+    _write_jsonl(named, gts)
+    # numeric classes, every other box: a second, different heatmap
+    _write_jsonl(ids, [{**r, "class": _CLASSES.index(r["class"])} for r in gts[::2]])
+    heatmaps = [os.path.join(_out_dir(work, name), "heatmap.csv")
+                for name in ("build", "build-ids")]
+    # the similarity case reads the heatmaps the two build cases wrote
+    return [
+        ("build", ["analyze", "--gts", named, "--depth-dir", maps, "--classes", classes,
+                   "--bins", "8"]),
+        ("build-ids", ["analyze", "--gts", ids, "--depth-dir", maps, "--bins", "8"]),
+        ("similarity", ["analyze", "--similarity", *heatmaps]),
+    ]
+
+
+def _digest(argv, out_dir, work):
     stdout = io.StringIO()
     with contextlib.redirect_stdout(stdout):
         rc = cli.main([*argv, "--out", out_dir])
     h = hashlib.sha256(f"exit {rc}\n".encode())
-    h.update(stdout.getvalue().replace(out_dir, "<out>").encode())
+    text = stdout.getvalue().replace(out_dir, "<out>").replace(work, "<work>")
+    h.update(text.encode())
     for name in sorted(os.listdir(out_dir)):
         with open(os.path.join(out_dir, name), "rb") as fh:
             h.update(f"\0{name}\0".encode() + fh.read())
@@ -156,7 +246,8 @@ def _eval_cases(work):
             for name, corpus, argv in CASES]
 
 
-GOLDENS = {"eval": _eval_cases, "arch": lambda work: ARCH_CASES}
+GOLDENS = {"encode": _encode_cases, "analyze": _analyze_cases,
+           "eval": _eval_cases, "arch": lambda work: ARCH_CASES}
 
 
 def compute_digests(command):
@@ -164,9 +255,9 @@ def compute_digests(command):
     digests = {}
     with tempfile.TemporaryDirectory() as work:
         for name, argv in GOLDENS[command](work):
-            out_dir = os.path.join(work, "out", name)
+            out_dir = _out_dir(work, name)
             os.makedirs(out_dir)
-            digests[name] = _digest(argv, out_dir)
+            digests[name] = _digest(argv, out_dir, work)
     return digests
 
 
@@ -195,9 +286,19 @@ def test_corpus_has_ties_duplicates_difficult_and_every_bucket(tmp_path):
     assert len({d["score"] for d in dets}) < len(dets)  # score ties
 
 
-def test_golden_covers_every_case():
-    assert sorted(_golden("eval")) == sorted(name for name, _, _ in CASES)
-    assert sorted(_golden("arch")) == sorted(name for name, _ in ARCH_CASES)
+def test_golden_covers_every_case(tmp_path):
+    for command, cases in GOLDENS.items():
+        (tmp_path / command).mkdir()
+        names = [name for name, _ in cases(str(tmp_path / command))]
+        assert sorted(_golden(command)) == sorted(names), command
+
+
+def test_encode_outputs_match_golden_digests():
+    assert _mismatches("encode") == {}
+
+
+def test_analyze_outputs_match_golden_digests():
+    assert _mismatches("analyze") == {}
 
 
 def test_eval_outputs_match_golden_digests():
