@@ -14,16 +14,12 @@ from .encoding import (
     jet_encode,
     jet_table,
     load_depth,
-    normalize_encoding,
     quantize_u8,
 )
 from .geometry import (
     GravityEstimate,
-    PointCloud,
-    depth_to_pointcloud,
     estimate_gravity,
     hdha_encode,
-    surface_normals,
 )
 from .netpbm import ParseError
 
@@ -38,17 +34,13 @@ __all__ = [
     "HdhaImage",
     "JetDepth",
     "ParseError",
-    "PointCloud",
     "compute_channel_stats",
-    "depth_to_pointcloud",
     "estimate_gravity",
     "grayscale_encode",
     "hdha_encode",
     "jet_encode",
     "jet_table",
     "load_depth",
-    "normalize_encoding",
     "quantize_u8",
-    "surface_normals",
     "__version__",
 ]

@@ -45,12 +45,28 @@ def thread_cap() -> int | None:
 def base_radius(k: int) -> int:
     """Smallest r such that the (2r+1)^2 window can hold k cells."""
     side = math.isqrt(max(k - 1, 0)) + 1
-    return max((side - 1 + 1) // 2, 1) if side > 1 else 1
+    return max(side // 2, 1)
 
 
-def _normals_numpy(
-    points: np.ndarray, valid: np.ndarray, k: int, mean: np.ndarray
+def normals_from_points(
+    points: np.ndarray, valid: np.ndarray, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
+    """Per-pixel surface normals from a pixel-grid point cloud.
+
+    ``points`` is ``(H, W, 3)`` camera-frame coordinates, garbage allowed
+    at invalid pixels.  Returns unit normals oriented to face the camera
+    and a mask of pixels where a normal was recovered.
+    """
+    if k < 3:
+        raise ValueError(f"k must be at least 3, got {k}")
+    points = np.ascontiguousarray(points, dtype=np.float64)
+    valid = np.ascontiguousarray(valid, dtype=bool)
+    if valid.any():
+        mean = points[valid].mean(axis=0)
+    else:
+        mean = np.zeros(3)
+    centered = np.where(valid[..., None], points - mean, 0.0)
+
     h, w = valid.shape
     out_n = np.zeros((h, w, 3))
     out_valid = np.zeros((h, w), dtype=bool)
@@ -59,7 +75,7 @@ def _normals_numpy(
     # is then four lookups regardless of window size.
     planes = np.zeros((h, w, 10))
     vm = valid.astype(np.float64)
-    x, y, z = points[..., 0], points[..., 1], points[..., 2]
+    x, y, z = centered[..., 0], centered[..., 1], centered[..., 2]
     planes[..., 0] = vm
     planes[..., 1] = np.where(valid, x, 0.0)
     planes[..., 2] = np.where(valid, y, 0.0)
@@ -117,31 +133,10 @@ def _normals_numpy(
     evals, evecs = np.linalg.eigh(cov)
     good = np.all(np.isfinite(evals), axis=1) & (evals[:, 1] > _DEGENERATE_EIG)
     normals = evecs[:, :, 0]
-    own = points[ii, jj] + mean
+    own = centered[ii, jj] + mean
     flip = np.einsum("ij,ij->i", normals, own) > 0.0
     normals = np.where(flip[:, None], -normals, normals)
 
     out_n[ii[good], jj[good]] = normals[good]
     out_valid[ii[good], jj[good]] = True
     return out_n, out_valid
-
-
-def normals_from_points(
-    points: np.ndarray, valid: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-pixel surface normals from a pixel-grid point cloud.
-
-    ``points`` is ``(H, W, 3)`` camera-frame coordinates, garbage allowed
-    at invalid pixels.  Returns unit normals oriented to face the camera
-    and a mask of pixels where a normal was recovered.
-    """
-    if k < 3:
-        raise ValueError(f"k must be at least 3, got {k}")
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    valid = np.ascontiguousarray(valid, dtype=bool)
-    if valid.any():
-        mean = points[valid].mean(axis=0)
-    else:
-        mean = np.zeros(3)
-    centered = np.where(valid[..., None], points - mean, 0.0)
-    return _normals_numpy(centered, valid, k, mean)

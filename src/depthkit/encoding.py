@@ -137,7 +137,6 @@ class GrayscaleDepth:
 
     values: np.ndarray
     valid: np.ndarray
-    normalized: np.ndarray | None = None
 
     @property
     def quantized(self) -> np.ndarray:
@@ -168,7 +167,6 @@ class HdhaImage:
     height: np.ndarray
     angle: np.ndarray
     valid: np.ndarray
-    normalized: np.ndarray | None = None
 
     def channels(self) -> np.ndarray:
         return np.stack([self.hd, self.height, self.angle], axis=-1)
@@ -252,35 +250,6 @@ def compute_channel_stats(images: list) -> ChannelStats:
     if np.any(stds <= 0):
         raise ValueError(f"constant channel, std would be zero: stds={stds.tolist()}")
     return ChannelStats(means=tuple(float(m) for m in means), stds=tuple(float(s) for s in stds))
-
-
-def normalize_encoding(image, stats: ChannelStats):
-    """Return a copy of ``image`` with ``normalized = (x - mean) / std``.
-
-    The original channel values are kept; the normalized planes land in
-    the ``normalized`` field as an ``(H, W, C)`` float array with invalid
-    pixels zeroed.
-    """
-    chans = image.channels()
-    if chans.shape[-1] != len(stats.means):
-        raise ValueError(
-            f"image has {chans.shape[-1]} channels, stats describe {len(stats.means)}"
-        )
-    means = np.asarray(stats.means, dtype=np.float64)
-    stds = np.asarray(stats.stds, dtype=np.float64)
-    norm = (chans - means) / stds
-    norm = np.where(image.valid[..., None], norm, 0.0)
-    if isinstance(image, GrayscaleDepth):
-        return GrayscaleDepth(values=image.values.copy(), valid=image.valid.copy(), normalized=norm)
-    if isinstance(image, HdhaImage):
-        return HdhaImage(
-            hd=image.hd.copy(),
-            height=image.height.copy(),
-            angle=image.angle.copy(),
-            valid=image.valid.copy(),
-            normalized=norm,
-        )
-    raise TypeError(f"cannot normalize {type(image).__name__}")
 
 
 def load_depth(path: str) -> DepthMap:

@@ -20,26 +20,6 @@ from .encoding import CameraIntrinsics, DepthMap, HdhaImage
 
 
 @dataclass
-class PointCloud:
-    """Back-projected points, one row per valid depth pixel.
-
-    ``pixel_indices`` holds the flat row-major pixel index of each point,
-    so the grid structure is recoverable from ``width`` and ``height``.
-    """
-
-    points: np.ndarray
-    pixel_indices: np.ndarray
-    width: int
-    height: int
-
-    def __post_init__(self):
-        if self.points.ndim != 2 or self.points.shape[1] != 3:
-            raise ValueError(f"points must be (N, 3), got {self.points.shape}")
-        if self.pixel_indices.shape != (self.points.shape[0],):
-            raise ValueError("pixel_indices must align with points")
-
-
-@dataclass
 class GravityEstimate:
     direction: np.ndarray
     iterations: int
@@ -61,40 +41,6 @@ def backproject_grid(depth: DepthMap, cam: CameraIntrinsics) -> np.ndarray:
     x = (uu - cam.cx) * d / cam.fx
     y = (vv - cam.cy) * d / cam.fy
     return np.stack([x, y, d], axis=-1)
-
-
-def depth_to_pointcloud(depth: DepthMap, cam: CameraIntrinsics) -> PointCloud:
-    """Back-project the valid pixels, row-major order."""
-    grid = backproject_grid(depth, cam)
-    flat_valid = depth.valid.ravel()
-    idx = np.nonzero(flat_valid)[0]
-    pts = grid.reshape(-1, 3)[idx]
-    return PointCloud(points=pts, pixel_indices=idx, width=depth.width, height=depth.height)
-
-
-def cloud_to_grid(cloud: PointCloud) -> tuple[np.ndarray, np.ndarray]:
-    """Rebuild the ``(H, W, 3)`` grid and validity mask from a point cloud."""
-    grid = np.zeros((cloud.height, cloud.width, 3))
-    valid = np.zeros(cloud.height * cloud.width, dtype=bool)
-    valid[cloud.pixel_indices] = True
-    grid.reshape(-1, 3)[cloud.pixel_indices] = cloud.points
-    return grid, valid.reshape(cloud.height, cloud.width)
-
-
-def surface_normals(cloud: PointCloud, k_neighbors: int = 25) -> tuple[np.ndarray, np.ndarray]:
-    """Unit surface normals per cloud point, camera-facing (n . p < 0).
-
-    Each normal comes from the smallest-eigenvalue direction of the
-    covariance of the nearest valid points in the pixel grid, gathered
-    from a square window grown until it holds ``k_neighbors`` of them.
-    Returns ``(normals, ok)`` aligned with ``cloud.points``; ``ok`` is
-    False where the neighborhood was degenerate.
-    """
-    grid, valid = cloud_to_grid(cloud)
-    n_grid, n_valid = _kernels.normals_from_points(grid, valid, k_neighbors)
-    flat_n = n_grid.reshape(-1, 3)[cloud.pixel_indices]
-    flat_ok = n_valid.ravel()[cloud.pixel_indices]
-    return flat_n, flat_ok
 
 
 def normals_grid(
@@ -193,14 +139,13 @@ def hdha_encode(
     depth reading is valid and a surface normal was recovered; invalid
     pixels hold 0 in every channel.
 
-    ``gravity`` defaults to an estimate from this map's own normals.
+    ``gravity`` defaults to an estimate from this map's own normals; a
+    map with no recovered normal (all invalid, or too small for a
+    window) skips the estimate and encodes to all zeros.
     """
     grid = backproject_grid(depth, cam)
     normals, n_valid = _kernels.normals_from_points(grid, depth.valid, k_neighbors)
-    if gravity is None:
-        est = estimate_gravity(normals, valid=n_valid)
-        g = est.direction
-    else:
+    if gravity is not None:
         g = np.asarray(gravity, dtype=np.float64)
         with np.errstate(over="ignore"):
             norm = np.linalg.norm(g)
@@ -209,6 +154,12 @@ def hdha_encode(
         if not (np.isfinite(norm) and norm > 0):
             raise ValueError("gravity must be a finite nonzero vector")
         g = g / norm
+    elif n_valid.any():
+        g = estimate_gravity(normals, valid=n_valid).direction
+    else:
+        # no normal to estimate from: every pixel is invalid and encodes
+        # to 0 whatever the direction
+        g = _DEFAULT_GRAVITY
 
     valid = depth.valid & n_valid
     hd = np.where(depth.valid, cam.fx * cam.baseline / np.where(depth.valid, depth.values, 1.0), 0.0)

@@ -218,6 +218,28 @@ def test_encode_hdha_accepts_fixed_gravity(tmp_path):
     assert (tmp_path / "room_hdha.ppm").exists()
 
 
+@pytest.mark.parametrize("gravity", [None, "0,1,0"], ids=["estimated", "fixed"])
+@pytest.mark.parametrize("name, values", [
+    ("blank", np.zeros((4, 4), dtype=np.float32)),  # every reading invalid
+    ("dot", np.full((1, 1), 2.0, dtype=np.float32)),  # one point spans no plane
+], ids=["4x4-invalid", "1x1"])
+def test_encode_hdha_without_normals_writes_black_image(tmp_path, capsys, name, values, gravity):
+    src = tmp_path / f"{name}.pfm"
+    netpbm.write_pfm(str(src), values)
+    cam_path = tmp_path / "cam.json"
+    cam_path.write_text(json.dumps(_floor_wall_scene()[1]))
+    out = tmp_path / "out"
+    argv = ["encode", str(src), "--mode", "hdha", "--intrinsics", str(cam_path),
+            "--out", str(out)]
+    if gravity is not None:
+        argv += ["--gravity", gravity]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.endswith(f"-> {out / f'{name}_hdha.ppm'}\n")
+    rgb, _ = netpbm.read_ppm(str(out / f"{name}_hdha.ppm"))
+    assert rgb.shape == (*values.shape, 3)
+    assert not rgb.any()
+
+
 def test_encode_parameter_errors_exit_3(tmp_path, capsys):
     src = tmp_path / "scene.pfm"
     _ramp_pfm(src)

@@ -15,7 +15,6 @@ from depthkit import (
     jet_encode,
     jet_table,
     load_depth,
-    normalize_encoding,
     quantize_u8,
 )
 from depthkit import netpbm
@@ -160,25 +159,19 @@ def test_channel_stats_reject_all_invalid():
         compute_channel_stats([_fake_hdha(a, v)])
 
 
-def test_normalize_centers_and_scales():
+def test_channel_stats_standardize_valid_pixels():
     rng = np.random.default_rng(5)
     chans = rng.uniform(1.0, 4.0, size=(3, 4, 4))
     chans[1] *= 7
     valid = np.ones((4, 4), dtype=bool)
     valid[0, 0] = False
+    chans[:, 0, 0] = 1e6  # an invalid pixel must not enter the stats
     img = _fake_hdha(chans, valid)
     stats = compute_channel_stats([img])
-    normed = normalize_encoding(img, stats)
-    assert normed.normalized is not None and img.normalized is None
-    planes = normed.normalized
+    z = (img.channels() - np.asarray(stats.means)) / np.asarray(stats.stds)
     for c in range(3):
-        assert planes[..., c][valid].mean() == pytest.approx(0.0, abs=1e-12)
-        assert planes[..., c][valid].std() == pytest.approx(1.0)
-        assert planes[0, 0, c] == 0.0
-    # the raw channels are untouched and the affine undoes exactly
-    np.testing.assert_array_equal(normed.channels(), img.channels())
-    undone = planes * np.asarray(stats.stds) + np.asarray(stats.means)
-    np.testing.assert_allclose(undone[valid], img.channels()[valid])
+        assert z[..., c][valid].mean() == pytest.approx(0.0, abs=1e-12)
+        assert z[..., c][valid].std() == pytest.approx(1.0)
 
 
 def test_channel_stats_json_round_trip(tmp_path):

@@ -2,16 +2,9 @@
 import numpy as np
 import pytest
 
-from depthkit import (
-    CameraIntrinsics,
-    DepthMap,
-    depth_to_pointcloud,
-    estimate_gravity,
-    hdha_encode,
-    surface_normals,
-)
+from depthkit import CameraIntrinsics, DepthMap, estimate_gravity, hdha_encode
 from depthkit import _kernels
-from depthkit.geometry import backproject_grid, cloud_to_grid, normals_grid
+from depthkit.geometry import backproject_grid, normals_grid
 
 CAM = CameraIntrinsics(fx=100.0, fy=100.0, cx=39.5, cy=29.5, baseline=0.075)
 
@@ -37,14 +30,13 @@ def test_backprojection_hand_case():
     np.testing.assert_allclose(pts[1, 1], [0.0, 0.0, 1.0])
 
 
-def test_pointcloud_keeps_only_valid_pixels():
+def test_backprojection_zeroes_invalid_pixels():
     depth = DepthMap(np.array([[1.0, 0.0], [np.nan, 3.0]]))
-    cloud = depth_to_pointcloud(depth, CAM)
-    assert cloud.points.shape == (2, 3)
-    grid, valid = cloud_to_grid(cloud)
-    assert valid.sum() == 2
-    assert grid.shape == (2, 2, 3)
-    assert not valid[0, 1] and not valid[1, 0]
+    pts = backproject_grid(depth, CAM)
+    assert pts.shape == (2, 2, 3)
+    np.testing.assert_array_equal(depth.valid, [[True, False], [False, True]])
+    assert not pts[~depth.valid].any()
+    assert pts[0, 0, 2] == 1.0 and pts[1, 1, 2] == 3.0
 
 
 # ----------------------------------------------------------------- normals
@@ -142,10 +134,11 @@ def test_normals_match_brute_force_oracle(case):
 
 def test_normals_face_the_camera():
     depth, _ = _floor_wall_scene()
-    cloud = depth_to_pointcloud(depth, CAM)
-    normals, ok = surface_normals(cloud, k_neighbors=25)
-    assert normals.shape == cloud.points.shape
-    dots = np.einsum("ij,ij->i", normals[ok], cloud.points[ok])
+    points = backproject_grid(depth, CAM)
+    normals, ok = normals_grid(depth, CAM, k_neighbors=25)
+    assert normals.shape == points.shape
+    assert ok.any() and not (ok & ~depth.valid).any()
+    dots = np.einsum("ij,ij->i", normals[ok], points[ok])
     assert (dots <= 1e-12).all()
 
 
