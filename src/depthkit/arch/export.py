@@ -5,9 +5,9 @@ graph twice yields byte-identical text.
 """
 from __future__ import annotations
 
-import csv
 import io
 
+from ..evaluation import _csv_table
 from .graph import ArchGraph, LayerSpec, Shape, StateError
 
 
@@ -95,9 +95,5 @@ def shape_rows(graph: ArchGraph) -> list[tuple[str, Shape]]:
 
 
 def shape_csv(graph: ArchGraph) -> str:
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(["name", "shape"])
-    for name, shape in shape_rows(graph):
-        writer.writerow([name, format_shape(shape)])
-    return out.getvalue()
+    return _csv_table(["name", "shape"],
+                      ([name, format_shape(shape)] for name, shape in shape_rows(graph)))

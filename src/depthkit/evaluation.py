@@ -92,8 +92,13 @@ class BBox:
     y2: float
 
     def __post_init__(self):
+        corners = (self.x1, self.y1, self.x2, self.y2)
+        # a non-finite corner makes the IoU NaN, which every threshold
+        # test then misreads
+        if not all(map(math.isfinite, corners)):
+            raise ValueError(f"corners must be finite, got {corners}")
         if not (self.x2 > self.x1 and self.y2 > self.y1):
-            raise ValueError(f"degenerate box {(self.x1, self.y1, self.x2, self.y2)}")
+            raise ValueError(f"degenerate box {corners}")
 
     @property
     def area(self) -> float:
@@ -237,14 +242,6 @@ def _interp_runs(tp: np.ndarray, kept: np.ndarray, lengths: np.ndarray,
         at = at + count
         total += best[at]
     return total / width
-
-
-def _interp_ap(flags: list[int], npos: int, points: np.ndarray) -> float:
-    """Interpolated AP of ranked TP (1) / FP (0) flags: ``_interp_runs``
-    on one run with every entry kept."""
-    tp = np.array(flags, dtype=bool)
-    return float(_interp_runs(tp, np.ones_like(tp), np.array([len(tp)]),
-                              np.array([npos]), points)[0])
 
 
 _BUCKETS = ("all", "small", "medium", "large")
@@ -635,16 +632,12 @@ def confusion_diff(base: ConfusionMatrix, other: ConfusionMatrix) -> ConfusionDi
 
 
 def _parse_box(raw: dict, where: str, offset: int) -> BBox:
-    # a non-finite corner makes the IoU NaN, which every threshold test
-    # then misreads, so it is refused like a malformed box
     try:
         corners = (float(raw["x1"]), float(raw["y1"]), float(raw["x2"]), float(raw["y2"]))
     except KeyError as exc:
         raise ParseError(f"{where}: missing box field {exc}", offset) from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: bad box: {exc}", offset) from None
-    if not all(map(math.isfinite, corners)):
-        raise ParseError(f"{where}: bad box: corners must be finite, got {corners}", offset)
     try:
         return BBox(*corners)
     except ValueError as exc:

@@ -481,7 +481,11 @@ def test_interpolation_matches_oracle_on_random_flags():
         fp = np.cumsum([1 - f for f in flags])
         for points in ([i / 10 for i in range(11)], [i / 100 for i in range(101)]):
             want = _interp_ap_oracle(points, tp / npos, tp / np.maximum(tp + fp, 1))
-            assert evaluation._interp_ap(flags, npos, np.array(points)) == want, (flags, npos)
+            # one run with every entry kept
+            hits = np.array(flags, dtype=bool)
+            got = evaluation._interp_runs(hits, np.ones_like(hits), np.array([len(hits)]),
+                                          np.array([npos]), np.array(points))
+            assert got.tolist() == [want], (flags, npos)
 
 
 def test_ranked_runs_with_left_out_entries_match_oracle():

@@ -39,6 +39,13 @@ def test_degenerate_boxes_rejected():
         BBox(0, 0, -1, 5)
 
 
+@pytest.mark.parametrize("corners", [(0, 0, float("inf"), 10), (float("-inf"), 0, 5, 10),
+                                     (0, float("nan"), 5, 10), (0, 0, 5, float("nan"))])
+def test_non_finite_boxes_rejected(corners):
+    with pytest.raises(ValueError, match="corners must be finite"):
+        BBox(*corners)
+
+
 # --------------------------------------------------------------------- NMS
 
 def _nms_reference(dets, thresh):
