@@ -140,8 +140,9 @@ def hdha_encode(
     pixels hold 0 in every channel.
 
     ``gravity`` defaults to an estimate from this map's own normals; a
-    map with no recovered normal (all invalid, or too small for a
-    window) skips the estimate and encodes to all zeros.
+    map with no recovered normal (every reading invalid, or too few
+    points near each other to span a plane) skips the estimate and
+    encodes to all zeros.
     """
     grid = backproject_grid(depth, cam)
     normals, n_valid = _kernels.normals_from_points(grid, depth.valid, k_neighbors)
