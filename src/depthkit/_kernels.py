@@ -16,7 +16,6 @@ with a degenerate neighborhood, gets no normal.
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
@@ -26,20 +25,6 @@ _DEGENERATE_EIG = 1e-15
 def backend_name() -> str:
     """Name of the normals implementation, for run reports."""
     return "numpy"
-
-
-def thread_cap() -> int | None:
-    """Worker cap from DEPTHKIT_THREADS, or None for the hardware default."""
-    raw = os.environ.get("DEPTHKIT_THREADS", "").strip()
-    if not raw:
-        return None
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"DEPTHKIT_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ValueError(f"DEPTHKIT_THREADS must be >= 1, got {n}")
-    return n
 
 
 def base_radius(k: int) -> int:

@@ -1,48 +1,57 @@
 """Construction of the two-stage detector variants.
 
-Nine wirings over two backbones.  The fusion families:
+The variants form a grid: a depth source joins the RGB detector at one
+fusion point.  ``_WIRING`` names each variant's cell.
 
-* ``baseline``      RGB only.
-* ``raw-EC/MC/LC``  the raw depth plane joins the RGB stream directly:
-  resized and projected onto the feature map (EC), onto the pooled
-  region features (MC), or flattened next to the final feature vector
-  (LC).  No depth backbone.
-* ``proc-EC/MC/LC`` a full second backbone runs on an encoded depth
-  image and the two streams merge at the same three points.
-* ``hdha-split``    three single-channel backbones, one per geometric
-  channel, merge with the RGB stream before the region stage.
-* ``prior-late``    two complete detector streams (each with its own
-  region-proposal head) concatenated at the final feature vector.
+Depth sources:
 
-Residual shortcuts carry no parameters, so the residual backbone is
-laid out as its conv chain; projection shortcuts appear as parallel
-conv branches whose outputs stay unconsumed.  Batch-norm rides on the
-conv nodes it follows and is always frozen.
+* ``raw``   the raw depth plane, with no backbone of its own.
+* ``proc``  a full second backbone on an encoded depth image.
+* ``hdha``  three single-channel backbones, one per geometric channel.
+* ``prior`` a second backbone that was a complete detector, so it also
+  carries its own region-proposal head.
+
+Fusion points:
+
+* ``EC``  early: concatenated on the feature map, before proposals.  The
+  raw plane is resized to the map and projected by a 1x1 conv.
+* ``MC``  mid: concatenated on the pooled region features.  The raw
+  plane is resized to the pool size, projected, and repeated per region.
+* ``LC``  late: concatenated at the final feature vector.  The raw plane
+  is resized to 64x64, flattened, and repeated per region.
+
+``baseline`` is the RGB detector alone.  Residual shortcuts carry no
+parameters, so the residual backbone is laid out as its conv chain;
+projection shortcuts appear as parallel conv branches whose outputs stay
+unconsumed.  Batch-norm rides on the conv nodes it follows and is always
+frozen.
 """
 from __future__ import annotations
 
 from .graph import ArchGraph, LayerSpec
 
-VARIANTS = (
-    "baseline",
-    "raw-EC",
-    "raw-MC",
-    "raw-LC",
-    "proc-EC",
-    "proc-MC",
-    "proc-LC",
-    "hdha-split",
-    "prior-late",
-)
+# variant -> (depth source, fusion point), in presentation order
+_WIRING = {
+    "baseline": (None, None),
+    "raw-EC": ("raw", "EC"),
+    "raw-MC": ("raw", "MC"),
+    "raw-LC": ("raw", "LC"),
+    "proc-EC": ("proc", "EC"),
+    "proc-MC": ("proc", "MC"),
+    "proc-LC": ("proc", "LC"),
+    "hdha-split": ("hdha", "EC"),
+    "prior-late": ("prior", "LC"),
+}
+
+VARIANTS = tuple(_WIRING)
 
 BACKBONES = ("vgg16", "resnet101")
 
-# Feature-map channels at the region stage, and the width of the
-# per-region feature vector each backbone's head stack produces.
+# Feature-map channels at the region stage.
 _FEAT_CHANNELS = {"vgg16": 512, "resnet101": 1024}
-_HEAD_WIDTH = {"vgg16": 4096, "resnet101": 2048}
 
 _RPN_HIDDEN = 512
+_POOL = 7
 
 # raw-LC flattens the depth plane to this square before joining the
 # feature vector (64 * 64 = 4096 values).
@@ -137,22 +146,28 @@ def _build_head_stack(g: ArchGraph, backbone: str, prefix: str, source: str) -> 
     return g.add(f"{prefix}/flatten", LayerSpec(kind="flatten"), [pool])
 
 
-def _add_rpn(g: ArchGraph, name: str, features: str) -> str:
-    g.add(name, LayerSpec(kind="rpn_head", hidden=_RPN_HIDDEN, num_anchors=9), [features])
-    return name
-
-
-def _add_roi_align(g: ArchGraph, name: str, features: str, rois: str) -> str:
-    return g.add(name, LayerSpec(kind="roi_align", pool_size=7, spatial_scale=1.0 / 16.0),
-                 [features, rois])
-
-
-def _add_det(g: ArchGraph, source: str, num_classes: int) -> str:
-    return g.add("det", LayerSpec(kind="det_head", num_classes=num_classes), [source])
-
-
-def _reduce_conv(g: ArchGraph, name: str, source: str, out_ch: int) -> str:
-    return g.add(name, _conv(out_ch, 1), [source])
+def _fuse(g: ArchGraph, point: str, streams: list[str], raw: bool, feat_ch: int) -> str:
+    """Concatenate ``streams`` at ``point``; with ``raw``, the raw depth
+    plane is first shaped to match and joins as the last stream.  The
+    early and mid concats are reduced back to ``feat_ch`` channels."""
+    if raw and point == "EC":
+        rs = g.add("fuse/resize", LayerSpec(kind="bilinear_resize"), ["depth", streams[0]])
+        streams = streams + [g.add("fuse/depth_proj", _conv(feat_ch, 1), [rs])]
+    elif raw and point == "MC":
+        rs = g.add("fuse/resize", LayerSpec(kind="bilinear_resize", out_size=(_POOL, _POOL)),
+                   ["depth"])
+        proj = g.add("fuse/depth_proj", _conv(feat_ch, 1), [rs])
+        streams = streams + [g.add("fuse/repeat", LayerSpec(kind="batch_repeat_concat"), [proj])]
+    elif raw:
+        rs = g.add("fuse/resize",
+                   LayerSpec(kind="bilinear_resize", out_size=(_LC_DEPTH_SIDE, _LC_DEPTH_SIDE)),
+                   ["depth"])
+        flat = g.add("fuse/flatten", LayerSpec(kind="flatten"), [rs])
+        streams = streams + [g.add("fuse/repeat", LayerSpec(kind="batch_repeat_concat"), [flat])]
+    if point == "LC":
+        return g.add("head/concat", LayerSpec(kind="channel_concat"), streams)
+    cat = g.add("fuse/concat", LayerSpec(kind="channel_concat"), streams)
+    return g.add("fuse/reduce", _conv(feat_ch, 1), [cat])
 
 
 def build_architecture(
@@ -163,128 +178,68 @@ def build_architecture(
 ) -> ArchGraph:
     """Assemble one detector variant as an :class:`ArchGraph`.
 
-    ``depth_channels`` defaults to 1 for the raw variants (the depth
-    plane itself) and 3 for the processed ones (an encoded depth image).
+    ``depth_channels`` sizes the single depth input of the raw (default
+    1, the depth plane itself) and processed variants (default 3, an
+    encoded depth image).  The baseline has no depth input and hdha-split
+    fixes its three at one channel each, so both refuse it.
     """
-    if variant not in VARIANTS:
+    if variant not in _WIRING:
         raise ValueError(f"unknown variant {variant!r}, expected one of {', '.join(VARIANTS)}")
     if backbone not in BACKBONES:
         raise ValueError(f"unknown backbone {backbone!r}, expected one of {', '.join(BACKBONES)}")
     if num_classes < 2:
         raise ValueError(f"num_classes must be >= 2 (background plus objects), got {num_classes}")
+    source, point = _WIRING[variant]
+    if depth_channels is not None and source in (None, "hdha"):
+        fixed = "no depth input" if source is None else "three single-channel depth inputs"
+        raise ValueError(f"depth_channels does not apply to {variant}, which has {fixed}")
     if depth_channels is None:
-        depth_channels = 1 if variant.startswith("raw-") else 3
+        depth_channels = 3 if source in ("proc", "prior") else 1
     if depth_channels < 1:
         raise ValueError(f"depth_channels must be >= 1, got {depth_channels}")
 
+    # Every variant runs the same stages in the same order, which fixes
+    # the node order of the exports: inputs, backbones, EC fusion,
+    # proposals, RoI pooling, MC fusion, head stacks, LC fusion, det.
     g = ArchGraph(variant=variant, backbone=backbone)
     feat_ch = _FEAT_CHANNELS[backbone]
+    raw = source == "raw"
+    # depth input -> the prefix of the backbone that reads it
+    if source == "hdha":
+        depth_inputs = {f"depth_{c}": f"{c}_bb" for c in ("hd", "h", "a")}
+    else:
+        depth_inputs = {"depth": "depth_bb"} if source else {}
 
     g.add_input("rgb", channels=3)
-    rgb_feat = _build_backbone(g, backbone, "rgb_bb", "rgb")
-
-    if variant == "baseline":
-        rois = g.add_input("rois", rois=True)
-        _add_rpn(g, "rpn", rgb_feat)
-        pooled = _add_roi_align(g, "roi_align", rgb_feat, rois)
-        vec = _build_head_stack(g, backbone, "head", pooled)
-        _add_det(g, vec, num_classes)
-        return g
-
-    if variant == "raw-EC":
-        g.add_input("depth", channels=depth_channels)
-        rois = g.add_input("rois", rois=True)
-        rs = g.add("fuse/resize", LayerSpec(kind="bilinear_resize"), ["depth", rgb_feat])
-        proj = _reduce_conv(g, "fuse/depth_proj", rs, feat_ch)
-        cat = g.add("fuse/concat", LayerSpec(kind="channel_concat"), [rgb_feat, proj])
-        fused = _reduce_conv(g, "fuse/reduce", cat, feat_ch)
-        _add_rpn(g, "rpn", fused)
-        pooled = _add_roi_align(g, "roi_align", fused, rois)
-        vec = _build_head_stack(g, backbone, "head", pooled)
-        _add_det(g, vec, num_classes)
-        return g
-
-    if variant == "raw-MC":
-        g.add_input("depth", channels=depth_channels)
-        rois = g.add_input("rois", rois=True)
-        _add_rpn(g, "rpn", rgb_feat)
-        pooled = _add_roi_align(g, "roi_align", rgb_feat, rois)
-        rs = g.add("fuse/resize", LayerSpec(kind="bilinear_resize", out_size=(7, 7)), ["depth"])
-        proj = _reduce_conv(g, "fuse/depth_proj", rs, feat_ch)
-        rep = g.add("fuse/repeat", LayerSpec(kind="batch_repeat_concat"), [proj])
-        cat = g.add("fuse/concat", LayerSpec(kind="channel_concat"), [pooled, rep])
-        fused = _reduce_conv(g, "fuse/reduce", cat, feat_ch)
-        vec = _build_head_stack(g, backbone, "head", fused)
-        _add_det(g, vec, num_classes)
-        return g
-
-    if variant == "raw-LC":
-        g.add_input("depth", channels=depth_channels)
-        rois = g.add_input("rois", rois=True)
-        _add_rpn(g, "rpn", rgb_feat)
-        pooled = _add_roi_align(g, "roi_align", rgb_feat, rois)
-        vec = _build_head_stack(g, backbone, "head", pooled)
-        rs = g.add("fuse/resize",
-                   LayerSpec(kind="bilinear_resize", out_size=(_LC_DEPTH_SIDE, _LC_DEPTH_SIDE)),
-                   ["depth"])
-        flat = g.add("fuse/flatten", LayerSpec(kind="flatten"), [rs])
-        rep = g.add("fuse/repeat", LayerSpec(kind="batch_repeat_concat"), [flat])
-        cat = g.add("head/concat", LayerSpec(kind="channel_concat"), [vec, rep])
-        _add_det(g, cat, num_classes)
-        return g
-
-    if variant == "proc-EC":
-        g.add_input("depth", channels=depth_channels)
-        rois = g.add_input("rois", rois=True)
-        depth_feat = _build_backbone(g, backbone, "depth_bb", "depth")
-        cat = g.add("fuse/concat", LayerSpec(kind="channel_concat"), [rgb_feat, depth_feat])
-        fused = _reduce_conv(g, "fuse/reduce", cat, feat_ch)
-        _add_rpn(g, "rpn", fused)
-        pooled = _add_roi_align(g, "roi_align", fused, rois)
-        vec = _build_head_stack(g, backbone, "head", pooled)
-        _add_det(g, vec, num_classes)
-        return g
-
-    if variant == "proc-MC":
-        g.add_input("depth", channels=depth_channels)
-        rois = g.add_input("rois", rois=True)
-        depth_feat = _build_backbone(g, backbone, "depth_bb", "depth")
-        _add_rpn(g, "rpn", rgb_feat)
-        pooled_rgb = _add_roi_align(g, "roi_align", rgb_feat, rois)
-        pooled_depth = _add_roi_align(g, "roi_align_depth", depth_feat, rois)
-        cat = g.add("fuse/concat", LayerSpec(kind="channel_concat"), [pooled_rgb, pooled_depth])
-        fused = _reduce_conv(g, "fuse/reduce", cat, feat_ch)
-        vec = _build_head_stack(g, backbone, "head", fused)
-        _add_det(g, vec, num_classes)
-        return g
-
-    if variant in ("proc-LC", "prior-late"):
-        g.add_input("depth", channels=depth_channels)
-        rois = g.add_input("rois", rois=True)
-        depth_feat = _build_backbone(g, backbone, "depth_bb", "depth")
-        _add_rpn(g, "rpn", rgb_feat)
-        if variant == "prior-late":
-            # each stream was a complete detector, so each carries its own
-            # region-proposal head
-            _add_rpn(g, "rpn_depth", depth_feat)
-        pooled_rgb = _add_roi_align(g, "roi_align", rgb_feat, rois)
-        pooled_depth = _add_roi_align(g, "roi_align_depth", depth_feat, rois)
-        vec_rgb = _build_head_stack(g, backbone, "head_rgb", pooled_rgb)
-        vec_depth = _build_head_stack(g, backbone, "head_depth", pooled_depth)
-        cat = g.add("head/concat", LayerSpec(kind="channel_concat"), [vec_rgb, vec_depth])
-        _add_det(g, cat, num_classes)
-        return g
-
-    # hdha-split: one single-channel backbone per geometric channel
-    streams = []
-    for chan in ("hd", "h", "a"):
-        g.add_input(f"depth_{chan}", channels=1)
-        streams.append(_build_backbone(g, backbone, f"{chan}_bb", f"depth_{chan}"))
+    for name in depth_inputs:
+        g.add_input(name, channels=depth_channels)
     rois = g.add_input("rois", rois=True)
-    cat = g.add("fuse/concat", LayerSpec(kind="channel_concat"), [rgb_feat] + streams)
-    fused = _reduce_conv(g, "fuse/reduce", cat, feat_ch)
-    _add_rpn(g, "rpn", fused)
-    pooled = _add_roi_align(g, "roi_align", fused, rois)
-    vec = _build_head_stack(g, backbone, "head", pooled)
-    _add_det(g, vec, num_classes)
+
+    # one feature map per stream, RGB first; a depth backbone's stream
+    # stays separate until its fusion point
+    feats = [_build_backbone(g, backbone, "rgb_bb", "rgb")]
+    if not raw:
+        feats += [_build_backbone(g, backbone, prefix, name)
+                  for name, prefix in depth_inputs.items()]
+    if point == "EC":
+        feats = [_fuse(g, point, feats, raw, feat_ch)]
+
+    g.add("rpn", LayerSpec(kind="rpn_head", hidden=_RPN_HIDDEN, num_anchors=9), [feats[0]])
+    if source == "prior":
+        # each stream was a complete detector, so each carries its own
+        # region-proposal head
+        g.add("rpn_depth", LayerSpec(kind="rpn_head", hidden=_RPN_HIDDEN, num_anchors=9),
+              [feats[1]])
+    pooled = [g.add(name, LayerSpec(kind="roi_align", pool_size=_POOL, spatial_scale=1.0 / 16.0),
+                    [x, rois])
+              for name, x in zip(("roi_align", "roi_align_depth"), feats)]
+    if point == "MC":
+        pooled = [_fuse(g, point, pooled, raw, feat_ch)]
+
+    heads = ("head",) if len(pooled) == 1 else ("head_rgb", "head_depth")
+    vecs = [_build_head_stack(g, backbone, prefix, x) for prefix, x in zip(heads, pooled)]
+    if point == "LC":
+        vecs = [_fuse(g, point, vecs, raw, feat_ch)]
+
+    g.add("det", LayerSpec(kind="det_head", num_classes=num_classes), vecs)
     return g

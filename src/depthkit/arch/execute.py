@@ -305,7 +305,7 @@ def execute_forward(graph: ArchGraph, inputs: dict[str, np.ndarray],
         arr = values[f"{name}:out"]
         if ispec.rois:
             num_rois = arr.shape[0]
-        elif primary_shape is None and ispec.shape is None:
+        elif primary_shape is None:
             if arr.ndim != 3:
                 raise StructuralError(f"input {name!r} must be (C, H, W), got {arr.shape}")
             primary_shape = arr.shape

@@ -162,11 +162,10 @@ class Edge:
 
 @dataclass
 class InputSpec:
-    """Graph entry point: an image plane, a feature tensor, or RoI boxes."""
+    """Graph entry point: an image plane or RoI boxes."""
 
     channels: int = 0
     rois: bool = False
-    shape: Shape | None = None
 
 
 @dataclass
@@ -184,11 +183,10 @@ class ArchGraph:
     _out: dict[tuple[str, str], list[Edge]] = field(
         default_factory=dict, init=False, repr=False, compare=False)
 
-    def add_input(self, name: str, channels: int = 0, rois: bool = False,
-                  shape: Shape | None = None) -> str:
+    def add_input(self, name: str, channels: int = 0, rois: bool = False) -> str:
         if name in self.inputs or name in self.nodes:
             raise StructuralError(f"duplicate name {name!r}")
-        self.inputs[name] = InputSpec(channels=channels, rois=rois, shape=shape)
+        self.inputs[name] = InputSpec(channels=channels, rois=rois)
         return name
 
     def add(self, name: str, spec: LayerSpec, inputs: list[str | tuple[str, str]]) -> str:
@@ -375,17 +373,14 @@ def propagate_shapes(graph: ArchGraph, input_shape: Shape, num_rois: int) -> dic
     for name, ispec in graph.inputs.items():
         if ispec.rois:
             shapes[f"{name}:out"] = (num_rois, 4)
-        elif ispec.shape is not None:
-            shapes[f"{name}:out"] = ispec.shape
-        else:
-            if not primary_seen:
-                if ispec.channels != input_shape[0]:
-                    raise StructuralError(
-                        f"input {name!r} declares {ispec.channels} channels, "
-                        f"input shape has {input_shape[0]}"
-                    )
-                primary_seen = True
-            shapes[f"{name}:out"] = (ispec.channels, ih, iw)
+            continue
+        if not primary_seen and ispec.channels != input_shape[0]:
+            raise StructuralError(
+                f"input {name!r} declares {ispec.channels} channels, "
+                f"input shape has {input_shape[0]}"
+            )
+        primary_seen = True
+        shapes[f"{name}:out"] = (ispec.channels, ih, iw)
     for name, spec in graph.nodes.items():
         in_shapes = []
         for edge in graph.in_edges(name):

@@ -7,9 +7,6 @@ statistics.  Exit codes: 0 success, 2 malformed input file (with the
 location of the fault), 3 bad parameter or missing file, 4 internal
 invariant violation.  Given identical inputs and flags, every
 subcommand writes byte-identical output files on every run.
-
-``DEPTHKIT_THREADS`` caps the worker threads that encode files in
-parallel in ``encode``.
 """
 from __future__ import annotations
 
@@ -21,10 +18,11 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-from . import _kernels, analysis, encoding, evaluation, geometry, netpbm
+from . import analysis, encoding, evaluation, geometry, netpbm
 from .arch import (
     GraphError,
     Lcg,
+    StructuralError,
     build_architecture,
     count_parameters,
     execute_forward,
@@ -72,7 +70,8 @@ def _build_parser() -> argparse.ArgumentParser:
     arch.add_argument("--input", default="600x800",
                       help="input size HxW for shape propagation (default 600x800)")
     arch.add_argument("--depth-channels", type=int, default=None,
-                      help="depth input channels (default: 1 raw, 3 processed)")
+                      help="depth input channels of the raw (default 1) and processed "
+                           "(default 3) variants")
     arch.add_argument("--report", default="all", help="params, shapes, or all")
     arch.add_argument("--forward", action="store_true",
                       help="run the seeded numeric executor and print output digests")
@@ -183,9 +182,11 @@ def _cmd_encode(args) -> int:
     # is encoded once, held until the stats are known, then rendered
     defer = bool(args.stats) and stats is None
 
-    cap = _kernels.thread_cap()
-    workers = min(cap or 4, len(args.files))
-    with ThreadPoolExecutor(max_workers=max(workers, 1)) as pool:
+    if hasattr(os, "sched_getaffinity"):
+        cores = len(os.sched_getaffinity(0))
+    else:
+        cores = os.cpu_count() or 1
+    with ThreadPoolExecutor(max_workers=min(cores, len(args.files))) as pool:
         lines, held = zip(*pool.map(
             lambda p: _encode_one(p, args, cam, gravity, stats, defer), args.files
         ))
@@ -207,7 +208,11 @@ def _cmd_arch(args) -> int:
         raise ValueError(f"--report must be params, shapes, or all, got {args.report!r}")
     graph = build_architecture(args.variant, args.backbone, num_classes=args.classes,
                                depth_channels=args.depth_channels)
-    propagate_shapes(graph, (3, h, w), args.rois)
+    try:
+        propagate_shapes(graph, (3, h, w), args.rois)
+    except StructuralError as exc:
+        # the builder's wiring is fixed, so only the input size can fail here
+        raise ValueError(f"--input {args.input} is too small for {args.backbone}: {exc}") from None
     os.makedirs(args.out, exist_ok=True)
     prefix = os.path.join(args.out, f"{args.variant}_{args.backbone}")
 
@@ -234,14 +239,16 @@ def _cmd_arch(args) -> int:
         inputs = {}
         for name, ispec in graph.inputs.items():
             if ispec.rois:
-                # a deterministic spread of boxes across the image
+                # a deterministic spread of boxes across the image, cycled
+                # to --rois rows
                 fr = np.array([
                     [0.0, 0.0, 0.5, 0.5],
                     [0.25, 0.25, 1.0, 1.0],
                     [0.1, 0.4, 0.9, 0.8],
                     [0.0, 0.0, 1.0, 1.0],
                 ])
-                inputs[name] = fr * np.array([w, h, w, h], dtype=float)
+                boxes = fr[np.arange(args.rois) % len(fr)]
+                inputs[name] = boxes * np.array([w, h, w, h], dtype=float)
             else:
                 c = ispec.channels
                 inputs[name] = filler.draws(c * h * w).reshape(c, h, w)

@@ -164,6 +164,12 @@ def test_raw_input_is_single_channel():
     assert four.inputs["depth"].channels == 4
 
 
+@pytest.mark.parametrize("variant", ["baseline", "hdha-split"])
+def test_depth_channels_rejected_without_single_depth_input(variant):
+    with pytest.raises(ValueError, match="depth_channels"):
+        build_architecture(variant, "vgg16", depth_channels=1)
+
+
 def test_hdha_split_has_three_depth_inputs():
     graph = build_architecture("hdha-split", "resnet101")
     for name in ("depth_hd", "depth_h", "depth_a"):

@@ -403,12 +403,40 @@ def test_arch_parameter_errors_exit_3(tmp_path, capsys):
                      "--report", "prose", "--out", str(tmp_path)]) == 3
 
 
-def test_arch_internal_invariant_exits_4(tmp_path, capsys):
+def test_arch_input_too_small_exits_3(tmp_path, capsys):
     # an 8x8 input collapses vgg16's fourth pooling stage to zero extent
     rc = cli.main(["arch", "--variant", "baseline", "--backbone", "vgg16",
                    "--input", "8x8", "--out", str(tmp_path)])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "--input" in err and "rgb_bb/pool4" in err
+    assert "internal error" not in err
+
+
+def test_arch_internal_invariant_exits_4(tmp_path, capsys, monkeypatch):
+    def disagree(graph, inputs, seed=0):
+        raise cli.StructuralError("executor produced 1x1 at det:scores, propagation said 4x21")
+
+    monkeypatch.setattr(cli, "execute_forward", disagree)
+    rc = cli.main(["arch", "--variant", "baseline", "--backbone", "vgg16",
+                   "--input", "64x64", "--rois", "4", "--forward", "--out", str(tmp_path)])
     assert rc == 4
     assert "internal error" in capsys.readouterr().err
+
+
+def test_arch_forward_feeds_rois_rows(tmp_path, capsys):
+    rc = cli.main(["arch", "--variant", "baseline", "--backbone", "vgg16",
+                   "--input", "64x64", "--rois", "7", "--forward", "--out", str(tmp_path)])
+    assert rc == 0
+    assert "forward det:scores: shape=7x21 " in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("variant", ["baseline", "hdha-split"])
+def test_arch_depth_channels_without_single_depth_input_exits_3(tmp_path, capsys, variant):
+    rc = cli.main(["arch", "--variant", variant, "--backbone", "vgg16",
+                   "--depth-channels", "5", "--out", str(tmp_path)])
+    assert rc == 3
+    assert "depth_channels" in capsys.readouterr().err
 
 
 # -------------------------------------------------------------------- eval
