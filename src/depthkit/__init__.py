@@ -8,7 +8,6 @@ from .encoding import (
     DepthMap,
     GrayscaleDepth,
     HdhaImage,
-    JetDepth,
     compute_channel_stats,
     grayscale_encode,
     jet_encode,
@@ -32,7 +31,6 @@ __all__ = [
     "GravityEstimate",
     "GrayscaleDepth",
     "HdhaImage",
-    "JetDepth",
     "ParseError",
     "compute_channel_stats",
     "estimate_gravity",

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .encoding import DepthMap, quantize_u8
-from .evaluation import GroundTruth, _csv_table
+from .evaluation import GtRecord, _csv_table
 
 
 @dataclass(frozen=True)
@@ -53,7 +52,7 @@ class Heatmap2D:
 
 
 def collect_samples(
-    gts: list[GroundTruth],
+    gts: GtRecord,
     depth_maps: dict[str, DepthMap],
 ) -> list[DepthSizeSample]:
     """One (mean depth, area) sample per ground-truth box.
@@ -62,29 +61,28 @@ def collect_samples(
     rounded outward, clipped to the image); boxes with no valid depth
     yield no sample.  Every referenced image must be present.
     """
+    names, image = np.unique(gts.image_id, return_inverse=True)
+    for name in dict.fromkeys(gts.image_id.tolist()):
+        if name not in depth_maps:
+            raise ValueError(f"no depth map for image {name!r}")
+    maps = [depth_maps[name] for name in names.tolist()]
+    height, width = np.array([dm.values.shape for dm in maps]).reshape(-1, 2)[image].T
+    # clipped to the image before the cast; a corner past either edge
+    # leaves an empty window either way
+    x1, y1 = np.floor(gts.box[:, :2]).T
+    x2, y2 = np.ceil(gts.box[:, 2:]).T
+    x1, x2 = (np.clip(v, 0, width).astype(np.int64) for v in (x1, x2))
+    y1, y2 = (np.clip(v, 0, height).astype(np.int64) for v in (y1, y2))
+    area = ((gts.box[:, 2] - gts.box[:, 0]) * (gts.box[:, 3] - gts.box[:, 1])).tolist()
     samples = []
-    for gt in gts:
-        if gt.image_id not in depth_maps:
-            raise ValueError(f"no depth map for image {gt.image_id!r}")
-        dm = depth_maps[gt.image_id]
-        x1 = max(int(math.floor(gt.box.x1)), 0)
-        y1 = max(int(math.floor(gt.box.y1)), 0)
-        x2 = min(int(math.ceil(gt.box.x2)), dm.width)
-        y2 = min(int(math.ceil(gt.box.y2)), dm.height)
-        if x2 <= x1 or y2 <= y1:
-            continue
-        window_valid = dm.valid[y1:y2, x1:x2]
-        if not window_valid.any():
-            continue
-        depths = dm.values[y1:y2, x1:x2][window_valid]
-        samples.append(
-            DepthSizeSample(
-                image_id=gt.image_id,
-                class_id=gt.class_id,
-                mean_depth=float(depths.mean()),
-                area=gt.box.area,
-            )
-        )
+    for i in np.flatnonzero((x2 > x1) & (y2 > y1)).tolist():
+        dm = maps[image[i]]
+        window = (slice(y1[i], y2[i]), slice(x1[i], x2[i]))
+        window_valid = dm.valid[window]
+        if window_valid.any():
+            samples.append(DepthSizeSample(gts.image_id[i], int(gts.class_id[i]),
+                                           float(dm.values[window][window_valid].mean()),
+                                           area[i]))
     return samples
 
 

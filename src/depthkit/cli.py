@@ -134,9 +134,8 @@ def _encode_one(path: str, args, cam, gravity, stats, defer: bool):
             out_path = os.path.join(args.out, f"{stem}_gray.pgm")
             netpbm.write_pgm8(out_path, gray.quantized)
         else:
-            jet = encoding.jet_encode(gray)
             out_path = os.path.join(args.out, f"{stem}_jet.ppm")
-            netpbm.write_ppm8(out_path, jet.rgb)
+            netpbm.write_ppm8(out_path, encoding.jet_encode(gray))
     else:
         hdha = geometry.hdha_encode(depth, cam, gravity=gravity,
                                     k_neighbors=args.k_neighbors)
@@ -259,10 +258,6 @@ def _cmd_arch(args) -> int:
     return 0
 
 
-def _resolve_class_ids(gts) -> list[int]:
-    return sorted({gt.class_id for gt in gts})
-
-
 def _cmd_eval(args) -> int:
     # "not" so that NaN, which fails every comparison, is rejected too
     if not 0 < args.iou <= 1:
@@ -272,14 +267,14 @@ def _cmd_eval(args) -> int:
     classes = evaluation.load_classes(args.classes) if args.classes else None
     dets = evaluation.load_detections(args.dets, classes)
     gts = evaluation.load_groundtruth(args.gts, classes)
+    class_ids = np.unique(gts.class_id).tolist()
     os.makedirs(args.out, exist_ok=True)
 
     if args.metric == "voc":
-        class_ids = _resolve_class_ids(gts)
         map_value, per_class = evaluation.mean_ap(dets, gts, class_ids, args.iou,
                                                   args.use_difficult)
-        table = classes or [str(i) for i in range(max(class_ids, default=0) + 1)]
-        text = evaluation.ap_csv(per_class, table, map_value)
+        # without a table every class is named by its id
+        text = evaluation.ap_csv(per_class, classes or [], map_value)
         path = os.path.join(args.out, "voc_ap.csv")
         with open(path, "w") as fh:
             fh.write(text)
@@ -288,7 +283,6 @@ def _cmd_eval(args) -> int:
         return 0
 
     if args.metric == "coco":
-        class_ids = _resolve_class_ids(gts)
         summary = evaluation.coco_ap(dets, gts, class_ids)
         path = os.path.join(args.out, "coco_ap.csv")
         with open(path, "w") as fh:
@@ -345,11 +339,8 @@ def _cmd_analyze(args) -> int:
         raise ValueError("analyze needs --gts and --depth-dir (or --similarity A B)")
     classes = evaluation.load_classes(args.classes) if args.classes else None
     gts = evaluation.load_groundtruth(args.gts, classes)
-    depth_maps = {}
-    for gt in gts:
-        if gt.image_id not in depth_maps:
-            depth_maps[gt.image_id] = encoding.load_depth(
-                _find_depth_file(args.depth_dir, gt.image_id))
+    depth_maps = {image_id: encoding.load_depth(_find_depth_file(args.depth_dir, image_id))
+                  for image_id in dict.fromkeys(gts.image_id.tolist())}
     samples = analysis.collect_samples(gts, depth_maps)
     if not samples:
         raise ValueError("no usable samples: no ground-truth box holds valid depth")

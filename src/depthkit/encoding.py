@@ -12,6 +12,7 @@ from zero, and invalid pixels encode to 0 in every channel.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -85,25 +86,25 @@ class CameraIntrinsics:
     baseline: float = 0.075
 
     def __post_init__(self):
+        values = (self.fx, self.fy, self.cx, self.cy, self.baseline)
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"intrinsics must be finite, got {self}")
         if self.fx <= 0 or self.fy <= 0:
             raise ValueError(f"focal lengths must be positive, got fx={self.fx} fy={self.fy}")
         if self.baseline <= 0:
             raise ValueError(f"baseline must be positive, got {self.baseline}")
+        # within these magnitudes every back-projected coordinate and
+        # disparity of a float32 depth map, squared and summed, stays
+        # far inside the float64 range
+        if min(self.fx, self.fy, self.baseline) < 1e-6 or max(map(abs, values)) > 1e6:
+            raise ValueError(f"intrinsics must lie within 1e-6..1e6 in magnitude, got {self}")
 
     @classmethod
     def from_json(cls, path: str) -> "CameraIntrinsics":
-        with open(path) as fh:
-            raw = json.load(fh)
-        try:
-            return cls(
-                fx=float(raw["fx"]),
-                fy=float(raw["fy"]),
-                cx=float(raw["cx"]),
-                cy=float(raw["cy"]),
-                baseline=float(raw.get("baseline", 0.075)),
-            )
-        except KeyError as exc:
-            raise ValueError(f"intrinsics file {path} missing field {exc}") from None
+        """Read ``fx fy cx cy`` and an optional ``baseline`` from a JSON
+        object; a malformed file is a ``ParseError`` at byte offset 0."""
+        raw = {"baseline": 0.075, **_json_object(path, "intrinsics", ("fx", "fy", "cx", "cy"))}
+        return cls(*(_number(raw[key], key, path) for key in ("fx", "fy", "cx", "cy", "baseline")))
 
 
 @dataclass(frozen=True)
@@ -116,6 +117,8 @@ class ChannelStats:
     def __post_init__(self):
         if len(self.means) != len(self.stds):
             raise ValueError("means and stds must have equal length")
+        if not all(map(math.isfinite, self.means + self.stds)):
+            raise ValueError(f"stats must be finite, got means={self.means} stds={self.stds}")
         if any(s <= 0 for s in self.stds):
             raise ValueError(f"stds must be positive, got {self.stds}")
 
@@ -126,9 +129,33 @@ class ChannelStats:
 
     @classmethod
     def from_json(cls, path: str) -> "ChannelStats":
-        with open(path) as fh:
-            raw = json.load(fh)
-        return cls(means=tuple(raw["mean"]), stds=tuple(raw["std"]))
+        """Read the ``mean`` and ``std`` arrays of a JSON object; a
+        malformed file is a ``ParseError`` at byte offset 0."""
+        raw = _json_object(path, "stats", ("mean", "std"))
+        columns = []
+        for key in ("mean", "std"):
+            if not isinstance(raw[key], list):
+                raise netpbm.ParseError(f"{path}: {key!r} must be a JSON array", 0)
+            columns.append(tuple(_number(v, key, path) for v in raw[key]))
+        return cls(*columns)
+
+
+def _json_object(path: str, what: str, fields: tuple[str, ...]) -> dict:
+    """The JSON object a file holds, with every one of ``fields``."""
+    raw = netpbm.read_json(path)
+    if not isinstance(raw, dict):
+        raise netpbm.ParseError(f"{path}: {what} must be a JSON object", 0)
+    for key in fields:
+        if key not in raw:
+            raise netpbm.ParseError(f"{path}: {what} missing field {key!r}", 0)
+    return raw
+
+
+def _number(value, key: str, path: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise netpbm.ParseError(f"{path}: {key!r} must hold numbers: {exc}", 0) from None
 
 
 @dataclass
@@ -141,17 +168,6 @@ class GrayscaleDepth:
     @property
     def quantized(self) -> np.ndarray:
         return quantize_u8(self.values, self.valid)
-
-    def channels(self) -> np.ndarray:
-        return self.values[..., None]
-
-
-@dataclass
-class JetDepth:
-    """Jet color-ramp encoding; valid pixels hold entries of the jet table."""
-
-    rgb: np.ndarray
-    valid: np.ndarray
 
 
 @dataclass
@@ -219,20 +235,19 @@ def jet_table() -> np.ndarray:
     return _JET_TABLE
 
 
-def jet_encode(gray: GrayscaleDepth) -> JetDepth:
-    """Look each quantized grayscale level up in the jet table.
+def jet_encode(gray: GrayscaleDepth) -> np.ndarray:
+    """Look each quantized grayscale level up in the jet table: an
+    ``(H, W, 3)`` uint8 image.
 
     Invalid pixels encode to (0, 0, 0), which is not a table entry.
     """
     rgb = jet_table()[gray.quantized]
-    rgb = np.where(gray.valid[..., None], rgb, 0).astype(np.uint8)
-    return JetDepth(rgb=rgb, valid=gray.valid.copy())
+    return np.where(gray.valid[..., None], rgb, 0).astype(np.uint8)
 
 
-def compute_channel_stats(images: list) -> ChannelStats:
+def compute_channel_stats(images: list[HdhaImage]) -> ChannelStats:
     """Pooled per-channel mean/std over the valid pixels of all images.
 
-    Accepts a uniform list of :class:`GrayscaleDepth` or :class:`HdhaImage`.
     Population std (ddof=0).  Raises if no valid pixels or a channel is
     constant.
     """
@@ -289,8 +304,9 @@ def hdha_to_rgb(image: HdhaImage, stats: ChannelStats | None = None) -> np.ndarr
             raise ValueError("hdha rendering needs 3-channel stats")
         means = np.asarray(stats.means)
         stds = np.asarray(stats.stds)
-        z = (chans - means) / stds
-        out = (z + 3.0) / 6.0 * 255.0
+        # a z-score too large for a double lies outside the window anyway
+        with np.errstate(over="ignore"):
+            out = ((chans - means) / stds + 3.0) / 6.0 * 255.0
     else:
         for c in range(3):
             vals = chans[..., c][image.valid]

@@ -1,13 +1,14 @@
-"""Detection-quality metrics: IoU, NMS, average precision, confusion.
+"""Metrics of detection quality: IoU, average precision, confusion.
 
-Every scorer works on numpy columns built once per call: box corners,
-scores, class ids, ``difficult`` flags and image codes, assigned in
-sorted ``image_id`` order so that codes order like the ids.  Detections
-rank by score descending, ties broken by image id then box coordinates
-ascending (``_det_sort_key``); one ``np.lexsort`` on
-``(y2, x2, y1, x1, image, -score)`` gives that order, stable like
-``sorted``.  ``iou`` is the one IoU, element-wise on arrays, and every
-(detection, candidate box) pair is scored once per call.
+Detections and ground truth load into column records, one per file:
+image ids, class ids, box corners, and scores or ``difficult`` flags.
+Each scorer selects its classes from those columns and codes the image
+ids in sorted order, so that codes order like the ids.  Detections rank
+by score descending, ties broken by image id then box coordinates
+ascending; one ``np.lexsort`` on ``(y2, x2, y1, x1, image, -score)``
+gives that order, stable like ``sorted``.  ``iou`` is the one IoU,
+element-wise on arrays, and every (detection, candidate box) pair is
+scored once per call.
 
 Two AP protocols read the same columns.  A detection's candidates are
 the ground truth of its class in its image, in input order.
@@ -63,15 +64,13 @@ from __future__ import annotations
 
 import csv
 import io
-import itertools
-import json
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .netpbm import ParseError
+from .netpbm import ParseError, decode_json, read_json
 
 # (10 + i) / 20 rather than 0.5 + 0.05 * i: each threshold must be the
 # correctly rounded double of its decimal so that ratio-valued IoUs and
@@ -84,63 +83,78 @@ _SMALL_MAX = 32.0 * 32.0
 _MEDIUM_MAX = 96.0 * 96.0
 
 
-@dataclass(frozen=True)
-class BBox:
-    x1: float
-    y1: float
-    x2: float
-    y2: float
-
-    def __post_init__(self):
-        corners = (self.x1, self.y1, self.x2, self.y2)
-        # a non-finite corner makes the IoU NaN, which every threshold
-        # test then misreads
-        if not all(map(math.isfinite, corners)):
-            raise ValueError(f"corners must be finite, got {corners}")
-        if not (self.x2 > self.x1 and self.y2 > self.y1):
-            raise ValueError(f"degenerate box {corners}")
-
-    @property
-    def area(self) -> float:
-        return (self.x2 - self.x1) * (self.y2 - self.y1)
-
-    def as_tuple(self) -> tuple[float, float, float, float]:
-        return (self.x1, self.y1, self.x2, self.y2)
+def _box_fault(corners: tuple) -> str | None:
+    """Why corners ``(x1, y1, x2, y2)`` make no box, or None."""
+    # a non-finite corner makes the IoU NaN, which every threshold test
+    # then misreads
+    if not all(map(math.isfinite, corners)):
+        return f"corners must be finite, got {corners}"
+    if not (corners[2] > corners[0] and corners[3] > corners[1]):
+        return f"degenerate box {corners}"
+    return None
 
 
-@dataclass(frozen=True)
-class Detection:
-    image_id: str
-    class_id: int
-    score: float
-    box: BBox
+def _column(values, dtype, n: int) -> np.ndarray:
+    col = np.asarray(values, dtype=dtype).reshape(-1)
+    if len(col) != n:
+        raise ValueError(f"record columns differ in length: {len(col)} values, not {n}")
+    return col
 
 
-@dataclass(frozen=True)
-class GroundTruth:
-    image_id: str
-    class_id: int
-    box: BBox
-    difficult: bool = False
+class _Record:
+    """Rows held as columns; ``len`` is the row count.
+
+    ``image_id`` is an object array of ``str`` (a fixed-width unicode
+    array would drop trailing NULs), ``class_id`` int64 (an object array
+    of exact ints when one does not fit), ``box`` ``(n, 4)`` float64
+    corners ``x1 y1 x2 y2``.  Every box must be finite with ``x2 > x1``
+    and ``y2 > y1``, or the record raises ``ValueError``.
+    """
+
+    def __init__(self, image_id, class_id, box):
+        self.image_id = np.asarray(image_id, dtype=object).reshape(-1)
+        n = len(self.image_id)
+        class_id = np.asarray(class_id)
+        self.class_id = _column(class_id, None if class_id.dtype == object else np.int64, n)
+        self.box = _column(box, float, 4 * n).reshape(n, 4)
+        x1, y1, x2, y2 = self.box.T
+        bad = ~(np.isfinite(self.box).all(axis=1) & (x2 > x1) & (y2 > y1))
+        if bad.any():
+            raise ValueError(_box_fault(tuple(self.box[bad.argmax()].tolist())))
+
+    def __len__(self) -> int:
+        return len(self.image_id)
 
 
-def _corners(box) -> np.ndarray:
-    if isinstance(box, BBox):
-        return np.array(box.as_tuple(), dtype=float)
-    return np.asarray(box, dtype=float)
+class DetRecord(_Record):
+    """Detections as columns, plus a finite float64 ``score`` per row."""
+
+    def __init__(self, image_id, class_id, score, box):
+        super().__init__(image_id, class_id, box)
+        self.score = _column(score, float, len(self))
+        finite = np.isfinite(self.score)
+        if not finite.all():
+            raise ValueError(f"scores must be finite, got {self.score[~finite][0]}")
+
+
+class GtRecord(_Record):
+    """Ground truth as columns, plus a bool ``difficult`` per row."""
+
+    def __init__(self, image_id, class_id, box, difficult):
+        super().__init__(image_id, class_id, box)
+        self.difficult = _column(difficult, bool, len(self))
 
 
 def iou(a, b):
     """Intersection over union; 0 for disjoint boxes.
 
-    ``a`` and ``b`` are each a ``BBox`` or an array of corners
-    ``(..., 4)``; arrays broadcast against each other and give an array,
-    a ``BBox`` pair gives a float.  The operations run in one order
-    (intersection sides, ``inter = iw * ih``, then
-    ``inter / (area_a + area_b - inter)``), so a pair scores the same
-    bits alone or inside any batch.
+    ``a`` and ``b`` are corners ``(..., 4)``, arrays or tuples; they
+    broadcast against each other and give an array, or a float for two
+    single boxes.  The operations run in one order (intersection sides,
+    ``inter = iw * ih``, then ``inter / (area_a + area_b - inter)``), so
+    a pair scores the same bits alone or inside any batch.
     """
-    p, q = _corners(a), _corners(b)
+    p, q = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     iw = np.minimum(p[..., 2], q[..., 2]) - np.maximum(p[..., 0], q[..., 0])
     ih = np.minimum(p[..., 3], q[..., 3]) - np.maximum(p[..., 1], q[..., 1])
     inter = iw * ih
@@ -152,43 +166,6 @@ def iou(a, b):
 
 def _area(corners: np.ndarray):
     return (corners[..., 2] - corners[..., 0]) * (corners[..., 3] - corners[..., 1])
-
-
-def _det_sort_key(d: Detection):
-    return (-d.score, d.image_id, d.box.x1, d.box.y1, d.box.x2, d.box.y2)
-
-
-def _boxes(records) -> np.ndarray:
-    """Corners ``(n, 4)`` of detections or ground truth."""
-    corners = itertools.chain.from_iterable([r.box.as_tuple() for r in records])
-    return np.fromiter(corners, dtype=float, count=4 * len(records)).reshape(-1, 4)
-
-
-def nms(dets: list[Detection], iou_thresh: float, top_k: int | None = None) -> list[Detection]:
-    """Greedy non-maximum suppression over one image and one class.
-
-    Boxes are visited by descending score (coordinate ascension breaks
-    ties); a box is suppressed when its IoU with any kept box reaches
-    ``iou_thresh``.  The kept list is truncated to ``top_k`` when given.
-    """
-    if not 0 < iou_thresh <= 1:
-        raise ValueError(f"iou_thresh must be in (0, 1], got {iou_thresh}")
-    if top_k is not None and top_k < 1:
-        raise ValueError(f"top_k must be >= 1, got {top_k}")
-    if len({(d.image_id, d.class_id) for d in dets}) > 1:
-        raise ValueError("nms expects detections from a single image and class")
-    ranked = sorted(dets, key=_det_sort_key)
-    boxes = _boxes(ranked)
-    overlaps = iou(boxes[:, None], boxes[None])
-    suppressed = np.zeros(len(ranked), dtype=bool)
-    kept: list[Detection] = []
-    for i, det in enumerate(ranked):
-        if not suppressed[i]:
-            kept.append(det)
-            suppressed |= ~(overlaps[i] < iou_thresh)
-    if top_k is not None:
-        kept = kept[:top_k]
-    return kept
 
 
 # arange/10, not linspace: recall levels must be the correctly rounded
@@ -289,7 +266,7 @@ class _Pairs(NamedTuple):
         return cand, ious
 
 
-def _overlaps(boxes: np.ndarray, keys: np.ndarray, cand_boxes: np.ndarray,
+def _overlaps(boxes: np.ndarray, keys: np.ndarray, cand_box: np.ndarray,
               cand_keys: np.ndarray) -> _Pairs:
     """Each box against every candidate of the same key, candidates in
     their given order; one ``iou`` call scores every pair."""
@@ -300,7 +277,7 @@ def _overlaps(boxes: np.ndarray, keys: np.ndarray, cand_boxes: np.ndarray,
     start = np.cumsum(count) - count
     owner = np.repeat(np.arange(len(keys)), count)
     cand = order[first[owner] + np.arange(len(owner)) - start[owner]]
-    return _Pairs(start, count, cand, iou(boxes[owner], cand_boxes[cand]))
+    return _Pairs(start, count, cand, iou(boxes[owner], cand_box[cand]))
 
 
 def _width_classes(width: np.ndarray):
@@ -315,43 +292,42 @@ def _width_classes(width: np.ndarray):
         yield rows, int(width[rows].max())
 
 
-def _image_codes(dets, gts) -> tuple[np.ndarray, np.ndarray]:
-    """Image codes in sorted ``image_id`` (code point) order, so they
-    order like the ids themselves."""
-    names = sorted({d.image_id for d in dets} | {g.image_id for g in gts})
-    code = {name: i for i, name in enumerate(names)}
-    return (np.array([code[d.image_id] for d in dets], dtype=np.int64),
-            np.array([code[g.image_id] for g in gts], dtype=np.int64))
+def _class_positions(classes: list, class_id: np.ndarray) -> np.ndarray:
+    """Position of each id in ``classes``, -1 for an id not there."""
+    position = dict(zip(classes, range(len(classes))))
+    ids, row = np.unique(class_id, return_inverse=True)
+    return np.array([position.get(i, -1) for i in ids.tolist()], dtype=np.int64)[row]
 
 
 class _Columns:
-    """The detections and ground truth of ``class_ids`` as numpy columns.
+    """The detections and ground truth of ``class_ids``, ranked and paired.
 
     ``det_cls``/``gt_cls`` are class positions in ``classes`` (the
-    distinct ``class_ids`` in first-seen order); records of other
-    classes are dropped.  ``rank`` lists the detections class by class,
-    each class in ``_det_sort_key`` order; ``pairs`` holds each
-    detection's candidates, the ground truth of its class in its image in
-    input order.
+    distinct ``class_ids`` in first-seen order); rows of other classes
+    are dropped.  ``rank`` lists the detections class by class, each
+    class by score descending, then image id and corners ascending;
+    ``pairs`` holds each detection's candidates, the ground truth of its
+    class in its image in input order.
     """
 
-    def __init__(self, dets: list[Detection], gts: list[GroundTruth], class_ids):
+    def __init__(self, dets: DetRecord, gts: GtRecord, class_ids):
         self.classes = list(dict.fromkeys(class_ids))
-        code = {cid: i for i, cid in enumerate(self.classes)}
-        dets = [d for d in dets if d.class_id in code]
-        gts = [g for g in gts if g.class_id in code]
-        det_img, gt_img = _image_codes(dets, gts)
-        self.det_box, self.gt_box = _boxes(dets), _boxes(gts)
-        self.det_cls = np.array([code[d.class_id] for d in dets], dtype=np.int64)
-        self.gt_cls = np.array([code[g.class_id] for g in gts], dtype=np.int64)
-        self.difficult = np.array([g.difficult for g in gts], dtype=bool)
-        score = np.array([d.score for d in dets], dtype=float)
+        det_cls = _class_positions(self.classes, dets.class_id)
+        gt_cls = _class_positions(self.classes, gts.class_id)
+        d, g = det_cls >= 0, gt_cls >= 0
+        self.det_cls, self.gt_cls = det_cls[d], gt_cls[g]
+        self.det_box, self.gt_box = dets.box[d], gts.box[g]
+        self.difficult = gts.difficult[g]
+        # image codes in sorted id order, so that they order like the ids
+        names, image = np.unique(np.concatenate([dets.image_id[d], gts.image_id[g]]),
+                                 return_inverse=True)
+        det_img, gt_img = np.split(image, [len(self.det_cls)])
         x1, y1, x2, y2 = self.det_box.T
-        ranked = np.lexsort((y2, x2, y1, x1, det_img, -score))
+        ranked = np.lexsort((y2, x2, y1, x1, det_img, -dets.score[d]))
         self.rank = ranked[np.argsort(self.det_cls[ranked], kind="stable")]
         # one key per (class, image): a detection's group and its candidates
-        self.det_key = self.det_cls * (len(gt_img) + len(det_img)) + det_img
-        gt_key = self.gt_cls * (len(gt_img) + len(det_img)) + gt_img
+        self.det_key = self.det_cls * len(names) + det_img
+        gt_key = self.gt_cls * len(names) + gt_img
         self.pairs = _overlaps(self.det_box, self.det_key, self.gt_box, gt_key)
         self.group_rank = ranked[np.argsort(self.det_key[ranked], kind="stable")]
 
@@ -367,10 +343,19 @@ def _class_aps(c: _Columns, tp: np.ndarray, kept: np.ndarray, npos: np.ndarray,
     return ap.reshape(len(tp), -1)
 
 
-def _voc_table(dets, gts, class_ids, iou_thresh: float,
-               use_difficult: bool) -> dict:
-    """11-point AP of every class in ``class_ids`` (None without
-    creditable ground truth).
+def mean_ap(
+    dets: DetRecord,
+    gts: GtRecord,
+    class_ids: list[int],
+    iou_thresh: float = 0.5,
+    use_difficult: bool = False,
+) -> tuple[float | None, dict[int, float | None]]:
+    """Per-class 11-point interpolated AP and their mean over the classes
+    that have one.
+
+    Difficult ground truth neither counts toward recall nor penalizes a
+    detection matched to it (unless ``use_difficult``).  A class without
+    creditable ground truth has AP None.
 
     A detection's best box is the first of highest IoU among all boxes
     of its class in its image; it does not depend on what was matched
@@ -379,7 +364,7 @@ def _voc_table(dets, gts, class_ids, iou_thresh: float,
     """
     c = _Columns(dets, gts, class_ids)
     if not len(c.gt_cls):
-        return dict.fromkeys(c.classes)
+        return None, dict.fromkeys(c.classes)
     best, box = np.zeros(len(c.det_cls)), np.full(len(c.det_cls), -1)
     for rows, width in _width_classes(c.pairs.count):
         cand, ious = c.pairs.padded(rows, width)
@@ -395,34 +380,7 @@ def _voc_table(dets, gts, class_ids, iou_thresh: float,
     kept = ~hit | credit
     npos = np.bincount(c.gt_cls[use_difficult | ~c.difficult], minlength=len(c.classes))
     ap = _class_aps(c, tp[None], kept[None], npos[None], _VOC_RECALLS)[0].tolist()
-    return {cid: ap[i] if npos[i] else None for i, cid in enumerate(c.classes)}
-
-
-def voc_ap(
-    dets: list[Detection],
-    gts: list[GroundTruth],
-    class_id: int,
-    iou_thresh: float = 0.5,
-    use_difficult: bool = False,
-) -> float | None:
-    """11-point interpolated average precision for one class.
-
-    Difficult ground truth neither counts toward recall nor penalizes a
-    detection matched to it (unless ``use_difficult``).  Returns None
-    when the class has no creditable ground truth.
-    """
-    return _voc_table(dets, gts, [class_id], iou_thresh, use_difficult)[class_id]
-
-
-def mean_ap(
-    dets: list[Detection],
-    gts: list[GroundTruth],
-    class_ids: list[int],
-    iou_thresh: float = 0.5,
-    use_difficult: bool = False,
-) -> tuple[float | None, dict[int, float | None]]:
-    """Per-class 11-point AP and their mean over defined classes."""
-    per_class = _voc_table(dets, gts, class_ids, iou_thresh, use_difficult)
+    per_class = {cid: ap[i] if npos[i] else None for i, cid in enumerate(c.classes)}
     defined = [v for v in per_class.values() if v is not None]
     return (sum(defined) / len(defined) if defined else None), per_class
 
@@ -478,8 +436,8 @@ def _coco_steps(c: _Columns, starts: np.ndarray, sizes: np.ndarray, width: int,
 
 
 def coco_ap(
-    dets: list[Detection],
-    gts: list[GroundTruth],
+    dets: DetRecord,
+    gts: GtRecord,
     class_ids: list[int],
 ) -> dict[str, float | None]:
     """Multi-threshold AP summary.
@@ -567,8 +525,8 @@ class ConfusionDiff:
 
 
 def confusion_matrix(
-    dets: list[Detection],
-    gts: list[GroundTruth],
+    dets: DetRecord,
+    gts: GtRecord,
     classes: list[str] | tuple[str, ...],
     iou_thresh: float = 0.5,
     score_thresh: float = 0.5,
@@ -582,21 +540,20 @@ def confusion_matrix(
     sums to that class's instance count.
     """
     k = len(classes)
-    strong = [d for d in dets if d.score >= score_thresh]
-    for d in strong:
-        if not 0 <= d.class_id < k:
-            raise ValueError(f"detection class id {d.class_id} outside table of {k}")
-    for gt in gts:
-        if not 0 <= gt.class_id < k:
-            raise ValueError(f"ground-truth class id {gt.class_id} outside table of {k}")
-    det_img, gt_img = _image_codes(strong, gts)
-    det_box = _boxes(strong)
-    score = np.array([d.score for d in strong], dtype=float)
+    strong = dets.score >= score_thresh
+    for what, ids in (("detection", dets.class_id[strong]), ("ground-truth", gts.class_id)):
+        outside = (ids < 0) | (ids >= k)
+        if outside.any():
+            raise ValueError(f"{what} class id {ids[outside][0]} outside table of {k}")
+    names, image = np.unique(np.concatenate([dets.image_id[strong], gts.image_id]),
+                             return_inverse=True)
+    det_img, gt_img = np.split(image, [np.count_nonzero(strong)])
+    det_box = dets.box[strong]
     x1, y1, x2, y2 = det_box.T
     # each image's detections by (-score, x1, y1, x2, y2), ties in input order
-    order = np.lexsort((y2, x2, y1, x1, -score, det_img))
-    det_cls = np.array([d.class_id for d in strong], dtype=np.int64)[order]
-    pairs = _overlaps(_boxes(gts), gt_img, det_box[order], det_img[order])
+    order = np.lexsort((y2, x2, y1, x1, -dets.score[strong], det_img))
+    det_cls = dets.class_id[strong].astype(np.int64)[order]
+    pairs = _overlaps(gts.box, gt_img, det_box[order], det_img[order])
     # step k takes the k-th ground-truth box of every image: the first
     # free candidate overlapping it is the best-keyed one
     match = np.full(len(gts), -1)
@@ -613,7 +570,7 @@ def confusion_matrix(
             pick = free[hit].argmax(axis=1)
             taken[hit, pick] = True
             match[gt[hit]] = cand[hit, pick]
-    gt_cls = np.array([g.class_id for g in gts], dtype=np.int64)
+    gt_cls = gts.class_id.astype(np.int64)
     counts = np.zeros((k, k), dtype=np.int64)
     np.add.at(counts, (gt_cls[match >= 0], det_cls[match[match >= 0]]), 1)
     fn = np.bincount(gt_cls[match < 0], minlength=k).astype(np.int64)
@@ -631,17 +588,17 @@ def confusion_diff(base: ConfusionMatrix, other: ConfusionMatrix) -> ConfusionDi
     )
 
 
-def _parse_box(raw: dict, where: str, offset: int) -> BBox:
+def _parse_box(raw: dict, where: str, offset: int) -> tuple[float, float, float, float]:
     try:
         corners = (float(raw["x1"]), float(raw["y1"]), float(raw["x2"]), float(raw["y2"]))
     except KeyError as exc:
         raise ParseError(f"{where}: missing box field {exc}", offset) from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: bad box: {exc}", offset) from None
-    try:
-        return BBox(*corners)
-    except ValueError as exc:
-        raise ParseError(f"{where}: bad box: {exc}", offset) from None
+    fault = _box_fault(corners)
+    if fault:
+        raise ParseError(f"{where}: bad box: {fault}", offset)
+    return corners
 
 
 def _class_id(raw: dict, classes: list[str] | None, where: str, offset: int) -> int:
@@ -687,22 +644,6 @@ def _score(raw: dict, where: str, offset: int) -> float:
     return score
 
 
-_DECODER = json.JSONDecoder()
-
-
-def _decode_line(line: bytes):
-    """One JSON value from a stripped line, as ``json.loads`` reads it."""
-    # a line opening with '{' and no NUL after it is UTF-8 to
-    # json.detect_encoding; anything else (a BOM, UTF-16) goes through it
-    if line[0] != 0x7B or line[1:2] == b"\0":
-        return json.loads(line)
-    text = line.decode("utf-8", "surrogatepass")
-    record, end = _DECODER.raw_decode(text)
-    if end != len(text):  # the line is stripped: what follows is not blank
-        raise json.JSONDecodeError("Extra data", text, end)
-    return record
-
-
 def _iter_jsonl(path: str):
     """``(where, byte offset, record)`` of each non-blank line, ``where``
     naming the file and line.
@@ -716,67 +657,51 @@ def _iter_jsonl(path: str):
         stripped = line.strip()
         if stripped:
             where = f"{path} line {lineno}"
-            try:
-                record = _decode_line(stripped)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{where}: {exc.msg}", offset) from None
-            except UnicodeDecodeError as exc:
-                raise ParseError(f"{where}: not valid {exc.encoding} ({exc.reason})",
-                                 offset) from None
-            except RecursionError:
-                raise ParseError(f"{where}: values nested too deeply", offset) from None
+            record = decode_json(stripped, where, offset)
             if not isinstance(record, dict):
                 raise ParseError(f"{where}: record must be a JSON object", offset)
             yield where, offset, record
         offset += len(line) + 1
 
 
-def load_detections(path: str, classes: list[str] | None = None) -> list[Detection]:
-    """Read detections from JSON lines.
+def load_detections(path: str, classes: list[str] | None = None) -> DetRecord:
+    """Read detections from JSON lines into one record.
 
-    Each record: ``image_id``, ``class`` (table name or non-negative
-    integer id), a finite ``score``, and finite box corners ``x1 y1 x2 y2``.
+    Each line: ``image_id``, ``class`` (table name or non-negative
+    integer id), a finite ``score``, and finite box corners
+    ``x1 y1 x2 y2``.  Lines are checked one by one, so a bad one fails
+    with its own line number and byte offset.
     """
-    out = []
+    image_id, class_id, score, box = [], [], [], []
     for where, offset, raw in _iter_jsonl(path):
         if "image_id" not in raw:
             raise ParseError(f"{where}: missing 'image_id'", offset)
         if "score" not in raw:
             raise ParseError(f"{where}: missing 'score'", offset)
-        out.append(
-            # positional: a frozen dataclass binds keywords more slowly
-            Detection(
-                str(raw["image_id"]),
-                _class_id(raw, classes, where, offset),
-                _score(raw, where, offset),
-                _parse_box(raw, where, offset),
-            )
-        )
-    return out
+        image_id.append(str(raw["image_id"]))
+        class_id.append(_class_id(raw, classes, where, offset))
+        score.append(_score(raw, where, offset))
+        box.append(_parse_box(raw, where, offset))
+    return DetRecord(image_id, class_id, score, box)
 
 
-def load_groundtruth(path: str, classes: list[str] | None = None) -> list[GroundTruth]:
-    """Read ground truth from JSON lines; ``difficult``, a JSON boolean,
-    defaults false."""
-    out = []
+def load_groundtruth(path: str, classes: list[str] | None = None) -> GtRecord:
+    """Read ground truth from JSON lines into one record; ``difficult``,
+    a JSON boolean, defaults false."""
+    image_id, class_id, box, difficult = [], [], [], []
     for where, offset, raw in _iter_jsonl(path):
         if "image_id" not in raw:
             raise ParseError(f"{where}: missing 'image_id'", offset)
-        out.append(
-            GroundTruth(
-                str(raw["image_id"]),
-                _class_id(raw, classes, where, offset),
-                _parse_box(raw, where, offset),
-                _difficult(raw, where, offset),
-            )
-        )
-    return out
+        image_id.append(str(raw["image_id"]))
+        class_id.append(_class_id(raw, classes, where, offset))
+        box.append(_parse_box(raw, where, offset))
+        difficult.append(_difficult(raw, where, offset))
+    return GtRecord(image_id, class_id, box, difficult)
 
 
 def load_classes(path: str) -> list[str]:
     """Class table: a JSON array of unique names."""
-    with open(path) as fh:
-        raw = json.load(fh)
+    raw = read_json(path)
     if not isinstance(raw, list) or not all(isinstance(x, str) for x in raw):
         raise ParseError(f"{path}: class table must be a JSON array of strings", 0)
     if len(set(raw)) != len(raw):

@@ -1,4 +1,5 @@
-"""Reading and writing the netpbm-family formats used for depth and image data.
+"""Reading and writing the netpbm-family formats used for depth and image
+data, and decoding the JSON that every other input file holds.
 
 Depth maps arrive either as PFM (single-channel float32, meters) or as
 16-bit binary PGM (millimeters, sample value 0 marks a missing reading).
@@ -6,6 +7,8 @@ Encoded outputs leave as 8-bit binary PGM / PPM.  All parsers report
 failures as :class:`ParseError` carrying the byte offset of the problem.
 """
 from __future__ import annotations
+
+import json
 
 import numpy as np
 
@@ -16,6 +19,39 @@ class ParseError(ValueError):
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
         self.offset = offset
+
+
+_JSON = json.JSONDecoder()
+
+
+def decode_json(data: bytes, where: str, offset: int):
+    """The one JSON value of stripped bytes, as ``json.loads`` reads it.
+
+    Bytes that do not decode (bad JSON, bad UTF-8, nesting past the
+    recursion limit) raise a ``ParseError`` naming ``where`` at ``offset``.
+    """
+    try:
+        # bytes opening with '{' and no NUL after it are UTF-8 to
+        # json.detect_encoding; anything else (a BOM, UTF-16) goes through it
+        if data[:1] != b"{" or data[1:2] == b"\0":
+            return json.loads(data)
+        text = data.decode("utf-8", "surrogatepass")
+        value, end = _JSON.raw_decode(text)
+        if end != len(text):  # the bytes are stripped: what follows is not blank
+            raise json.JSONDecodeError("Extra data", text, end)
+        return value
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"{where}: {exc.msg}", offset) from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{where}: not valid {exc.encoding} ({exc.reason})", offset) from None
+    except RecursionError:
+        raise ParseError(f"{where}: values nested too deeply", offset) from None
+
+
+def read_json(path: str):
+    """The one JSON value a file holds, decoded as :func:`decode_json` does."""
+    with open(path, "rb") as fh:
+        return decode_json(fh.read().strip(), path, 0)
 
 
 _WHITESPACE = b" \t\r\n\v\f"

@@ -16,11 +16,11 @@ from depthkit.analysis import (
     samples_csv,
 )
 from depthkit.encoding import DepthMap
-from depthkit.evaluation import BBox, GroundTruth
+from eval_rows import Box, Gt, gt_record
 
 
 def _gt(image_id, box, class_id=1):
-    return GroundTruth(image_id=image_id, class_id=class_id, box=BBox(*box))
+    return Gt(image_id=image_id, class_id=class_id, box=Box(*box))
 
 
 def _ramp_map():
@@ -34,7 +34,7 @@ def test_sample_mean_over_outward_rounded_window():
     # floor(1.2)=1, floor(0.5)=0, ceil(3.0)=3, ceil(2.5)=3:
     # window rows 0..2, cols 1..2 holds 2,3,10,11,18,19
     samples = collect_samples(
-        [_gt("a", (1.2, 0.5, 3.0, 2.5))], {"a": _ramp_map()}
+        gt_record([_gt("a", (1.2, 0.5, 3.0, 2.5))]), {"a": _ramp_map()}
     )
     assert len(samples) == 1
     s = samples[0]
@@ -48,14 +48,14 @@ def test_sample_skips_invalid_pixels_in_window():
     values = np.arange(48, dtype=np.float64).reshape(6, 8) + 1.0
     values[0, 1] = 0.0  # drops the reading of 2 from the window above
     samples = collect_samples(
-        [_gt("a", (1.2, 0.5, 3.0, 2.5))], {"a": DepthMap(values)}
+        gt_record([_gt("a", (1.2, 0.5, 3.0, 2.5))]), {"a": DepthMap(values)}
     )
     assert samples[0].mean_depth == pytest.approx((3 + 10 + 11 + 18 + 19) / 5)
 
 
 def test_sample_window_clips_to_image():
     samples = collect_samples(
-        [_gt("a", (5.0, 3.0, 100.0, 100.0))], {"a": _ramp_map()}
+        gt_record([_gt("a", (5.0, 3.0, 100.0, 100.0))]), {"a": _ramp_map()}
     )
     window = (np.arange(48, dtype=np.float64).reshape(6, 8) + 1.0)[3:6, 5:8]
     assert samples[0].mean_depth == pytest.approx(window.mean())
@@ -67,7 +67,7 @@ def test_box_with_no_valid_depth_yields_no_sample():
     values = np.ones((6, 8))
     values[:3, :3] = 0.0
     samples = collect_samples(
-        [_gt("a", (0.0, 0.0, 3.0, 3.0)), _gt("a", (4.0, 4.0, 6.0, 6.0))],
+        gt_record([_gt("a", (0.0, 0.0, 3.0, 3.0)), _gt("a", (4.0, 4.0, 6.0, 6.0))]),
         {"a": DepthMap(values)},
     )
     assert len(samples) == 1
@@ -76,14 +76,14 @@ def test_box_with_no_valid_depth_yields_no_sample():
 
 def test_box_entirely_outside_image_yields_no_sample():
     samples = collect_samples(
-        [_gt("a", (-5.0, -5.0, -1.0, -1.0))], {"a": _ramp_map()}
+        gt_record([_gt("a", (-5.0, -5.0, -1.0, -1.0))]), {"a": _ramp_map()}
     )
     assert samples == []
 
 
 def test_missing_depth_map_is_an_error():
     with pytest.raises(ValueError, match="nowhere"):
-        collect_samples([_gt("nowhere", (0, 0, 2, 2))], {"a": _ramp_map()})
+        collect_samples(gt_record([_gt("nowhere", (0, 0, 2, 2))]), {"a": _ramp_map()})
 
 
 def test_samples_preserve_input_order():
@@ -91,7 +91,7 @@ def test_samples_preserve_input_order():
         _gt("a", (0.0, 0.0, 2.0, 2.0), class_id=2),
         _gt("a", (3.0, 3.0, 5.0, 5.0), class_id=1),
     ]
-    samples = collect_samples(gts, {"a": _ramp_map()})
+    samples = collect_samples(gt_record(gts), {"a": _ramp_map()})
     assert [s.class_id for s in samples] == [2, 1]
 
 
@@ -267,7 +267,7 @@ def test_projected_size_shrinks_with_distance():
         depth_maps[image_id] = DepthMap(np.full((40, 40), d))
         side = 36.0 / d
         gts.append(_gt(image_id, (2.0, 2.0, 2.0 + side, 2.0 + side)))
-    samples = collect_samples(gts, depth_maps)
+    samples = collect_samples(gt_record(gts), depth_maps)
     r = pearson_r(
         [s.mean_depth for s in samples], [s.area for s in samples]
     )

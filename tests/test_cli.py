@@ -112,7 +112,7 @@ def test_encode_jet_matches_library(tmp_path):
     assert rc == 0
     rgb, _ = netpbm.read_ppm(str(tmp_path / "scene_jet.ppm"))
     gray = encoding.grayscale_encode(encoding.load_depth(str(src)), 1.0, 6.0)
-    assert np.array_equal(rgb, encoding.jet_encode(gray).rgb)
+    assert np.array_equal(rgb, encoding.jet_encode(gray))
 
 
 def test_encode_scale_flag_is_annotation_only(tmp_path, capsys):
@@ -591,7 +591,7 @@ def test_eval_bom_on_first_line_still_loads(tmp_path, capsys, eval_files):
 def test_eval_integral_float_class_id_still_loads(tmp_path):
     dets = tmp_path / "dets.jsonl"
     dets.write_text(_GOOD_DET.replace('"class": 1', '"class": 1.0') + "\n")
-    assert evaluation.load_detections(str(dets))[0].class_id == 1
+    assert evaluation.load_detections(str(dets)).class_id[0] == 1
 
 
 @pytest.mark.parametrize("flags", [

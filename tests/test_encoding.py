@@ -113,7 +113,7 @@ def test_jet_table_channel_peaks():
 def test_jet_encode_uses_table_and_zeroes_invalid():
     d = _depth([[1.0, 3.0, 0.0]])
     gray = grayscale_encode(d, 1.0, 3.0)
-    rgb = jet_encode(gray).rgb
+    rgb = jet_encode(gray)
     table = jet_table()
     np.testing.assert_array_equal(rgb[0, 0], table[0])
     np.testing.assert_array_equal(rgb[0, 1], table[255])

@@ -12,7 +12,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from depthkit import cli, evaluation
-from depthkit.evaluation import BBox, Detection, GroundTruth
 from depthkit.netpbm import ParseError
 
 CLASSES = ["background", "chair", "table"]
@@ -25,12 +24,13 @@ def _ref_box(raw, where, offset):
         corners = tuple(float(raw[k]) for k in ("x1", "y1", "x2", "y2"))
         if not all(math.isfinite(v) for v in corners):
             raise ValueError(f"corners must be finite, got {corners}")
-        box = BBox(*corners)
+        if not (corners[2] > corners[0] and corners[3] > corners[1]):
+            raise ValueError(f"degenerate box {corners}")
     except KeyError as exc:
         raise ParseError(f"{where}: missing box field {exc}", offset) from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise ParseError(f"{where}: bad box: {exc}", offset) from None
-    return box
+    return corners
 
 
 def _ref_class(raw, classes, where, offset):
@@ -71,7 +71,9 @@ def _ref_difficult(raw, where, offset):
 
 def _reference_load(path, kind, classes):
     """Iterate the binary file line by line and ``json.loads`` each
-    stripped line; undecodable text is a parse error of its line."""
+    stripped line; undecodable text is a parse error of its line.  Rows
+    are ``(image_id, class_id, score, corners)`` for detections and
+    ``(image_id, class_id, corners, difficult)`` for ground truth."""
     out = []
     offset = 0
     with open(path, "rb") as fh:
@@ -93,16 +95,22 @@ def _reference_load(path, kind, classes):
                 if kind == "dets":
                     if "score" not in raw:
                         raise ParseError(f"{where}: missing 'score'", offset)
-                    out.append(Detection(str(raw["image_id"]), _ref_class(raw, classes, where, offset),
-                                         _ref_score(raw, where, offset),
-                                         _ref_box(raw, where, offset)))
+                    out.append((str(raw["image_id"]), _ref_class(raw, classes, where, offset),
+                                _ref_score(raw, where, offset), _ref_box(raw, where, offset)))
                 else:
-                    out.append(GroundTruth(str(raw["image_id"]),
-                                           _ref_class(raw, classes, where, offset),
-                                           _ref_box(raw, where, offset),
-                                           _ref_difficult(raw, where, offset)))
+                    out.append((str(raw["image_id"]), _ref_class(raw, classes, where, offset),
+                                _ref_box(raw, where, offset), _ref_difficult(raw, where, offset)))
             offset += len(line)
     return out
+
+
+def _rows(record):
+    """A loaded record row by row, laid out as the reference's rows."""
+    ids, classes = record.image_id.tolist(), record.class_id.tolist()
+    boxes = [tuple(box) for box in record.box.tolist()]
+    if isinstance(record, evaluation.DetRecord):
+        return list(zip(ids, classes, record.score.tolist(), boxes))
+    return list(zip(ids, classes, boxes, record.difficult.tolist()))
 
 
 def _outcome(load, *args):
@@ -196,8 +204,8 @@ def test_fuzzed_records_load_like_the_reference_and_never_crash(tmp_path_factory
     fuzzed.write_bytes(data)
     classes = CLASSES if named else None
     load = evaluation.load_detections if kind == "dets" else evaluation.load_groundtruth
-    assert _outcome(load, str(fuzzed), classes) == _outcome(_reference_load, str(fuzzed), kind,
-                                                            classes)
+    assert _outcome(lambda *a: _rows(load(*a)), str(fuzzed), classes) == \
+        _outcome(_reference_load, str(fuzzed), kind, classes)
 
     other = tmp / ("gts.jsonl" if kind == "dets" else "dets.jsonl")
     other.write_bytes(_GTS if kind == "dets" else _DETS)

@@ -2,114 +2,44 @@
 import random
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
+from eval_rows import Box, Det, Gt, det_record, gt_record
 
 from depthkit import evaluation as ev
-from depthkit.evaluation import BBox, Detection, GroundTruth
 from depthkit.netpbm import ParseError
 
 
 def D(image, cls, score, x1, y1, x2, y2):
-    return Detection(image_id=image, class_id=cls, score=score,
-                     box=BBox(x1, y1, x2, y2))
+    return Det(image_id=image, class_id=cls, score=score, box=Box(x1, y1, x2, y2))
 
 
 def G(image, cls, x1, y1, x2, y2, difficult=False):
-    return GroundTruth(image_id=image, class_id=cls,
-                       box=BBox(x1, y1, x2, y2), difficult=difficult)
+    return Gt(image_id=image, class_id=cls, box=Box(x1, y1, x2, y2), difficult=difficult)
 
 
 # --------------------------------------------------------------------- IoU
 
 def test_iou_hand_cases():
-    a = BBox(0, 0, 10, 10)
-    assert ev.iou(a, BBox(20, 20, 30, 30)) == 0.0
+    a = Box(0, 0, 10, 10)
+    assert ev.iou(a, Box(20, 20, 30, 30)) == 0.0
     assert ev.iou(a, a) == 1.0
     # 5x10 overlap over union 100 + 100 - 50
-    assert ev.iou(a, BBox(5, 0, 15, 10)) == pytest.approx(50 / 150)
+    assert ev.iou(a, Box(5, 0, 15, 10)) == pytest.approx(50 / 150)
     # touching edges share no area
-    assert ev.iou(a, BBox(10, 0, 20, 10)) == 0.0
+    assert ev.iou(a, Box(10, 0, 20, 10)) == 0.0
 
 
 def test_degenerate_boxes_rejected():
     with pytest.raises(ValueError):
-        BBox(5, 5, 5, 10)
+        ev.GtRecord(["a"], [1], [(5, 5, 5, 10)], [False])
     with pytest.raises(ValueError):
-        BBox(0, 0, -1, 5)
+        ev.GtRecord(["a"], [1], [(0, 0, -1, 5)], [False])
 
 
 @pytest.mark.parametrize("corners", [(0, 0, float("inf"), 10), (float("-inf"), 0, 5, 10),
                                      (0, float("nan"), 5, 10), (0, 0, 5, float("nan"))])
 def test_non_finite_boxes_rejected(corners):
     with pytest.raises(ValueError, match="corners must be finite"):
-        BBox(*corners)
-
-
-# --------------------------------------------------------------------- NMS
-
-def _nms_reference(dets, thresh):
-    """Quadratic restatement of the greedy rule."""
-    order = sorted(dets, key=lambda d: (-d.score, d.image_id, d.box.x1,
-                                        d.box.y1, d.box.x2, d.box.y2))
-    kept = []
-    for d in order:
-        suppressed = False
-        for k in kept:
-            if ev.iou(d.box, k.box) >= thresh:
-                suppressed = True
-                break
-        if not suppressed:
-            kept.append(d)
-    return kept
-
-
-def _random_dets(rng, n, image="im", cls=1):
-    out = []
-    for _ in range(n):
-        x1 = rng.uniform(0, 80)
-        y1 = rng.uniform(0, 80)
-        out.append(D(image, cls, round(rng.uniform(0, 1), 3),
-                     x1, y1, x1 + rng.uniform(2, 40), y1 + rng.uniform(2, 40)))
-    return out
-
-
-def test_nms_matches_reference_on_many_instances():
-    rng = random.Random(20)
-    for trial in range(200):
-        dets = _random_dets(rng, rng.randint(0, 25))
-        thresh = rng.choice([0.3, 0.5, 0.7])
-        assert ev.nms(dets, thresh) == _nms_reference(dets, thresh), trial
-
-
-def test_nms_top_k_truncates():
-    rng = random.Random(3)
-    dets = _random_dets(rng, 20)
-    full = ev.nms(dets, 0.5)
-    assert ev.nms(dets, 0.5, top_k=3) == full[:3]
-
-
-def test_nms_rejects_mixed_streams():
-    dets = [D("a", 1, 0.9, 0, 0, 5, 5), D("b", 1, 0.8, 0, 0, 5, 5)]
-    with pytest.raises(ValueError):
-        ev.nms(dets, 0.5)
-    with pytest.raises(ValueError):
-        ev.nms([], 0.0)
-
-
-@settings(max_examples=100)
-@given(st.lists(
-    st.tuples(st.floats(0, 1), st.floats(0, 50), st.floats(0, 50),
-              st.floats(1, 30), st.floats(1, 30)),
-    max_size=12,
-), st.sampled_from([0.3, 0.5, 0.9]))
-def test_nms_kept_boxes_never_overlap_at_threshold(raw, thresh):
-    dets = [D("im", 0, round(s, 4), x, y, x + w, y + h) for s, x, y, w, h in raw]
-    kept = ev.nms(dets, thresh)
-    assert all(d in dets for d in kept)
-    for i, a in enumerate(kept):
-        for b in kept[i + 1:]:
-            assert ev.iou(a.box, b.box) < thresh
+        ev.DetRecord(["a"], [1], [0.5], [corners])
 
 
 # ------------------------------------------------------------------ VOC AP
@@ -185,7 +115,8 @@ def test_voc_ap_matches_reference_on_many_scenes():
         dets, gts = _random_scene(rng)
         for cls in range(3):
             for use_difficult in (False, True):
-                got = ev.voc_ap(dets, gts, cls, 0.5, use_difficult)
+                got = ev.mean_ap(det_record(dets), gt_record(gts), [cls], 0.5,
+                                 use_difficult)[1][cls]
                 want = _voc_ap_reference(dets, gts, cls, 0.5, use_difficult)
                 if want is None:
                     assert got is None
@@ -198,43 +129,45 @@ def test_voc_ap_matches_reference_on_many_scenes():
 def test_voc_ap_perfect_detection():
     gts = [G("a", 1, 0, 0, 10, 10), G("b", 1, 5, 5, 25, 25)]
     dets = [D("a", 1, 0.9, 0, 0, 10, 10), D("b", 1, 0.8, 5, 5, 25, 25)]
-    assert ev.voc_ap(dets, gts, 1) == pytest.approx(1.0)
+    assert ev.mean_ap(det_record(dets), gt_record(gts), [1])[1][1] == pytest.approx(1.0)
 
 
 def test_voc_ap_half_recall_is_six_elevenths():
     gts = [G("a", 1, 0, 0, 10, 10), G("a", 1, 40, 40, 60, 60)]
     dets = [D("a", 1, 0.9, 0, 0, 10, 10)]
     # recall 0.5 at precision 1: points 0.0..0.5 each contribute 1
-    assert ev.voc_ap(dets, gts, 1) == pytest.approx(6 / 11)
+    assert ev.mean_ap(det_record(dets), gt_record(gts), [1])[1][1] == pytest.approx(6 / 11)
 
 
 def test_voc_ap_difficult_neither_counts_nor_penalizes():
     gts = [G("a", 1, 0, 0, 10, 10, difficult=True), G("a", 1, 40, 40, 60, 60)]
     dets = [D("a", 1, 0.9, 0, 0, 10, 10), D("a", 1, 0.8, 40, 40, 60, 60)]
     # the difficult match is dropped from the ranking entirely
-    assert ev.voc_ap(dets, gts, 1) == pytest.approx(1.0)
+    assert ev.mean_ap(det_record(dets), gt_record(gts), [1])[1][1] == pytest.approx(1.0)
     # counting difficult restores it as a creditable target
-    assert ev.voc_ap(dets, gts, 1, use_difficult=True) == pytest.approx(1.0)
+    assert ev.mean_ap(det_record(dets), gt_record(gts), [1],
+                      use_difficult=True)[1][1] == pytest.approx(1.0)
 
 
 def test_voc_ap_duplicate_detection_is_fp():
     gts = [G("a", 1, 0, 0, 10, 10)]
     dets = [D("a", 1, 0.9, 0, 0, 10, 10), D("a", 1, 0.8, 1, 1, 10, 10)]
     # second hit on a claimed box: precision falls but recall holds
-    assert ev.voc_ap(dets, gts, 1) == pytest.approx(1.0)
+    assert ev.mean_ap(det_record(dets), gt_record(gts), [1])[1][1] == pytest.approx(1.0)
 
 
 def test_voc_ap_none_without_ground_truth():
-    assert ev.voc_ap([D("a", 1, 0.9, 0, 0, 5, 5)], [], 1) is None
+    dets = det_record([D("a", 1, 0.9, 0, 0, 5, 5)])
+    assert ev.mean_ap(dets, gt_record([]), [1])[1][1] is None
 
 
 def test_mean_ap_skips_undefined_classes():
     gts = [G("a", 1, 0, 0, 10, 10)]
     dets = [D("a", 1, 0.9, 0, 0, 10, 10)]
-    m, per_class = ev.mean_ap(dets, gts, [1, 2])
+    m, per_class = ev.mean_ap(det_record(dets), gt_record(gts), [1, 2])
     assert per_class[2] is None
     assert m == pytest.approx(1.0)
-    m_none, per = ev.mean_ap([], [], [1])
+    m_none, per = ev.mean_ap(det_record([]), gt_record([]), [1])
     assert m_none is None and per == {1: None}
 
 
@@ -244,16 +177,16 @@ def test_coco_ap50_vs_ap75_on_a_loose_box():
     gts = [G("a", 1, 0, 0, 10, 10)]
     # IoU = 60/140 vs the 6x10 shifted box: between 0.50 and 0.75
     dets = [D("a", 1, 0.9, 4, 0, 14, 10)]
-    summary = ev.coco_ap(dets, gts, [1])
+    summary = ev.coco_ap(det_record(dets), gt_record(gts), [1])
     assert ev.iou(dets[0].box, gts[0].box) == pytest.approx(60 / 140)
     assert summary["ap50"] == pytest.approx(0.0)
     assert summary["ap75"] == pytest.approx(0.0)
     close = [D("a", 1, 0.9, 1, 0, 11, 10)]  # IoU = 90/110
-    summary = ev.coco_ap(close, gts, [1])
+    summary = ev.coco_ap(det_record(close), gt_record(gts), [1])
     assert summary["ap50"] == pytest.approx(1.0)
     assert summary["ap75"] == pytest.approx(1.0)
     mid = [D("a", 1, 0.9, 2, 0, 12, 10)]  # IoU = 80/120 = 2/3
-    summary = ev.coco_ap(mid, gts, [1])
+    summary = ev.coco_ap(det_record(mid), gt_record(gts), [1])
     assert summary["ap50"] == pytest.approx(1.0)
     assert summary["ap75"] == pytest.approx(0.0)
     # mean over thresholds 0.50..0.95: four pass (2/3 >= .5,.55,.6,.65)
@@ -271,7 +204,7 @@ def test_coco_size_buckets_are_disjoint():
         D("a", 1, 0.8, 100, 100, 150, 150),
         D("a", 1, 0.7, 300, 0, 500, 200),
     ]
-    summary = ev.coco_ap(dets, gts, [1])
+    summary = ev.coco_ap(det_record(dets), gt_record(gts), [1])
     assert summary["ap_small"] == pytest.approx(1.0)
     assert summary["ap_medium"] == pytest.approx(1.0)
     assert summary["ap_large"] == pytest.approx(1.0)
@@ -290,7 +223,7 @@ def test_coco_out_of_bucket_detection_is_ignored_not_fp():
     # small-bucket eval: one small GT hit, plus one large unmatched det
     gts = [G("a", 1, 0, 0, 10, 10)]
     dets = [D("a", 1, 0.95, 0, 0, 10, 10), D("a", 1, 0.9, 200, 200, 400, 420)]
-    summary = ev.coco_ap(dets, gts, [1])
+    summary = ev.coco_ap(det_record(dets), gt_record(gts), [1])
     assert summary["ap_small"] == pytest.approx(1.0)
     # but a small unmatched det in the small bucket is a real FP ranked
     # above nothing, so it cannot hurt recall already at 1.0
@@ -300,7 +233,7 @@ def test_coco_out_of_bucket_detection_is_ignored_not_fp():
 def test_coco_empty_bucket_reports_none():
     gts = [G("a", 1, 0, 0, 10, 10)]
     dets = [D("a", 1, 0.9, 0, 0, 10, 10)]
-    summary = ev.coco_ap(dets, gts, [1])
+    summary = ev.coco_ap(det_record(dets), gt_record(gts), [1])
     assert summary["ap_medium"] is None
     assert summary["ap_large"] is None
 
@@ -308,7 +241,7 @@ def test_coco_empty_bucket_reports_none():
 def test_coco_difficult_is_always_ignored():
     gts = [G("a", 1, 0, 0, 10, 10, difficult=True)]
     dets = [D("a", 1, 0.9, 0, 0, 10, 10)]
-    assert ev.coco_ap(dets, gts, [1])["ap"] is None
+    assert ev.coco_ap(det_record(dets), gt_record(gts), [1])["ap"] is None
 
 
 # --------------------------------------------------------------- confusion
@@ -322,7 +255,7 @@ def test_confusion_diagonal_and_cross():
         D("a", 1, 0.9, 0, 0, 10, 10),    # correct chair
         D("a", 1, 0.8, 30, 30, 50, 50),  # table detected as chair
     ]
-    cm = ev.confusion_matrix(dets, gts, CLASSES)
+    cm = ev.confusion_matrix(det_record(dets), gt_record(gts), CLASSES)
     assert cm.counts[1, 1] == 1
     assert cm.counts[2, 1] == 1
     assert cm.fn.sum() == 0
@@ -332,7 +265,7 @@ def test_confusion_diagonal_and_cross():
 def test_confusion_gt_takes_highest_scoring_candidate():
     gts = [G("a", 1, 0, 0, 10, 10)]
     dets = [D("a", 2, 0.7, 0, 0, 10, 10), D("a", 1, 0.9, 1, 0, 11, 10)]
-    cm = ev.confusion_matrix(dets, gts, CLASSES)
+    cm = ev.confusion_matrix(det_record(dets), gt_record(gts), CLASSES)
     # the 0.9 chair det wins even though the table det fits better
     assert cm.counts[1, 1] == 1
     assert cm.counts[1, 2] == 0
@@ -341,22 +274,22 @@ def test_confusion_gt_takes_highest_scoring_candidate():
 def test_confusion_score_threshold_drops_weak_dets():
     gts = [G("a", 1, 0, 0, 10, 10)]
     dets = [D("a", 1, 0.4, 0, 0, 10, 10)]
-    cm = ev.confusion_matrix(dets, gts, CLASSES, score_thresh=0.5)
+    cm = ev.confusion_matrix(det_record(dets), gt_record(gts), CLASSES, score_thresh=0.5)
     assert cm.fn[1] == 1 and cm.counts.sum() == 0
-    cm_low = ev.confusion_matrix(dets, gts, CLASSES, score_thresh=0.3)
+    cm_low = ev.confusion_matrix(det_record(dets), gt_record(gts), CLASSES, score_thresh=0.3)
     assert cm_low.counts[1, 1] == 1
 
 
 def test_confusion_each_det_matches_at_most_one_gt():
     gts = [G("a", 1, 0, 0, 10, 10), G("a", 1, 0, 0, 11, 10)]
     dets = [D("a", 1, 0.9, 0, 0, 10, 10)]
-    cm = ev.confusion_matrix(dets, gts, CLASSES)
+    cm = ev.confusion_matrix(det_record(dets), gt_record(gts), CLASSES)
     assert cm.counts[1, 1] == 1
     assert cm.fn[1] == 1
 
 
 def test_confusion_csv_shape():
-    cm = ev.confusion_matrix([], [G("a", 1, 0, 0, 5, 5)], CLASSES)
+    cm = ev.confusion_matrix(det_record([]), gt_record([G("a", 1, 0, 0, 5, 5)]), CLASSES)
     lines = cm.to_csv().strip().splitlines()
     assert lines[0] == "class,background,chair,table,FN"
     assert lines[1] == "background,0,0,0,0"
@@ -365,8 +298,9 @@ def test_confusion_csv_shape():
 
 def test_confusion_diff_signs_and_marks():
     gts = [G("a", 1, 0, 0, 10, 10)]
-    base = ev.confusion_matrix([D("a", 2, 0.9, 0, 0, 10, 10)], gts, CLASSES)
-    other = ev.confusion_matrix([D("a", 1, 0.9, 0, 0, 10, 10)], gts, CLASSES)
+    gts = gt_record(gts)
+    base = ev.confusion_matrix(det_record([D("a", 2, 0.9, 0, 0, 10, 10)]), gts, CLASSES)
+    other = ev.confusion_matrix(det_record([D("a", 1, 0.9, 0, 0, 10, 10)]), gts, CLASSES)
     diff = ev.confusion_diff(base, other)
     assert diff.counts[1, 1] == 1 and diff.counts[1, 2] == -1
     text = diff.format_text()
@@ -376,8 +310,8 @@ def test_confusion_diff_signs_and_marks():
 
 
 def test_confusion_diff_requires_same_classes():
-    a = ev.confusion_matrix([], [], CLASSES)
-    b = ev.confusion_matrix([], [], ("background", "chair"))
+    a = ev.confusion_matrix(det_record([]), gt_record([]), CLASSES)
+    b = ev.confusion_matrix(det_record([]), gt_record([]), ("background", "chair"))
     with pytest.raises(ValueError):
         ev.confusion_diff(a, b)
 
@@ -394,8 +328,8 @@ def test_jsonl_loaders_round_trip(tmp_path):
         ' "x1": 0, "y1": 0, "x2": 9, "y2": 9}\n'
     )
     dets = ev.load_detections(str(det_path), list(CLASSES))
-    assert dets[0].class_id == 1 and dets[1].class_id == 2
-    assert dets[0].box == BBox(1, 2, 3, 4)
+    assert dets.class_id[0] == 1 and dets.class_id[1] == 2
+    assert tuple(dets.box[0]) == (1, 2, 3, 4)
 
 
 def test_jsonl_parse_error_reports_line_and_offset(tmp_path):
