@@ -6,7 +6,6 @@ from .encoding import (
     CameraIntrinsics,
     ChannelStats,
     DepthMap,
-    GrayscaleDepth,
     HdhaImage,
     compute_channel_stats,
     grayscale_encode,
@@ -29,7 +28,6 @@ __all__ = [
     "ChannelStats",
     "DepthMap",
     "GravityEstimate",
-    "GrayscaleDepth",
     "HdhaImage",
     "ParseError",
     "compute_channel_stats",

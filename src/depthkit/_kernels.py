@@ -58,19 +58,9 @@ def normals_from_points(
 
     # Integral images of the masked first and second moments; a window sum
     # is then four lookups regardless of window size.
-    planes = np.zeros((h, w, 10))
-    vm = valid.astype(np.float64)
-    x, y, z = centered[..., 0], centered[..., 1], centered[..., 2]
-    planes[..., 0] = vm
-    planes[..., 1] = np.where(valid, x, 0.0)
-    planes[..., 2] = np.where(valid, y, 0.0)
-    planes[..., 3] = np.where(valid, z, 0.0)
-    planes[..., 4] = np.where(valid, x * x, 0.0)
-    planes[..., 5] = np.where(valid, x * y, 0.0)
-    planes[..., 6] = np.where(valid, x * z, 0.0)
-    planes[..., 7] = np.where(valid, y * y, 0.0)
-    planes[..., 8] = np.where(valid, y * z, 0.0)
-    planes[..., 9] = np.where(valid, z * z, 0.0)
+    # centered is 0 at invalid pixels, so every product is too
+    x, y, z = np.moveaxis(centered, -1, 0)
+    planes = np.stack([valid, x, y, z, x * x, x * y, x * z, y * y, y * z, z * z], axis=-1)
     integ = np.zeros((h + 1, w + 1, 10))
     np.cumsum(np.cumsum(planes, axis=0), axis=1, out=integ[1:, 1:])
 

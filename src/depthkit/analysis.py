@@ -11,20 +11,28 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .encoding import DepthMap, quantize_u8
-from .evaluation import GtRecord, _csv_table
+from .evaluation import GtRecord, _csv_table, _image_codes
 
 
-@dataclass(frozen=True)
-class DepthSizeSample:
-    image_id: str
-    class_id: int
-    mean_depth: float
-    area: float
+@dataclass
+class SampleRecord:
+    """(mean depth, box area) samples as columns; ``len`` is the sample
+    count.  ``image_id`` is an object array of ``str``, ``class_id`` the
+    ground truth's own ids, ``mean_depth`` and ``area`` float64."""
+
+    image_id: np.ndarray
+    class_id: np.ndarray
+    mean_depth: np.ndarray
+    area: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.area)
 
 
 @dataclass
@@ -51,21 +59,18 @@ class Heatmap2D:
         return float(self.counts.sum())
 
 
-def collect_samples(
-    gts: GtRecord,
-    depth_maps: dict[str, DepthMap],
-) -> list[DepthSizeSample]:
-    """One (mean depth, area) sample per ground-truth box.
+def collect_samples(gts: GtRecord, depth_maps: dict[str, DepthMap]) -> SampleRecord:
+    """One (mean depth, area) sample per ground-truth box, in input order.
 
     The depth average runs over the valid pixels inside the box (corners
     rounded outward, clipped to the image); boxes with no valid depth
     yield no sample.  Every referenced image must be present.
     """
-    names, image = np.unique(gts.image_id, return_inverse=True)
+    names, image = _image_codes(gts.image_id)
     for name in dict.fromkeys(gts.image_id.tolist()):
         if name not in depth_maps:
             raise ValueError(f"no depth map for image {name!r}")
-    maps = [depth_maps[name] for name in names.tolist()]
+    maps = [depth_maps[name] for name in names]
     height, width = np.array([dm.values.shape for dm in maps]).reshape(-1, 2)[image].T
     # clipped to the image before the cast; a corner past either edge
     # leaves an empty window either way
@@ -73,22 +78,25 @@ def collect_samples(
     x2, y2 = np.ceil(gts.box[:, 2:]).T
     x1, x2 = (np.clip(v, 0, width).astype(np.int64) for v in (x1, x2))
     y1, y2 = (np.clip(v, 0, height).astype(np.int64) for v in (y1, y2))
-    area = ((gts.box[:, 2] - gts.box[:, 0]) * (gts.box[:, 3] - gts.box[:, 1])).tolist()
-    samples = []
+    # an area past the float range reads inf, which no axis can frame
+    with np.errstate(over="ignore"):
+        area = (gts.box[:, 2] - gts.box[:, 0]) * (gts.box[:, 3] - gts.box[:, 1])
+    rows, means = [], []
     for i in np.flatnonzero((x2 > x1) & (y2 > y1)).tolist():
         dm = maps[image[i]]
         window = (slice(y1[i], y2[i]), slice(x1[i], x2[i]))
         window_valid = dm.valid[window]
         if window_valid.any():
-            samples.append(DepthSizeSample(gts.image_id[i], int(gts.class_id[i]),
-                                           float(dm.values[window][window_valid].mean()),
-                                           area[i]))
-    return samples
+            rows.append(i)
+            means.append(dm.values[window][window_valid].mean())
+    rows = np.array(rows, dtype=np.intp)
+    return SampleRecord(gts.image_id[rows], gts.class_id[rows],
+                        np.array(means, dtype=np.float64), area[rows])
 
 
 def _axis_edges(values: np.ndarray, bins: int, rng: tuple[float, float] | None) -> np.ndarray:
     lo, hi = (float(values.min()), float(values.max())) if rng is None else rng
-    if not hi >= lo:
+    if not (hi >= lo and math.isfinite(hi - lo)):
         raise ValueError(f"bad axis range ({lo}, {hi})")
     if hi == lo:
         # degenerate axis: a single bin holds everything
@@ -96,44 +104,47 @@ def _axis_edges(values: np.ndarray, bins: int, rng: tuple[float, float] | None) 
     return np.linspace(lo, hi, bins + 1)
 
 
-def _bin_index(v: float, edges: np.ndarray) -> int | None:
+def _bin(values: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """Bin of each value, -1 outside the edges; the top edge is inclusive."""
     lo, hi = edges[0], edges[-1]
-    if v < lo or v > hi:
-        return None
     n = len(edges) - 1
-    if v == hi:
-        return n - 1
-    return min(int((v - lo) / (hi - lo) * n), n - 1)
+    # a degenerate axis of huge values may have hi == lo: the top edge
+    # takes the last bin before any division
+    index = np.where(values == hi, n - 1, -1)
+    inside = (values >= lo) & (values < hi)
+    index[inside] = np.minimum(((values[inside] - lo) / (hi - lo) * n).astype(np.int64), n - 1)
+    return index
 
 
 def build_heatmap(
-    samples: list[DepthSizeSample],
+    depth: np.ndarray,
+    area: np.ndarray,
     bins_x: int = 20,
     bins_y: int = 20,
     x_range: tuple[float, float] | None = None,
     y_range: tuple[float, float] | None = None,
 ) -> Heatmap2D:
-    """Histogram of samples over depth (x) and box area (y).
+    """Histogram of (depth, area) samples over depth (x) and box area (y).
 
     Axis ranges default to the sample min/max, so two datasets get their
     own local scales; pass explicit ranges to compare on a shared grid.
     Samples outside an explicit range are dropped; with default ranges
     every sample is counted.
     """
-    if not samples:
+    xs = np.asarray(depth, dtype=np.float64)
+    ys = np.asarray(area, dtype=np.float64)
+    if xs.shape != ys.shape or xs.ndim != 1:
+        raise ValueError("build_heatmap needs two equal-length 1-D arrays")
+    if not len(xs):
         raise ValueError("cannot build a heatmap from zero samples")
     if bins_x < 1 or bins_y < 1:
         raise ValueError(f"bin counts must be >= 1, got {bins_x}x{bins_y}")
-    xs = np.array([s.mean_depth for s in samples])
-    ys = np.array([s.area for s in samples])
     x_edges = _axis_edges(xs, bins_x, x_range)
     y_edges = _axis_edges(ys, bins_y, y_range)
-    counts = np.zeros((len(y_edges) - 1, len(x_edges) - 1))
-    for x, y in zip(xs, ys):
-        i = _bin_index(y, y_edges)
-        j = _bin_index(x, x_edges)
-        if i is not None and j is not None:
-            counts[i, j] += 1
+    ny, nx = len(y_edges) - 1, len(x_edges) - 1
+    i, j = _bin(ys, y_edges), _bin(xs, x_edges)
+    cell = (i * nx + j)[(i >= 0) & (j >= 0)]
+    counts = np.bincount(cell, minlength=ny * nx).reshape(ny, nx).astype(np.float64)
     return Heatmap2D(x_edges=x_edges, y_edges=y_edges, counts=counts)
 
 
@@ -170,14 +181,16 @@ def pearson_r(x, y) -> float:
     return float((dx * dy).sum() / denom)
 
 
-def samples_csv(samples: list[DepthSizeSample], classes: list[str] | None = None) -> str:
+def samples_csv(samples: SampleRecord, classes: list[str] | None = None) -> str:
     def name(cid):
         return classes[cid] if classes and 0 <= cid < len(classes) else cid
 
     return _csv_table(
         ["image_id", "class", "mean_depth", "area"],
-        ([s.image_id, name(s.class_id), f"{s.mean_depth:.6f}", f"{s.area:.6f}"]
-         for s in samples),
+        ([image_id, name(cid), f"{depth:.6f}", f"{area:.6f}"]
+         for image_id, cid, depth, area in zip(
+             samples.image_id.tolist(), samples.class_id.tolist(),
+             samples.mean_depth.tolist(), samples.area.tolist())),
     )
 
 

@@ -132,10 +132,10 @@ def _encode_one(path: str, args, cam, gravity, stats, defer: bool):
         gray = encoding.grayscale_encode(depth, args.dmin, args.dmax)
         if args.mode == "gray":
             out_path = os.path.join(args.out, f"{stem}_gray.pgm")
-            netpbm.write_pgm8(out_path, gray.quantized)
+            netpbm.write_pgm8(out_path, gray)
         else:
             out_path = os.path.join(args.out, f"{stem}_jet.ppm")
-            netpbm.write_ppm8(out_path, encoding.jet_encode(gray))
+            netpbm.write_ppm8(out_path, encoding.jet_encode(gray, depth.valid))
     else:
         hdha = geometry.hdha_encode(depth, cam, gravity=gravity,
                                     k_neighbors=args.k_neighbors)
@@ -151,6 +151,13 @@ def _encode_one(path: str, args, cam, gravity, stats, defer: bool):
         line = (f"{path}: valid={info['valid_fraction']:.3f} "
                 f"min={info['min']:.3f}m max={info['max']:.3f}m{scale_note} -> {out_path}")
     return line, deferred
+
+
+def _write_text(path: str, text: str) -> None:
+    # the text is built before the file opens, so a failure to build it
+    # leaves no empty file behind
+    with open(path, "w") as fh:
+        fh.write(text)
 
 
 def _write_hdha(out_path: str, hdha, stats) -> None:
@@ -215,16 +222,14 @@ def _cmd_arch(args) -> int:
     os.makedirs(args.out, exist_ok=True)
     prefix = os.path.join(args.out, f"{args.variant}_{args.backbone}")
 
-    with open(f"{prefix}.dot", "w") as fh:
-        fh.write(to_dot(graph))
+    _write_text(f"{prefix}.dot", to_dot(graph))
     written = [f"{prefix}.dot"]
     report = count_parameters(graph)
     if args.report in ("params", "all"):
         report.to_csv(f"{prefix}_params.csv")
         written.append(f"{prefix}_params.csv")
     if args.report in ("shapes", "all"):
-        with open(f"{prefix}_shapes.csv", "w") as fh:
-            fh.write(shape_csv(graph))
+        _write_text(f"{prefix}_shapes.csv", shape_csv(graph))
         written.append(f"{prefix}_shapes.csv")
 
     print(f"{args.variant} / {args.backbone}: trainable={report.trainable:,} "
@@ -274,10 +279,8 @@ def _cmd_eval(args) -> int:
         map_value, per_class = evaluation.mean_ap(dets, gts, class_ids, args.iou,
                                                   args.use_difficult)
         # without a table every class is named by its id
-        text = evaluation.ap_csv(per_class, classes or [], map_value)
         path = os.path.join(args.out, "voc_ap.csv")
-        with open(path, "w") as fh:
-            fh.write(text)
+        _write_text(path, evaluation.ap_csv(per_class, classes or [], map_value))
         print(f"mAP: {evaluation.format_metric(map_value)}")
         print(f"wrote {path}")
         return 0
@@ -285,8 +288,7 @@ def _cmd_eval(args) -> int:
     if args.metric == "coco":
         summary = evaluation.coco_ap(dets, gts, class_ids)
         path = os.path.join(args.out, "coco_ap.csv")
-        with open(path, "w") as fh:
-            fh.write(evaluation.coco_csv(summary))
+        _write_text(path, evaluation.coco_csv(summary))
         print(f"AP: {evaluation.format_metric(summary['ap'])}")
         print(f"wrote {path}")
         return 0
@@ -297,8 +299,7 @@ def _cmd_eval(args) -> int:
         cm = evaluation.confusion_matrix(dets, gts, classes, args.iou, args.score_thresh)
         if args.metric == "confusion":
             path = os.path.join(args.out, "confusion.csv")
-            with open(path, "w") as fh:
-                fh.write(cm.to_csv())
+            _write_text(path, cm.to_csv())
             print(f"matched={int(cm.counts.sum())} missed={int(cm.fn.sum())}")
             print(f"wrote {path}")
             return 0
@@ -308,8 +309,7 @@ def _cmd_eval(args) -> int:
         cm_b = evaluation.confusion_matrix(dets_b, gts, classes, args.iou, args.score_thresh)
         diff = evaluation.confusion_diff(cm, cm_b)
         path = os.path.join(args.out, "confusion_diff.csv")
-        with open(path, "w") as fh:
-            fh.write(diff.to_csv())
+        _write_text(path, diff.to_csv())
         print(diff.format_text(), end="")
         print(f"wrote {path}")
         return 0
@@ -344,17 +344,16 @@ def _cmd_analyze(args) -> int:
     samples = analysis.collect_samples(gts, depth_maps)
     if not samples:
         raise ValueError("no usable samples: no ground-truth box holds valid depth")
-    hm = analysis.build_heatmap(samples, bins_x=args.bins, bins_y=args.bins)
+    hm = analysis.build_heatmap(samples.mean_depth, samples.area,
+                                bins_x=args.bins, bins_y=args.bins)
     os.makedirs(args.out, exist_ok=True)
     samples_path = os.path.join(args.out, "samples.csv")
-    with open(samples_path, "w") as fh:
-        fh.write(analysis.samples_csv(samples, classes))
+    _write_text(samples_path, analysis.samples_csv(samples, classes))
     hm_path = os.path.join(args.out, "heatmap.csv")
-    with open(hm_path, "w") as fh:
-        fh.write(analysis.heatmap_csv(hm))
+    _write_text(hm_path, analysis.heatmap_csv(hm))
     pgm_path = os.path.join(args.out, "heatmap.pgm")
     netpbm.write_pgm8(pgm_path, analysis.heatmap_to_pgm_bytes(hm))
-    r = analysis.pearson_r([s.mean_depth for s in samples], [s.area for s in samples])
+    r = analysis.pearson_r(samples.mean_depth, samples.area)
     print(f"samples={len(samples)} pearson_r={r:.6f}")
     for path in (samples_path, hm_path, pgm_path):
         print(f"wrote {path}")

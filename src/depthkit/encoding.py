@@ -14,7 +14,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
@@ -53,14 +52,6 @@ class DepthMap:
                 raise ValueError("valid pixels must hold finite, positive depths")
         self.values = values
         self.valid = valid
-
-    @property
-    def height(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.values.shape[1]
 
     def summary(self) -> dict:
         """Valid fraction and valid-depth range, for one-line reporting."""
@@ -159,18 +150,6 @@ def _number(value, key: str, path: str) -> float:
 
 
 @dataclass
-class GrayscaleDepth:
-    """Linear grayscale encoding, float values in [0, 255] at valid pixels."""
-
-    values: np.ndarray
-    valid: np.ndarray
-
-    @property
-    def quantized(self) -> np.ndarray:
-        return quantize_u8(self.values, self.valid)
-
-
-@dataclass
 class HdhaImage:
     """Geometric three-channel encoding.
 
@@ -188,8 +167,9 @@ class HdhaImage:
         return np.stack([self.hd, self.height, self.angle], axis=-1)
 
 
-def grayscale_encode(depth: DepthMap, d_min: float, d_max: float) -> GrayscaleDepth:
-    """Linear map of depth to [0, 255]: ``255 * (d - d_min) / (d_max - d_min)``.
+def grayscale_encode(depth: DepthMap, d_min: float, d_max: float) -> np.ndarray:
+    """Linear map of depth to [0, 255], ``255 * (d - d_min) / (d_max - d_min)``,
+    quantized: an ``(H, W)`` uint8 image.
 
     Depths outside [d_min, d_max] clamp to the range ends.  Invalid pixels
     encode to 0.
@@ -197,52 +177,31 @@ def grayscale_encode(depth: DepthMap, d_min: float, d_max: float) -> GrayscaleDe
     if not d_max > d_min:
         raise ValueError(f"need d_max > d_min, got d_min={d_min} d_max={d_max}")
     scaled = 255.0 * (depth.values - d_min) / (d_max - d_min)
-    scaled = np.clip(scaled, 0.0, 255.0)
-    scaled = np.where(depth.valid, scaled, 0.0)
-    return GrayscaleDepth(values=scaled, valid=depth.valid.copy())
+    return quantize_u8(np.clip(scaled, 0.0, 255.0), depth.valid)
 
 
-def _jet_component(u: Fraction, center: Fraction) -> int:
-    # Piecewise-linear ramp: 1 on a plateau around `center`, sloping to 0
-    # at distance 3/8 either side.  Exact rational arithmetic keeps the
-    # half-away rounding of x.5 products stable.
-    v = Fraction(3, 2) - abs(4 * u - 4 * center)
-    v = min(max(v, Fraction(0)), Fraction(1))
-    # round half away from zero (values are nonnegative here)
-    return int(v * 255 + Fraction(1, 2))
-
-
-def _build_jet_table() -> np.ndarray:
-    table = np.zeros((256, 3), dtype=np.uint8)
-    for t in range(256):
-        u = Fraction(t, 255)
-        table[t, 0] = _jet_component(u, Fraction(3, 4))
-        table[t, 1] = _jet_component(u, Fraction(1, 2))
-        table[t, 2] = _jet_component(u, Fraction(1, 4))
-    return table
-
-
-_JET_TABLE: np.ndarray | None = None
+# Channel c of level t is the ramp 3/2 - |4t/255 - 4c|, clipped to
+# [0, 1], centered at c = 3/4, 1/2, 1/4 for R, G, B.  Scaled by 255 it
+# is 382.5 - |4t - 1020c| with 1020c an integer, so rounding half up is
+# exactly 383 - |4t - 1020c|.
+_JET_TABLE = np.clip(383 - np.abs(4 * np.arange(256)[:, None] - np.array([765, 510, 255])),
+                     0, 255).astype(np.uint8)
+_JET_TABLE.setflags(write=False)
 
 
 def jet_table() -> np.ndarray:
-    """The 256-entry jet lookup table, blue (low) through red (high)."""
-    global _JET_TABLE
-    if _JET_TABLE is None:
-        table = _build_jet_table()
-        table.setflags(write=False)
-        _JET_TABLE = table
+    """The read-only 256-entry jet lookup table, blue (low) through red (high)."""
     return _JET_TABLE
 
 
-def jet_encode(gray: GrayscaleDepth) -> np.ndarray:
-    """Look each quantized grayscale level up in the jet table: an
-    ``(H, W, 3)`` uint8 image.
+def jet_encode(gray: np.ndarray, valid: np.ndarray) -> np.ndarray:
+    """Look each level of a :func:`grayscale_encode` image up in the jet
+    table: an ``(H, W, 3)`` uint8 image.
 
-    Invalid pixels encode to (0, 0, 0), which is not a table entry.
+    Pixels outside ``valid`` encode to (0, 0, 0), which is not a table
+    entry; a valid level 0 is blue.
     """
-    rgb = jet_table()[gray.quantized]
-    return np.where(gray.valid[..., None], rgb, 0).astype(np.uint8)
+    return np.where(valid[..., None], _JET_TABLE[gray], 0).astype(np.uint8)
 
 
 def compute_channel_stats(images: list[HdhaImage]) -> ChannelStats:

@@ -299,6 +299,15 @@ def _class_positions(classes: list, class_id: np.ndarray) -> np.ndarray:
     return np.array([position.get(i, -1) for i in ids.tolist()], dtype=np.int64)[row]
 
 
+def _image_codes(image_id: np.ndarray) -> tuple[list[str], np.ndarray]:
+    """The distinct image ids in sorted order, and each row's position
+    among them: codes order like the ids."""
+    ids = image_id.tolist()
+    names = sorted(dict.fromkeys(ids))
+    code = dict(zip(names, range(len(names))))
+    return names, np.array([code[i] for i in ids], dtype=np.intp)
+
+
 class _Columns:
     """The detections and ground truth of ``class_ids``, ranked and paired.
 
@@ -318,9 +327,7 @@ class _Columns:
         self.det_cls, self.gt_cls = det_cls[d], gt_cls[g]
         self.det_box, self.gt_box = dets.box[d], gts.box[g]
         self.difficult = gts.difficult[g]
-        # image codes in sorted id order, so that they order like the ids
-        names, image = np.unique(np.concatenate([dets.image_id[d], gts.image_id[g]]),
-                                 return_inverse=True)
+        names, image = _image_codes(np.concatenate([dets.image_id[d], gts.image_id[g]]))
         det_img, gt_img = np.split(image, [len(self.det_cls)])
         x1, y1, x2, y2 = self.det_box.T
         ranked = np.lexsort((y2, x2, y1, x1, det_img, -dets.score[d]))
@@ -545,8 +552,7 @@ def confusion_matrix(
         outside = (ids < 0) | (ids >= k)
         if outside.any():
             raise ValueError(f"{what} class id {ids[outside][0]} outside table of {k}")
-    names, image = np.unique(np.concatenate([dets.image_id[strong], gts.image_id]),
-                             return_inverse=True)
+    _, image = _image_codes(np.concatenate([dets.image_id[strong], gts.image_id]))
     det_img, gt_img = np.split(image, [np.count_nonzero(strong)])
     det_box = dets.box[strong]
     x1, y1, x2, y2 = det_box.T
@@ -706,6 +712,11 @@ def load_classes(path: str) -> list[str]:
         raise ParseError(f"{path}: class table must be a JSON array of strings", 0)
     if len(set(raw)) != len(raw):
         raise ParseError(f"{path}: class names must be unique", 0)
+    # a lone surrogate decodes from a JSON escape but cannot be written out
+    try:
+        "".join(raw).encode("utf-8")
+    except UnicodeEncodeError as exc:
+        raise ParseError(f"{path}: class names must encode as UTF-8: {exc}", 0) from None
     return raw
 
 

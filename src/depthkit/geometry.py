@@ -43,14 +43,6 @@ def backproject_grid(depth: DepthMap, cam: CameraIntrinsics) -> np.ndarray:
     return np.stack([x, y, d], axis=-1)
 
 
-def normals_grid(
-    depth: DepthMap, cam: CameraIntrinsics, k_neighbors: int = 25
-) -> tuple[np.ndarray, np.ndarray]:
-    """Surface normals on the pixel grid: ``(H, W, 3)`` plus validity mask."""
-    grid = backproject_grid(depth, cam)
-    return _kernels.normals_from_points(grid, depth.valid, k_neighbors)
-
-
 _DEFAULT_GRAVITY = np.array([0.0, 1.0, 0.0])
 
 

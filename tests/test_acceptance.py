@@ -15,6 +15,7 @@ import pytest
 from depthkit import (
     CameraIntrinsics,
     DepthMap,
+    _kernels,
     analysis,
     cli,
     encoding,
@@ -22,9 +23,8 @@ from depthkit import (
     evaluation,
     hdha_encode,
 )
-from depthkit.analysis import DepthSizeSample
 from depthkit.arch import Lcg, build_architecture, count_parameters, execute_forward, propagate_shapes
-from depthkit.geometry import normals_grid
+from depthkit.geometry import backproject_grid
 from eval_rows import Box, Det, Gt, det_record, gt_record
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
@@ -153,7 +153,7 @@ def test_shape_contracts():
 def test_encoding_endpoints():
     depth = DepthMap(np.array([[2.0, 6.0, 4.0, 1.0, 7.0]]))
     gray = encoding.grayscale_encode(depth, 2.0, 6.0)
-    q = gray.quantized[0]
+    q = gray[0]
     assert q[0] == 0 and q[1] == 255 and q[2] == 128  # d_min, d_max, midpoint
     assert q[3] == 0 and q[4] == 255  # clamped below/above
 
@@ -180,7 +180,7 @@ def test_encoding_endpoints():
     assert np.all(np.abs(img.angle[floor_core & img.valid] - 180.0) < 0.5)
     assert np.all(np.abs(img.angle[wall_core & img.valid] - 90.0) < 0.5)
 
-    normals, ok = normals_grid(depth, cam)
+    normals, ok = _kernels.normals_from_points(backproject_grid(depth, cam), depth.valid, 25)
     tilt = np.deg2rad(10.0)
     seed = np.array([np.sin(tilt), np.cos(tilt), 0.0])
     est = estimate_gravity(normals.reshape(-1, 3), valid=ok.ravel(), initial=seed)
@@ -706,16 +706,15 @@ def test_depth_run_dominates_baseline(tmp_path, capsys):
 @criterion("criterion 6 (depth-size statistics)")
 def test_depth_size_statistics():
     rng = np.random.default_rng(3)
-    samples = []
+    depths, areas = [], []
     for i in range(200):
         d = float(rng.uniform(1.0, 8.0))
-        area = (90.0 / d) ** 2 * float(rng.uniform(0.8, 1.25))
-        samples.append(DepthSizeSample(f"im{i}", 1, d, area))
-    r = analysis.pearson_r([s.mean_depth for s in samples],
-                           [s.area for s in samples])
+        depths.append(d)
+        areas.append((90.0 / d) ** 2 * float(rng.uniform(0.8, 1.25)))
+    r = analysis.pearson_r(depths, areas)
     assert r < -0.5, r
-    hm = analysis.build_heatmap(samples, bins_x=20, bins_y=20)
-    assert hm.total == len(samples)
+    hm = analysis.build_heatmap(depths, areas, bins_x=20, bins_y=20)
+    assert hm.total == len(depths)
     assert analysis.heatmap_similarity(hm, hm) == pytest.approx(1.0, abs=1e-12)
     return f"pearson r {r:.3f}, mass exact, self-similarity 1.0"
 

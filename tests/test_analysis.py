@@ -1,11 +1,11 @@
 """Depth/size statistics: sampling, heatmaps, similarity, correlation."""
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from depthkit.analysis import (
-    DepthSizeSample,
     Heatmap2D,
+    SampleRecord,
     build_heatmap,
     collect_samples,
     heatmap_csv,
@@ -37,11 +37,10 @@ def test_sample_mean_over_outward_rounded_window():
         gt_record([_gt("a", (1.2, 0.5, 3.0, 2.5))]), {"a": _ramp_map()}
     )
     assert len(samples) == 1
-    s = samples[0]
-    assert s.mean_depth == pytest.approx((2 + 3 + 10 + 11 + 18 + 19) / 6)
-    assert s.area == pytest.approx(1.8 * 2.0)
-    assert s.image_id == "a"
-    assert s.class_id == 1
+    assert samples.mean_depth[0] == pytest.approx((2 + 3 + 10 + 11 + 18 + 19) / 6)
+    assert samples.area[0] == pytest.approx(1.8 * 2.0)
+    assert samples.image_id[0] == "a"
+    assert samples.class_id[0] == 1
 
 
 def test_sample_skips_invalid_pixels_in_window():
@@ -50,7 +49,7 @@ def test_sample_skips_invalid_pixels_in_window():
     samples = collect_samples(
         gt_record([_gt("a", (1.2, 0.5, 3.0, 2.5))]), {"a": DepthMap(values)}
     )
-    assert samples[0].mean_depth == pytest.approx((3 + 10 + 11 + 18 + 19) / 5)
+    assert samples.mean_depth[0] == pytest.approx((3 + 10 + 11 + 18 + 19) / 5)
 
 
 def test_sample_window_clips_to_image():
@@ -58,9 +57,9 @@ def test_sample_window_clips_to_image():
         gt_record([_gt("a", (5.0, 3.0, 100.0, 100.0))]), {"a": _ramp_map()}
     )
     window = (np.arange(48, dtype=np.float64).reshape(6, 8) + 1.0)[3:6, 5:8]
-    assert samples[0].mean_depth == pytest.approx(window.mean())
+    assert samples.mean_depth[0] == pytest.approx(window.mean())
     # the area still comes from the stated box, not the clipped window
-    assert samples[0].area == pytest.approx(95.0 * 97.0)
+    assert samples.area[0] == pytest.approx(95.0 * 97.0)
 
 
 def test_box_with_no_valid_depth_yields_no_sample():
@@ -71,14 +70,14 @@ def test_box_with_no_valid_depth_yields_no_sample():
         {"a": DepthMap(values)},
     )
     assert len(samples) == 1
-    assert samples[0].mean_depth == 1.0
+    assert samples.mean_depth[0] == 1.0
 
 
 def test_box_entirely_outside_image_yields_no_sample():
     samples = collect_samples(
         gt_record([_gt("a", (-5.0, -5.0, -1.0, -1.0))]), {"a": _ramp_map()}
     )
-    assert samples == []
+    assert len(samples) == 0
 
 
 def test_missing_depth_map_is_an_error():
@@ -92,29 +91,26 @@ def test_samples_preserve_input_order():
         _gt("a", (3.0, 3.0, 5.0, 5.0), class_id=1),
     ]
     samples = collect_samples(gt_record(gts), {"a": _ramp_map()})
-    assert [s.class_id for s in samples] == [2, 1]
+    assert samples.class_id.tolist() == [2, 1]
 
 
 # ---------------------------------------------------------------- heatmaps
 
-def _samples(pairs):
-    return [
-        DepthSizeSample(image_id="x", class_id=0, mean_depth=d, area=a)
-        for d, a in pairs
-    ]
+def _columns(pairs):
+    return np.array(pairs, dtype=np.float64).reshape(-1, 2).T
 
 
 def test_heatmap_conserves_mass_on_default_ranges():
     rng = np.random.default_rng(7)
     pairs = list(zip(rng.uniform(1, 10, 200), rng.uniform(10, 5000, 200)))
-    hm = build_heatmap(_samples(pairs), bins_x=20, bins_y=20)
+    hm = build_heatmap(*_columns(pairs), bins_x=20, bins_y=20)
     assert hm.total == 200
     assert hm.counts.shape == (20, 20)
 
 
 def test_heatmap_upper_edge_lands_in_last_bin():
     hm = build_heatmap(
-        _samples([(1.0, 1.0), (5.0, 9.0)]), bins_x=4, bins_y=4
+        *_columns([(1.0, 1.0), (5.0, 9.0)]), bins_x=4, bins_y=4
     )
     # maxima sit in the last column / last row, not outside the grid
     assert hm.counts[0, 0] == 1
@@ -125,7 +121,7 @@ def test_heatmap_upper_edge_lands_in_last_bin():
 def test_heatmap_bin_placement_hand_case():
     # x edges 1,2,3,4,5; y edges 0,10,20,30,40
     pairs = [(1.0, 0.0), (2.0, 15.0), (4.999, 39.0), (5.0, 40.0)]
-    hm = build_heatmap(_samples(pairs), bins_x=4, bins_y=4)
+    hm = build_heatmap(*_columns(pairs), bins_x=4, bins_y=4)
     expected = np.zeros((4, 4))
     expected[0, 0] = 1
     expected[1, 1] = 1
@@ -135,7 +131,7 @@ def test_heatmap_bin_placement_hand_case():
 
 def test_degenerate_axis_collapses_to_single_bin():
     hm = build_heatmap(
-        _samples([(2.0, 10.0), (2.0, 50.0)]), bins_x=20, bins_y=2
+        *_columns([(2.0, 10.0), (2.0, 50.0)]), bins_x=20, bins_y=2
     )
     assert hm.counts.shape == (2, 1)
     assert hm.total == 2
@@ -144,16 +140,16 @@ def test_degenerate_axis_collapses_to_single_bin():
 def test_explicit_range_drops_outside_samples():
     pairs = [(1.0, 10.0), (5.0, 10.0), (9.0, 10.0)]
     hm = build_heatmap(
-        _samples(pairs), bins_x=4, bins_y=1, x_range=(0.0, 6.0)
+        *_columns(pairs), bins_x=4, bins_y=1, x_range=(0.0, 6.0)
     )
     assert hm.total == 2
 
 
 def test_heatmap_rejects_empty_and_bad_bins():
     with pytest.raises(ValueError):
-        build_heatmap([])
+        build_heatmap([], [])
     with pytest.raises(ValueError):
-        build_heatmap(_samples([(1.0, 1.0)]), bins_x=0)
+        build_heatmap(*_columns([(1.0, 1.0)]), bins_x=0)
 
 
 def test_edges_must_frame_the_grid():
@@ -177,9 +173,43 @@ def test_edges_must_frame_the_grid():
     )
 )
 def test_every_sample_lands_in_exactly_one_cell(pairs):
-    hm = build_heatmap(_samples(pairs), bins_x=7, bins_y=5)
+    hm = build_heatmap(*_columns(pairs), bins_x=7, bins_y=5)
     assert hm.total == len(pairs)
     assert (hm.counts >= 0).all()
+
+
+def _loop_counts(pairs, x_edges, y_edges):
+    """The reference: each sample binned on its own."""
+    def index(v, edges):
+        lo, hi = edges[0], edges[-1]
+        n = len(edges) - 1
+        if v < lo or v > hi:
+            return None
+        if v == hi:
+            return n - 1
+        return min(int((v - lo) / (hi - lo) * n), n - 1)
+
+    counts = np.zeros((len(y_edges) - 1, len(x_edges) - 1))
+    for x, y in pairs:
+        i, j = index(y, y_edges), index(x, x_edges)
+        if i is not None and j is not None:
+            counts[i, j] += 1
+    return counts
+
+
+@settings(max_examples=100)
+@given(
+    st.lists(st.tuples(st.floats(-1e6, 1e6), st.floats(-1e6, 1e6)), min_size=1, max_size=40),
+    st.integers(1, 9),
+    st.integers(1, 9),
+    st.none() | st.tuples(st.floats(-1e3, 1e3), st.floats(0.0, 1e3)),
+)
+@example([(1e17, 1.0), (1e17, 2.0)], 3, 3, None)
+@example([(0.0, 1.0), (5e-324, 2.0)], 4, 2, None)
+def test_heatmap_bins_like_the_per_sample_loop(pairs, bins_x, bins_y, x_span):
+    x_range = None if x_span is None else (x_span[0], x_span[0] + x_span[1])
+    hm = build_heatmap(*_columns(pairs), bins_x=bins_x, bins_y=bins_y, x_range=x_range)
+    assert np.array_equal(hm.counts, _loop_counts(pairs, hm.x_edges, hm.y_edges))
 
 
 # ------------------------------------------------------------- similarity
@@ -268,19 +298,20 @@ def test_projected_size_shrinks_with_distance():
         side = 36.0 / d
         gts.append(_gt(image_id, (2.0, 2.0, 2.0 + side, 2.0 + side)))
     samples = collect_samples(gt_record(gts), depth_maps)
-    r = pearson_r(
-        [s.mean_depth for s in samples], [s.area for s in samples]
-    )
+    r = pearson_r(samples.mean_depth, samples.area)
     assert r < -0.5
 
 
 # ---------------------------------------------------------- serialization
 
+def _record(rows):
+    image_id, class_id, depth, area = zip(*rows)
+    return SampleRecord(np.array(image_id, dtype=object), np.array(class_id),
+                        np.array(depth), np.array(area))
+
+
 def test_samples_csv_names_classes_and_formats_floats():
-    samples = [
-        DepthSizeSample("im1", 1, 2.5, 100.0),
-        DepthSizeSample("im2", 9, 3.0, 12.25),
-    ]
+    samples = _record([("im1", 1, 2.5, 100.0), ("im2", 9, 3.0, 12.25)])
     text = samples_csv(samples, classes=["background", "chair"])
     lines = text.splitlines()
     assert lines[0] == "image_id,class,mean_depth,area"
@@ -290,14 +321,14 @@ def test_samples_csv_names_classes_and_formats_floats():
 
 
 def test_samples_csv_without_class_table():
-    text = samples_csv([DepthSizeSample("a", 3, 1.0, 2.0)])
+    text = samples_csv(_record([("a", 3, 1.0, 2.0)]))
     assert text.splitlines()[1] == "a,3,1.000000,2.000000"
 
 
 def test_heatmap_csv_round_trip_is_exact():
     rng = np.random.default_rng(5)
     pairs = list(zip(rng.uniform(1, 7, 50), rng.uniform(3, 999, 50)))
-    hm = build_heatmap(_samples(pairs), bins_x=6, bins_y=4)
+    hm = build_heatmap(*_columns(pairs), bins_x=6, bins_y=4)
     back = parse_heatmap_csv(heatmap_csv(hm))
     assert np.array_equal(back.x_edges, hm.x_edges)
     assert np.array_equal(back.y_edges, hm.y_edges)

@@ -98,7 +98,7 @@ def test_encode_gray_matches_library(tmp_path, capsys):
     img, maxval = netpbm.read_pgm(str(out / "scene_gray.pgm"))
     assert maxval == 255
     expected = encoding.grayscale_encode(encoding.load_depth(str(src)), 1.0, 6.0)
-    assert np.array_equal(img, expected.quantized)
+    assert np.array_equal(img, expected)
     line = capsys.readouterr().out.splitlines()[0]
     assert line.startswith(f"{src}: valid=0.950 min=1.000m max=5.750m -> ")
     assert line.endswith("scene_gray.pgm")
@@ -111,8 +111,9 @@ def test_encode_jet_matches_library(tmp_path):
                    "--dmin", "1.0", "--dmax", "6.0", "--out", str(tmp_path)])
     assert rc == 0
     rgb, _ = netpbm.read_ppm(str(tmp_path / "scene_jet.ppm"))
-    gray = encoding.grayscale_encode(encoding.load_depth(str(src)), 1.0, 6.0)
-    assert np.array_equal(rgb, encoding.jet_encode(gray))
+    depth = encoding.load_depth(str(src))
+    gray = encoding.grayscale_encode(depth, 1.0, 6.0)
+    assert np.array_equal(rgb, encoding.jet_encode(gray, depth.valid))
 
 
 def test_encode_scale_flag_is_annotation_only(tmp_path, capsys):
@@ -492,6 +493,18 @@ def test_eval_confusion_matches_library(tmp_path, capsys, eval_files):
     assert f"matched={int(cm.counts.sum())} missed={int(cm.fn.sum())}" in out
 
 
+def test_eval_class_name_that_cannot_be_written_exits_2(tmp_path, capsys, eval_files):
+    # a lone surrogate decodes from its JSON escape but has no UTF-8 form
+    classes = tmp_path / "surrogate.json"
+    classes.write_text(json.dumps(["background", "chair", "table", "\ud800"]))
+    out = tmp_path / "out"
+    rc = cli.main(["eval", "--metric", "confusion", "--dets", eval_files["dets"],
+                   "--gts", eval_files["gts"], "--classes", str(classes), "--out", str(out)])
+    assert rc == 2
+    assert "surrogate.json" in capsys.readouterr().err
+    assert not (out / "confusion.csv").exists()
+
+
 def test_eval_confusion_requires_class_table(tmp_path, capsys, eval_files):
     rc = cli.main(["eval", "--metric", "confusion", "--dets", eval_files["dets_ids"],
                    "--gts", eval_files["gts_ids"], "--out", str(tmp_path)])
@@ -669,6 +682,20 @@ def test_analyze_missing_depth_file_exits_3(tmp_path, capsys, eval_files):
                    "--depth-dir", str(empty), "--out", str(tmp_path)])
     assert rc == 3
     assert "im1" in capsys.readouterr().err
+
+
+def test_analyze_box_area_past_the_float_range_exits_3(tmp_path, capsys, analyze_files):
+    gts = tmp_path / "huge.jsonl"
+    _write_jsonl(gts, [
+        {"image_id": "im1", "class": "chair", "x1": 0, "y1": 0, "x2": 1e200, "y2": 1e200},
+        {"image_id": "im1", "class": "chair", "x1": 10, "y1": 10, "x2": 50, "y2": 50},
+    ])
+    out = tmp_path / "stats"
+    rc = cli.main(["analyze", "--gts", str(gts), "--depth-dir", analyze_files["depth_dir"],
+                   "--classes", analyze_files["classes"], "--out", str(out)])
+    assert rc == 3
+    assert "axis range" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_analyze_without_inputs_exits_3(tmp_path, capsys):

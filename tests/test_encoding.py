@@ -42,20 +42,20 @@ def test_quantize_clips_out_of_range():
 def test_grayscale_maps_range_endpoints():
     d = _depth([[2.0, 4.0], [6.0, 6.0]])
     enc = grayscale_encode(d, 2.0, 6.0)
-    np.testing.assert_array_equal(enc.quantized, [[0, 128], [255, 255]])
+    np.testing.assert_array_equal(enc, [[0, 128], [255, 255]])
 
 
 def test_grayscale_clamps_beyond_range():
     d = _depth([[0.5, 9.0]])
     enc = grayscale_encode(d, 1.0, 5.0)
-    np.testing.assert_array_equal(enc.quantized, [[0, 255]])
+    np.testing.assert_array_equal(enc, [[0, 255]])
 
 
 def test_grayscale_invalid_pixels_code_to_zero():
     d = _depth([[0.0, 3.0]])
     assert not d.valid[0, 0]
     enc = grayscale_encode(d, 1.0, 5.0)
-    assert enc.quantized[0, 0] == 0
+    assert enc[0, 0] == 0
 
 
 def test_grayscale_rejects_empty_range():
@@ -73,7 +73,7 @@ def test_grayscale_is_monotone_in_depth(depths, lo, width):
     hi = lo + width
     enc = grayscale_encode(_depth([depths]), lo, hi)
     order = np.argsort(depths)
-    codes = enc.quantized[0][order]
+    codes = enc[0][order]
     assert np.all(np.diff(codes.astype(int)) >= 0)
 
 
@@ -113,7 +113,7 @@ def test_jet_table_channel_peaks():
 def test_jet_encode_uses_table_and_zeroes_invalid():
     d = _depth([[1.0, 3.0, 0.0]])
     gray = grayscale_encode(d, 1.0, 3.0)
-    rgb = jet_encode(gray)
+    rgb = jet_encode(gray, d.valid)
     table = jet_table()
     np.testing.assert_array_equal(rgb[0, 0], table[0])
     np.testing.assert_array_equal(rgb[0, 1], table[255])

@@ -1,6 +1,7 @@
 """Detection metrics against brute-force reference implementations."""
 import random
 
+import numpy as np
 import pytest
 from eval_rows import Box, Det, Gt, det_record, gt_record
 
@@ -348,6 +349,15 @@ def test_jsonl_unknown_class_name(tmp_path):
                     ' "x1": 0, "y1": 0, "x2": 1, "y2": 1}\n')
     with pytest.raises(ParseError):
         ev.load_detections(str(path), list(CLASSES))
+
+
+def test_image_codes_match_numpy_unique():
+    ids = np.array(["b", "", "a\x00", "a", "é", "b", "\u4e2d", "a\x00", "", "Z"], dtype=object)
+    names, codes = ev._image_codes(ids)
+    expected_names, expected_codes = np.unique(ids, return_inverse=True)
+    assert names == expected_names.tolist()
+    assert codes.tolist() == expected_codes.tolist()
+    assert ev._image_codes(ids[:0])[1].tolist() == []
 
 
 def test_ap_csv_formats_na_and_map():

@@ -4,7 +4,7 @@ import pytest
 
 from depthkit import CameraIntrinsics, DepthMap, estimate_gravity, hdha_encode
 from depthkit import _kernels
-from depthkit.geometry import backproject_grid, normals_grid
+from depthkit.geometry import backproject_grid
 
 CAM = CameraIntrinsics(fx=100.0, fy=100.0, cx=39.5, cy=29.5, baseline=0.075)
 
@@ -43,7 +43,7 @@ def test_backprojection_zeroes_invalid_pixels():
 
 def test_plane_normals():
     depth, floor = _floor_wall_scene()
-    normals, valid = normals_grid(depth, CAM, k_neighbors=25)
+    normals, valid = _kernels.normals_from_points(backproject_grid(depth, CAM), depth.valid, 25)
     # squarely inside each region the normal is exact; pixels whose
     # windows straddle the floor/wall crease (rows 50-54) are excluded
     wall_core = ~floor
@@ -135,7 +135,7 @@ def test_normals_match_brute_force_oracle(case):
 def test_normals_face_the_camera():
     depth, _ = _floor_wall_scene()
     points = backproject_grid(depth, CAM)
-    normals, ok = normals_grid(depth, CAM, k_neighbors=25)
+    normals, ok = _kernels.normals_from_points(points, depth.valid, 25)
     assert normals.shape == points.shape
     assert ok.any() and not (ok & ~depth.valid).any()
     dots = np.einsum("ij,ij->i", normals[ok], points[ok])
@@ -147,7 +147,7 @@ def test_isolated_points_get_no_normal():
     vals[4, 4] = 2.0
     vals[0, 0] = 3.0
     depth = DepthMap(vals)
-    normals, valid = normals_grid(depth, CAM, k_neighbors=9)
+    normals, valid = _kernels.normals_from_points(backproject_grid(depth, CAM), depth.valid, 9)
     # two points can never span a plane
     assert not valid.any()
 
@@ -160,7 +160,7 @@ def test_window_grows_until_enough_points():
     ys = (vs - 10.0) / 100.0
     vals[keep] = 5.0 - ys[keep]  # gently sloped sheet, full rank
     depth = DepthMap(vals)
-    normals, valid = normals_grid(depth, CAM, k_neighbors=25)
+    normals, valid = _kernels.normals_from_points(backproject_grid(depth, CAM), depth.valid, 25)
     interior = np.zeros_like(valid)
     interior[6:15, 6:15] = True
     assert (valid & interior & keep).sum() > 10
@@ -170,7 +170,7 @@ def test_window_grows_until_enough_points():
 
 def test_gravity_recovers_from_tilted_start():
     depth, _ = _floor_wall_scene()
-    normals, valid = normals_grid(depth, CAM, k_neighbors=25)
+    normals, valid = _kernels.normals_from_points(backproject_grid(depth, CAM), depth.valid, 25)
     tilt = np.deg2rad(10.0)
     initial = np.array([np.sin(tilt), np.cos(tilt), 0.0])
     est = estimate_gravity(normals, valid, initial=initial)
@@ -181,7 +181,7 @@ def test_gravity_recovers_from_tilted_start():
 
 def test_gravity_default_seed_is_camera_down():
     depth, _ = _floor_wall_scene()
-    normals, valid = normals_grid(depth, CAM, k_neighbors=25)
+    normals, valid = _kernels.normals_from_points(backproject_grid(depth, CAM), depth.valid, 25)
     est = estimate_gravity(normals, valid)
     assert est.direction @ [0.0, 1.0, 0.0] > 0.99
 

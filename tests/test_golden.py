@@ -7,7 +7,7 @@ by ``<work>``) and every file it wrote.  The digests live in
 PFM and a 16-bit PGM map, hdha plain, with a smaller window, with
 stats computed then applied, and with a fixed gravity), ``analyze``
 (two builds and their similarity), ``eval`` (every metric) and
-``arch`` (every variant and backbone at the default input, plus two
+``arch`` (every variant and backbone at the default input, plus three
 small seeded forwards); a refactor must leave all of them unchanged.
 After an intended output change, regenerate them with::
 
@@ -131,13 +131,13 @@ CASES = [
 
 # (name, argv): every graph at the default input, then two
 # resnet101 forwards that reach the rank-4 and rank-2 concats, the batch
-# repeat, the fixed-size resize, bias-free convs and both heads
-_FORWARD = ["--backbone", "resnet101", "--input", "32x32", "--rois", "4",
-            "--forward", "--seed", "3"]
+# repeat, the fixed-size resize, bias-free convs and both heads, and a
+# vgg16 forward through the streamed fully connected layers
+_FORWARD = ["--input", "32x32", "--rois", "4", "--forward", "--seed", "3"]
 ARCH_CASES = [(f"{v}/{b}", ["arch", "--variant", v, "--backbone", b])
               for b in BACKBONES for v in VARIANTS] + [
-    ("raw-MC/resnet101-forward", ["arch", "--variant", "raw-MC", *_FORWARD]),
-    ("raw-LC/resnet101-forward", ["arch", "--variant", "raw-LC", *_FORWARD]),
+    (f"{v}/{b}-forward", ["arch", "--variant", v, "--backbone", b, *_FORWARD])
+    for v, b in (("raw-MC", "resnet101"), ("raw-LC", "resnet101"), ("raw-LC", "vgg16"))
 ]
 
 
