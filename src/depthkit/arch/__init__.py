@@ -6,7 +6,6 @@ from .execute import Lcg, execute_forward
 from .export import format_shape, shape_csv, shape_rows, to_dot
 from .graph import (
     ArchGraph,
-    Edge,
     GraphError,
     InputSpec,
     LayerSpec,
@@ -20,7 +19,6 @@ from .params import ParamReport, ParamRow, count_parameters
 __all__ = [
     "ArchGraph",
     "BACKBONES",
-    "Edge",
     "GraphError",
     "InputSpec",
     "LayerSpec",

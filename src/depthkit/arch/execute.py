@@ -37,6 +37,7 @@ such tensor: it is set by the input, not by the parameter count.
 from __future__ import annotations
 
 import math
+from collections import Counter
 
 import numpy as np
 
@@ -313,23 +314,24 @@ def execute_forward(graph: ArchGraph, inputs: dict[str, np.ndarray],
         raise StructuralError("graph has no image input")
     shapes = propagate_shapes(graph, primary_shape, num_rois)
 
-    pending: dict[str, int] = {}
     for name in graph.inputs:
         key = f"{name}:out"
         if values[key].shape != shapes[key]:
             raise StructuralError(
                 f"input {name!r} has shape {values[key].shape}, expected {shapes[key]}")
-        pending[key] = len(graph.consumers(name, "out"))
 
-    leaves = {f"{n}:{p}" for n, p in graph.leaf_ports()}
+    # readers left per producer; a node nothing reads is a leaf and is returned
+    readers = Counter(src for srcs in graph.sources.values() for src in srcs)
+    leaves = sorted(f"{name}:{port}" for name, spec in graph.nodes.items()
+                    if name not in readers for port in spec.output_ports())
     lcg = Lcg(seed)
     for name, spec in graph.nodes.items():
-        edges = graph.in_edges(name)
-        xs = [values[f"{e.src}:{e.src_port}"] for e in edges]
+        srcs = graph.sources[name]
+        xs = [values[f"{src}:out"] for src in srcs]
         if spec.kind == "fc":
             outs = {"out": _fc(xs[0], spec.out_features, lcg)}
         else:
-            in_shapes = [shapes[f"{e.src}:{e.src_port}"] for e in edges]
+            in_shapes = [shapes[f"{src}:out"] for src in srcs]
             params = {key: lcg.draws(math.prod(shape)).reshape(shape)
                       for key, shape in spec.weight_shapes(in_shapes)}
             outs = _run_node(spec, params, xs, num_rois)
@@ -341,10 +343,8 @@ def execute_forward(graph: ArchGraph, inputs: dict[str, np.ndarray],
                     f"executor produced {arr.shape} at {key}, propagation said {shapes[key]}"
                 )
             values[key] = arr
-            pending[key] = len(graph.consumers(name, port))
-        for e in edges:
-            key = f"{e.src}:{e.src_port}"
-            pending[key] -= 1
-            if pending[key] == 0 and key not in leaves:
-                del values[key]
-    return {key: values[key] for key in sorted(leaves)}
+        for src in srcs:
+            readers[src] -= 1
+            if readers[src] == 0:
+                del values[f"{src}:out"]
+    return {key: values[key] for key in leaves}

@@ -52,23 +52,13 @@ def to_dot(graph: ArchGraph) -> str:
         out.write(f'  "{name}" [shape=ellipse, label="{name}"];\n')
     for name, spec in graph.nodes.items():
         out.write(f'  "{name}" [label="{_node_label(name, spec)}"];\n')
-    for edge in graph.edges:
-        attrs = []
-        if edge.src_port != "out":
-            attrs.append(f'taillabel="{edge.src_port}"')
+    for src, dst, _ in graph.edges():
+        suffix = ""
         if graph.shapes is not None:
-            attrs.append(f'label="{format_shape(graph.shapes[f"{edge.src}:{edge.src_port}"])}"')
-        suffix = f" [{', '.join(attrs)}]" if attrs else ""
-        out.write(f'  "{edge.src}" -> "{edge.dst}"{suffix};\n')
+            suffix = f' [label="{format_shape(graph.shapes[f"{src}:out"])}"]'
+        out.write(f'  "{src}" -> "{dst}"{suffix};\n')
     out.write("}\n")
     return out.getvalue()
-
-
-def _det_head_name(graph: ArchGraph) -> str | None:
-    for name, spec in graph.nodes.items():
-        if spec.kind == "det_head":
-            return name
-    return None
 
 
 def shape_rows(graph: ArchGraph) -> list[tuple[str, Shape]]:
@@ -82,15 +72,14 @@ def shape_rows(graph: ArchGraph) -> list[tuple[str, Shape]]:
     rows: list[tuple[str, Shape]] = []
     for name in graph.inputs:
         rows.append((f"input_{name}", graph.shapes[f"{name}:out"]))
-    det = _det_head_name(graph)
-    if det is not None:
-        edge = graph.in_edges(det)[0]
-        rows.append(("head_input", graph.shapes[f"{edge.src}:{edge.src_port}"]))
+    for name, spec in graph.nodes.items():
+        if spec.kind == "det_head":
+            rows.append(("head_input", graph.shapes[f"{graph.sources[name][0]}:out"]))
     for landmark, node in (("fused", "fuse/concat"), ("reduced", "fuse/reduce")):
         if node in graph.nodes:
             rows.append((landmark, graph.shapes[f"{node}:out"]))
-    for edge in graph.edges:
-        rows.append((edge.label(), graph.shapes[f"{edge.src}:{edge.src_port}"]))
+    for src, dst, slot in graph.edges():
+        rows.append((f"{src}:out->{dst}[{slot}]", graph.shapes[f"{src}:out"]))
     return rows
 
 

@@ -1,11 +1,14 @@
 """Dataflow graphs describing two-stage detector architectures.
 
-A graph is a DAG of typed layer nodes.  Nodes are added in construction
-order, and every edge must point at an already-existing node, so
-construction order is always a valid execution order.  Shape
-propagation walks the graph symbolically and annotates every edge; the
-parameter counter and the numeric executor both build on that, and both
-read a layer's weight tensors from ``LayerSpec.weight_shapes``.
+A graph is a DAG of typed layer nodes, stored as each node's producer
+names by input slot.  An edge always reads its producer's ``out`` port;
+the proposal and detection heads, the only nodes with named ports, are
+read by nothing and so end a path.  Nodes are added in construction
+order and may only name producers that already exist, so construction
+order is always a valid execution order.  Shape propagation walks the
+graph symbolically and annotates every output port; the parameter
+counter and the numeric executor both build on that, and both read a
+layer's weight tensors from ``LayerSpec.weight_shapes``.
 
 Tensor shape conventions: image tensors are ``(C, H, W)`` before the
 region stage and ``(N, C, H, W)`` after it, feature vectors are
@@ -14,6 +17,7 @@ region stage and ``(N, C, H, W)`` after it, feature vectors are
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass, field
 
 Shape = tuple[int, ...]
@@ -149,17 +153,6 @@ class LayerSpec:
         return (1, 1)
 
 
-@dataclass(frozen=True)
-class Edge:
-    src: str
-    src_port: str
-    dst: str
-    dst_slot: int
-
-    def label(self) -> str:
-        return f"{self.src}:{self.src_port}->{self.dst}[{self.dst_slot}]"
-
-
 @dataclass
 class InputSpec:
     """Graph entry point: an image plane or RoI boxes."""
@@ -173,15 +166,10 @@ class ArchGraph:
     variant: str = "custom"
     backbone: str = ""
     nodes: dict[str, LayerSpec] = field(default_factory=dict)
-    edges: list[Edge] = field(default_factory=list)
+    # each node's producers by input slot; every edge reads a producer's "out"
+    sources: dict[str, list[str]] = field(default_factory=dict)
     inputs: dict[str, InputSpec] = field(default_factory=dict)
     shapes: dict[str, Shape] | None = None
-    num_rois: int | None = None
-    # edges indexed by destination and by producer port, filled by ``add``
-    _in: dict[str, list[Edge]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
-    _out: dict[tuple[str, str], list[Edge]] = field(
-        default_factory=dict, init=False, repr=False, compare=False)
 
     def add_input(self, name: str, channels: int = 0, rois: bool = False) -> str:
         if name in self.inputs or name in self.nodes:
@@ -189,12 +177,12 @@ class ArchGraph:
         self.inputs[name] = InputSpec(channels=channels, rois=rois)
         return name
 
-    def add(self, name: str, spec: LayerSpec, inputs: list[str | tuple[str, str]]) -> str:
-        """Add a node wired to existing producers.
+    def add(self, name: str, spec: LayerSpec, inputs: list[str]) -> str:
+        """Add a node reading the ``out`` port of each named producer.
 
-        Each entry of ``inputs`` is a producer name, or ``(name, port)``
-        for multi-output producers.  Keeping edges pointed backward makes
-        construction order a valid execution order.
+        Producers must already exist, which keeps construction order a
+        valid execution order.  Heads have no ``out`` port, so nothing
+        can read them and they always end a path.
         """
         if name in self.nodes or name in self.inputs:
             raise StructuralError(f"duplicate name {name!r}")
@@ -204,52 +192,22 @@ class ArchGraph:
             raise StructuralError(
                 f"node {name}: {spec.kind} takes {lo}..{hi} inputs, got {len(inputs)}"
             )
-        resolved: list[Edge] = []
-        for slot, item in enumerate(inputs):
-            src, port = item if isinstance(item, tuple) else (item, "out")
-            if src in self.inputs:
-                if port != "out":
-                    raise StructuralError(f"node {name}: graph input {src!r} has no port {port!r}")
-            elif src in self.nodes:
-                if port not in self.nodes[src].output_ports():
-                    raise StructuralError(f"node {name}: {src!r} has no output port {port!r}")
-            else:
+        for src in inputs:
+            if src in self.nodes:
+                if "out" not in self.nodes[src].output_ports():
+                    raise StructuralError(f"node {name}: {src!r} has no output port 'out'")
+            elif src not in self.inputs:
                 raise StructuralError(f"node {name}: unknown input {src!r}")
-            resolved.append(Edge(src=src, src_port=port, dst=name, dst_slot=slot))
         self.nodes[name] = spec
-        self.edges.extend(resolved)
-        self._in[name] = resolved
-        for edge in resolved:
-            self._out.setdefault((edge.src, edge.src_port), []).append(edge)
+        self.sources[name] = list(inputs)
         self.shapes = None
         return name
 
-    def in_edges(self, name: str) -> list[Edge]:
-        """Edges into ``name``, by slot."""
-        return list(self._in.get(name, ()))
-
-    def consumers(self, name: str, port: str) -> list[Edge]:
-        """Edges out of ``name:port``, in construction order."""
-        return list(self._out.get((name, port), ()))
-
-    def leaf_ports(self) -> list[tuple[str, str]]:
-        """Output ports nothing consumes, in construction order."""
-        out = []
-        for name, spec in self.nodes.items():
-            for port in spec.output_ports():
-                if not self.consumers(name, port):
-                    out.append((name, port))
-        return out
-
-    def validate(self) -> None:
-        heads = [n for n, s in self.nodes.items() if s.kind == "det_head"]
-        if len(heads) != 1:
-            raise StructuralError(f"graph must contain exactly one det_head, found {len(heads)}")
-        for name in self.nodes:
-            edges = self.in_edges(name)
-            slots = [e.dst_slot for e in edges]
-            if slots != list(range(len(slots))):
-                raise StructuralError(f"node {name}: input slots not contiguous")
+    def edges(self) -> Iterator[tuple[str, str, int]]:
+        """``(producer, consumer, slot)`` for every edge, in construction order."""
+        for dst, srcs in self.sources.items():
+            for slot, src in enumerate(srcs):
+                yield src, dst, slot
 
     def shape_of(self, name: str, port: str = "out") -> Shape:
         if self.shapes is None:
@@ -366,7 +324,9 @@ def propagate_shapes(graph: ArchGraph, input_shape: Shape, num_rois: int) -> dic
         raise ValueError(f"input shape must be (C, H, W) with positive extents, got {input_shape}")
     if num_rois < 1:
         raise ValueError(f"num_rois must be >= 1, got {num_rois}")
-    graph.validate()
+    heads = sum(spec.kind == "det_head" for spec in graph.nodes.values())
+    if heads != 1:
+        raise StructuralError(f"graph must contain exactly one det_head, found {heads}")
     _, ih, iw = input_shape
     shapes: dict[str, Shape] = {}
     primary_seen = False
@@ -382,14 +342,8 @@ def propagate_shapes(graph: ArchGraph, input_shape: Shape, num_rois: int) -> dic
         primary_seen = True
         shapes[f"{name}:out"] = (ispec.channels, ih, iw)
     for name, spec in graph.nodes.items():
-        in_shapes = []
-        for edge in graph.in_edges(name):
-            key = f"{edge.src}:{edge.src_port}"
-            if key not in shapes:
-                raise StructuralError(f"edge {edge.label()}: producer shape unknown")
-            in_shapes.append(shapes[key])
+        in_shapes = [shapes[f"{src}:out"] for src in graph.sources[name]]
         for port, shape in _node_output_shapes(name, spec, in_shapes, num_rois).items():
             shapes[f"{name}:{port}"] = shape
     graph.shapes = shapes
-    graph.num_rois = num_rois
     return shapes

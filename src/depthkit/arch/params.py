@@ -64,7 +64,7 @@ def count_parameters(graph: ArchGraph) -> ParamReport:
                          "call propagate_shapes first")
     rows = []
     for name, spec in graph.nodes.items():
-        in_shapes = [graph.shapes[f"{e.src}:{e.src_port}"] for e in graph.in_edges(name)]
+        in_shapes = [graph.shapes[f"{src}:out"] for src in graph.sources[name]]
         weights = sum(math.prod(shape) for _, shape in spec.weight_shapes(in_shapes))
         bn = 2 * spec.out_channels if spec.kind == "conv2d" and spec.batch_norm else 0
         if weights == 0 and bn == 0:

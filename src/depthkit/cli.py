@@ -197,8 +197,11 @@ def _cmd_encode(args) -> int:
             lambda p: _encode_one(p, args, cam, gravity, stats, defer), args.files
         ))
         if defer:
-            stats = encoding.compute_channel_stats([hdha for _, hdha in held])
-            stats.to_json(args.stats)
+            # a batch with no valid pixel renders to zeros under any stats,
+            # so it writes its images and no stats file
+            if any(hdha.valid.any() for _, hdha in held):
+                stats = encoding.compute_channel_stats([hdha for _, hdha in held])
+                stats.to_json(args.stats)
             list(pool.map(lambda d: _write_hdha(*d, stats), held))
     for line in lines:
         print(line)

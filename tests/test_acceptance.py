@@ -113,8 +113,7 @@ def test_shape_contracts():
 
     g = graphs[("raw-LC", "vgg16")]
     det = next(n for n, s in g.nodes.items() if s.kind == "det_head")
-    e = g.in_edges(det)[0]
-    assert g.shapes[f"{e.src}:{e.src_port}"] == (300, 8192)
+    assert g.shapes[f"{g.sources[det][0]}:out"] == (300, 8192)
 
     g = graphs[("raw-MC", "resnet101")]
     assert g.shapes["fuse/concat:out"] == (300, 2048, 7, 7)

@@ -318,13 +318,16 @@ def test_drawn_values_equal_counted_parameters(monkeypatch, variant, backbone):
 
 def test_forward_memory_is_bounded_by_the_input():
     # fc6 alone holds 102.8M weights (784 MiB as float64); streamed, the
-    # whole forward stays far below that
-    graph = build_architecture("raw-LC", "vgg16")
-    inputs = _toy_inputs(graph, 32, 32)
-    tracemalloc.start()
-    try:
-        execute_forward(graph, inputs, seed=0)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak < 64 * 2**20
+    # whole forward stays far below that.  The resnet101 case holds about
+    # 42 MiB at its peak and about 114 MiB if no activation is freed once
+    # its last reader has run
+    for variant, backbone, side in (("raw-LC", "vgg16", 32), ("hdha-split", "resnet101", 64)):
+        graph = build_architecture(variant, backbone)
+        inputs = _toy_inputs(graph, side, side)
+        tracemalloc.start()
+        try:
+            execute_forward(graph, inputs, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, (variant, backbone, peak)

@@ -206,6 +206,25 @@ def test_encode_hdha_stats_failure_writes_no_images(tmp_path, capsys):
     assert list(out.glob("*_hdha.ppm")) == []
 
 
+def test_encode_hdha_stats_on_a_batch_with_no_valid_pixel(tmp_path):
+    # no stats exist to compute, and none could change a byte of a zero image
+    maps = [tmp_path / "a.pfm", tmp_path / "b.pfm"]
+    for path in maps:
+        netpbm.write_pfm(str(path), np.zeros((4, 4), dtype=np.float32))
+    cam_path = tmp_path / "cam.json"
+    cam_path.write_text(json.dumps({"fx": 4.0, "fy": 4.0, "cx": 1.5, "cy": 1.5}))
+    stats_path = tmp_path / "o" / "s.json"
+    rc = cli.main(["encode", *map(str, maps), "--mode", "hdha",
+                   "--intrinsics", str(cam_path), "--stats", str(stats_path),
+                   "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert not stats_path.exists()
+    for path in maps:
+        rgb, _ = netpbm.read_ppm(str(tmp_path / "o" / f"{path.stem}_hdha.ppm"))
+        assert rgb.shape == (4, 4, 3)
+        assert not rgb.any()
+
+
 def test_encode_hdha_accepts_fixed_gravity(tmp_path):
     depth, cam = _floor_wall_scene()
     src = tmp_path / "room.pfm"

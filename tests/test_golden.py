@@ -9,15 +9,19 @@ stats computed then applied, and with a fixed gravity), ``analyze``
 (two builds and their similarity), ``eval`` (every metric) and
 ``arch`` (every variant and backbone at the default input, plus three
 small seeded forwards); a refactor must leave all of them unchanged.
-After an intended output change, regenerate them with::
+After an intended output change, regenerate only the commands whose
+output changed, for example::
 
-    PYTHONPATH=src python tests/test_golden.py
+    PYTHONPATH=src python tests/test_golden.py arch
+
+Without a command name the script prints its usage and exits 2.
 """
 import contextlib
 import hashlib
 import io
 import json
 import os
+import sys
 import tempfile
 
 import numpy as np
@@ -310,8 +314,13 @@ def test_arch_outputs_match_golden_digests():
 
 
 if __name__ == "__main__":
+    commands = sys.argv[1:]
+    if not commands or not set(commands) <= set(GOLDENS):
+        print(f"usage: {sys.argv[0]} COMMAND... (one or more of {', '.join(GOLDENS)})",
+              file=sys.stderr)
+        sys.exit(2)
     os.makedirs(GOLDEN_DIR, exist_ok=True)
-    for command in GOLDENS:
+    for command in dict.fromkeys(commands):
         path = os.path.join(GOLDEN_DIR, f"{command}.json")
         with open(path, "w") as fh:
             json.dump(compute_digests(command), fh, indent=2, sort_keys=True)

@@ -1,10 +1,17 @@
 """Netpbm reader/writer round-trips and malformed-input diagnostics."""
+import contextlib
+import io
+import json
+import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from depthkit import netpbm
+from depthkit import cli, netpbm
 from depthkit.netpbm import ParseError
 
 
@@ -118,3 +125,71 @@ def test_dimension_limits(tmp_path):
     path.write_bytes(b"P5\n0 2\n255\n")
     with pytest.raises(ParseError):
         netpbm.read_pgm(str(path))
+
+
+# ------------------------------------------------------------------- fuzz
+
+_TOKENS = [b"-3", b"+4", b"0", b"1_0", b"3.5", b"0x10", b"1e3", b"nan", b"inf", b"-inf",
+           b"-1.0", b"99999999999999999999", b"9" * 5000, b"Pf", b"PF", b"P5", b"#", b"\xff"]
+
+
+@st.composite
+def _depth_file(draw):
+    """A depth PFM or 16-bit PGM of a 1-8 x 1-8 map whose header has one
+    token replaced, deleted or duplicated, a comment or a missing
+    separator, or whose raster is cut short."""
+    pfm = draw(st.booleans())
+    w, h = draw(st.integers(1, 8)), draw(st.integers(1, 8))
+    meters = np.array(draw(st.lists(st.sampled_from([0.0, 0.7, 1.5, 3.0, 6.0]),
+                                    min_size=w * h, max_size=w * h))).reshape(h, w)
+    if pfm:
+        tokens = [b"Pf", b"%d" % w, b"%d" % h, b"-1.0"]
+        raster = meters[::-1].astype("<f4").tobytes()
+    else:
+        tokens = [b"P5", b"%d" % w, b"%d" % h, b"65535"]
+        raster = np.round(meters * 1000).astype(">u2").tobytes()
+    seps = [b"\n", b" ", b"\n", b"\n"]
+    i = draw(st.integers(0, 3))
+    how = draw(st.sampled_from(["replace", "delete", "duplicate", "comment", "join", "cut"]))
+    if how == "replace":
+        tokens[i] = draw(st.one_of(st.sampled_from(_TOKENS),
+                                   st.integers(-10, 10**30).map(lambda n: b"%d" % n)))
+    elif how == "delete":
+        del tokens[i], seps[i]
+    elif how == "duplicate":
+        tokens.insert(i, tokens[i])
+        seps.insert(i, b" ")
+    elif how == "comment":
+        seps[i] += b"# note 12 -1.0\n"
+    elif how == "join":
+        seps[i] = b""
+    else:
+        raster = raster[:draw(st.integers(0, len(raster) - 1))]
+    header = b"".join(token + sep for token, sep in zip(tokens, seps))
+    return ".pfm" if pfm else ".pgm", header + raster
+
+
+@settings(max_examples=60, deadline=None)
+@given(name_data=_depth_file(), mode=st.sampled_from(["gray", "hdha"]))
+def test_fuzzed_depth_headers_keep_the_cli_contract(tmp_path_factory, name_data, mode):
+    suffix, data = name_data
+    tmp = tmp_path_factory.mktemp("netpbm")
+    src = tmp / f"map{suffix}"
+    src.write_bytes(data)
+    cam = tmp / "cam.json"
+    cam.write_text(json.dumps({"fx": 4.0, "fy": 4.0, "cx": 3.5, "cy": 3.5}))
+    argv = ["encode", str(src), "--mode", mode, "--out", str(tmp / "out")]
+    argv += ["--dmin", "0.5", "--dmax", "8"] if mode == "gray" else ["--intrinsics", str(cam)]
+    err = io.StringIO()
+    with (warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err),
+          contextlib.redirect_stdout(io.StringIO())):
+        warnings.simplefilter("always")
+        rc = cli.main(argv)
+    err = err.getvalue()
+    assert rc in (0, 2, 3), err
+    assert "Traceback" not in err and "Warning" not in err
+    assert caught == []
+    if rc == 2:
+        found = re.search(r"\(byte offset (\d+)\)$", err.strip())
+        assert found, err
+        assert int(found[1]) <= len(data), err
