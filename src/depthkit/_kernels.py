@@ -12,14 +12,31 @@ by one ring through the same four-lookup window sum, so a pixel's sums
 are those of the first radius at which it holds ``k`` points (or of
 radius ``max(H, W)``).  A pixel with fewer than 3 gathered points, or
 with a degenerate neighborhood, gets no normal.
+
+Memory rule: the integral image is built one moment plane at a time,
+and the valid pixels then pass through the per-pixel stage (window
+sums, ring growth, covariance, ``eigh``, orientation) ``CHUNK`` at a
+time.  Beside the input, the outputs and the index of valid pixels, a
+call holds the integral image (80 bytes a pixel) plus one chunk of
+temporaries; the centered coordinates (24 bytes a pixel) live only
+while the integral image is built.  Every step of the per-pixel stage
+reads only its own pixel's window, and ``eigh`` decomposes each matrix
+of a stack on its own, so the chunk size changes no output bit.
 """
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
 
 _DEGENERATE_EIG = 1e-15
+# valid pixels per pass of the per-pixel stage; a chunk's temporaries
+# peak in the window sums at about 512 bytes a pixel (four 10-moment
+# lookups, their running sum and the clipped bounds), 8 MiB a chunk,
+# a third of a VGA map's 24 MiB integral image; smaller chunks ran no
+# faster on a VGA map
+CHUNK = 1 << 14
 
 
 def backend_name() -> str:
@@ -31,6 +48,24 @@ def base_radius(k: int) -> int:
     """Smallest r such that the (2r+1)^2 window can hold k cells."""
     side = math.isqrt(max(k - 1, 0)) + 1
     return max(side // 2, 1)
+
+
+def _moment_integral(points: np.ndarray, valid: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """Integral image ``(H+1, W+1, 10)`` of the masked moments of the
+    points centered on ``mean``: count, x, y, z, xx, xy, xz, yy, yz, zz.
+
+    A window sum is then four lookups regardless of window size.  Each
+    plane is summed straight into its slot: cumsum adds in sequence along
+    its axis, so this equals summing the stacked planes, bit for bit.
+    """
+    h, w = valid.shape
+    # centered coordinates are 0 at invalid pixels, so every product is too
+    x, y, z = (np.where(valid, points[..., a] - mean[a], 0.0) for a in range(3))
+    products = (a * b for a, b in ((x, x), (x, y), (x, z), (y, y), (y, z), (z, z)))
+    integ = np.zeros((h + 1, w + 1, 10))
+    for c, plane in enumerate(itertools.chain((valid, x, y, z), products)):
+        np.cumsum(np.cumsum(plane, axis=0, dtype=np.float64), axis=1, out=integ[1:, 1:, c])
+    return integ
 
 
 def normals_from_points(
@@ -50,19 +85,10 @@ def normals_from_points(
         mean = points[valid].mean(axis=0)
     else:
         mean = np.zeros(3)
-    centered = np.where(valid[..., None], points - mean, 0.0)
-
+    integ = _moment_integral(points, valid, mean)
     h, w = valid.shape
     out_n = np.zeros((h, w, 3))
     out_valid = np.zeros((h, w), dtype=bool)
-
-    # Integral images of the masked first and second moments; a window sum
-    # is then four lookups regardless of window size.
-    # centered is 0 at invalid pixels, so every product is too
-    x, y, z = np.moveaxis(centered, -1, 0)
-    planes = np.stack([valid, x, y, z, x * x, x * y, x * z, y * y, y * z, z * z], axis=-1)
-    integ = np.zeros((h + 1, w + 1, 10))
-    np.cumsum(np.cumsum(planes, axis=0), axis=1, out=integ[1:, 1:])
 
     def window_sums(ci, cj, r):
         # sums over the window of radius r around (ci, cj), clipped to the image
@@ -73,45 +99,44 @@ def normals_from_points(
         return integ[i1, j1] - integ[i0, j1] - integ[i1, j0] + integ[i0, j0]
 
     ii, jj = np.nonzero(valid)
-    if ii.size == 0:
-        return out_n, out_valid
-    r = base_radius(k)
     max_r = max(h, w)
-    sums = window_sums(ii, jj, r)
+    for start in range(0, ii.size, CHUNK):
+        ci, cj = ii[start:start + CHUNK], jj[start:start + CHUNK]
+        r = base_radius(k)
+        sums = window_sums(ci, cj, r)
+        pending = np.nonzero(sums[:, 0] < k)[0]
+        while pending.size and r < max_r:
+            r += 1
+            grown = window_sums(ci[pending], cj[pending], r)
+            sums[pending] = grown
+            pending = pending[grown[:, 0] < k]
+        enough = sums[:, 0] >= 3
+        if not np.any(enough):
+            continue
+        sums = sums[enough]
+        ci, cj = ci[enough], cj[enough]
+        n = sums[:, 0]
+        mu = sums[:, 1:4] / n[:, None]
+        cov = np.empty((sums.shape[0], 3, 3))
+        cov[:, 0, 0] = sums[:, 4] / n - mu[:, 0] * mu[:, 0]
+        cov[:, 0, 1] = sums[:, 5] / n - mu[:, 0] * mu[:, 1]
+        cov[:, 0, 2] = sums[:, 6] / n - mu[:, 0] * mu[:, 2]
+        cov[:, 1, 1] = sums[:, 7] / n - mu[:, 1] * mu[:, 1]
+        cov[:, 1, 2] = sums[:, 8] / n - mu[:, 1] * mu[:, 2]
+        cov[:, 2, 2] = sums[:, 9] / n - mu[:, 2] * mu[:, 2]
+        cov[:, 1, 0] = cov[:, 0, 1]
+        cov[:, 2, 0] = cov[:, 0, 2]
+        cov[:, 2, 1] = cov[:, 1, 2]
 
-    pending = np.nonzero(sums[:, 0] < k)[0]
-    while pending.size and r < max_r:
-        r += 1
-        grown = window_sums(ii[pending], jj[pending], r)
-        sums[pending] = grown
-        pending = pending[grown[:, 0] < k]
+        evals, evecs = np.linalg.eigh(cov)
+        good = np.all(np.isfinite(evals), axis=1) & (evals[:, 1] > _DEGENERATE_EIG)
+        normals = evecs[:, :, 0]
+        # the centered point plus the mean: the goldens freeze this
+        # rounding, which may differ from the point's in the last bit
+        own = (points[ci, cj] - mean) + mean
+        flip = np.einsum("ij,ij->i", normals, own) > 0.0
+        normals = np.where(flip[:, None], -normals, normals)
 
-    counts = sums[:, 0]
-    enough = counts >= 3
-    if not np.any(enough):
-        return out_n, out_valid
-    sums = sums[enough]
-    ii, jj = ii[enough], jj[enough]
-    n = sums[:, 0]
-    mu = sums[:, 1:4] / n[:, None]
-    cov = np.empty((sums.shape[0], 3, 3))
-    cov[:, 0, 0] = sums[:, 4] / n - mu[:, 0] * mu[:, 0]
-    cov[:, 0, 1] = sums[:, 5] / n - mu[:, 0] * mu[:, 1]
-    cov[:, 0, 2] = sums[:, 6] / n - mu[:, 0] * mu[:, 2]
-    cov[:, 1, 1] = sums[:, 7] / n - mu[:, 1] * mu[:, 1]
-    cov[:, 1, 2] = sums[:, 8] / n - mu[:, 1] * mu[:, 2]
-    cov[:, 2, 2] = sums[:, 9] / n - mu[:, 2] * mu[:, 2]
-    cov[:, 1, 0] = cov[:, 0, 1]
-    cov[:, 2, 0] = cov[:, 0, 2]
-    cov[:, 2, 1] = cov[:, 1, 2]
-
-    evals, evecs = np.linalg.eigh(cov)
-    good = np.all(np.isfinite(evals), axis=1) & (evals[:, 1] > _DEGENERATE_EIG)
-    normals = evecs[:, :, 0]
-    own = centered[ii, jj] + mean
-    flip = np.einsum("ij,ij->i", normals, own) > 0.0
-    normals = np.where(flip[:, None], -normals, normals)
-
-    out_n[ii[good], jj[good]] = normals[good]
-    out_valid[ii[good], jj[good]] = True
+        out_n[ci[good], cj[good]] = normals[good]
+        out_valid[ci[good], cj[good]] = True
     return out_n, out_valid

@@ -9,6 +9,7 @@ failures as :class:`ParseError` carrying the byte offset of the problem.
 from __future__ import annotations
 
 import json
+import math
 
 import numpy as np
 
@@ -94,18 +95,25 @@ class _Tokenizer:
     def int_token(self, what: str) -> int:
         tok = self.token(what)
         start = self.pos - len(tok)
+        # netpbm integers are ASCII decimal digits only; int() would also
+        # take a sign and underscores
+        if not tok.isdigit():
+            raise ParseError(f"{what} is not a decimal integer: {tok!r}", start)
         try:
             return int(tok)
-        except ValueError:
-            raise ParseError(f"{what} is not an integer: {tok!r}", start) from None
+        except ValueError:  # more digits than int() converts
+            raise ParseError(f"{what} has too many digits", start) from None
 
     def float_token(self, what: str) -> float:
         tok = self.token(what)
         start = self.pos - len(tok)
         try:
-            return float(tok)
+            value = float(tok)
         except ValueError:
             raise ParseError(f"{what} is not a number: {tok!r}", start) from None
+        if not math.isfinite(value):
+            raise ParseError(f"{what} is not finite: {tok!r}", start)
+        return value
 
     def raster_start(self) -> int:
         """Consume the single whitespace byte that separates header from raster."""

@@ -1,4 +1,6 @@
 """Backprojection, surface normals, gravity, HDHA."""
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -98,8 +100,8 @@ def _curved_grid(h, w, rng):
     return np.stack([(us - w / 2) / 20.0 * z, (vs - h / 2) / 20.0 * z, z], axis=-1)
 
 
-@pytest.mark.parametrize("case", ["holes", "sparse", "pair"])
-def test_normals_match_brute_force_oracle(case):
+def _oracle_case(case):
+    """(points, valid, k) of one oracle case on a 16x20 grid."""
     rng = np.random.default_rng(11)
     h, w, k = 16, 20, 25
     points = _curved_grid(h, w, rng)
@@ -115,6 +117,13 @@ def test_normals_match_brute_force_oracle(case):
         valid[2, 3] = valid[9, 14] = True
     # garbage at invalid pixels must not leak into any window
     points[~valid] = 1e6
+    return points, valid, k
+
+
+@pytest.mark.parametrize("case", ["holes", "sparse", "pair"])
+def test_normals_match_brute_force_oracle(case):
+    points, valid, k = _oracle_case(case)
+    h, w = valid.shape
     ref_n, ref_ok, radius, count = _oracle_normals(points, valid, k)
     r0 = _kernels.base_radius(k)
     if case == "holes":
@@ -130,6 +139,53 @@ def test_normals_match_brute_force_oracle(case):
     np.testing.assert_array_equal(ok, ref_ok)
     assert np.abs(normals[ok] - ref_n[ok]).max(initial=0.0) < 1e-6
     assert not normals[~ok].any()
+
+
+@pytest.mark.parametrize("case", ["holes", "sparse"])
+def test_chunk_size_changes_no_bit(monkeypatch, case):
+    points, valid, k = _oracle_case(case)
+    if case == "holes":
+        # chunks of 7 split the valid pixels, in row-major order, with
+        # edges inside the rim: a pixel that grows two or more rings sits
+        # on each side of some edge, next to pixels keeping the base window
+        radius = _oracle_normals(points, valid, k)[2][valid]
+        r0 = _kernels.base_radius(k)
+        edges = np.arange(7, radius.size, 7)
+        assert edges.size > 20
+        grows = radius >= r0 + 2
+        assert (grows[edges - 1] & grows[edges]).any()
+        assert any(r.max() >= r0 + 2 and r.min() == r0 for r in np.split(radius, edges))
+    results = []
+    for chunk in (1, 7, valid.size + 1):
+        monkeypatch.setattr(_kernels, "CHUNK", chunk)
+        results.append(_kernels.normals_from_points(points, valid, k))
+    assert results[0][1].any()
+    for normals, ok in results[1:]:
+        assert np.array_equal(normals, results[0][0])
+        assert np.array_equal(ok, results[0][1])
+
+
+def test_hdha_memory_is_bounded_by_the_map():
+    # a VGA floor/wall scene with dropout holes: the encode holds the
+    # 80-byte-a-pixel integral image plus one chunk of temporaries, about
+    # 50 MiB; carrying every valid pixel through the kernel at once would
+    # take about 180 MiB
+    cam = CameraIntrinsics(fx=500.0, fy=500.0, cx=319.5, cy=239.5, baseline=0.075)
+    depth, _ = _floor_wall_scene(h=480, w=640, cam=cam)
+    rng = np.random.default_rng(5)
+    values = depth.values.copy()
+    for r, c in rng.integers(0, 440, (40, 2)):
+        values[r:r + 30, c:c + 40] = 0.0
+    values[rng.random(values.shape) < 0.05] = 0.0
+    depth = DepthMap(values)
+    tracemalloc.start()
+    try:
+        enc = hdha_encode(depth, cam)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert enc.valid.sum() > 200_000
+    assert peak < 80 * 2**20, peak
 
 
 def test_normals_face_the_camera():

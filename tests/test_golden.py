@@ -5,7 +5,8 @@ Each case runs the CLI in process and hashes its exit code, its stdout
 by ``<work>``) and every file it wrote.  The digests live in
 ``tests/golden/<command>.json``: ``encode`` (gray, jet and hdha over a
 PFM and a 16-bit PGM map, hdha plain, with a smaller window, with
-stats computed then applied, and with a fixed gravity), ``analyze``
+stats computed then applied, with a fixed gravity, and over a map large
+enough to span several normals chunks), ``analyze``
 (two builds and their similarity), ``eval`` (every metric) and
 ``arch`` (every variant and backbone at the default input, plus three
 small seeded forwards); a refactor must leave all of them unchanged.
@@ -181,6 +182,19 @@ def _depth_maps(directory):
     return paths, cam
 
 
+def _large_map(directory):
+    """A 160x224 PFM room with extra dropout patches: its 35,840 pixels
+    span several ``_kernels.CHUNK`` blocks, and the patch rims grow."""
+    os.makedirs(directory)
+    rng = np.random.default_rng(20261020)
+    room = _room(rng, cam_height=1.3, wall_z=5.0, h=160, w=224)
+    for r, c in rng.integers(10, 140, (6, 2)):
+        room[r:r + 12, c:c + 16] = 0.0
+    path = os.path.join(directory, "large.pfm")
+    netpbm.write_pfm(path, room.astype(np.float32))
+    return path
+
+
 def _out_dir(work, name):
     return os.path.join(work, "out", name)
 
@@ -191,6 +205,7 @@ def _encode_cases(work):
     # the compute case writes the stats into its own output directory
     # (so they are hashed); the apply case, run after it, reads them
     stats = os.path.join(_out_dir(work, "hdha-stats-compute"), "stats.json")
+    large = _large_map(os.path.join(work, "maps-large"))
     return [
         ("gray", ["encode", *files, "--mode", "gray", "--dmin", "0.7", "--dmax", "8"]),
         ("jet", ["encode", *files, "--mode", "jet", "--dmin", "0.7", "--dmax", "8"]),
@@ -199,6 +214,7 @@ def _encode_cases(work):
         ("hdha-stats-compute", [*hdha, "--stats", stats]),
         ("hdha-stats-apply", [*hdha, "--stats", stats]),
         ("hdha-gravity", [*hdha, "--gravity", "0.05,1,0.2"]),
+        ("hdha-large", ["encode", large, "--mode", "hdha", "--intrinsics", cam]),
     ]
 
 

@@ -127,6 +127,32 @@ def test_dimension_limits(tmp_path):
         netpbm.read_pgm(str(path))
 
 
+def _encode_gray_exit(tmp_path, capsys, name, data):
+    src = tmp_path / name
+    src.write_bytes(data)
+    rc = cli.main(["encode", str(src), "--mode", "gray", "--dmin", "0.5", "--dmax", "8",
+                   "--out", str(tmp_path / "out")])
+    return rc, capsys.readouterr().err
+
+
+@pytest.mark.parametrize("scale", [b"nan", b"-nan", b"inf", b"-inf", b"-1e400"])
+def test_non_finite_pfm_scale_exits_2_at_its_offset(tmp_path, capsys, scale):
+    # the sign of the scale picks the byte order: a NaN has no usable one
+    raster = np.full((2, 2), 2.0, dtype="<f4").tobytes()
+    rc, err = _encode_gray_exit(tmp_path, capsys, "d.pfm", b"Pf\n2 2\n" + scale + b"\n" + raster)
+    assert rc == 2, err
+    assert err.strip().endswith("(byte offset 7)"), err
+
+
+@pytest.mark.parametrize("header", [b"P5 1_0 +1 65535", b"P5 2 +1 65535", b"P5 2 1 6_5535",
+                                    b"P5 2 1 +65535"])
+def test_header_integers_are_decimal_digits_only(tmp_path, capsys, header):
+    bad = next(tok for tok in header.split()[1:] if not tok.isdigit())
+    rc, err = _encode_gray_exit(tmp_path, capsys, "d.pgm", header + b"\n" + b"\x00" * 40)
+    assert rc == 2, err
+    assert err.strip().endswith(f"(byte offset {header.index(bad)})"), err
+
+
 # ------------------------------------------------------------------- fuzz
 
 _TOKENS = [b"-3", b"+4", b"0", b"1_0", b"3.5", b"0x10", b"1e3", b"nan", b"inf", b"-inf",
