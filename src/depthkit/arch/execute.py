@@ -25,18 +25,18 @@ in C (row-major) order.  Frozen batch-norm executes as identity and
 draws nothing.
 
 Construction order is topological by construction (edges always point
-backward), so nodes execute in that same order and each node's weights
-are freed right after use.  An fc weight is never whole: it is drawn
-and multiplied one row block at a time (whole multiples of
-``FC_ROW_ALIGN`` rows, about ``FC_BLOCK_VALUES`` values).  Conv and head
-weights are drawn whole; the largest in the shipped graphs is the
-ResNet-101 proposal conv, 4.72M values (36 MiB).  The generator holds
-``BLOCK`` states.  Peak memory is thus the live activations plus one
-such tensor: it is set by the input, not by the parameter count.
+backward), so nodes execute in that same order and each activation is
+freed once its last reader has run.  No weight is ever drawn whole:
+every one (conv, proposal head, fc, detection head) goes through one
+streamed product, drawn and multiplied one row block at a time (whole
+multiples of ``WEIGHT_ROW_ALIGN`` rows, about ``WEIGHT_BLOCK_VALUES``
+values); a conv weight is a run of output-channel rows over its
+im2col columns.  The generator holds ``BLOCK`` states.  Peak memory is
+thus the live activations plus one row block: it is set by the input,
+not by the parameter count.
 """
 from __future__ import annotations
 
-import math
 from collections import Counter
 
 import numpy as np
@@ -49,10 +49,10 @@ _M64 = 1 << 64
 # generator states filled and converted per step; a step touches 24 bytes
 # a state (states, high halves, output), 1.5 MiB, inside a 2 MiB L2 cache
 BLOCK = 1 << 16
-# an fc weight is drawn about this many values at a time, in whole
-# multiples of FC_ROW_ALIGN rows
-FC_BLOCK_VALUES = 1 << 20
-FC_ROW_ALIGN = 64
+# a weight is drawn about this many values at a time, in whole
+# multiples of WEIGHT_ROW_ALIGN rows
+WEIGHT_BLOCK_VALUES = 1 << 20
+WEIGHT_ROW_ALIGN = 64
 
 
 def _affine_power(n: int) -> tuple[int, int]:
@@ -132,43 +132,42 @@ class Lcg:
         return out
 
 
-def _conv2d(x: np.ndarray, w: np.ndarray, b: np.ndarray | None,
+def _streamed(x: np.ndarray, n_out: int, lcg: Lcg, bias: bool) -> np.ndarray:
+    """``x @ w.T (+ b)`` with ``w`` ``(n_out, x.shape[-1])`` drawn one row block at a time.
+
+    Rows come off the stream in C order, then any bias, as
+    ``LayerSpec.weight_shapes`` lists them.  OpenBLAS picks its kernel by
+    the block's row count: blocks of a multiple of 64 rows reproduce the
+    whole-matrix product bit for bit, other counts (1, 7, 33, ...) may
+    differ in the last bits.  ``out=`` spares a temporary per block.
+    """
+    n_in = x.shape[-1]
+    rows = WEIGHT_ROW_ALIGN * max(1, WEIGHT_BLOCK_VALUES // (WEIGHT_ROW_ALIGN * n_in))
+    out = np.empty(x.shape[:-1] + (n_out,))
+    for r in range(0, n_out, rows):
+        m = min(rows, n_out - r)
+        np.matmul(x, lcg.draws(m * n_in).reshape(m, n_in).T, out=out[..., r : r + m])
+    if bias:
+        out += lcg.draws(n_out)
+    return out
+
+
+def _conv2d(x: np.ndarray, c_out: int, k: int, bias: bool, lcg: Lcg,
             stride: int, pad: int) -> np.ndarray:
+    """A ``(c_out, c_in, k, k)`` conv: in C order its weight is ``c_out``
+    rows in the im2col column order ``(c_in, k, k)``, streamed like fc rows."""
     squeeze = x.ndim == 3
     if squeeze:
         x = x[None]
     if pad:
         x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    k = w.shape[-1]
     view = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
     view = view[:, :, ::stride, ::stride]
     n, _, oh, ow = view.shape[:4]
-    # im2col: one matmul per batch keeps the contraction in BLAS
+    # im2col: one matmul per batch and row block keeps the contraction in BLAS
     cols = view.transpose(0, 2, 3, 1, 4, 5).reshape(n, oh * ow, -1)
-    out = (cols @ w.reshape(w.shape[0], -1).T).transpose(0, 2, 1).reshape(
-        n, w.shape[0], oh, ow)
-    if b is not None:
-        out = out + b[None, :, None, None]
+    out = _streamed(cols, c_out, lcg, bias).transpose(0, 2, 1).reshape(n, c_out, oh, ow)
     return out[0] if squeeze else out
-
-
-def _fc(x: np.ndarray, n_out: int, lcg: Lcg) -> np.ndarray:
-    """``x @ w.T + b`` with ``w`` drawn and consumed one row block at a time.
-
-    Rows come off the stream in C order, then the bias, as
-    ``LayerSpec.weight_shapes`` lists them.  OpenBLAS picks its kernel by
-    the block's row count: blocks of a multiple of 64 rows reproduce the
-    whole-matrix product bit for bit, other counts (1, 7, 33, ...) may
-    differ in the last bits.
-    """
-    n_in = x.shape[-1]
-    rows = FC_ROW_ALIGN * max(1, FC_BLOCK_VALUES // (FC_ROW_ALIGN * n_in))
-    out = np.empty(x.shape[:-1] + (n_out,))
-    for r in range(0, n_out, rows):
-        m = min(rows, n_out - r)
-        out[..., r : r + m] = x @ lcg.draws(m * n_in).reshape(m, n_in).T
-    out += lcg.draws(n_out)
-    return out
 
 
 def _maxpool(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
@@ -239,11 +238,23 @@ def _roi_align(feat: np.ndarray, rois: np.ndarray, pool: int, scale: float) -> n
     return out
 
 
-def _run_node(spec: LayerSpec, params: dict, xs: list[np.ndarray],
-              num_rois: int) -> dict[str, np.ndarray]:
+def _products(weight_shapes: list[tuple[str, tuple[int, ...]]]) -> list[tuple[int, int, bool]]:
+    """``(n_out, k, biased)`` per weight of a ``weight_shapes`` list, in draw order:
+    ``k`` is its last axis (a conv's kernel side), and a 1-D entry is a bias."""
+    dims = [shape for _, shape in weight_shapes] + [()]
+    return [(s[0], s[-1], len(after) == 1) for s, after in zip(dims, dims[1:]) if len(s) > 1]
+
+
+def _run_node(spec: LayerSpec, xs: list[np.ndarray], num_rois: int,
+              products: list[tuple[int, int, bool]], lcg: Lcg) -> dict[str, np.ndarray]:
     kind = spec.kind
     if kind == "conv2d":
-        return {"out": _conv2d(xs[0], params["w"], params.get("b"), spec.stride, spec.pad)}
+        (product,) = products
+        return {"out": _conv2d(xs[0], *product, lcg, spec.stride, spec.pad)}
+    if kind in ("fc", "det_head"):
+        # one output port per weight: fc's out; the head's scores, then deltas
+        return dict(zip(spec.output_ports(),
+                        (_streamed(xs[0], n_out, lcg, bias) for n_out, _, bias in products)))
     if kind == "relu":
         return {"out": np.maximum(xs[0], 0.0)}
     if kind == "maxpool":
@@ -266,16 +277,10 @@ def _run_node(spec: LayerSpec, params: dict, xs: list[np.ndarray],
     if kind == "roi_align":
         return {"out": _roi_align(xs[0], xs[1], spec.pool_size, spec.spatial_scale)}
     if kind == "rpn_head":
-        hidden = np.maximum(_conv2d(xs[0], params["conv_w"], params["conv_b"], 1, 1), 0.0)
-        obj = _conv2d(hidden, params["obj_w"], params["obj_b"], 1, 0)
-        deltas = _conv2d(hidden, params["del_w"], params["del_b"], 1, 0)
-        return {"objectness": obj, "deltas": deltas}
-    if kind == "det_head":
-        x = xs[0]
-        return {
-            "scores": x @ params["score_w"].T + params["score_b"],
-            "deltas": x @ params["del_w"].T + params["del_b"],
-        }
+        conv, obj, deltas = products
+        hidden = np.maximum(_conv2d(xs[0], *conv, lcg, 1, 1), 0.0)
+        return {"objectness": _conv2d(hidden, *obj, lcg, 1, 0),
+                "deltas": _conv2d(hidden, *deltas, lcg, 1, 0)}
     raise StructuralError(f"cannot execute kind {kind!r}")
 
 
@@ -328,14 +333,8 @@ def execute_forward(graph: ArchGraph, inputs: dict[str, np.ndarray],
     for name, spec in graph.nodes.items():
         srcs = graph.sources[name]
         xs = [values[f"{src}:out"] for src in srcs]
-        if spec.kind == "fc":
-            outs = {"out": _fc(xs[0], spec.out_features, lcg)}
-        else:
-            in_shapes = [shapes[f"{src}:out"] for src in srcs]
-            params = {key: lcg.draws(math.prod(shape)).reshape(shape)
-                      for key, shape in spec.weight_shapes(in_shapes)}
-            outs = _run_node(spec, params, xs, num_rois)
-            del params
+        products = _products(spec.weight_shapes([shapes[f"{src}:out"] for src in srcs]))
+        outs = _run_node(spec, xs, num_rois, products, lcg)
         for port, arr in outs.items():
             key = f"{name}:{port}"
             if arr.shape != shapes[key]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 
 import numpy as np
 
@@ -56,6 +57,8 @@ def read_json(path: str):
 
 
 _WHITESPACE = b" \t\r\n\v\f"
+# a PFM scale: sign, ASCII digits, optional fraction, optional exponent
+_DECIMAL_FLOAT = re.compile(rb"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
 class _Tokenizer:
@@ -107,11 +110,11 @@ class _Tokenizer:
     def float_token(self, what: str) -> float:
         tok = self.token(what)
         start = self.pos - len(tok)
-        try:
-            value = float(tok)
-        except ValueError:
-            raise ParseError(f"{what} is not a number: {tok!r}", start) from None
-        if not math.isfinite(value):
+        # float() would also take underscores, nan and inf
+        if not _DECIMAL_FLOAT.fullmatch(tok):
+            raise ParseError(f"{what} is not a decimal number: {tok!r}", start)
+        value = float(tok)
+        if not math.isfinite(value):  # an exponent past the float64 range
             raise ParseError(f"{what} is not finite: {tok!r}", start)
         return value
 

@@ -9,7 +9,8 @@ stats computed then applied, with a fixed gravity, and over a map large
 enough to span several normals chunks), ``analyze``
 (two builds and their similarity), ``eval`` (every metric) and
 ``arch`` (every variant and backbone at the default input, plus three
-small seeded forwards); a refactor must leave all of them unchanged.
+small seeded forwards, which are also rerun under one and two OpenBLAS
+threads); a refactor must leave all of them unchanged.
 After an intended output change, regenerate only the commands whose
 output changed, for example::
 
@@ -22,10 +23,12 @@ import hashlib
 import io
 import json
 import os
+import subprocess
 import sys
 import tempfile
 
 import numpy as np
+import pytest
 
 from depthkit import cli, netpbm
 from depthkit.arch import BACKBONES, VARIANTS
@@ -144,6 +147,7 @@ ARCH_CASES = [(f"{v}/{b}", ["arch", "--variant", v, "--backbone", b])
     (f"{v}/{b}-forward", ["arch", "--variant", v, "--backbone", b, *_FORWARD])
     for v, b in (("raw-MC", "resnet101"), ("raw-LC", "resnet101"), ("raw-LC", "vgg16"))
 ]
+FORWARD_CASES = [(name, argv) for name, argv in ARCH_CASES if name.endswith("-forward")]
 
 
 # intrinsics of the 48x64 encode maps
@@ -270,15 +274,20 @@ GOLDENS = {"encode": _encode_cases, "analyze": _analyze_cases,
            "eval": _eval_cases, "arch": lambda work: ARCH_CASES}
 
 
-def compute_digests(command):
-    """Run every case of one golden file and return its digest by name."""
+def _run_cases(cases):
+    """Digest by name of each ``(name, argv)`` that ``cases(work)`` lists."""
     digests = {}
     with tempfile.TemporaryDirectory() as work:
-        for name, argv in GOLDENS[command](work):
+        for name, argv in cases(work):
             out_dir = _out_dir(work, name)
             os.makedirs(out_dir)
             digests[name] = _digest(argv, out_dir, work)
     return digests
+
+
+def compute_digests(command):
+    """Run every case of one golden file and return its digest by name."""
+    return _run_cases(GOLDENS[command])
 
 
 def _golden(command):
@@ -327,6 +336,23 @@ def test_eval_outputs_match_golden_digests():
 
 def test_arch_outputs_match_golden_digests():
     assert _mismatches("arch") == {}
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_arch_forwards_match_golden_digests_at_each_blas_thread_count(threads):
+    # a row-block product equals the whole-weight product only while
+    # OpenBLAS picks the same kernel for every 64-row multiple; it reads its
+    # thread count once, at load, so each count runs in a fresh process
+    src = os.path.join(os.path.dirname(HERE), "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (f"import json, sys; sys.path.insert(0, {HERE!r}); import test_golden as g; "
+            "print(json.dumps(g._run_cases(lambda work: g.FORWARD_CASES)))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    want = _golden("arch")
+    assert json.loads(proc.stdout) == {name: want[name] for name, _ in FORWARD_CASES}
 
 
 if __name__ == "__main__":

@@ -135,9 +135,11 @@ def _encode_gray_exit(tmp_path, capsys, name, data):
     return rc, capsys.readouterr().err
 
 
-@pytest.mark.parametrize("scale", [b"nan", b"-nan", b"inf", b"-inf", b"-1e400"])
+@pytest.mark.parametrize("scale", [b"nan", b"-nan", b"inf", b"-inf", b"-1e400", b"1_0",
+                                   b"-1_0", "-\u0661".encode()])
 def test_non_finite_pfm_scale_exits_2_at_its_offset(tmp_path, capsys, scale):
-    # the sign of the scale picks the byte order: a NaN has no usable one
+    # the sign of the scale picks the byte order: a NaN has no usable one;
+    # the scale is an ASCII decimal float, not any spelling float() takes
     raster = np.full((2, 2), 2.0, dtype="<f4").tobytes()
     rc, err = _encode_gray_exit(tmp_path, capsys, "d.pfm", b"Pf\n2 2\n" + scale + b"\n" + raster)
     assert rc == 2, err
