@@ -9,8 +9,6 @@ sane scene collection is strongly negative.
 """
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -18,6 +16,7 @@ import numpy as np
 
 from .encoding import DepthMap, quantize_u8
 from .evaluation import GtRecord, _csv_table, _image_codes
+from .netpbm import ParseError, decimal_float
 
 
 @dataclass
@@ -203,14 +202,32 @@ def heatmap_csv(hm: Heatmap2D) -> str:
     )
 
 
-def parse_heatmap_csv(text: str) -> Heatmap2D:
-    rows = list(csv.reader(io.StringIO(text)))
-    if len(rows) < 3 or rows[0][0] != "x_edges" or rows[1][0] != "y_edges":
-        raise ValueError("not a heatmap CSV: expected x_edges and y_edges header rows")
-    x_edges = np.array([float(v) for v in rows[0][1:]])
-    y_edges = np.array([float(v) for v in rows[1][1:]])
-    counts = np.array([[float(v) for v in row] for row in rows[2:]])
-    return Heatmap2D(x_edges=x_edges, y_edges=y_edges, counts=counts)
+def parse_heatmap_csv(data: bytes) -> Heatmap2D:
+    """The grid of a heatmap CSV as :func:`heatmap_csv` writes it.  A row
+    that does not fit the grid, a cell that is not a finite ASCII decimal,
+    edges that decrease or a negative count is a ``ParseError`` at its row.
+    """
+    rows, offset = [], 0
+    for line in data.splitlines(keepends=True):
+        i, cells = len(rows), line.rstrip(b"\r\n").decode("latin-1").split(",")
+        try:
+            if i < 2 and cells.pop(0) != ("x_edges", "y_edges")[i]:
+                raise ValueError("expected the x_edges and y_edges header rows")
+            row = np.array([decimal_float(cell) for cell in cells])
+            # a degenerate axis of huge values has two equal edges
+            if i < 2 and (len(row) < 2 or (np.diff(row) < 0).any()):
+                raise ValueError("an axis needs two or more edges that never decrease")
+            if i >= 2 and (i > len(rows[1]) or len(row) != len(rows[0]) - 1 or (row < 0).any()):
+                raise ValueError(f"the edges frame {len(rows[1]) - 1} rows of "
+                                 f"{len(rows[0]) - 1} counts of 0 or more")
+        except ValueError as exc:
+            raise ParseError(f"heatmap CSV row {i + 1}: {exc}", offset) from None
+        rows.append(row)
+        offset += len(line)
+    if len(rows) < 2 or len(rows) <= len(rows[1]):
+        raise ParseError("heatmap CSV ends before its last row", offset)
+    x_edges, y_edges, *counts = rows
+    return Heatmap2D(x_edges=x_edges, y_edges=y_edges, counts=np.array(counts))
 
 
 def heatmap_to_pgm_bytes(hm: Heatmap2D) -> np.ndarray:

@@ -3,18 +3,19 @@
 Four subcommands: ``encode`` renders depth maps to 8-bit imagery,
 ``arch`` reports on detector architecture graphs, ``eval`` scores
 detections against ground truth, ``analyze`` builds depth-vs-size
-statistics.  Exit codes: 0 success, 2 malformed input file (with the
-location of the fault), 3 bad parameter or missing file, 4 internal
-invariant violation.  Given identical inputs and flags, every
-subcommand writes byte-identical output files on every run.
+statistics.  Exit codes: 0 success, 2 malformed input file (naming the
+file and the location of the fault), 3 bad parameter, usage error or
+missing file, 4 internal invariant violation.  Given identical inputs
+and flags, every subcommand writes byte-identical output files on
+every run.
 """
 from __future__ import annotations
 
 import argparse
-import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 
@@ -32,11 +33,18 @@ from .arch import (
     shape_rows,
     to_dot,
 )
-from .netpbm import ParseError
+from .netpbm import ParseError, decimal_float, decimal_int
+
+
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits 3 like any bad parameter; subparsers inherit this."""
+
+    def error(self, message: str):
+        raise ValueError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="depthkit",
         description="Depth encodings, detector architecture graphs, and detection metrics.",
     )
@@ -44,48 +52,44 @@ def _build_parser() -> argparse.ArgumentParser:
 
     enc = sub.add_parser("encode", help="render depth maps to 8-bit imagery")
     enc.add_argument("files", nargs="+", help="depth maps (PFM meters or 16-bit PGM millimeters)")
-    enc.add_argument("--mode", required=True, help="gray, jet, or hdha")
-    enc.add_argument("--dmin", type=float, help="depth mapped to 0 (gray/jet)")
-    enc.add_argument("--dmax", type=float, help="depth mapped to 255 (gray/jet)")
+    enc.add_argument("--mode", required=True, choices=("gray", "jet", "hdha"))
+    enc.add_argument("--dmin", type=decimal_float, help="depth mapped to 0 (gray/jet)")
+    enc.add_argument("--dmax", type=decimal_float, help="depth mapped to 255 (gray/jet)")
     enc.add_argument("--intrinsics", help="camera intrinsics JSON (hdha)")
     enc.add_argument("--stats", help="channel stats JSON: applied if the file exists, "
                                      "otherwise computed from the inputs and written there (hdha)")
     enc.add_argument("--gravity", help="fixed gravity direction as 'x,y,z' (hdha); "
                                        "default: estimated per image")
-    enc.add_argument("--k-neighbors", type=int, default=25,
+    enc.add_argument("--k-neighbors", type=decimal_int, default=25,
                      help="valid points per normal-estimation window (default 25)")
-    enc.add_argument("--scale", type=float, default=None,
-                     help="annotate outputs with this short-side training scale; "
-                          "metadata only, images are not resampled")
     enc.add_argument("--out", default=".", help="output directory (default: current)")
 
     arch = sub.add_parser("arch", help="inspect a detector architecture graph")
     arch.add_argument("--variant", required=True,
                       help="baseline, raw-EC/MC/LC, proc-EC/MC/LC, hdha-split, prior-late")
     arch.add_argument("--backbone", required=True, help="vgg16 or resnet101")
-    arch.add_argument("--classes", type=int, default=21,
+    arch.add_argument("--classes", type=decimal_int, default=21,
                       help="detection classes including background (default 21)")
-    arch.add_argument("--rois", type=int, default=300,
+    arch.add_argument("--rois", type=decimal_int, default=300,
                       help="region proposals after suppression (default 300)")
     arch.add_argument("--input", default="600x800",
                       help="input size HxW for shape propagation (default 600x800)")
-    arch.add_argument("--depth-channels", type=int, default=None,
+    arch.add_argument("--depth-channels", type=decimal_int, default=None,
                       help="depth input channels of the raw (default 1) and processed "
                            "(default 3) variants")
-    arch.add_argument("--report", default="all", help="params, shapes, or all")
     arch.add_argument("--forward", action="store_true",
                       help="run the seeded numeric executor and print output digests")
-    arch.add_argument("--seed", type=int, default=0, help="weight seed for --forward")
+    arch.add_argument("--seed", type=decimal_int, default=0, help="weight seed for --forward")
     arch.add_argument("--out", default=".", help="output directory (default: current)")
 
     ev = sub.add_parser("eval", help="score detections against ground truth")
-    ev.add_argument("--metric", required=True, help="voc, coco, confusion, or confdiff")
+    ev.add_argument("--metric", required=True, choices=("voc", "coco", "confusion", "confdiff"))
     ev.add_argument("--dets", required=True, help="detections JSONL")
     ev.add_argument("--dets-b", help="second detections JSONL (confdiff)")
     ev.add_argument("--gts", required=True, help="ground-truth JSONL")
     ev.add_argument("--classes", help="class table JSON (names -> ids by position)")
-    ev.add_argument("--iou", type=float, default=0.5, help="match threshold (default 0.5)")
-    ev.add_argument("--score-thresh", type=float, default=0.5,
+    ev.add_argument("--iou", type=decimal_float, default=0.5, help="match threshold (default 0.5)")
+    ev.add_argument("--score-thresh", type=decimal_float, default=0.5,
                     help="confusion-matrix score cutoff (default 0.5)")
     ev.add_argument("--use-difficult", action="store_true",
                     help="count difficult ground truth like any other")
@@ -95,7 +99,8 @@ def _build_parser() -> argparse.ArgumentParser:
     an.add_argument("--gts", help="ground-truth JSONL")
     an.add_argument("--depth-dir", help="directory of <image_id>.pfm or .pgm depth maps")
     an.add_argument("--classes", help="class table JSON")
-    an.add_argument("--bins", type=int, default=20, help="bins per heatmap axis (default 20)")
+    an.add_argument("--bins", type=decimal_int, default=20,
+                    help="bins per heatmap axis (default 20)")
     an.add_argument("--similarity", nargs=2, metavar=("A", "B"),
                     help="compare two heatmap CSVs instead of building one")
     an.add_argument("--out", default=".", help="output directory (default: current)")
@@ -111,20 +116,32 @@ def _parse_gravity(text: str) -> np.ndarray:
     parts = text.split(",")
     if len(parts) != 3:
         raise ValueError(f"--gravity needs 'x,y,z', got {text!r}")
-    g = np.array([float(p) for p in parts])
-    if not np.isfinite(g).all():
-        raise ValueError(f"--gravity needs finite components, got {text!r}")
-    return g
+    try:
+        return np.array([decimal_float(p) for p in parts])
+    except ValueError:
+        raise ValueError(f"--gravity needs finite decimal components, got {text!r}") from None
+
+
+def _load(read, path: str):
+    """``read(path)``, naming ``path`` in the ParseError of a malformed file."""
+    try:
+        return read(path)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc.message}", exc.offset) from None
 
 
 def _encode_one(path: str, args, cam, gravity, stats, defer: bool):
-    """Load, encode and write one map; return its summary line and a deferral.
+    """Load, encode and write one map; return its summary line and a
+    deferral, or the error that kept the map from loading.
 
     With ``defer`` set (hdha stats still to be computed from the batch),
     nothing is written and the deferral is ``(out_path, HdhaImage)``;
     otherwise it is None.
     """
-    depth = encoding.load_depth(path)
+    try:
+        depth = _load(encoding.load_depth, path)
+    except (ParseError, FileNotFoundError) as exc:
+        return exc
     stem = _stem(path)
     info = depth.summary()
     deferred = None
@@ -144,12 +161,11 @@ def _encode_one(path: str, args, cam, gravity, stats, defer: bool):
             deferred = (out_path, hdha)
         else:
             _write_hdha(out_path, hdha, stats)
-    scale_note = "" if args.scale is None else f" scale={args.scale:g}"
     if info["min"] is None:
-        line = f"{path}: valid=0.000{scale_note} -> {out_path}"
+        line = f"{path}: valid=0.000 -> {out_path}"
     else:
         line = (f"{path}: valid={info['valid_fraction']:.3f} "
-                f"min={info['min']:.3f}m max={info['max']:.3f}m{scale_note} -> {out_path}")
+                f"min={info['min']:.3f}m max={info['max']:.3f}m -> {out_path}")
     return line, deferred
 
 
@@ -165,8 +181,6 @@ def _write_hdha(out_path: str, hdha, stats) -> None:
 
 
 def _cmd_encode(args) -> int:
-    if args.mode not in ("gray", "jet", "hdha"):
-        raise ValueError(f"unknown mode {args.mode!r}, expected gray, jet, or hdha")
     if args.mode in ("gray", "jet"):
         if args.dmin is None or args.dmax is None:
             raise ValueError(f"--mode {args.mode} requires --dmin and --dmax")
@@ -193,28 +207,33 @@ def _cmd_encode(args) -> int:
     else:
         cores = os.cpu_count() or 1
     with ThreadPoolExecutor(max_workers=min(cores, len(args.files))) as pool:
-        lines, held = zip(*pool.map(
+        results = list(pool.map(
             lambda p: _encode_one(p, args, cam, gravity, stats, defer), args.files
         ))
-        if defer:
+        failed = [r for r in results if isinstance(r, Exception)]
+        if defer and failed:
+            # the stats describe the whole batch: without it nothing is written
+            results = []
+        elif defer:
+            held = [hdha for _, (_, hdha) in results]
             # a batch with no valid pixel renders to zeros under any stats,
             # so it writes its images and no stats file
-            if any(hdha.valid.any() for _, hdha in held):
-                stats = encoding.compute_channel_stats([hdha for _, hdha in held])
+            if any(hdha.valid.any() for hdha in held):
+                stats = encoding.compute_channel_stats(held)
                 stats.to_json(args.stats)
-            list(pool.map(lambda d: _write_hdha(*d, stats), held))
-    for line in lines:
-        print(line)
-    return 0
+            list(pool.map(lambda r: _write_hdha(*r[1], stats), results))
+    for result in results:
+        if not isinstance(result, Exception):
+            print(result[0])
+    codes = [_fail(exc) for exc in failed]
+    return codes[0] if codes else 0
 
 
 def _cmd_arch(args) -> int:
     try:
-        h, w = (int(p) for p in args.input.lower().split("x"))
+        h, w = (decimal_int(p) for p in args.input.lower().split("x"))
     except ValueError:
         raise ValueError(f"--input must look like 600x800, got {args.input!r}") from None
-    if args.report not in ("params", "shapes", "all"):
-        raise ValueError(f"--report must be params, shapes, or all, got {args.report!r}")
     graph = build_architecture(args.variant, args.backbone, num_classes=args.classes,
                                depth_channels=args.depth_channels)
     try:
@@ -226,20 +245,15 @@ def _cmd_arch(args) -> int:
     prefix = os.path.join(args.out, f"{args.variant}_{args.backbone}")
 
     _write_text(f"{prefix}.dot", to_dot(graph))
-    written = [f"{prefix}.dot"]
     report = count_parameters(graph)
-    if args.report in ("params", "all"):
-        report.to_csv(f"{prefix}_params.csv")
-        written.append(f"{prefix}_params.csv")
-    if args.report in ("shapes", "all"):
-        _write_text(f"{prefix}_shapes.csv", shape_csv(graph))
-        written.append(f"{prefix}_shapes.csv")
+    report.to_csv(f"{prefix}_params.csv")
+    _write_text(f"{prefix}_shapes.csv", shape_csv(graph))
 
     print(f"{args.variant} / {args.backbone}: trainable={report.trainable:,} "
           f"fixed={report.fixed:,} total={report.total:,}")
     print(f"head input: {format_shape(dict(shape_rows(graph))['head_input'])}")
-    for name in written:
-        print(f"wrote {name}")
+    for suffix in (".dot", "_params.csv", "_shapes.csv"):
+        print(f"wrote {prefix}{suffix}")
 
     if args.forward:
         filler = Lcg(args.seed + 1)
@@ -267,11 +281,8 @@ def _cmd_arch(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    # "not" so that NaN, which fails every comparison, is rejected too
     if not 0 < args.iou <= 1:
         raise ValueError(f"--iou must be in (0, 1], got {args.iou}")
-    if not math.isfinite(args.score_thresh):
-        raise ValueError(f"--score-thresh must be finite, got {args.score_thresh}")
     classes = evaluation.load_classes(args.classes) if args.classes else None
     dets = evaluation.load_detections(args.dets, classes)
     gts = evaluation.load_groundtruth(args.gts, classes)
@@ -296,28 +307,25 @@ def _cmd_eval(args) -> int:
         print(f"wrote {path}")
         return 0
 
-    if args.metric in ("confusion", "confdiff"):
-        if classes is None:
-            raise ValueError(f"--metric {args.metric} requires --classes")
-        cm = evaluation.confusion_matrix(dets, gts, classes, args.iou, args.score_thresh)
-        if args.metric == "confusion":
-            path = os.path.join(args.out, "confusion.csv")
-            _write_text(path, cm.to_csv())
-            print(f"matched={int(cm.counts.sum())} missed={int(cm.fn.sum())}")
-            print(f"wrote {path}")
-            return 0
-        if not args.dets_b:
-            raise ValueError("--metric confdiff requires --dets-b (the comparison run)")
-        dets_b = evaluation.load_detections(args.dets_b, classes)
-        cm_b = evaluation.confusion_matrix(dets_b, gts, classes, args.iou, args.score_thresh)
-        diff = evaluation.confusion_diff(cm, cm_b)
-        path = os.path.join(args.out, "confusion_diff.csv")
-        _write_text(path, diff.to_csv())
-        print(diff.format_text(), end="")
+    if classes is None:
+        raise ValueError(f"--metric {args.metric} requires --classes")
+    cm = evaluation.confusion_matrix(dets, gts, classes, args.iou, args.score_thresh)
+    if args.metric == "confusion":
+        path = os.path.join(args.out, "confusion.csv")
+        _write_text(path, cm.to_csv())
+        print(f"matched={int(cm.counts.sum())} missed={int(cm.fn.sum())}")
         print(f"wrote {path}")
         return 0
-
-    raise ValueError(f"unknown metric {args.metric!r}, expected voc, coco, confusion, confdiff")
+    if not args.dets_b:
+        raise ValueError("--metric confdiff requires --dets-b (the comparison run)")
+    dets_b = evaluation.load_detections(args.dets_b, classes)
+    cm_b = evaluation.confusion_matrix(dets_b, gts, classes, args.iou, args.score_thresh)
+    diff = evaluation.confusion_diff(cm, cm_b)
+    path = os.path.join(args.out, "confusion_diff.csv")
+    _write_text(path, diff.to_csv())
+    print(diff.format_text(), end="")
+    print(f"wrote {path}")
+    return 0
 
 
 def _find_depth_file(depth_dir: str, image_id: str) -> str:
@@ -331,18 +339,16 @@ def _find_depth_file(depth_dir: str, image_id: str) -> str:
 
 def _cmd_analyze(args) -> int:
     if args.similarity:
-        maps = []
-        for path in args.similarity:
-            with open(path) as fh:
-                maps.append(analysis.parse_heatmap_csv(fh.read()))
-        score = analysis.heatmap_similarity(maps[0], maps[1])
+        a, b = (_load(lambda p: analysis.parse_heatmap_csv(Path(p).read_bytes()), path)
+                for path in args.similarity)
+        score = analysis.heatmap_similarity(a, b)
         print(f"similarity: {score:.6f}")
         return 0
     if not args.gts or not args.depth_dir:
         raise ValueError("analyze needs --gts and --depth-dir (or --similarity A B)")
     classes = evaluation.load_classes(args.classes) if args.classes else None
     gts = evaluation.load_groundtruth(args.gts, classes)
-    depth_maps = {image_id: encoding.load_depth(_find_depth_file(args.depth_dir, image_id))
+    depth_maps = {image_id: _load(encoding.load_depth, _find_depth_file(args.depth_dir, image_id))
                   for image_id in dict.fromkeys(gts.image_id.tolist())}
     samples = analysis.collect_samples(gts, depth_maps)
     if not samples:
@@ -371,23 +377,24 @@ _COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
-    try:
-        return _COMMANDS[args.command](args)
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        name = exc.filename or exc
-        print(f"error: missing file: {name}", file=sys.stderr)
+def _fail(exc: Exception) -> int:
+    """Report ``exc`` on stderr; return its exit code."""
+    if isinstance(exc, FileNotFoundError):
+        print(f"error: missing file: {exc.filename or exc}", file=sys.stderr)
         return 3
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except GraphError as exc:
+    if isinstance(exc, GraphError):
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
+    print(f"error: {exc}", file=sys.stderr)
+    return 2 if isinstance(exc, ParseError) else 3
+
+
+def main(argv: list[str] | None = None) -> int:
+    try:
+        args = _build_parser().parse_args(argv)
+        return _COMMANDS[args.command](args)
+    except (ValueError, FileNotFoundError, GraphError) as exc:
+        return _fail(exc)
 
 
 if __name__ == "__main__":

@@ -143,10 +143,13 @@ def _json_object(path: str, what: str, fields: tuple[str, ...]) -> dict:
 
 
 def _number(value, key: str, path: str) -> float:
+    # a JSON number only: float() would also take true, false and strings
     try:
-        return float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise netpbm.ParseError(f"{path}: {key!r} must hold numbers: {exc}", 0) from None
+        if type(value) in (int, float):
+            return float(value)
+    except OverflowError:  # an integer past the float range
+        pass
+    raise netpbm.ParseError(f"{path}: {key!r} must hold numbers", 0)
 
 
 @dataclass

@@ -1,5 +1,6 @@
 """Reading and writing the netpbm-family formats used for depth and image
-data, and decoding the JSON that every other input file holds.
+data, decoding the JSON that every other input file holds, and the one
+grammar of the numbers that files and command-line options hold as text.
 
 Depth maps arrive either as PFM (single-channel float32, meters) or as
 16-bit binary PGM (millimeters, sample value 0 marks a missing reading).
@@ -20,6 +21,7 @@ class ParseError(ValueError):
 
     def __init__(self, message: str, offset: int):
         super().__init__(f"{message} (byte offset {offset})")
+        self.message = message
         self.offset = offset
 
 
@@ -56,9 +58,38 @@ def read_json(path: str):
         return decode_json(fh.read().strip(), path, 0)
 
 
+# the one grammar of numbers read as text (PFM scale, heatmap cells,
+# command-line options): sign, ASCII digits, optional fraction, optional
+# exponent; an integer is the sign and digits alone
+_DECIMAL_FLOAT = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+_DECIMAL_INT = re.compile(r"[+-]?[0-9]+")
+
+
+def decimal_float(text: str) -> float:
+    """A finite ASCII decimal number, else ``ValueError``: ``float()`` alone
+    would also take underscores, padding, non-ASCII digits, nan and inf."""
+    if not _DECIMAL_FLOAT.fullmatch(text):
+        raise ValueError(f"not a decimal number: {text!r}")
+    value = float(text)
+    if not math.isfinite(value):  # an exponent past the float64 range
+        raise ValueError(f"not finite: {text!r}")
+    return value
+
+
+def decimal_int(text: str) -> int:
+    """An ASCII decimal integer with an optional sign; ``ValueError`` otherwise."""
+    if not _DECIMAL_INT.fullmatch(text):
+        raise ValueError(f"not a decimal integer: {text!r}")
+    return int(text)
+
+
 _WHITESPACE = b" \t\r\n\v\f"
-# a PFM scale: sign, ASCII digits, optional fraction, optional exponent
-_DECIMAL_FLOAT = re.compile(rb"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
+# separators, then one token; where comments are allowed a '#' starts one
+# that runs to the end of its line, and it ends a token
+_HEADER_SCANS = {
+    False: re.compile(b"[%s]*([^%s]*)" % (_WHITESPACE, _WHITESPACE)),
+    True: re.compile(b"(?:[%s]|#[^\n]*)*([^#%s]*)" % (_WHITESPACE, _WHITESPACE)),
+}
 
 
 class _Tokenizer:
@@ -71,26 +102,10 @@ class _Tokenizer:
     def __init__(self, data: bytes, comments: bool):
         self.data = data
         self.pos = 0
-        self.comments = comments
-
-    def _skip_separators(self) -> None:
-        while self.pos < len(self.data):
-            byte = self.data[self.pos : self.pos + 1]
-            if byte in (b"#",) and self.comments:
-                end = self.data.find(b"\n", self.pos)
-                self.pos = len(self.data) if end < 0 else end + 1
-            elif byte in _WHITESPACE:
-                self.pos += 1
-            else:
-                return
+        self.scan = _HEADER_SCANS[comments]
 
     def token(self, what: str) -> bytes:
-        self._skip_separators()
-        start = self.pos
-        while self.pos < len(self.data) and self.data[self.pos : self.pos + 1] not in _WHITESPACE:
-            if self.data[self.pos : self.pos + 1] == b"#" and self.comments:
-                break
-            self.pos += 1
+        start, self.pos = self.scan.match(self.data, self.pos).span(1)
         if self.pos == start:
             raise ParseError(f"expected {what}", start)
         return self.data[start : self.pos]
@@ -109,22 +124,28 @@ class _Tokenizer:
 
     def float_token(self, what: str) -> float:
         tok = self.token(what)
-        start = self.pos - len(tok)
-        # float() would also take underscores, nan and inf
-        if not _DECIMAL_FLOAT.fullmatch(tok):
-            raise ParseError(f"{what} is not a decimal number: {tok!r}", start)
-        value = float(tok)
-        if not math.isfinite(value):  # an exponent past the float64 range
-            raise ParseError(f"{what} is not finite: {tok!r}", start)
-        return value
+        try:
+            return decimal_float(tok.decode("latin-1"))
+        except ValueError as exc:
+            raise ParseError(f"{what} is {exc}", self.pos - len(tok)) from None
 
-    def raster_start(self) -> int:
-        """Consume the single whitespace byte that separates header from raster."""
+    def dimensions(self) -> tuple[int, int]:
+        width, height = self.int_token("width"), self.int_token("height")
+        if width <= 0 or height <= 0:
+            raise ParseError(f"bad dimensions {width}x{height}", self.pos)
+        return width, height
+
+    def raster(self, nbytes: int) -> int:
+        """Consume the single whitespace byte that separates header from
+        raster and check that ``nbytes`` of raster follow; return its offset."""
         if self.pos >= len(self.data):
             raise ParseError("file ends before raster data", self.pos)
         if self.data[self.pos : self.pos + 1] not in _WHITESPACE:
             raise ParseError("missing whitespace before raster data", self.pos)
         self.pos += 1
+        if len(self.data) - self.pos < nbytes:
+            raise ParseError(f"raster truncated, need {nbytes} bytes, "
+                             f"have {len(self.data) - self.pos}", len(self.data))
         return self.pos
 
 
@@ -144,20 +165,11 @@ def read_pfm(path: str) -> tuple[np.ndarray, float]:
         raise ParseError("color PFM is not supported, expected grayscale 'Pf'", 0)
     if magic != b"Pf":
         raise ParseError(f"not a PFM file, magic {magic!r}", 0)
-    width = tok.int_token("width")
-    height = tok.int_token("height")
-    if width <= 0 or height <= 0:
-        raise ParseError(f"bad dimensions {width}x{height}", tok.pos)
+    width, height = tok.dimensions()
     scale = tok.float_token("scale")
     if scale == 0:
         raise ParseError("scale must be nonzero", tok.pos)
-    start = tok.raster_start()
-    nbytes = width * height * 4
-    if len(data) - start < nbytes:
-        raise ParseError(
-            f"raster truncated, need {nbytes} bytes, have {len(data) - start}",
-            len(data),
-        )
+    start = tok.raster(width * height * 4)
     dtype = "<f4" if scale < 0 else ">f4"
     values = np.frombuffer(data, dtype=dtype, count=width * height, offset=start)
     values = values.reshape(height, width)[::-1].astype(np.float32)
@@ -184,23 +196,14 @@ def _read_binary_netpbm(path: str, magic_want: bytes, channels: int) -> tuple[np
     magic = tok.token("magic number")
     if magic != magic_want:
         raise ParseError(f"expected magic {magic_want.decode()}, got {magic!r}", 0)
-    width = tok.int_token("width")
-    height = tok.int_token("height")
-    if width <= 0 or height <= 0:
-        raise ParseError(f"bad dimensions {width}x{height}", tok.pos)
+    width, height = tok.dimensions()
     maxval = tok.int_token("maxval")
     if not 0 < maxval < 65536:
         raise ParseError(f"maxval {maxval} out of range 1..65535", tok.pos)
-    start = tok.raster_start()
     # Samples over 255 take two bytes, most significant first.
     itemsize = 2 if maxval > 255 else 1
     count = width * height * channels
-    nbytes = count * itemsize
-    if len(data) - start < nbytes:
-        raise ParseError(
-            f"raster truncated, need {nbytes} bytes, have {len(data) - start}",
-            len(data),
-        )
+    start = tok.raster(count * itemsize)
     dtype = ">u2" if itemsize == 2 else "u1"
     values = np.frombuffer(data, dtype=dtype, count=count, offset=start)
     shape = (height, width) if channels == 1 else (height, width, channels)

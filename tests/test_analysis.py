@@ -329,7 +329,7 @@ def test_heatmap_csv_round_trip_is_exact():
     rng = np.random.default_rng(5)
     pairs = list(zip(rng.uniform(1, 7, 50), rng.uniform(3, 999, 50)))
     hm = build_heatmap(*_columns(pairs), bins_x=6, bins_y=4)
-    back = parse_heatmap_csv(heatmap_csv(hm))
+    back = parse_heatmap_csv(heatmap_csv(hm).encode())
     assert np.array_equal(back.x_edges, hm.x_edges)
     assert np.array_equal(back.y_edges, hm.y_edges)
     assert np.array_equal(back.counts, hm.counts)
@@ -337,7 +337,7 @@ def test_heatmap_csv_round_trip_is_exact():
 
 def test_parse_heatmap_csv_wants_edge_headers():
     with pytest.raises(ValueError, match="x_edges"):
-        parse_heatmap_csv("1,2,3\n4,5,6\n")
+        parse_heatmap_csv(b"1,2,3\n4,5,6\n")
 
 
 def test_heatmap_pgm_bytes_scale_peak_to_255():

@@ -2,6 +2,7 @@
 import contextlib
 import io
 import json
+import re
 import subprocess
 import sys
 import warnings
@@ -114,20 +115,6 @@ def test_encode_jet_matches_library(tmp_path):
     depth = encoding.load_depth(str(src))
     gray = encoding.grayscale_encode(depth, 1.0, 6.0)
     assert np.array_equal(rgb, encoding.jet_encode(gray, depth.valid))
-
-
-def test_encode_scale_flag_is_annotation_only(tmp_path, capsys):
-    src = tmp_path / "scene.pfm"
-    _ramp_pfm(src)
-    cli.main(["encode", str(src), "--mode", "gray", "--dmin", "1", "--dmax", "6",
-              "--scale", "600", "--out", str(tmp_path / "a")])
-    first = capsys.readouterr().out
-    assert " scale=600 -> " in first
-    cli.main(["encode", str(src), "--mode", "gray", "--dmin", "1", "--dmax", "6",
-              "--out", str(tmp_path / "b")])
-    a = (tmp_path / "a" / "scene_gray.pgm").read_bytes()
-    b = (tmp_path / "b" / "scene_gray.pgm").read_bytes()
-    assert a == b
 
 
 def test_encode_hdha_writes_stats_then_reuses_them(tmp_path):
@@ -339,6 +326,18 @@ def test_encode_gravity_fuzz_never_crashes_or_warns(tmp_path_factory, gravity):
         assert list(out.glob("*")) == []
 
 
+@pytest.mark.parametrize("gravity", ["1_0,0,0", "0,\u0661,0", " 0 ,1,0"],
+                         ids=["underscore", "arabic-indic-digit", "padded"])
+def test_encode_gravity_components_are_ascii_decimals(tmp_path, gravity):
+    out = tmp_path / "out"
+    rc, err, caught = _encode_with_gravity(tmp_path, gravity, out)
+    assert rc == 3
+    assert "--gravity needs finite decimal components" in err
+    assert "Traceback" not in err
+    assert caught == []
+    assert not out.exists()
+
+
 def test_encode_missing_file_exits_3(tmp_path, capsys):
     rc = cli.main(["encode", str(tmp_path / "absent.pfm"), "--mode", "gray",
                    "--dmin", "1", "--dmax", "2", "--out", str(tmp_path)])
@@ -355,6 +354,55 @@ def test_encode_corrupt_file_exits_2_with_offset(tmp_path, capsys):
     assert "byte offset" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", [0, 1, 2], ids=["first", "middle", "last"])
+def test_encode_batch_writes_every_map_but_the_bad_one(tmp_path, capsys, bad):
+    paths = [tmp_path / f"{name}.pfm" for name in "abc"]
+    for path in paths:
+        _ramp_pfm(path)
+    paths[bad].write_bytes(paths[bad].read_bytes()[:30])
+    out = tmp_path / "out"
+    rc = cli.main(["encode", *map(str, paths), "--mode", "gray", "--dmin", "1", "--dmax", "6",
+                   "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert re.fullmatch(rf"error: {re.escape(str(paths[bad]))}: raster truncated, "
+                        r"need 80 bytes, have 18 \(byte offset 30\)\n", captured.err)
+    good = [path for i, path in enumerate(paths) if i != bad]
+    assert captured.out.splitlines() == [
+        f"{path}: valid=0.950 min=1.000m max=5.750m -> {out / f'{path.stem}_gray.pgm'}"
+        for path in good]
+    assert sorted(out.iterdir()) == [out / f"{path.stem}_gray.pgm" for path in good]
+
+
+def test_encode_batch_exits_with_the_code_of_the_first_bad_map(tmp_path, capsys):
+    cut, missing = tmp_path / "cut.pfm", tmp_path / "missing.pfm"
+    _ramp_pfm(cut)
+    cut.write_bytes(cut.read_bytes()[:30])
+    argv = ["--mode", "gray", "--dmin", "1", "--dmax", "6", "--out", str(tmp_path / "out")]
+    assert cli.main(["encode", str(cut), str(missing), *argv]) == 2
+    assert cli.main(["encode", str(missing), str(cut), *argv]) == 3
+    err = capsys.readouterr().err.splitlines()
+    assert err[0] == err[3] and err[1] == err[2] == f"error: missing file: {missing}"
+
+
+def test_encode_batch_stats_need_every_map(tmp_path, capsys):
+    depth, cam = _floor_wall_scene(h=12, w=16, fx=20.0)
+    good, cut = tmp_path / "good.pfm", tmp_path / "cut.pfm"
+    netpbm.write_pfm(str(good), depth)
+    cut.write_bytes(good.read_bytes()[:30])
+    cam_path = tmp_path / "cam.json"
+    cam_path.write_text(json.dumps(cam))
+    out = tmp_path / "out"
+    rc = cli.main(["encode", str(good), str(cut), "--mode", "hdha", "--intrinsics", str(cam_path),
+                   "--stats", str(tmp_path / "stats.json"), "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.err.startswith(f"error: {cut}: ")
+    assert captured.out == ""
+    assert not (tmp_path / "stats.json").exists()
+    assert list(out.iterdir()) == []
+
+
 # -------------------------------------------------------------------- arch
 
 def test_arch_writes_reports_and_summarizes(tmp_path, capsys):
@@ -368,13 +416,6 @@ def test_arch_writes_reports_and_summarizes(tmp_path, capsys):
         path = tmp_path / f"baseline_vgg16{suffix}"
         assert path.exists(), suffix
         assert f"wrote {path}" in out
-
-
-def test_arch_report_params_skips_shape_csv(tmp_path):
-    cli.main(["arch", "--variant", "baseline", "--backbone", "resnet101",
-              "--report", "params", "--out", str(tmp_path)])
-    assert (tmp_path / "baseline_resnet101_params.csv").exists()
-    assert not (tmp_path / "baseline_resnet101_shapes.csv").exists()
 
 
 def test_arch_artifacts_are_byte_identical_across_runs(tmp_path):
@@ -419,8 +460,6 @@ def test_arch_parameter_errors_exit_3(tmp_path, capsys):
     assert cli.main(["arch", "--variant", "baseline", "--backbone", "vgg16",
                      "--input", "600by800", "--out", str(tmp_path)]) == 3
     assert "600x800" in capsys.readouterr().err
-    assert cli.main(["arch", "--variant", "baseline", "--backbone", "vgg16",
-                     "--report", "prose", "--out", str(tmp_path)]) == 3
 
 
 def test_arch_input_too_small_exits_3(tmp_path, capsys):
@@ -675,7 +714,7 @@ def test_analyze_writes_samples_and_heatmap(tmp_path, capsys, analyze_files):
     assert stdout.startswith("samples=4 pearson_r=")
     for name in ("samples.csv", "heatmap.csv", "heatmap.pgm"):
         assert (out / name).exists(), name
-    hm = analysis.parse_heatmap_csv((out / "heatmap.csv").read_text())
+    hm = analysis.parse_heatmap_csv((out / "heatmap.csv").read_bytes())
     assert hm.counts.shape == (5, 5)
     assert hm.total == 4
     # samples.csv names classes through the table
@@ -691,6 +730,49 @@ def test_analyze_similarity_of_a_heatmap_with_itself(tmp_path, capsys, analyze_f
     hm_path = str(out / "heatmap.csv")
     rc = cli.main(["analyze", "--similarity", hm_path, hm_path])
     assert rc == 0
+    assert capsys.readouterr().out == "similarity: 1.000000\n"
+
+
+_HEATMAP = b"x_edges,1.0,2.0,3.0\ny_edges,10.0,20.0,30.0\n4.0,1.0\n0.0,2.5\n"
+_ROW_2 = _HEATMAP.index(b"4.0")
+
+
+@pytest.mark.parametrize("data, offset", [
+    (b"\n\n\n", 0),
+    (b"", 0),
+    (_HEATMAP.replace(b"4.0,", b"nan,"), _ROW_2),
+    (_HEATMAP.replace(b"4.0,", b"-1.0,"), _ROW_2),
+    (_HEATMAP.replace(b"4.0,", b"4.0\xff,"), _ROW_2),
+    (_HEATMAP.replace(b"4.0,", b"four,"), _ROW_2),
+    (_HEATMAP.replace(b"4.0,", b"1_0,"), _ROW_2),
+    (_HEATMAP.replace(b"4.0,1.0", b"4.0,1.0,2.0"), _ROW_2),
+    (_HEATMAP.replace(b"4.0,1.0", b"4.0"), _ROW_2),
+    (_HEATMAP.replace(b"4.0,1.0\n", b"\n"), _ROW_2),
+    (_HEATMAP.replace(b"2.0,3.0", b"3.0,2.0"), 0),
+    (_HEATMAP.replace(b"2.0,3.0", b"2.0,inf"), 0),
+    (_HEATMAP.replace(b"1.0,2.0,3.0", b"1.0"), 0),
+    (_HEATMAP.replace(b"y_edges", b"z_edges"), _HEATMAP.index(b"y_edges")),
+    (_HEATMAP.replace(b"0.0,2.5\n", b""), len(_HEATMAP) - len(b"0.0,2.5\n")),
+    (_HEATMAP + b"1.0,1.0\n", len(_HEATMAP)),
+], ids=["blank-lines", "empty", "nan-count", "negative-count", "invalid-utf8", "text-count",
+        "underscore-count", "long-row", "short-row", "blank-row", "decreasing-edges",
+        "infinite-edge", "one-edge", "bad-label", "missing-row", "extra-row"])
+def test_analyze_similarity_names_a_malformed_heatmap_row(tmp_path, capsys, data, offset):
+    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
+    good.write_bytes(_HEATMAP)
+    bad.write_bytes(data)
+    rc = cli.main(["analyze", "--similarity", str(good), str(bad)])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith(f"error: {bad}: heatmap CSV ")
+    assert err.endswith(f"(byte offset {offset})\n")
+
+
+def test_analyze_similarity_reads_crlf_rows(tmp_path, capsys):
+    lf, crlf = tmp_path / "lf.csv", tmp_path / "crlf.csv"
+    lf.write_bytes(_HEATMAP)
+    crlf.write_bytes(_HEATMAP.replace(b"\n", b"\r\n"))
+    assert cli.main(["analyze", "--similarity", str(lf), str(crlf)]) == 0
     assert capsys.readouterr().out == "similarity: 1.000000\n"
 
 
@@ -722,7 +804,76 @@ def test_analyze_without_inputs_exits_3(tmp_path, capsys):
     assert "--gts" in capsys.readouterr().err
 
 
+def test_analyze_names_a_malformed_depth_map(tmp_path, capsys, analyze_files):
+    bad = tmp_path / "depth" / "im2.pgm"
+    bad.write_bytes(bad.read_bytes()[:40])
+    rc = cli.main(["analyze", "--gts", analyze_files["gts_ids"],
+                   "--depth-dir", analyze_files["depth_dir"], "--out", str(tmp_path / "stats")])
+    assert rc == 2
+    assert re.fullmatch(rf"error: {re.escape(str(bad))}: raster truncated.* \(byte offset 40\)\n",
+                        capsys.readouterr().err)
+
+
 # ------------------------------------------------------------ entry point
+
+def _run(argv):
+    """``cli.main(argv)`` in process: exit code, stderr and warnings."""
+    err = io.StringIO()
+    with (warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err),
+          contextlib.redirect_stdout(io.StringIO())):
+        warnings.simplefilter("always")
+        rc = cli.main(argv)
+    return rc, err.getvalue(), caught
+
+
+_ENCODE = ["encode", "scene.pfm", "--mode", "gray", "--dmin", "1", "--dmax", "6"]
+_ARCH = ["arch", "--variant", "raw-EC", "--backbone", "vgg16", "--input", "64x64", "--rois", "4",
+         "--forward"]
+_EVAL = ["eval", "--metric", "confusion", "--dets", "d.jsonl", "--gts", "g.jsonl",
+         "--classes", "c.json"]
+_NUMERIC_OPTIONS = [
+    (_ENCODE, "--dmin", "{}"), (_ENCODE, "--dmax", "{}"), (_ENCODE, "--k-neighbors", "{}"),
+    (_ARCH, "--classes", "{}"), (_ARCH, "--rois", "{}"), (_ARCH, "--depth-channels", "{}"),
+    (_ARCH, "--seed", "{}"), (_ARCH, "--input", "{}x64"), (_ARCH, "--input", "64x{}"),
+    (_EVAL, "--iou", "{}"), (_EVAL, "--score-thresh", "{}"),
+    (["analyze", "--gts", "g.jsonl", "--depth-dir", "depth"], "--bins", "{}"),
+]
+
+
+@pytest.mark.parametrize("value", ["1_0", "inf", "nan", "\u0661", " 1"],
+                         ids=["underscore", "inf", "nan", "arabic-indic-digit", "padded"])
+@pytest.mark.parametrize("argv, option, form", _NUMERIC_OPTIONS,
+                         ids=[f"{argv[0]}{opt}={form}" for argv, opt, form in _NUMERIC_OPTIONS])
+def test_numeric_options_take_ascii_decimals_only(tmp_path, argv, option, form, value):
+    out = tmp_path / "out"
+    rc, err, caught = _run([*argv, f"{option}={form.format(value)}", "--out", str(out)])
+    assert rc == 3, err
+    assert option in err and "Traceback" not in err
+    assert caught == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["frobnicate"], ["encode", "scene.pfm"], ["eval", "--metric", "voc", "--gts", "g.jsonl"],
+    [*_ENCODE, "--k-neighbors", "abc"], [*_ENCODE, "--scale", "600"],
+    ["arch", "--variant", "baseline", "--backbone", "vgg16", "--report", "params"],
+], ids=["no-command", "unknown-command", "missing-mode", "missing-dets", "text-integer",
+        "removed-scale", "removed-report"])
+def test_usage_errors_exit_3(tmp_path, argv):
+    rc, err, caught = _run([*argv, "--out", str(tmp_path / "out")] if argv else argv)
+    assert rc == 3, err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert caught == []
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["encode", "--help"], ["arch", "-h"]])
+def test_help_exits_0(capsys, argv):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: depthkit")
+
 
 def test_cli_runs_as_a_process(tmp_path):
     src = tmp_path / "scene.pfm"

@@ -221,3 +221,72 @@ def test_fuzzed_depth_headers_keep_the_cli_contract(tmp_path_factory, name_data,
         found = re.search(r"\(byte offset (\d+)\)$", err.strip())
         assert found, err
         assert int(found[1]) <= len(data), err
+
+
+_WHITESPACE = b" \t\r\n\v\f"
+
+
+class _ReferenceTokenizer:
+    """The byte-at-a-time header scan that the compiled scans replaced,
+    kept as their oracle."""
+
+    def __init__(self, data: bytes, comments: bool):
+        self.data = data
+        self.pos = 0
+        self.comments = comments
+
+    def _skip_separators(self) -> None:
+        while self.pos < len(self.data):
+            byte = self.data[self.pos : self.pos + 1]
+            if byte in (b"#",) and self.comments:
+                end = self.data.find(b"\n", self.pos)
+                self.pos = len(self.data) if end < 0 else end + 1
+            elif byte in _WHITESPACE:
+                self.pos += 1
+            else:
+                return
+
+    def token(self, what: str) -> bytes:
+        self._skip_separators()
+        start = self.pos
+        while self.pos < len(self.data) and self.data[self.pos : self.pos + 1] not in _WHITESPACE:
+            if self.data[self.pos : self.pos + 1] == b"#" and self.comments:
+                break
+            self.pos += 1
+        if self.pos == start:
+            raise ParseError(f"expected {what}", start)
+        return self.data[start : self.pos]
+
+
+def _scan_all(tokenizer):
+    """Every ``(token, end position)`` up to the first ParseError, and its offset."""
+    tokens = []
+    while True:
+        try:
+            tokens.append((tokenizer.token("token"), tokenizer.pos))
+        except ParseError as exc:
+            return tokens, exc.offset
+
+
+def _assert_same_scan(data: bytes):
+    for comments in (False, True):
+        want = _scan_all(_ReferenceTokenizer(data, comments))
+        assert _scan_all(netpbm._Tokenizer(data, comments)) == want, (data, comments)
+
+
+_SEPARATORS = [b" ", b"\n", b"\t", b"\r\n", b"\v", b"\f", b"#", b"# note 12\n", b"#x"]
+
+
+@pytest.mark.parametrize("token", _TOKENS)
+def test_header_scan_matches_the_reference_loop_on_each_token(token):
+    for before, after in zip(_SEPARATORS, _SEPARATORS[::-1]):
+        _assert_same_scan(token)
+        _assert_same_scan(before + token + after + token)
+        _assert_same_scan(token + before + b"P5" + after)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_depth_file().map(lambda name_data: name_data[1]),
+                 st.lists(st.sampled_from(_TOKENS + _SEPARATORS), max_size=12).map(b"".join)))
+def test_header_scan_matches_the_reference_loop_on_fuzzed_headers(data):
+    _assert_same_scan(data)

@@ -94,11 +94,21 @@ def test_intrinsics_that_are_not_an_object_exit_2(tmp_path):
 
 
 @pytest.mark.parametrize("stats", [{"mean": [0.0, 0.0, 0.0]},
-                                   {"mean": ["a", 0, 0], "std": [1, 1, 1]}],
-                         ids=["missing-std", "text-mean"])
+                                   {"mean": ["a", 0, 0], "std": [1, 1, 1]},
+                                   {"mean": [0, 0, 0], "std": [True, 1, 1]},
+                                   {"mean": [0, "1_0", 0], "std": [1, 1, 1]}],
+                         ids=["missing-std", "text-mean", "boolean-std", "numeric-text-mean"])
 def test_malformed_stats_exit_2(tmp_path, stats):
     rc, err, caught, side, out = _run_side_file(tmp_path, "stats", json.dumps(stats).encode())
     _assert_contract(rc, err, caught, side, out, codes=(2,))
+
+
+@pytest.mark.parametrize("field, value", [("fx", True), ("fy", "1_0"), ("baseline", "0.075")])
+def test_intrinsics_that_are_not_json_numbers_exit_2(tmp_path, field, value):
+    data = json.dumps({**_CAM, field: value}).encode()
+    rc, err, caught, side, out = _run_side_file(tmp_path, "intrinsics", data)
+    _assert_contract(rc, err, caught, side, out, codes=(2,))
+    assert f"'{field}' must hold numbers" in err
 
 
 def test_non_finite_stats_exit_3_without_warning(tmp_path):
