@@ -1,27 +1,42 @@
 """Neighborhood-covariance kernel behind surface-normal estimation.
 
-One pure-numpy implementation built on integral images: the masked
-first and second moments of the points are summed once into a 10-plane
-integral image, so the sums over any window cost four lookups.
+One pure-numpy implementation built on integral images: the sums of
+the masked first and second moments of the points over any window cost
+four lookups into the integral images of the count and of the nine
+moment planes x, y, z, xx, xy, xz, yy, yz, zz.
 
 Window rule: start from the smallest square window holding at least
 ``k`` cells, clip to the image, and grow it one ring at a time until it
 contains ``k`` valid points or its radius reaches ``max(H, W)``.  Growth
-is vectorized: each step widens the window of every still-pending pixel
-by one ring through the same four-lookup window sum, so a pixel's sums
-are those of the first radius at which it holds ``k`` points (or of
-radius ``max(H, W)``).  A pixel with fewer than 3 gathered points, or
-with a degenerate neighborhood, gets no normal.
+is vectorized and reads only the count: each step widens the window of
+every still-pending pixel by one ring through four lookups into the
+count integral image, so a pixel's moment sums are those of the first
+radius at which it holds ``k`` points (or of radius ``max(H, W)``).  A
+pixel with fewer than 3 gathered points, or with a degenerate
+neighborhood, gets no normal.
 
-Memory rule: the integral image is built one moment plane at a time,
-and the valid pixels then pass through the per-pixel stage (window
-sums, ring growth, covariance, ``eigh``, orientation) ``CHUNK`` at a
-time.  Beside the input, the outputs and the index of valid pixels, a
-call holds the integral image (80 bytes a pixel) plus one chunk of
-temporaries; the centered coordinates (24 bytes a pixel) live only
-while the integral image is built.  Every step of the per-pixel stage
-reads only its own pixel's window, and ``eigh`` decomposes each matrix
-of a stack on its own, so the chunk size changes no output bit.
+Memory rule: no whole-image moment integral exists.  Beside the input
+and the outputs, a call holds the count integral image (8 bytes a
+pixel) and the column sums of the nine other moment planes at every
+``CHECKPOINT_ROWS``-th row (72 bytes a pixel of those rows).  The valid
+pixels pass through the per-pixel stage (ring growth, window sums,
+covariance, ``eigh``, orientation) ``CHUNK`` at a time in row-major
+order, each chunk found in the rows that hold it.  A chunk's window
+sums read its band: the integral-image rows of the nine moment planes
+that its final windows touch (72 bytes a pixel of those rows), rebuilt
+from the nearest checkpoint above them one strip of ``CHECKPOINT_ROWS``
+rows at a time.  A chunk of a dense VGA map touches a few dozen rows;
+on a sparse map whose windows span the image the band is the whole
+9-moment integral image.
+
+Bits: a band row holds the sums of a whole-image integral image built
+by ``cumsum`` down the columns and then along the rows, added in the
+same sequence (each column sum continues its checkpoint row by row,
+then each row is summed along its columns), so no window sum, and no
+output, depends on where a band starts.  Every step of the per-pixel
+stage reads only its own pixel's window, and ``eigh`` decomposes each
+matrix of a stack on its own, so neither the chunk size nor the
+checkpoint spacing changes an output bit.
 """
 from __future__ import annotations
 
@@ -32,11 +47,14 @@ import numpy as np
 
 _DEGENERATE_EIG = 1e-15
 # valid pixels per pass of the per-pixel stage; a chunk's temporaries
-# peak in the window sums at about 512 bytes a pixel (four 10-moment
-# lookups, their running sum and the clipped bounds), 8 MiB a chunk,
-# a third of a VGA map's 24 MiB integral image; smaller chunks ran no
-# faster on a VGA map
+# peak in the window sums at about 400 bytes a pixel (the 9-moment
+# lookups, their running sum and the clipped bounds), 6 MiB a chunk;
+# smaller chunks ran no faster on a VGA map
 CHUNK = 1 << 14
+# plane rows between column-sum checkpoints; a band is rebuilt from the
+# checkpoint at or above its first row, so up to this many rows are
+# summed and dropped before the band's own rows
+CHECKPOINT_ROWS = 16
 
 
 def backend_name() -> str:
@@ -50,22 +68,33 @@ def base_radius(k: int) -> int:
     return max(side // 2, 1)
 
 
-def _moment_integral(points: np.ndarray, valid: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """Integral image ``(H+1, W+1, 10)`` of the masked moments of the
-    points centered on ``mean``: count, x, y, z, xx, xy, xz, yy, yz, zz.
+def _column_sums(points, valid, mean, row, stop, carry):
+    """Running column sums of the nine moment planes past the count (x,
+    y, z, xx, xy, xz, yy, yz, zz of the points centered on ``mean``, 0 at
+    invalid pixels), strip by strip of at most ``CHECKPOINT_ROWS`` rows.
 
-    A window sum is then four lookups regardless of window size.  Each
-    plane is summed straight into its slot: cumsum adds in sequence along
-    its axis, so this equals summing the stacked planes, bit for bit.
+    Yields ``(row, sums)`` from plane row ``row`` up to ``stop``:
+    ``sums[c, i]`` sums plane ``c`` down each column through row
+    ``row + i``.  ``carry`` holds the sums through row ``row - 1`` (None
+    at row 0); each sum adds one row to the previous one, the sequence
+    ``cumsum`` runs along axis 0, so the sums do not depend on where a
+    run starts.
     """
-    h, w = valid.shape
-    # centered coordinates are 0 at invalid pixels, so every product is too
-    x, y, z = (np.where(valid, points[..., a] - mean[a], 0.0) for a in range(3))
-    products = (a * b for a, b in ((x, x), (x, y), (x, z), (y, y), (y, z), (z, z)))
-    integ = np.zeros((h + 1, w + 1, 10))
-    for c, plane in enumerate(itertools.chain((valid, x, y, z), products)):
-        np.cumsum(np.cumsum(plane, axis=0, dtype=np.float64), axis=1, out=integ[1:, 1:, c])
-    return integ
+    while row < stop:
+        end = min(row + CHECKPOINT_ROWS, stop)
+        v = valid[row:end]
+        x, y, z = (np.where(v, points[row:end, :, a] - mean[a], 0.0) for a in range(3))
+        products = (a * b for a, b in ((x, x), (x, y), (x, z), (y, y), (y, z), (z, z)))
+        sums = np.empty((9, end - row, v.shape[1]))
+        for c, plane in enumerate(itertools.chain((x, y, z), products)):
+            sums[c] = plane
+            if carry is not None:
+                sums[c, 0] += carry[c]
+            np.cumsum(sums[c], axis=0, out=sums[c])
+        # a copy: a view would keep the whole strip alive
+        carry = sums[:, -1].copy()
+        yield row, sums
+        row = end
 
 
 def normals_from_points(
@@ -85,45 +114,68 @@ def normals_from_points(
         mean = points[valid].mean(axis=0)
     else:
         mean = np.zeros(3)
-    integ = _moment_integral(points, valid, mean)
     h, w = valid.shape
+    max_r = max(h, w)
+    count = np.zeros((h + 1, w + 1))
+    np.cumsum(np.cumsum(valid, axis=0, dtype=np.float64), axis=1, out=count[1:, 1:])
+    # checkpoints[t]: the column sums through plane row t * CHECKPOINT_ROWS - 1
+    checkpoints = [None]
+    for _, sums in _column_sums(points, valid, mean, 0, h, None):
+        checkpoints.append(sums[:, -1].copy())
     out_n = np.zeros((h, w, 3))
     out_valid = np.zeros((h, w), dtype=bool)
 
-    def window_sums(ci, cj, r):
-        # sums over the window of radius r around (ci, cj), clipped to the image
-        i0 = np.maximum(ci - r, 0)
-        i1 = np.minimum(ci + r, h - 1) + 1
-        j0 = np.maximum(cj - r, 0)
-        j1 = np.minimum(cj + r, w - 1) + 1
-        return integ[i1, j1] - integ[i0, j1] - integ[i1, j0] + integ[i0, j0]
+    def band(lo, hi):
+        # integral-image rows lo..hi of the nine moment planes past the
+        # count; row i sums the plane rows above i, so plane rows
+        # lo - 1 .. hi - 1 are kept
+        rows = np.zeros((hi - lo + 1, w + 1, 9))
+        t = max(lo - 1, 0) // CHECKPOINT_ROWS
+        strips = _column_sums(points, valid, mean, t * CHECKPOINT_ROWS, hi, checkpoints[t])
+        for row, sums in strips:
+            skip = max(lo - 1 - row, 0)
+            top = row + skip + 1 - lo
+            for c in range(9):
+                np.cumsum(sums[c, skip:], axis=1,
+                          out=rows[top:top + sums.shape[1] - skip, 1:, c])
+        return rows
 
-    ii, jj = np.nonzero(valid)
-    max_r = max(h, w)
-    for start in range(0, ii.size, CHUNK):
-        ci, cj = ii[start:start + CHUNK], jj[start:start + CHUNK]
+    def bounds(ci, cj, r):
+        # the window of radius r around (ci, cj), clipped to the image
+        return (np.maximum(ci - r, 0), np.minimum(ci + r, h - 1) + 1,
+                np.maximum(cj - r, 0), np.minimum(cj + r, w - 1) + 1)
+
+    def window_sums(table, i0, i1, j0, j1):
+        return table[i1, j1] - table[i0, j1] - table[i1, j0] + table[i0, j0]
+
+    def estimate(ci, cj):
+        # the per-pixel stage for one chunk of valid pixels; its
+        # temporaries die when it returns
         r = base_radius(k)
-        sums = window_sums(ci, cj, r)
-        pending = np.nonzero(sums[:, 0] < k)[0]
+        radius = np.full(ci.size, r)
+        counts = window_sums(count, *bounds(ci, cj, r))
+        pending = np.nonzero(counts < k)[0]
         while pending.size and r < max_r:
             r += 1
-            grown = window_sums(ci[pending], cj[pending], r)
-            sums[pending] = grown
-            pending = pending[grown[:, 0] < k]
-        enough = sums[:, 0] >= 3
+            grown = window_sums(count, *bounds(ci[pending], cj[pending], r))
+            counts[pending] = grown
+            radius[pending] = r
+            pending = pending[grown < k]
+        enough = counts >= 3
         if not np.any(enough):
-            continue
-        sums = sums[enough]
-        ci, cj = ci[enough], cj[enough]
-        n = sums[:, 0]
-        mu = sums[:, 1:4] / n[:, None]
+            return
+        ci, cj, n = ci[enough], cj[enough], counts[enough]
+        i0, i1, j0, j1 = bounds(ci, cj, radius[enough])
+        lo = int(i0.min())
+        sums = window_sums(band(lo, int(i1.max())), i0 - lo, i1 - lo, j0, j1)
+        mu = sums[:, 0:3] / n[:, None]
         cov = np.empty((sums.shape[0], 3, 3))
-        cov[:, 0, 0] = sums[:, 4] / n - mu[:, 0] * mu[:, 0]
-        cov[:, 0, 1] = sums[:, 5] / n - mu[:, 0] * mu[:, 1]
-        cov[:, 0, 2] = sums[:, 6] / n - mu[:, 0] * mu[:, 2]
-        cov[:, 1, 1] = sums[:, 7] / n - mu[:, 1] * mu[:, 1]
-        cov[:, 1, 2] = sums[:, 8] / n - mu[:, 1] * mu[:, 2]
-        cov[:, 2, 2] = sums[:, 9] / n - mu[:, 2] * mu[:, 2]
+        cov[:, 0, 0] = sums[:, 3] / n - mu[:, 0] * mu[:, 0]
+        cov[:, 0, 1] = sums[:, 4] / n - mu[:, 0] * mu[:, 1]
+        cov[:, 0, 2] = sums[:, 5] / n - mu[:, 0] * mu[:, 2]
+        cov[:, 1, 1] = sums[:, 6] / n - mu[:, 1] * mu[:, 1]
+        cov[:, 1, 2] = sums[:, 7] / n - mu[:, 1] * mu[:, 2]
+        cov[:, 2, 2] = sums[:, 8] / n - mu[:, 2] * mu[:, 2]
         cov[:, 1, 0] = cov[:, 0, 1]
         cov[:, 2, 0] = cov[:, 0, 2]
         cov[:, 2, 1] = cov[:, 1, 2]
@@ -139,4 +191,15 @@ def normals_from_points(
 
         out_n[ci[good], cj[good]] = normals[good]
         out_valid[ci[good], cj[good]] = True
+
+    # a chunk takes the next CHUNK valid pixels in row-major order, found
+    # in the rows that hold them; through_row[i] counts those of rows 0..i
+    through_row = np.cumsum(np.count_nonzero(valid, axis=1))
+    total = int(np.count_nonzero(valid))
+    for start in range(0, total, CHUNK):
+        size = min(CHUNK, total - start)
+        r0, r1 = np.searchsorted(through_row, (start, start + size - 1), side="right")
+        ii, jj = np.nonzero(valid[r0:r1 + 1])
+        skip = start - (int(through_row[r0 - 1]) if r0 else 0)
+        estimate(ii[skip:skip + size] + r0, jj[skip:skip + size])
     return out_n, out_valid

@@ -10,12 +10,13 @@ sane scene collection is strongly negative.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 
 import numpy as np
 
 from .encoding import DepthMap, quantize_u8
-from .evaluation import GtRecord, _csv_table, _image_codes
+from .evaluation import GtRecord, _csv_table
 from .netpbm import ParseError, decimal_float
 
 
@@ -58,39 +59,59 @@ class Heatmap2D:
         return float(self.counts.sum())
 
 
-def collect_samples(gts: GtRecord, depth_maps: dict[str, DepthMap]) -> SampleRecord:
+def collect_samples(
+    gts: GtRecord,
+    depth_maps: Mapping[str, DepthMap] | Callable[[str], DepthMap],
+) -> SampleRecord:
     """One (mean depth, area) sample per ground-truth box, in input order.
 
     The depth average runs over the valid pixels inside the box (corners
     rounded outward, clipped to the image); boxes with no valid depth
-    yield no sample.  Every referenced image must be present.
+    yield no sample.  ``depth_maps`` gives each image's map, as a
+    mapping or as a function of the image id; every referenced image
+    must be present.  The images are sampled one at a time in first-seen
+    order, each map fetched once and dropped after its boxes, so a
+    function that loads maps from disk holds one map at a time.
     """
-    names, image = _image_codes(gts.image_id)
-    for name in dict.fromkeys(gts.image_id.tolist()):
-        if name not in depth_maps:
-            raise ValueError(f"no depth map for image {name!r}")
-    maps = [depth_maps[name] for name in names]
-    height, width = np.array([dm.values.shape for dm in maps]).reshape(-1, 2)[image].T
-    # clipped to the image before the cast; a corner past either edge
-    # leaves an empty window either way
-    x1, y1 = np.floor(gts.box[:, :2]).T
-    x2, y2 = np.ceil(gts.box[:, 2:]).T
-    x1, x2 = (np.clip(v, 0, width).astype(np.int64) for v in (x1, x2))
-    y1, y2 = (np.clip(v, 0, height).astype(np.int64) for v in (y1, y2))
+    if not callable(depth_maps):
+        held = depth_maps
+
+        def depth_maps(name):
+            if name not in held:
+                raise ValueError(f"no depth map for image {name!r}")
+            return held[name]
+
+    boxes_of: dict[str, list[int]] = {}
+    for i, name in enumerate(gts.image_id.tolist()):
+        boxes_of.setdefault(name, []).append(i)
     # an area past the float range reads inf, which no axis can frame
     with np.errstate(over="ignore"):
         area = (gts.box[:, 2] - gts.box[:, 0]) * (gts.box[:, 3] - gts.box[:, 1])
-    rows, means = [], []
+    found = []
+    for name, boxes in boxes_of.items():
+        found += _box_means(depth_maps(name), gts.box, np.array(boxes, dtype=np.intp))
+    found.sort()
+    rows = np.array([i for i, _ in found], dtype=np.intp)
+    return SampleRecord(gts.image_id[rows], gts.class_id[rows],
+                        np.array([m for _, m in found], dtype=np.float64), area[rows])
+
+
+def _box_means(dm: DepthMap, box: np.ndarray, rows: np.ndarray) -> list[tuple[int, float]]:
+    """``(row, mean depth)`` of each of ``box[rows]`` that holds valid depth in ``dm``."""
+    height, width = dm.values.shape
+    # clipped to the image before the cast; a corner past either edge
+    # leaves an empty window either way
+    x1, y1 = np.floor(box[rows, :2]).T
+    x2, y2 = np.ceil(box[rows, 2:]).T
+    x1, x2 = (np.clip(v, 0, width).astype(np.int64) for v in (x1, x2))
+    y1, y2 = (np.clip(v, 0, height).astype(np.int64) for v in (y1, y2))
+    found = []
     for i in np.flatnonzero((x2 > x1) & (y2 > y1)).tolist():
-        dm = maps[image[i]]
         window = (slice(y1[i], y2[i]), slice(x1[i], x2[i]))
         window_valid = dm.valid[window]
         if window_valid.any():
-            rows.append(i)
-            means.append(dm.values[window][window_valid].mean())
-    rows = np.array(rows, dtype=np.intp)
-    return SampleRecord(gts.image_id[rows], gts.class_id[rows],
-                        np.array(means, dtype=np.float64), area[rows])
+            found.append((int(rows[i]), dm.values[window][window_valid].mean()))
+    return found
 
 
 def _axis_edges(values: np.ndarray, bins: int, rng: tuple[float, float] | None) -> np.ndarray:

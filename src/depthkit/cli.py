@@ -4,10 +4,10 @@ Four subcommands: ``encode`` renders depth maps to 8-bit imagery,
 ``arch`` reports on detector architecture graphs, ``eval`` scores
 detections against ground truth, ``analyze`` builds depth-vs-size
 statistics.  Exit codes: 0 success, 2 malformed input file (naming the
-file and the location of the fault), 3 bad parameter, usage error or
-missing file, 4 internal invariant violation.  Given identical inputs
-and flags, every subcommand writes byte-identical output files on
-every run.
+file and the location of the fault), 3 bad parameter, usage error, or a
+file that is missing or cannot be opened, 4 internal invariant
+violation.  Given identical inputs and flags, every subcommand writes
+byte-identical output files on every run.
 """
 from __future__ import annotations
 
@@ -122,6 +122,13 @@ def _parse_gravity(text: str) -> np.ndarray:
         raise ValueError(f"--gravity needs finite decimal components, got {text!r}") from None
 
 
+_OUT_SUFFIX = {"gray": "_gray.pgm", "jet": "_jet.ppm", "hdha": "_hdha.ppm"}
+
+
+def _out_path(args, path: str) -> str:
+    return os.path.join(args.out, _stem(path) + _OUT_SUFFIX[args.mode])
+
+
 def _load(read, path: str):
     """``read(path)``, naming ``path`` in the ParseError of a malformed file."""
     try:
@@ -140,23 +147,20 @@ def _encode_one(path: str, args, cam, gravity, stats, defer: bool):
     """
     try:
         depth = _load(encoding.load_depth, path)
-    except (ParseError, FileNotFoundError) as exc:
+    except (ParseError, OSError) as exc:
         return exc
-    stem = _stem(path)
+    out_path = _out_path(args, path)
     info = depth.summary()
     deferred = None
     if args.mode in ("gray", "jet"):
         gray = encoding.grayscale_encode(depth, args.dmin, args.dmax)
         if args.mode == "gray":
-            out_path = os.path.join(args.out, f"{stem}_gray.pgm")
             netpbm.write_pgm8(out_path, gray)
         else:
-            out_path = os.path.join(args.out, f"{stem}_jet.ppm")
             netpbm.write_ppm8(out_path, encoding.jet_encode(gray, depth.valid))
     else:
         hdha = geometry.hdha_encode(depth, cam, gravity=gravity,
                                     k_neighbors=args.k_neighbors)
-        out_path = os.path.join(args.out, f"{stem}_hdha.ppm")
         if defer:
             deferred = (out_path, hdha)
         else:
@@ -190,6 +194,13 @@ def _cmd_encode(args) -> int:
             raise ValueError("--mode hdha requires --intrinsics (camera intrinsics JSON)")
         cam = encoding.CameraIntrinsics.from_json(args.intrinsics)
     gravity = _parse_gravity(args.gravity) if args.gravity is not None else None
+    # two inputs with one stem would race for one output file
+    writer = {}
+    for path in args.files:
+        out_path = _out_path(args, path)
+        if out_path in writer:
+            raise ValueError(f"inputs {writer[out_path]} and {path} would both write {out_path}")
+        writer[out_path] = path
     os.makedirs(args.out, exist_ok=True)
 
     stats = None
@@ -348,9 +359,8 @@ def _cmd_analyze(args) -> int:
         raise ValueError("analyze needs --gts and --depth-dir (or --similarity A B)")
     classes = evaluation.load_classes(args.classes) if args.classes else None
     gts = evaluation.load_groundtruth(args.gts, classes)
-    depth_maps = {image_id: _load(encoding.load_depth, _find_depth_file(args.depth_dir, image_id))
-                  for image_id in dict.fromkeys(gts.image_id.tolist())}
-    samples = analysis.collect_samples(gts, depth_maps)
+    samples = analysis.collect_samples(
+        gts, lambda image_id: _load(encoding.load_depth, _find_depth_file(args.depth_dir, image_id)))
     if not samples:
         raise ValueError("no usable samples: no ground-truth box holds valid depth")
     hm = analysis.build_heatmap(samples.mean_depth, samples.area,
@@ -382,6 +392,10 @@ def _fail(exc: Exception) -> int:
     if isinstance(exc, FileNotFoundError):
         print(f"error: missing file: {exc.filename or exc}", file=sys.stderr)
         return 3
+    if isinstance(exc, OSError):
+        print(f"error: {exc.filename}: {exc.strerror}" if exc.filename else f"error: {exc}",
+              file=sys.stderr)
+        return 3
     if isinstance(exc, GraphError):
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
@@ -393,7 +407,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (ValueError, FileNotFoundError, GraphError) as exc:
+    except (ValueError, OSError, GraphError) as exc:
         return _fail(exc)
 
 

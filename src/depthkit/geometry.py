@@ -46,6 +46,11 @@ def backproject_grid(depth: DepthMap, cam: CameraIntrinsics) -> np.ndarray:
 _DEFAULT_GRAVITY = np.array([0.0, 1.0, 0.0])
 
 
+def _scatter(v: np.ndarray) -> np.ndarray:
+    """``v.T @ v``, for one gathered cluster that dies on return."""
+    return v.T @ v
+
+
 def estimate_gravity(
     normals: np.ndarray,
     valid: np.ndarray | None = None,
@@ -83,9 +88,9 @@ def estimate_gravity(
         thresh_deg = 45.0 if it == 0 else 15.0
         cos_par = np.cos(np.deg2rad(thresh_deg))
         sin_thr = np.sin(np.deg2rad(thresh_deg))
-        dots = n @ g
-        par = np.abs(dots) > cos_par
-        orth = np.abs(dots) < sin_thr
+        align = np.abs(n @ g)
+        par = align > cos_par
+        orth = align < sin_thr
         n_par = int(par.sum())
         n_orth = int(orth.sum())
         iters = it + 1
@@ -93,11 +98,9 @@ def estimate_gravity(
             break
         m = np.zeros((3, 3))
         if n_orth:
-            no = n[orth]
-            m += no.T @ no
+            m += _scatter(n[orth])
         if n_par:
-            npar = n[par]
-            m -= npar.T @ npar
+            m -= _scatter(n[par])
         _, vecs = np.linalg.eigh(m)
         g_new = vecs[:, 0]
         if g_new @ g < 0:

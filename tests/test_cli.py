@@ -5,6 +5,7 @@ import json
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -401,6 +402,63 @@ def test_encode_batch_stats_need_every_map(tmp_path, capsys):
     assert captured.out == ""
     assert not (tmp_path / "stats.json").exists()
     assert list(out.iterdir()) == []
+
+
+def test_encode_inputs_sharing_an_output_exit_3_before_any_read(tmp_path, capsys):
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    first, second = tmp_path / "a" / "x.pfm", tmp_path / "b" / "x.pfm"
+    _ramp_pfm(first)
+    # a truncated map would exit 2 if it were read
+    second.write_bytes(first.read_bytes()[:30])
+    out = tmp_path / "out"
+    rc = cli.main(["encode", str(first), str(second), "--mode", "gray", "--dmin", "1",
+                   "--dmax", "6", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err == f"error: inputs {first} and {second} would both write {out / 'x_gray.pgm'}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def _unreadable_cases(tmp_path, eval_files):
+    """(argv, the directory given where a file belongs) per input kind."""
+    directory = tmp_path / "dir.pfm"
+    directory.mkdir()
+    depth_dir = tmp_path / "depth"
+    (depth_dir / "im1.pfm").mkdir(parents=True)
+    return {
+        "similarity": (["analyze", "--similarity", str(directory), str(directory)], directory),
+        "eval": (["eval", "--metric", "voc", "--dets", eval_files["dets_ids"],
+                  "--gts", str(directory), "--out", str(tmp_path / "out")], directory),
+        "depth-dir": (["analyze", "--gts", eval_files["gts_ids"], "--depth-dir", str(depth_dir),
+                       "--out", str(tmp_path / "out")], depth_dir / "im1.pfm"),
+    }
+
+
+@pytest.mark.parametrize("case", ["similarity", "eval", "depth-dir"])
+def test_unreadable_input_exits_3_naming_it(tmp_path, eval_files, case):
+    argv, path = _unreadable_cases(tmp_path, eval_files)[case]
+    rc, err, caught = _run(argv)
+    assert rc == 3
+    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
+    assert "Traceback" not in err
+    assert caught == []
+
+
+def test_encode_batch_writes_the_maps_around_an_unreadable_one(tmp_path, capsys):
+    good = tmp_path / "good.pfm"
+    _ramp_pfm(good)
+    directory = tmp_path / "dir.pfm"
+    directory.mkdir()
+    out = tmp_path / "out"
+    rc = cli.main(["encode", str(directory), str(good), "--mode", "gray", "--dmin", "1",
+                   "--dmax", "6", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 3
+    assert captured.err.startswith(f"error: {directory}: ") and captured.err.count("\n") == 1
+    assert captured.out.endswith(f"-> {out / 'good_gray.pgm'}\n")
+    assert list(out.iterdir()) == [out / "good_gray.pgm"]
 
 
 # -------------------------------------------------------------------- arch
@@ -812,6 +870,36 @@ def test_analyze_names_a_malformed_depth_map(tmp_path, capsys, analyze_files):
     assert rc == 2
     assert re.fullmatch(rf"error: {re.escape(str(bad))}: raster truncated.* \(byte offset 40\)\n",
                         capsys.readouterr().err)
+
+
+def test_analyze_holds_one_depth_map_at_a_time(tmp_path):
+    # tracemalloc peaks over 2 and over 8 VGA maps: a run that held every
+    # map would grow by 6 maps of 9 bytes a pixel (values and mask)
+    footprint = 480 * 640 * 9
+
+    def peak(n):
+        depth_dir = tmp_path / f"depth{n}"
+        depth_dir.mkdir()
+        records = []
+        for i in range(n):
+            netpbm.write_pfm(str(depth_dir / f"im{i}.pfm"),
+                             np.full((480, 640), 1.0 + i, dtype=np.float32))
+            records.append({"image_id": f"im{i}", "class": 1,
+                            "x1": 10, "y1": 10 + i, "x2": 200, "y2": 300})
+        gts = tmp_path / f"gts{n}.jsonl"
+        _write_jsonl(gts, records)
+        argv = ["analyze", "--gts", str(gts), "--depth-dir", str(depth_dir),
+                "--out", str(tmp_path / f"stats{n}")]
+        tracemalloc.start()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert cli.main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    two, eight = peak(2), peak(8)
+    assert eight - two < footprint, (two, eight)
 
 
 # ------------------------------------------------------------ entry point

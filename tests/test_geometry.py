@@ -165,26 +165,60 @@ def test_chunk_size_changes_no_bit(monkeypatch, case):
         assert np.array_equal(ok, results[0][1])
 
 
-def test_hdha_memory_is_bounded_by_the_map():
-    # a VGA floor/wall scene with dropout holes: the encode holds the
-    # 80-byte-a-pixel integral image plus one chunk of temporaries, about
-    # 50 MiB; carrying every valid pixel through the kernel at once would
-    # take about 180 MiB
-    cam = CameraIntrinsics(fx=500.0, fy=500.0, cx=319.5, cy=239.5, baseline=0.075)
-    depth, _ = _floor_wall_scene(h=480, w=640, cam=cam)
-    rng = np.random.default_rng(5)
-    values = depth.values.copy()
-    for r, c in rng.integers(0, 440, (40, 2)):
-        values[r:r + 30, c:c + 40] = 0.0
-    values[rng.random(values.shape) < 0.05] = 0.0
-    depth = DepthMap(values)
+@pytest.mark.parametrize("case", ["holes", "sparse"])
+def test_checkpoint_spacing_changes_no_bit(monkeypatch, case):
+    # bands rebuilt from checkpoints every row, every 7 rows, or only
+    # from the top of the image; sparse windows span the whole image
+    points, valid, k = _oracle_case(case)
+    expected = _kernels.normals_from_points(points, valid, k)
+    assert expected[1].any()
+    for spacing in (1, 7, valid.shape[0] + 1):
+        for chunk in (1, 7):
+            monkeypatch.setattr(_kernels, "CHECKPOINT_ROWS", spacing)
+            monkeypatch.setattr(_kernels, "CHUNK", chunk)
+            normals, ok = _kernels.normals_from_points(points, valid, k)
+            assert np.array_equal(normals, expected[0]), (spacing, chunk)
+            assert np.array_equal(ok, expected[1]), (spacing, chunk)
+
+
+def _hdha_peak(depth, cam):
     tracemalloc.start()
     try:
         enc = hdha_encode(depth, cam)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
+    return enc, peak
+
+
+_VGA_CAM = CameraIntrinsics(fx=500.0, fy=500.0, cx=319.5, cy=239.5, baseline=0.075)
+
+
+def test_hdha_memory_is_bounded_by_the_map():
+    # a VGA floor/wall scene with dropout holes: beside the point grid
+    # and the normals, the encode holds the count integral image, the
+    # moment checkpoints and one chunk's band, and peaks in the gravity
+    # estimate at about 29 MiB; the whole 10-moment integral image the
+    # kernel once built took it to about 50 MiB
+    depth, _ = _floor_wall_scene(h=480, w=640, cam=_VGA_CAM)
+    rng = np.random.default_rng(5)
+    values = depth.values.copy()
+    for r, c in rng.integers(0, 440, (40, 2)):
+        values[r:r + 30, c:c + 40] = 0.0
+    values[rng.random(values.shape) < 0.05] = 0.0
+    enc, peak = _hdha_peak(DepthMap(values), _VGA_CAM)
     assert enc.valid.sum() > 200_000
+    assert peak < 36 * 2**20, peak
+
+
+def test_hdha_memory_when_windows_span_the_map():
+    # fewer than k valid points in a VGA map: every window grows to
+    # max(H, W), so one chunk's band is the whole 9-moment integral image
+    rng = np.random.default_rng(7)
+    values = np.zeros((480, 640))
+    values.flat[rng.choice(values.size, 20, replace=False)] = rng.uniform(2.0, 4.0, 20)
+    enc, peak = _hdha_peak(DepthMap(values), _VGA_CAM)
+    assert enc.valid.sum() == 20
     assert peak < 80 * 2**20, peak
 
 
