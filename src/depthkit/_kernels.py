@@ -119,9 +119,8 @@ def normals_from_points(
     count = np.zeros((h + 1, w + 1))
     np.cumsum(np.cumsum(valid, axis=0, dtype=np.float64), axis=1, out=count[1:, 1:])
     # checkpoints[t]: the column sums through plane row t * CHECKPOINT_ROWS - 1
-    checkpoints = [None]
-    for _, sums in _column_sums(points, valid, mean, 0, h, None):
-        checkpoints.append(sums[:, -1].copy())
+    checkpoints = [None] + [sums[:, -1].copy()
+                            for _, sums in _column_sums(points, valid, mean, 0, h, None)]
     out_n = np.zeros((h, w, 3))
     out_valid = np.zeros((h, w), dtype=bool)
 
