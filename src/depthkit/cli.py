@@ -359,8 +359,8 @@ def _cmd_analyze(args) -> int:
         raise ValueError("analyze needs --gts and --depth-dir (or --similarity A B)")
     classes = evaluation.load_classes(args.classes) if args.classes else None
     gts = evaluation.load_groundtruth(args.gts, classes)
-    samples = analysis.collect_samples(
-        gts, lambda image_id: _load(encoding.load_depth, _find_depth_file(args.depth_dir, image_id)))
+    samples = analysis.collect_samples(gts, lambda image_id: _load(
+        encoding.load_depth, _find_depth_file(args.depth_dir, image_id)))
     if not samples:
         raise ValueError("no usable samples: no ground-truth box holds valid depth")
     hm = analysis.build_heatmap(samples.mean_depth, samples.area,

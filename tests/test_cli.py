@@ -416,7 +416,8 @@ def test_encode_inputs_sharing_an_output_exit_3_before_any_read(tmp_path, capsys
                    "--dmax", "6", "--out", str(out)])
     captured = capsys.readouterr()
     assert rc == 3
-    assert captured.err == f"error: inputs {first} and {second} would both write {out / 'x_gray.pgm'}\n"
+    shared = out / "x_gray.pgm"
+    assert captured.err == f"error: inputs {first} and {second} would both write {shared}\n"
     assert captured.out == ""
     assert not out.exists()
 

@@ -198,8 +198,8 @@ def test_hdha_memory_is_bounded_by_the_map():
     # a VGA floor/wall scene with dropout holes: beside the point grid
     # and the normals, the encode holds the count integral image, the
     # moment checkpoints and one chunk's band, and peaks in the gravity
-    # estimate at about 29 MiB; the whole 10-moment integral image the
-    # kernel once built took it to about 50 MiB
+    # estimate at about 29 MiB; a whole-image 10-moment integral image
+    # would take it to about 50 MiB
     depth, _ = _floor_wall_scene(h=480, w=640, cam=_VGA_CAM)
     rng = np.random.default_rng(5)
     values = depth.values.copy()
