@@ -201,7 +201,6 @@ def _cmd_encode(args) -> int:
         if out_path in writer:
             raise ValueError(f"inputs {writer[out_path]} and {path} would both write {out_path}")
         writer[out_path] = path
-    os.makedirs(args.out, exist_ok=True)
 
     stats = None
     if args.stats:
@@ -209,9 +208,13 @@ def _cmd_encode(args) -> int:
             raise ValueError("--stats applies to --mode hdha only")
         if os.path.exists(args.stats):
             stats = encoding.ChannelStats.from_json(args.stats)
+            if len(stats.means) != 3:
+                raise ParseError(f"{args.stats}: hdha rendering needs 3-channel stats, "
+                                 f"got {len(stats.means)}", 0)
     # without the stats file the batch itself defines the stats: every map
     # is encoded once, held until the stats are known, then rendered
     defer = bool(args.stats) and stats is None
+    os.makedirs(args.out, exist_ok=True)
 
     if hasattr(os, "sched_getaffinity"):
         cores = len(os.sched_getaffinity(0))

@@ -10,51 +10,42 @@ gives that order, stable like ``sorted``.  ``iou`` is the one IoU,
 element-wise on arrays, and every (detection, candidate box) pair is
 scored once per call.
 
-Two AP protocols read the same columns.  A detection's candidates are
-the ground truth of its class in its image, in input order.
+One greedy matcher serves every metric.  Queries are taken in a given
+order; the queries of one group compete for that group's candidates,
+which no other group shares.  In each (plane, threshold) cell a query
+takes its free candidate of highest value at or above the threshold,
+the first of equal values: a candidate's value is its IoU, less 1 in a
+plane that ignores it.  Only the order within a group is sequential,
+so step k takes the k-th query of every group at once.
 
-- 11-point (PASCAL VOC): a detection's best match is the first box of
-  highest IoU among its candidates.  With no such box, or one below the
-  IoU threshold, it is a false positive; on a difficult box it is
-  ignored (unless difficult boxes count); on a box an earlier-ranked
-  detection took it is a false positive; otherwise it is a true
-  positive.  The best box never depends on what was taken before, so
-  the first detection in rank order to take a box is its TP and every
-  later one an FP: no loop over ranks is needed.
-- Multi-threshold (COCO): IoU 0.50 to 0.95 in steps of 0.05, in size
-  buckets all / small / medium / large.  A detection takes the
-  best-overlap box not yet matched at the threshold, preferring boxes
-  that count (not difficult, inside the bucket); matching only an
-  ignored box, or matching nothing while itself outside the bucket,
-  makes it ignored rather than a false positive.
+- 11-point (PASCAL VOC): each detection is its own group, so its best
+  box, the first of highest IoU in its class and image, never depends
+  on what earlier detections took.  With none at the IoU threshold it
+  is a false positive; on a difficult box it is ignored (unless
+  difficult boxes count); otherwise the first detection in rank order
+  to take a box is its true positive and every later one an FP.
+- Multi-threshold (COCO): detections in rank order, grouped by (class,
+  image), in 4 size-bucket planes all / small / medium / large and at
+  IoU 0.50 to 0.95 in steps of 0.05.  A plane ignores difficult boxes
+  and boxes outside its bucket; matching only an ignored box, or
+  matching nothing while itself outside the bucket, makes a detection
+  ignored rather than a false positive.
+- Confusion matrix: ground truth in input order, grouped by image,
+  takes the highest-scoring free detection at the IoU threshold,
+  whatever its class: every such pair has the same value, and the
+  candidates are sorted by score.  Unmatched ground truth lands in a
+  trailing false-negative column.
 
-  That greedy rule is sequential only within one (class, image) group:
-  a detection's candidates belong to its group alone, so groups never
-  share a box.  Matching therefore steps over ranks, not detections:
-  step k takes the k-th ranked detection of every group at once and
-  decides it for all 4 buckets x 10 thresholds in one array operation,
-  exactly as the k-th iteration of each group's own loop would, after
-  the same k-1 earlier detections.  Ties go to the first of equal IoUs,
-  as a scan with a strict ``>`` does.  The number of steps is the
-  largest group, not the number of detections.  Groups step together
-  only with groups whose candidate counts are within a factor of two
-  of theirs, so one crowded image pads no other group.
-
-Both protocols interpolate the same way: with ignored detections left
-out, recall never decreases with rank, so the best precision at recall
->= r is the running maximum of precision taken from the right, read at
-the first rank that reaches r.  Every (bucket, threshold, class) cell is
-computed once, all cells in one pass with the same divisions and the
-same left-to-right sum as a cell alone, and every summary is a mean over
-those cells.  Precision is interpolated at 11 (VOC) or 101 (COCO)
-recall points.
-
-The confusion matrix is class-agnostic at match time: each ground-truth
-box, in input order, takes the highest-scoring unmatched detection that
-overlaps it at the IoU threshold, whatever class that detection claims.
-Boxes of different images never compete, so it too steps over the k-th
-box of every image at once.  Unmatched ground truth lands in a trailing
-false-negative column.
+Both AP protocols interpolate the same way: with ignored detections
+left out, recall never decreases with rank, so the best precision at
+recall >= r is the running maximum of precision taken from the right,
+read at the first rank that reaches r.  Every (bucket, threshold,
+class) cell is computed once, all cells in one pass with the same
+divisions and the same left-to-right sum as a cell alone, and every
+summary is a mean over those cells.  Precision is interpolated at 11
+(VOC) or 101 (COCO) recall points.  ``mean_ap`` and
+``confusion_matrix`` refuse an IoU threshold outside (0, 1], as COCO's
+fixed ones lie inside it, so a match always overlaps.
 
 JSON lines are read once per file and decoded line by line: each line
 holds exactly one JSON object, and a malformed line, undecodable text
@@ -235,19 +226,9 @@ def _area_in_bucket(area, bucket: str):
     return area > _MEDIUM_MAX
 
 
-def _runs(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Start and length of each run of equal sorted ``keys``, longest run
-    first (ties in position order), so the runs still going after k
-    entries are always a prefix."""
-    starts = np.flatnonzero(np.diff(keys, prepend=keys[:1] - 1))
-    sizes = np.diff(starts, append=len(keys))
-    longest = np.argsort(-sizes, kind="stable")
-    return starts[longest], sizes[longest]
-
-
 class _Pairs(NamedTuple):
     """Box i's candidates are ``cand[start[i]:start[i] + count[i]]``,
-    with their IoUs at the same places in ``ious``."""
+    with their IoUs (or other values) at the same places in ``ious``."""
 
     start: np.ndarray
     count: np.ndarray
@@ -255,15 +236,15 @@ class _Pairs(NamedTuple):
     ious: np.ndarray
 
     def padded(self, rows: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-        """Candidates and IoUs ``(len(rows), width)`` of ``rows``, -1 in
-        both past a row's own candidates."""
+        """Candidates and values ``(len(rows), width)`` of ``rows``, -1
+        in both past a row's own candidates."""
         slots = np.arange(width)
         real = slots < self.count[rows][:, None]
         at = (self.start[rows][:, None] + slots)[real]
         cand = np.full(real.shape, -1)
-        ious = np.full(real.shape, -1.0)
-        cand[real], ious[real] = self.cand[at], self.ious[at]
-        return cand, ious
+        values = np.full(real.shape, -1, dtype=self.ious.dtype)
+        cand[real], values[real] = self.cand[at], self.ious[at]
+        return cand, values
 
 
 def _overlaps(boxes: np.ndarray, keys: np.ndarray, cand_box: np.ndarray,
@@ -280,16 +261,69 @@ def _overlaps(boxes: np.ndarray, keys: np.ndarray, cand_box: np.ndarray,
     return _Pairs(start, count, cand, iou(boxes[owner], cand_box[cand]))
 
 
-def _width_classes(width: np.ndarray):
-    """``(rows, widest)`` for the rows with candidates, grouped so that
-    widths in a group lie within a factor of two: padding a group to its
-    widest row at most doubles it, however wide one crowded image is.
-    Rows keep their order within a group."""
-    has = width > 0
-    group = np.ceil(np.log2(np.where(has, width, 1))).astype(np.int64)
-    for g in np.unique(group[has]):
-        rows = np.flatnonzero(has & (group == g))
-        yield rows, int(width[rows].max())
+def _greedy(pairs: _Pairs, order: np.ndarray, group: np.ndarray, ignored: np.ndarray,
+            thresholds) -> np.ndarray:
+    """The candidate each query takes in every (plane, threshold) cell,
+    -1 for none: ``(planes, thresholds, queries)``.
+
+    The queries of one ``group`` hold the same candidates in ``pairs``,
+    in the same order, and compete for them, taken in ``order``.  In
+    each cell a query takes its free candidate of highest value at or
+    above the threshold, the first of equal values: a candidate's value
+    is its IoU in ``pairs``, less 1 where ``ignored`` ``(planes,
+    candidates)`` marks it in the plane.
+
+    Step k takes the k-th query of every group at once, after the same
+    k-1 queries as the group's own loop.  Groups step together only with
+    groups whose candidate counts are within a factor of two of theirs,
+    so one crowded group pads no other.
+    """
+    # a key holds the rank of the value (-1 below every threshold) in the
+    # high bits and the complement of the pair's index in the low ones: a
+    # query's largest key names its first candidate of highest value
+    can = pairs.ious >= min(thresholds)
+    values, ranked = np.unique(pairs.ious[can], return_inverse=True)
+    rank = np.full(len(can), -1)
+    rank[can] = ranked
+    bits = len(pairs.cand).bit_length()
+    low = (1 << bits) - 1
+    # none is below every key and names the -1 past the candidates;
+    # none + 1 is no key either
+    none = -(len(values) + 1) << bits
+    # the narrowest integers that hold every key and candidate
+    dtype = np.min_scalar_type(min(none, -ignored.shape[1]))
+    pairs = pairs._replace(ious=((rank << bits) + (low - np.arange(len(rank)))).astype(dtype))
+    lowest = (np.searchsorted(values, thresholds) << bits).astype(dtype)  # value >= t: key >= lowest
+    names = np.pad(pairs.cand, (0, low + 1 - len(pairs.cand)), constant_values=-1).astype(dtype)
+    match = np.full((len(ignored), len(thresholds), len(pairs.count)), -1, dtype)
+    queue = order[np.argsort(group[order], kind="stable")]
+    _, starts, sizes = np.unique(group[queue], return_index=True, return_counts=True)
+    # longest group first, so the groups still going after k steps are a prefix
+    longest = np.argsort(-sizes, kind="stable")
+    starts, sizes = starts[longest], sizes[longest]
+    width = pairs.count[queue[starts]]
+    octave = np.ceil(np.log2(np.maximum(width, 1)))
+    for o in np.unique(octave[width > 0]):
+        groups = np.flatnonzero((octave == o) & (width > 0))
+        w = int(width[groups].max())
+        # (slot, group, plane, threshold); ignored candidates key below the rest
+        cand = pairs.padded(queue[starts[groups]], w)[0]
+        offset = ((len(values) << bits) * ignored[:, cand].T[..., None]).astype(dtype)
+        free = np.ones((w, len(groups), len(ignored), len(thresholds)), dtype=bool)
+        # every step's queries back to back: step k's are the first live[k] groups'
+        k = np.arange(int(sizes[groups[0]]))[:, None]
+        query = queue[(starts[groups] + k)[k < sizes[groups]]]
+        keys = pairs.padded(query, w)[1]
+        best = np.empty((len(query), len(ignored), len(thresholds)), dtype)
+        live = np.count_nonzero(k < sizes[groups], axis=1)
+        for end, n in zip(np.cumsum(live).tolist(), live.tolist()):
+            at = keys[end - n:end].T[:, :, None, None]
+            key = np.where((at >= lowest) & free[:, :n], at - offset[:, :n], none)
+            best[end - n:end] = key.max(axis=0)
+            # a cell with no candidate compares with none + 1: takes nothing
+            free[:, :n] &= key != np.maximum(best[end - n:end], none + 1)
+        match[..., query] = names[low - (best & low)].transpose(1, 2, 0)
+    return match
 
 
 def _class_positions(classes: list, class_id: np.ndarray) -> np.ndarray:
@@ -336,7 +370,6 @@ class _Columns:
         self.det_key = self.det_cls * len(names) + det_img
         gt_key = self.gt_cls * len(names) + gt_img
         self.pairs = _overlaps(self.det_box, self.det_key, self.gt_box, gt_key)
-        self.group_rank = ranked[np.argsort(self.det_key[ranked], kind="stable")]
 
 
 def _class_aps(c: _Columns, tp: np.ndarray, kept: np.ndarray, npos: np.ndarray,
@@ -348,6 +381,11 @@ def _class_aps(c: _Columns, tp: np.ndarray, kept: np.ndarray, npos: np.ndarray,
     ap = _interp_runs(tp[:, c.rank].ravel(), kept[:, c.rank].ravel(), np.tile(sizes, len(tp)),
                       np.maximum(npos, 1).ravel(), points)
     return ap.reshape(len(tp), -1)
+
+
+def _check_iou_thresh(iou_thresh: float) -> None:
+    if not 0 < iou_thresh <= 1:
+        raise ValueError(f"IoU threshold must be in (0, 1], got {iou_thresh}")
 
 
 def mean_ap(
@@ -369,16 +407,15 @@ def mean_ap(
     before.  So, in rank order, the first detection to take a creditable
     box is its true positive and every later one a false positive.
     """
+    _check_iou_thresh(iou_thresh)
     c = _Columns(dets, gts, class_ids)
     if not len(c.gt_cls):
         return None, dict.fromkeys(c.classes)
-    best, box = np.zeros(len(c.det_cls)), np.full(len(c.det_cls), -1)
-    for rows, width in _width_classes(c.pairs.count):
-        cand, ious = c.pairs.padded(rows, width)
-        pick = ious.argmax(axis=1)
-        best[rows] = ious[np.arange(len(rows)), pick]
-        box[rows] = cand[np.arange(len(rows)), pick]
-    hit = (best > 0) & (best >= iou_thresh)
+    # each detection its own group: nothing it could take is ever taken
+    alone = np.arange(len(c.det_cls))
+    box = _greedy(c.pairs, alone, alone, np.zeros((1, len(c.gt_cls)), dtype=bool),
+                  [iou_thresh])[0, 0]
+    hit = box >= 0
     credit = hit & (use_difficult | ~c.difficult[box])
     tp = np.zeros(len(c.det_cls), dtype=bool)
     claims = c.rank[credit[c.rank]]
@@ -390,56 +427,6 @@ def mean_ap(
     per_class = {cid: ap[i] if npos[i] else None for i, cid in enumerate(c.classes)}
     defined = [v for v in per_class.values() if v is not None]
     return (sum(defined) / len(defined) if defined else None), per_class
-
-
-def _coco_flags(c: _Columns, gt_ign: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """TP and false-positive flags ``(4, 10, n)`` of every detection in
-    every (bucket, threshold) cell; ``gt_ign`` ``(4, g)`` marks the
-    ground truth each bucket ignores.
-
-    Step k takes the k-th ranked detection of every (class, image) group
-    at once and, for each bucket and threshold, its free box of highest
-    IoU (the first of equal ones) at or above the threshold, preferring
-    boxes that count over ignored ones.  One value per candidate slot
-    encodes that preference exactly: the IoU of a box that counts, the
-    IoU minus 1 of an ignored one (exact, as every threshold is at least
-    0.5), -2 for no box.
-    """
-    n = len(c.det_cls)
-    det_in = np.stack([_area_in_bucket(_area(c.det_box), b) for b in _BUCKETS])
-    tp = np.zeros((len(_BUCKETS), len(COCO_THRESHOLDS), n), dtype=bool)
-    # a group without candidates matches nothing: its detections stay
-    # false positives inside the bucket
-    fp = np.repeat(det_in[:, None], len(COCO_THRESHOLDS), axis=1)
-    starts, sizes = _runs(c.det_key[c.group_rank])
-    for groups, width in _width_classes(c.pairs.count[c.group_rank[starts]]):
-        _coco_steps(c, starts[groups], sizes[groups], width, gt_ign, tp, fp, det_in)
-    return tp, fp
-
-
-def _coco_steps(c: _Columns, starts: np.ndarray, sizes: np.ndarray, width: int,
-                gt_ign: np.ndarray, tp: np.ndarray, fp: np.ndarray, det_in: np.ndarray):
-    """Match the groups ranked from ``starts`` (``sizes`` long, longest
-    first, so the groups still going at step k are a prefix), whose
-    candidates all fit ``width`` slots, into ``tp`` and ``fp``."""
-    thresholds = np.array(COCO_THRESHOLDS)[:, None]
-    # slot-major: every reduction over a group's candidates runs across
-    # whole (bucket, threshold, group) planes
-    cand = c.pairs.padded(c.group_rank[starts], width)[0].T             # (M, groups)
-    ignored = gt_ign[:, cand.clip(0)].transpose(1, 0, 2)[:, :, None]  # (M, 4, 1, groups)
-    free = np.ones((width, *tp.shape[:2], len(starts)), dtype=bool)
-    for k in range(int(sizes[0])):
-        live = int(np.count_nonzero(sizes > k))
-        det = c.group_rank[starts[:live] + k]
-        ov = c.pairs.padded(det, width)[1].T[:, None, None]
-        value = np.where((ov >= thresholds) & free[..., :live], ov - ignored[..., :live], -2.0)
-        best = value.max(axis=0)
-        # the first slot holding the best value takes it, as a scan with
-        # a strict '>' keeps the first of equal IoUs
-        ties = (value == best) & (best > -2.0)
-        free[..., :live] &= ~(ties & (ties.cumsum(axis=0, dtype=np.min_scalar_type(width)) == 1))
-        tp[:, :, det] = best > 0
-        fp[:, :, det] = (best == -2.0) & det_in[:, None, det]
 
 
 def coco_ap(
@@ -456,8 +443,13 @@ def coco_ap(
     """
     c = _Columns(dets, gts, class_ids)
     gt_ign = np.stack([c.difficult | ~_area_in_bucket(_area(c.gt_box), b) for b in _BUCKETS])
-    tp, fp = _coco_flags(c, gt_ign)
-    kept = tp | fp
+    match = _greedy(c.pairs, c.rank, c.det_key, gt_ign, COCO_THRESHOLDS)
+    # column 0 stands for no match: no box, no TP
+    counts = np.hstack([np.zeros((len(_BUCKETS), 1), dtype=bool), ~gt_ign])
+    tp = np.stack([row.take(m + 1) for row, m in zip(counts, match)])
+    det_in = np.stack([_area_in_bucket(_area(c.det_box), b) for b in _BUCKETS])
+    # a detection matching nothing is a false positive inside the bucket
+    kept = tp | ((match < 0) & det_in[:, None])
     npos = np.stack([np.bincount(c.gt_cls[~ign], minlength=len(c.classes)) for ign in gt_ign])
     npos = np.repeat(npos, len(COCO_THRESHOLDS), axis=0)           # (40, classes)
     ap = _class_aps(c, tp.reshape(len(npos), -1), kept.reshape(len(npos), -1), npos,
@@ -469,7 +461,7 @@ def coco_ap(
     }
 
     def mean(bucket: str, thresholds) -> float | None:
-        defined = [v for t in thresholds for cid in class_ids
+        defined = [v for t in thresholds for cid in c.classes
                    if (v := cells[bucket, t, cid]) is not None]
         return sum(defined) / len(defined) if defined else None
 
@@ -546,6 +538,7 @@ def confusion_matrix(
     Every ground-truth instance lands in exactly one cell, so each row
     sums to that class's instance count.
     """
+    _check_iou_thresh(iou_thresh)
     k = len(classes)
     strong = dets.score >= score_thresh
     for what, ids in (("detection", dets.class_id[strong]), ("ground-truth", gts.class_id)):
@@ -560,22 +553,11 @@ def confusion_matrix(
     order = np.lexsort((y2, x2, y1, x1, -dets.score[strong], det_img))
     det_cls = dets.class_id[strong].astype(np.int64)[order]
     pairs = _overlaps(gts.box, gt_img, det_box[order], det_img[order])
-    # step k takes the k-th ground-truth box of every image: the first
-    # free candidate overlapping it is the best-keyed one
-    match = np.full(len(gts), -1)
-    by_image = np.argsort(gt_img, kind="stable")
-    starts, sizes = _runs(gt_img[by_image])
-    for images, width in _width_classes(pairs.count[by_image[starts]]):
-        taken = np.zeros((len(images), width), dtype=bool)
-        for step in range(int(sizes[images[0]])):
-            live = int(np.count_nonzero(sizes[images] > step))
-            gt = by_image[starts[images[:live]] + step]
-            cand, ious = pairs.padded(gt, width)
-            free = (cand >= 0) & (ious >= iou_thresh) & ~taken[:live]
-            hit = np.flatnonzero(free.any(axis=1))
-            pick = free[hit].argmax(axis=1)
-            taken[hit, pick] = True
-            match[gt[hit]] = cand[hit, pick]
+    # every pair at the threshold reads 1, so a box takes its first free
+    # candidate that overlaps it enough: the best-keyed one
+    pairs = pairs._replace(ious=(pairs.ious >= iou_thresh) * 1.0)
+    match = _greedy(pairs, np.arange(len(gts)), gt_img, np.zeros((1, len(det_box)), dtype=bool),
+                    [1.0])[0, 0]
     gt_cls = gts.class_id.astype(np.int64)
     counts = np.zeros((k, k), dtype=np.int64)
     np.add.at(counts, (gt_cls[match >= 0], det_cls[match[match >= 0]]), 1)

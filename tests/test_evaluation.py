@@ -1,5 +1,6 @@
 """Detection metrics against brute-force reference implementations."""
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -245,6 +246,16 @@ def test_coco_difficult_is_always_ignored():
     assert ev.coco_ap(det_record(dets), gt_record(gts), [1])["ap"] is None
 
 
+def test_coco_mean_counts_a_repeated_class_once():
+    gts = [G("a", 0, 0, 0, 10, 10), G("a", 1, 20, 20, 30, 30)]
+    dets = [D("a", 0, 0.9, 0, 0, 10, 10)]
+    d, g = det_record(dets), gt_record(gts)
+    once = ev.coco_ap(d, g, [0, 1])
+    assert once["ap"] == pytest.approx(0.5)
+    assert ev.coco_ap(d, g, [0, 0, 1]) == ev.coco_ap(d, g, [1, 0, 1, 1]) == once
+    assert ev.mean_ap(d, g, [0, 0, 1])[0] == pytest.approx(0.5)
+
+
 # --------------------------------------------------------------- confusion
 
 CLASSES = ("background", "chair", "table")
@@ -315,6 +326,87 @@ def test_confusion_diff_requires_same_classes():
     b = ev.confusion_matrix(det_record([]), gt_record([]), ("background", "chair"))
     with pytest.raises(ValueError):
         ev.confusion_diff(a, b)
+
+
+@pytest.mark.parametrize("thresh", [0.0, -1.0, 1.5, float("nan"), float("inf")])
+def test_scorers_refuse_an_iou_threshold_outside_0_1(thresh):
+    # at a threshold of 0 a disjoint detection of another class would match
+    gts = gt_record([G("a", 0, 0, 0, 10, 10)])
+    dets = det_record([D("a", 1, 0.9, 50, 50, 60, 60)])
+    with pytest.raises(ValueError, match="IoU threshold"):
+        ev.confusion_matrix(dets, gts, ("c0", "c1"), iou_thresh=thresh)
+    with pytest.raises(ValueError, match="IoU threshold"):
+        ev.mean_ap(dets, gts, [0, 1], iou_thresh=thresh)
+    cm = ev.confusion_matrix(dets, gts, ("c0", "c1"), iou_thresh=1.0)
+    assert cm.counts.tolist() == [[0, 0], [0, 0]] and cm.fn.tolist() == [1, 0]
+
+
+# ----------------------------------------------------------------- matcher
+
+def _greedy_oracle(pairs, order, group, ignored, thresholds):
+    """Each group on its own, each of its queries in ``order`` taking the
+    first free candidate of highest value at or above the threshold; a
+    value is the IoU, less 1 where the plane ignores the candidate,
+    computed exactly."""
+    match = np.full((len(ignored), len(thresholds), len(pairs.count)), -1)
+    for plane, ign in enumerate(ignored):
+        for t, thresh in enumerate(thresholds):
+            for g in set(group.tolist()):
+                taken = set()
+                for q in (q for q in order.tolist() if group[q] == g):
+                    best = None
+                    for j in range(pairs.start[q], pairs.start[q] + pairs.count[q]):
+                        cand, iou = int(pairs.cand[j]), float(pairs.ious[j])
+                        if cand in taken or iou < thresh:
+                            continue
+                        value = Fraction(iou) - int(ign[cand])
+                        if best is None or value > best[0]:
+                            best = (value, cand)
+                    if best is not None:
+                        taken.add(best[1])
+                        match[plane, t, q] = best[1]
+    return match
+
+
+def _ragged_groups(rng, singletons: bool):
+    """Pairs of random ragged groups: each group owns its candidates, and
+    its queries all hold them in one order.  One crowded group is more
+    than twice as wide as any other; IoUs repeat and sit one ulp apart."""
+    n_groups = int(rng.integers(4, 9))
+    widths = rng.integers(0, 5, n_groups)
+    widths[rng.integers(n_groups)] = int(rng.integers(11, 16))
+    queries = np.ones(n_groups, dtype=int) if singletons else rng.integers(1, 6, n_groups)
+    owned = np.split(rng.permutation(int(widths.sum())), np.cumsum(widths)[:-1])
+    grid = np.array([0.0, 0.25, 0.5, 0.5, 0.55, 0.7, 0.7, 1.0, np.nextafter(0.7, 1.0),
+                     np.nextafter(0.55, 0.0)])
+    labels = rng.permutation(1000)[:n_groups]      # group keys need not be dense
+    group, start, count, cand, ious = [], [], [], [], []
+    for g in range(n_groups):
+        for _ in range(queries[g]):
+            group.append(labels[g])
+            start.append(len(cand))
+            count.append(len(owned[g]))
+            cand.extend(owned[g].tolist())
+            ious.extend(rng.choice(grid, len(owned[g])).tolist())
+    order = rng.permutation(len(group))
+    pairs = ev._Pairs(np.array(start, dtype=np.intp), np.array(count, dtype=np.intp),
+                      np.array(cand, dtype=np.intp), np.array(ious))
+    return pairs, order, np.array(group), int(widths.sum())
+
+
+@pytest.mark.parametrize("singletons", [False, True], ids=["ragged", "singleton"])
+def test_greedy_matches_a_sequential_loop_per_group(singletons):
+    rng = np.random.default_rng(20261019)
+    thresholds = [0.25, 0.5, 0.55, 0.7, 1.0]
+    for trial in range(40):
+        pairs, order, group, n_cand = _ragged_groups(rng, singletons)
+        octaves = {int(np.ceil(np.log2(w))) for w in pairs.count.tolist() if w}
+        assert len(octaves) >= 2
+        ignored = rng.random((3, n_cand)) < 0.3
+        ignored[0] = False
+        got = ev._greedy(pairs, order, group, ignored, thresholds)
+        want = _greedy_oracle(pairs, order, group, ignored, thresholds)
+        assert got.shape == want.shape and np.array_equal(got, want), trial
 
 
 # ----------------------------------------------------------------- loaders

@@ -103,6 +103,17 @@ def test_malformed_stats_exit_2(tmp_path, stats):
     _assert_contract(rc, err, caught, side, out, codes=(2,))
 
 
+@pytest.mark.parametrize("channels", [2, 0])
+def test_stats_without_three_channels_exit_2_before_any_map_is_read(tmp_path, monkeypatch,
+                                                                     channels):
+    read = []
+    monkeypatch.setattr(cli.encoding, "load_depth", lambda path: read.append(path))
+    stats = {"mean": [0.0] * channels, "std": [1.0] * channels}
+    rc, err, caught, side, out = _run_side_file(tmp_path, "stats", json.dumps(stats).encode())
+    _assert_contract(rc, err, caught, side, out, codes=(2,))
+    assert "3-channel" in err and read == [] and not out.exists()
+
+
 @pytest.mark.parametrize("field, value", [("fx", True), ("fy", "1_0"), ("baseline", "0.075")])
 def test_intrinsics_that_are_not_json_numbers_exit_2(tmp_path, field, value):
     data = json.dumps({**_CAM, field: value}).encode()
