@@ -290,12 +290,10 @@ def _greedy(pairs: _Pairs, order: np.ndarray, group: np.ndarray, ignored: np.nda
     # none is below every key and names the -1 past the candidates;
     # none + 1 is no key either
     none = -(len(values) + 1) << bits
-    # the narrowest integers that hold every key and candidate
-    dtype = np.min_scalar_type(min(none, -ignored.shape[1]))
-    pairs = pairs._replace(ious=((rank << bits) + (low - np.arange(len(rank)))).astype(dtype))
-    lowest = (np.searchsorted(values, thresholds) << bits).astype(dtype)  # value >= t: key >= lowest
-    names = np.pad(pairs.cand, (0, low + 1 - len(pairs.cand)), constant_values=-1).astype(dtype)
-    match = np.full((len(ignored), len(thresholds), len(pairs.count)), -1, dtype)
+    pairs = pairs._replace(ious=(rank << bits) + (low - np.arange(len(rank))))
+    lowest = np.searchsorted(values, thresholds) << bits  # value >= t: key >= lowest
+    names = np.pad(pairs.cand, (0, low + 1 - len(pairs.cand)), constant_values=-1)
+    match = np.full((len(ignored), len(thresholds), len(pairs.count)), -1, dtype=np.intp)
     queue = order[np.argsort(group[order], kind="stable")]
     _, starts, sizes = np.unique(group[queue], return_index=True, return_counts=True)
     # longest group first, so the groups still going after k steps are a prefix
@@ -308,13 +306,13 @@ def _greedy(pairs: _Pairs, order: np.ndarray, group: np.ndarray, ignored: np.nda
         w = int(width[groups].max())
         # (slot, group, plane, threshold); ignored candidates key below the rest
         cand = pairs.padded(queue[starts[groups]], w)[0]
-        offset = ((len(values) << bits) * ignored[:, cand].T[..., None]).astype(dtype)
+        offset = (len(values) << bits) * ignored[:, cand].T[..., None]
         free = np.ones((w, len(groups), len(ignored), len(thresholds)), dtype=bool)
         # every step's queries back to back: step k's are the first live[k] groups'
         k = np.arange(int(sizes[groups[0]]))[:, None]
         query = queue[(starts[groups] + k)[k < sizes[groups]]]
         keys = pairs.padded(query, w)[1]
-        best = np.empty((len(query), len(ignored), len(thresholds)), dtype)
+        best = np.empty((len(query), len(ignored), len(thresholds)), dtype=np.intp)
         live = np.count_nonzero(k < sizes[groups], axis=1)
         for end, n in zip(np.cumsum(live).tolist(), live.tolist()):
             at = keys[end - n:end].T[:, :, None, None]

@@ -256,6 +256,17 @@ def test_coco_mean_counts_a_repeated_class_once():
     assert ev.mean_ap(d, g, [0, 0, 1])[0] == pytest.approx(0.5)
 
 
+@pytest.mark.parametrize("n", [128, 32768])
+def test_coco_match_to_the_last_of_n_boxes_reads_that_box(n):
+    # one box per image, box 0 large and the rest small; the one
+    # detection hits box n-1, so its flags must be box n-1's, not box 0's
+    gts = [G(f"i{k:05d}", 1, 0, 0, *((200, 200) if k == 0 else (10, 10))) for k in range(n)]
+    dets = [D(f"i{n - 1:05d}", 1, 0.9, 0, 0, 10, 10)]
+    summary = ev.coco_ap(det_record(dets), gt_record(gts), [1])
+    assert summary["ap_small"] == pytest.approx(1 / 101)
+    assert summary["ap_large"] == pytest.approx(0.0)
+
+
 # --------------------------------------------------------------- confusion
 
 CLASSES = ("background", "chair", "table")
