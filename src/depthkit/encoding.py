@@ -21,12 +21,26 @@ from . import netpbm
 
 
 def quantize_u8(values: np.ndarray, valid: np.ndarray | None = None) -> np.ndarray:
-    """Map floats in [0, 255] to uint8, rounding half away from zero."""
-    arr = np.asarray(values, dtype=np.float64)
-    out = np.floor(np.abs(arr) + 0.5) * np.sign(arr)
-    out = np.clip(out, 0, 255)
+    """Map floats in [0, 255] to uint8, rounding half away from zero.
+
+    ``values`` is left alone.
+    """
+    return _quantize_owned(np.array(values, dtype=np.float64), valid)
+
+
+def _quantize_owned(out: np.ndarray, valid: np.ndarray | None = None) -> np.ndarray:
+    """:func:`quantize_u8` computed in place in ``out``, a float64 array
+    the caller gives up.
+
+    Clipping before rounding keeps every byte: a negative value rounds
+    away from zero to 0 or below and a value past 255 to 255 or above,
+    so both clip to the byte the clipped value rounds to.
+    """
+    np.clip(out, 0.0, 255.0, out=out)
+    out += 0.5
+    np.floor(out, out=out)
     if valid is not None:
-        out = np.where(valid, out, 0)
+        np.copyto(out, 0.0, where=~np.asarray(valid, dtype=bool))
     return out.astype(np.uint8)
 
 
@@ -128,7 +142,14 @@ class ChannelStats:
             if not isinstance(raw[key], list):
                 raise netpbm.ParseError(f"{path}: {key!r} must be a JSON array", 0)
             columns.append(tuple(_number(v, key, path) for v in raw[key]))
-        return cls(*columns)
+        means, stds = columns
+        # a shape the record cannot take is malformed; a number that is
+        # not finite is out of range, which the record itself refuses
+        if len(means) != len(stds):
+            raise netpbm.ParseError(f"{path}: 'mean' and 'std' must have equal length", 0)
+        if any(s <= 0 for s in stds if math.isfinite(s)):
+            raise netpbm.ParseError(f"{path}: 'std' must hold positive numbers", 0)
+        return cls(means, stds)
 
 
 def _json_object(path: str, what: str, fields: tuple[str, ...]) -> dict:
@@ -179,8 +200,10 @@ def grayscale_encode(depth: DepthMap, d_min: float, d_max: float) -> np.ndarray:
     """
     if not d_max > d_min:
         raise ValueError(f"need d_max > d_min, got d_min={d_min} d_max={d_max}")
-    scaled = 255.0 * (depth.values - d_min) / (d_max - d_min)
-    return quantize_u8(np.clip(scaled, 0.0, 255.0), depth.valid)
+    scaled = depth.values - d_min
+    scaled *= 255.0
+    scaled /= d_max - d_min
+    return _quantize_owned(scaled, depth.valid)
 
 
 # Channel c of level t is the ramp 3/2 - |4t/255 - 4c|, clipped to
@@ -211,22 +234,34 @@ def compute_channel_stats(images: list[HdhaImage]) -> ChannelStats:
     """Pooled per-channel mean/std over the valid pixels of all images.
 
     Population std (ddof=0).  Raises if no valid pixels or a channel is
-    constant.
+    constant.  One channel at a time, the valid pixels of every image
+    are gathered into one column (8 bytes a valid pixel) in image order,
+    row-major within an image, and every sum runs sequentially down it
+    (the last element of a ``cumsum``): the order in which ``np.mean``
+    and ``np.std`` add along axis 0 of the pooled ``(N, 3)`` array, so
+    the stats keep those bits without that array.
     """
     if not images:
         raise ValueError("need at least one image to compute stats")
-    pooled = []
-    for img in images:
-        chans = img.channels()
-        pooled.append(chans[img.valid])
-    stacked = np.concatenate(pooled, axis=0)
-    if stacked.shape[0] == 0:
+    counts = [int(np.count_nonzero(img.valid)) for img in images]
+    n = sum(counts)
+    if n == 0:
         raise ValueError("no valid pixels in any input image")
-    means = stacked.mean(axis=0)
-    stds = stacked.std(axis=0)
-    if np.any(stds <= 0):
-        raise ValueError(f"constant channel, std would be zero: stds={stds.tolist()}")
-    return ChannelStats(means=tuple(float(m) for m in means), stds=tuple(float(s) for s in stds))
+    column = np.empty(n)
+    means, stds = [], []
+    for name in ("hd", "height", "angle"):
+        row = 0
+        for img, count in zip(images, counts):
+            column[row:row + count] = getattr(img, name)[img.valid]
+            row += count
+        mean = np.cumsum(column)[-1] / n
+        column -= mean
+        np.square(column, out=column)
+        means.append(float(mean))
+        stds.append(float(np.sqrt(np.cumsum(column)[-1] / n)))
+    if any(s <= 0 for s in stds):
+        raise ValueError(f"constant channel, std would be zero: stds={stds}")
+    return ChannelStats(means=tuple(means), stds=tuple(stds))
 
 
 def load_depth(path: str) -> DepthMap:
@@ -257,25 +292,30 @@ def hdha_to_rgb(image: HdhaImage, stats: ChannelStats | None = None) -> np.ndarr
 
     Without stats each channel is min-max scaled over its valid pixels.
     With stats the z-score window [-3, 3] maps linearly onto [0, 255].
-    Invalid pixels render to (0, 0, 0).
+    Invalid pixels render to (0, 0, 0).  The scaling and the rounding
+    run in place in one ``(H, W, 3)`` float copy of the channels;
+    ``image`` is left alone.
     """
-    chans = image.channels()
-    out = np.zeros_like(chans)
+    out = image.channels()
     if stats is not None:
         if len(stats.means) != 3:
             raise ValueError("hdha rendering needs 3-channel stats")
-        means = np.asarray(stats.means)
-        stds = np.asarray(stats.stds)
         # a z-score too large for a double lies outside the window anyway
         with np.errstate(over="ignore"):
-            out = ((chans - means) / stds + 3.0) / 6.0 * 255.0
+            out -= stats.means
+            out /= stats.stds
+            out += 3.0
+            out /= 6.0
+            out *= 255.0
     else:
         for c in range(3):
-            vals = chans[..., c][image.valid]
-            if vals.size == 0:
-                continue
-            lo, hi = vals.min(), vals.max()
+            chan = out[..., c]
+            vals = chan[image.valid]
+            lo, hi = (vals.min(), vals.max()) if vals.size else (0.0, 0.0)
             if hi > lo:
-                out[..., c] = (chans[..., c] - lo) / (hi - lo) * 255.0
-    out = np.clip(out, 0.0, 255.0)
-    return quantize_u8(out, valid=np.broadcast_to(image.valid[..., None], out.shape))
+                chan -= lo
+                chan /= hi - lo
+                chan *= 255.0
+            else:
+                chan[...] = 0.0
+    return _quantize_owned(out, image.valid[..., None])

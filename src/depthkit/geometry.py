@@ -31,16 +31,20 @@ class GravityEstimate:
 def backproject_grid(depth: DepthMap, cam: CameraIntrinsics) -> np.ndarray:
     """Camera-frame coordinates for every pixel, ``(H, W, 3)``.
 
-    Invalid pixels get zero vectors; consult ``depth.valid``.
+    Invalid pixels get zero vectors; consult ``depth.valid``.  Each
+    plane is computed in place in the result, ``(u - cx) * d / fx`` and
+    ``(v - cy) * d / fy`` in that order of operations.
     """
     h, w = depth.values.shape
-    u = np.arange(w, dtype=np.float64)
-    v = np.arange(h, dtype=np.float64)
-    uu, vv = np.meshgrid(u, v)
-    d = np.where(depth.valid, depth.values, 0.0)
-    x = (uu - cam.cx) * d / cam.fx
-    y = (vv - cam.cy) * d / cam.fy
-    return np.stack([x, y, d], axis=-1)
+    grid = np.zeros((h, w, 3))
+    x, y, d = (grid[..., a] for a in range(3))
+    np.copyto(d, depth.values, where=depth.valid)
+    np.subtract(np.arange(w, dtype=np.float64), cam.cx, out=x)
+    np.subtract(np.arange(h, dtype=np.float64)[:, None], cam.cy, out=y)
+    for plane, f in ((x, cam.fx), (y, cam.fy)):
+        np.multiply(plane, d, out=plane)
+        np.divide(plane, f, out=plane)
+    return grid
 
 
 _DEFAULT_GRAVITY = np.array([0.0, 1.0, 0.0])
@@ -71,9 +75,12 @@ def estimate_gravity(
     kept aligned with the previous estimate.
     """
     n = np.asarray(normals, dtype=np.float64).reshape(-1, 3)
-    if valid is not None:
-        n = n[np.asarray(valid, dtype=bool).ravel()]
-    if n.shape[0] == 0:
+    # the mask joins each pass's clusters rather than gathering the valid
+    # normals once: every row's dot with g is its own, so both clusters
+    # hold the normals n[valid] would give, in the same order
+    valid = (np.ones(n.shape[0], dtype=bool) if valid is None
+             else np.asarray(valid, dtype=bool).ravel())
+    if not valid.any():
         raise ValueError("no valid normals to estimate gravity from")
     g = _DEFAULT_GRAVITY.copy() if initial is None else np.asarray(initial, dtype=np.float64)
     norm = np.linalg.norm(g)
@@ -89,8 +96,8 @@ def estimate_gravity(
         cos_par = np.cos(np.deg2rad(thresh_deg))
         sin_thr = np.sin(np.deg2rad(thresh_deg))
         align = np.abs(n @ g)
-        par = align > cos_par
-        orth = align < sin_thr
+        par = (align > cos_par) & valid
+        orth = (align < sin_thr) & valid
         n_par = int(par.sum())
         n_orth = int(orth.sum())
         iters = it + 1
@@ -139,8 +146,10 @@ def hdha_encode(
     points near each other to span a plane) skips the estimate and
     encodes to all zeros.
     """
-    grid = backproject_grid(depth, cam)
-    normals, n_valid = _kernels.normals_from_points(grid, depth.valid, k_neighbors)
+    # the point grid lives only through the normals kernel; the height
+    # channel builds it again rather than hold it through the estimate
+    normals, n_valid = _kernels.normals_from_points(
+        backproject_grid(depth, cam), depth.valid, k_neighbors)
     if gravity is not None:
         g = np.asarray(gravity, dtype=np.float64)
         with np.errstate(over="ignore"):
@@ -158,17 +167,23 @@ def hdha_encode(
         g = _DEFAULT_GRAVITY
 
     valid = depth.valid & n_valid
-    hd = np.where(depth.valid, cam.fx * cam.baseline / np.where(depth.valid, depth.values, 1.0), 0.0)
-    hd = np.where(valid, hd, 0.0)
+    invalid = ~valid
+    angle = normals @ g
+    del normals
+    np.clip(angle, -1.0, 1.0, out=angle)
+    np.arccos(angle, out=angle)
+    np.degrees(angle, out=angle)
+    np.copyto(angle, 0.0, where=invalid)
+
+    hd = np.where(depth.valid, depth.values, 1.0)
+    np.divide(cam.fx * cam.baseline, hd, out=hd)
+    np.copyto(hd, 0.0, where=invalid)
 
     # height increases opposite gravity; shift so the scene's lowest
     # valid point reads exactly 0
-    h_raw = -(grid @ g)
+    height = backproject_grid(depth, cam) @ g
+    np.negative(height, out=height)
     if valid.any():
-        h_raw = h_raw - h_raw[valid].min()
-    height = np.where(valid, h_raw, 0.0)
-
-    dots = np.clip(normals @ g, -1.0, 1.0)
-    angle = np.degrees(np.arccos(dots))
-    angle = np.where(valid, angle, 0.0)
+        height -= height[valid].min()
+    np.copyto(height, 0.0, where=invalid)
     return HdhaImage(hd=hd, height=height, angle=angle, valid=valid)

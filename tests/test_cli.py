@@ -903,6 +903,36 @@ def test_analyze_holds_one_depth_map_at_a_time(tmp_path):
     assert eight - two < footprint, (two, eight)
 
 
+def test_encode_stats_memory_is_bounded_by_the_maps(tmp_path):
+    # two VGA floor/wall maps with dropout holes, encoded in two threads
+    # and held for the stats: about 55 MiB of numpy allocations; the
+    # point grid held through the gravity estimate, the gathered normals,
+    # a concatenated stats pool and fresh arrays for each render step
+    # would take it to about 71 MiB
+    rng = np.random.default_rng(4)
+    maps = []
+    for name, cam_height in (("a", 1.2), ("b", 1.5)):
+        depth, cam = _floor_wall_scene(h=480, w=640, cam_height=cam_height, fx=500.0)
+        for r, c in rng.integers(0, 440, (40, 2)):
+            depth[r:r + 30, c:c + 40] = 0.0
+        depth[rng.random(depth.shape) < 0.05] = 0.0
+        maps.append(tmp_path / f"{name}.pfm")
+        netpbm.write_pfm(str(maps[-1]), depth)
+    cam_path = tmp_path / "cam.json"
+    cam_path.write_text(json.dumps(cam))
+    argv = ["encode", *map(str, maps), "--mode", "hdha", "--intrinsics", str(cam_path),
+            "--stats", str(tmp_path / "stats.json"), "--out", str(tmp_path / "out")]
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(argv) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (tmp_path / "stats.json").exists()
+    assert peak < 60 * 2**20, peak
+
+
 # ------------------------------------------------------------ entry point
 
 def _run(argv):

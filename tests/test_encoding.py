@@ -1,4 +1,5 @@
 """Depth-to-image encodings: quantization, grayscale, jet table, stats."""
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -35,6 +36,33 @@ def test_quantize_rounds_half_away_from_zero():
 
 def test_quantize_clips_out_of_range():
     np.testing.assert_array_equal(quantize_u8(np.array([-3.0, 300.0])), [0, 255])
+
+
+def _quantize_reference(values, valid=None):
+    # the multiply-by-sign formula on fresh arrays
+    arr = np.asarray(values, dtype=np.float64)
+    out = np.clip(np.floor(np.abs(arr) + 0.5) * np.sign(arr), 0, 255)
+    if valid is not None:
+        out = np.where(valid, out, 0)
+    return out.astype(np.uint8)
+
+
+def test_quantize_matches_the_sign_formula():
+    ties = np.arange(-3, 259) + 0.5
+    special = [0.0, -0.0, -1e-300, 1e-300, 0.49999999999999994, -0.49999999999999994,
+               254.49999999999997, 255.0, 255.5, 256.0, 1e300, -1e300, np.inf, -np.inf]
+    rng = np.random.default_rng(2)
+    values = np.concatenate([ties, special, rng.uniform(-50.0, 300.0, 500)])
+    mask = rng.random(values.size) < 0.7
+    kept = values.copy()
+    for valid in (None, mask):
+        got = quantize_u8(values, valid)
+        assert got.dtype == np.uint8
+        assert np.array_equal(got, _quantize_reference(values, valid))
+    # an (H, W, 3) image under an (H, W, 1) mask, as the HDHA render passes it
+    image, image_mask = values[:768].reshape(16, 16, 3), mask[:256].reshape(16, 16, 1)
+    assert np.array_equal(quantize_u8(image, image_mask), _quantize_reference(image, image_mask))
+    assert np.array_equal(values.view(np.uint64), kept.view(np.uint64))
 
 
 # --------------------------------------------------------------- grayscale
@@ -143,6 +171,24 @@ def test_channel_stats_pool_across_images():
         assert stats.means[c] == pytest.approx(pooled.mean())
         # population std, not the sample estimator
         assert stats.stds[c] == pytest.approx(pooled.std(ddof=0))
+
+
+def test_channel_stats_match_the_concatenated_pool():
+    # the reference: every image's stacked channels gathered, concatenated
+    # and reduced by np.mean and np.std; the batch holds a map with no
+    # valid pixel and maps of different shapes
+    rng = np.random.default_rng(8)
+    images = []
+    for h, w, frac in ((40, 60, 0.8), (7, 9, 0.0), (120, 33, 0.35), (1, 1, 1.0)):
+        chans = rng.uniform(-1.0, 1.0, (3, h, w)) * [[[1e3]], [[2.5]], [[180.0]]] + 7.0
+        images.append(_fake_hdha(chans, rng.random((h, w)) < frac))
+    assert not images[1].valid.any()
+    stacked = np.concatenate([img.channels()[img.valid] for img in images], axis=0)
+    stats = compute_channel_stats(images)
+    assert np.array_equal(np.array(stats.means).view(np.uint64),
+                          stacked.mean(axis=0).view(np.uint64))
+    assert np.array_equal(np.array(stats.stds).view(np.uint64),
+                          stacked.std(axis=0).view(np.uint64))
 
 
 def test_channel_stats_reject_constant_channel():
@@ -256,3 +302,56 @@ def test_hdha_to_rgb_invalid_pixels_black():
     valid = np.array([[False, True]])
     rgb = hdha_to_rgb(_fake_hdha(chans, valid))
     np.testing.assert_array_equal(rgb[0, 0], (0, 0, 0))
+
+
+def _render_reference(image, stats=None):
+    # the render on fresh arrays: zeros_like, one expression per branch
+    chans = image.channels()
+    out = np.zeros_like(chans)
+    if stats is not None:
+        out = ((chans - np.asarray(stats.means)) / np.asarray(stats.stds) + 3.0) / 6.0 * 255.0
+    else:
+        for c in range(3):
+            vals = chans[..., c][image.valid]
+            if vals.size and vals.max() > vals.min():
+                out[..., c] = (chans[..., c] - vals.min()) / (vals.max() - vals.min()) * 255.0
+    out = np.clip(out, 0.0, 255.0)
+    return _quantize_reference(out, np.broadcast_to(image.valid[..., None], out.shape))
+
+
+def _render_case(seed, shape=(30, 41)):
+    rng = np.random.default_rng(seed)
+    scale, offset = np.array([4.0, 0.7, 50.0]), np.array([12.0, 1.0, 90.0])
+    chans = rng.normal(size=(3, *shape)) * scale[:, None, None] + offset[:, None, None]
+    chans[1] = 5.0  # a constant channel renders to 0 without stats
+    valid = rng.random(shape) < 0.75
+    chans[:, ~valid] = 0.0
+    return _fake_hdha(chans, valid)
+
+
+@pytest.mark.parametrize("with_stats", [False, True])
+def test_hdha_to_rgb_matches_the_reference_and_leaves_its_input(with_stats):
+    image = _render_case(4)
+    stats = ChannelStats((11.0, 4.0, 95.0), (3.5, 0.25, 40.0)) if with_stats else None
+    kept = [plane.copy() for plane in (image.hd, image.height, image.angle, image.valid)]
+    rgb = hdha_to_rgb(image, stats)
+    assert np.array_equal(rgb, _render_reference(image, stats))
+    for plane, copy in zip((image.hd, image.height, image.angle, image.valid), kept):
+        assert np.array_equal(plane.view(np.uint8), copy.view(np.uint8))
+
+
+def test_hdha_to_rgb_memory_is_bounded_by_the_map():
+    # one VGA render with stats holds the (H, W, 3) float copy of the
+    # channels, the mask and the uint8 result: 7.9 MiB; a zeros_like
+    # beside the stack and fresh arrays for each step of the z-score and
+    # the rounding would take it to 28.2 MiB
+    image = _render_case(6, shape=(480, 640))
+    stats = ChannelStats((11.0, 4.0, 95.0), (3.5, 0.25, 40.0))
+    tracemalloc.start()
+    try:
+        rgb = hdha_to_rgb(image, stats)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rgb.shape == (480, 640, 3)
+    assert peak < 9 * 2**20, peak

@@ -41,6 +41,29 @@ def test_backprojection_zeroes_invalid_pixels():
     assert pts[0, 0, 2] == 1.0 and pts[1, 1, 2] == 3.0
 
 
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_backprojection_matches_meshgrid_and_stack(seed):
+    # the reference formula, kept here: two meshgrids, one masked depth,
+    # and the three planes stacked
+    rng = np.random.default_rng(seed)
+    h, w = rng.integers(1, 60, 2)
+    values = rng.uniform(0.3, 9.0, (h, w))
+    values[rng.random((h, w)) < 0.2] = 0.0
+    values[rng.random((h, w)) < 0.05] = np.nan
+    values[rng.random((h, w)) < 0.05] = -np.inf
+    depth = DepthMap(values)
+    cam = CameraIntrinsics(fx=rng.uniform(50, 700), fy=rng.uniform(50, 700),
+                           cx=rng.uniform(-5, w + 5), cy=rng.uniform(-5, h + 5))
+    uu, vv = np.meshgrid(np.arange(w, dtype=np.float64), np.arange(h, dtype=np.float64))
+    d = np.where(depth.valid, depth.values, 0.0)
+    expected = np.stack([(uu - cam.cx) * d / cam.fx, (vv - cam.cy) * d / cam.fy, d], axis=-1)
+    assert np.array_equal(_bits(backproject_grid(depth, cam)), _bits(expected))
+
+
 # ----------------------------------------------------------------- normals
 
 def test_plane_normals():
@@ -197,9 +220,10 @@ _VGA_CAM = CameraIntrinsics(fx=500.0, fy=500.0, cx=319.5, cy=239.5, baseline=0.0
 def test_hdha_memory_is_bounded_by_the_map():
     # a VGA floor/wall scene with dropout holes: beside the point grid
     # and the normals, the encode holds the count integral image, the
-    # moment checkpoints and one chunk's band, and peaks in the gravity
-    # estimate at about 29 MiB; a whole-image 10-moment integral image
-    # would take it to about 50 MiB
+    # moment checkpoints and one chunk's band, and peaks in the normals
+    # kernel at about 25.0 MiB; holding the grid through the gravity
+    # estimate and gathering the valid normals there would take it to
+    # 28.7 MiB, and a whole-image 10-moment integral image to about 50 MiB
     depth, _ = _floor_wall_scene(h=480, w=640, cam=_VGA_CAM)
     rng = np.random.default_rng(5)
     values = depth.values.copy()
@@ -208,7 +232,7 @@ def test_hdha_memory_is_bounded_by_the_map():
     values[rng.random(values.shape) < 0.05] = 0.0
     enc, peak = _hdha_peak(DepthMap(values), _VGA_CAM)
     assert enc.valid.sum() > 200_000
-    assert peak < 36 * 2**20, peak
+    assert peak < 26 * 2**20, peak
 
 
 def test_hdha_memory_when_windows_span_the_map():
@@ -276,9 +300,39 @@ def test_gravity_default_seed_is_camera_down():
     assert est.direction @ [0.0, 1.0, 0.0] > 0.99
 
 
+def _gravity_cases():
+    depth, _ = _floor_wall_scene()
+    normals, valid = _kernels.normals_from_points(backproject_grid(depth, CAM), depth.valid, 25)
+    yield normals, valid, None
+    yield normals, valid, np.array([np.sin(0.3), np.cos(0.3), 0.0])
+    rng = np.random.default_rng(11)
+    for frac in (0.9, 0.5, 0.01):
+        n = rng.normal(size=(37, 53, 3))
+        n /= np.linalg.norm(n, axis=-1, keepdims=True)
+        n[:20, :, 1] += 4.0  # a floor-like share pulls the estimate
+        n /= np.linalg.norm(n, axis=-1, keepdims=True)
+        mask = rng.random((37, 53)) < frac
+        n[~mask] = 0.0  # the kernel's fill at pixels with no normal
+        yield n, mask, rng.normal(size=3)
+
+
+def test_gravity_mask_matches_the_gathered_normals():
+    # the reference: the valid normals gathered into their own array
+    for normals, valid, initial in _gravity_cases():
+        got = estimate_gravity(normals, valid, initial=initial)
+        ref = estimate_gravity(normals[valid], initial=initial)
+        assert np.array_equal(_bits(got.direction), _bits(ref.direction))
+        assert (got.iterations, got.converged) == (ref.iterations, ref.converged)
+        assert got.parallel_count == ref.parallel_count
+        assert got.orthogonal_count == ref.orthogonal_count
+        assert ref.parallel_count + ref.orthogonal_count > 0
+
+
 def test_gravity_needs_normals():
     with pytest.raises(ValueError):
         estimate_gravity(np.zeros((0, 3)))
+    with pytest.raises(ValueError):
+        estimate_gravity(np.ones((4, 3)), valid=np.zeros(4, dtype=bool))
     with pytest.raises(ValueError):
         estimate_gravity(np.ones((4, 3)), initial=np.zeros(3))
 

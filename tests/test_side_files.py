@@ -103,6 +103,17 @@ def test_malformed_stats_exit_2(tmp_path, stats):
     _assert_contract(rc, err, caught, side, out, codes=(2,))
 
 
+@pytest.mark.parametrize("stats, message", [
+    ({"mean": [0, 0, 0], "std": [1, 1]}, "'mean' and 'std' must have equal length"),
+    ({"mean": [0, 0, 0], "std": [0, 1, 1]}, "'std' must hold positive numbers"),
+], ids=["unequal-lengths", "zero-std"])
+def test_stats_the_record_cannot_hold_exit_2(tmp_path, stats, message):
+    rc, err, caught, side, out = _run_side_file(tmp_path, "stats", json.dumps(stats).encode())
+    _assert_contract(rc, err, caught, side, out, codes=(2,))
+    assert err == f"error: {side}: {message} (byte offset 0)\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("channels", [2, 0])
 def test_stats_without_three_channels_exit_2_before_any_map_is_read(tmp_path, monkeypatch,
                                                                      channels):
