@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoding import DepthMap, quantize_u8
-from .evaluation import GtRecord, _csv_table
+from .evaluation import GtRecord, _class_name, _csv_table
 from .netpbm import ParseError, decimal_float
 
 
@@ -202,12 +202,9 @@ def pearson_r(x, y) -> float:
 
 
 def samples_csv(samples: SampleRecord, classes: list[str] | None = None) -> str:
-    def name(cid):
-        return classes[cid] if classes and 0 <= cid < len(classes) else cid
-
     return _csv_table(
         ["image_id", "class", "mean_depth", "area"],
-        ([image_id, name(cid), f"{depth:.6f}", f"{area:.6f}"]
+        ([image_id, _class_name(cid, classes), f"{depth:.6f}", f"{area:.6f}"]
          for image_id, cid, depth, area in zip(
              samples.image_id.tolist(), samples.class_id.tolist(),
              samples.mean_depth.tolist(), samples.area.tolist())),

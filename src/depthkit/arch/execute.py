@@ -24,6 +24,10 @@ within a node, tensor after tensor of ``LayerSpec.weight_shapes``, each
 in C (row-major) order.  Frozen batch-norm executes as identity and
 draws nothing.
 
+Bilinear resize and RoI Align share one sampler: resize samples at the
+half-pixel centres ``(i + 0.5) * in / out - 0.5``, RoI Align once at
+each bin centre, and every coordinate is clamped to the edge of the map.
+
 Construction order is topological by construction (edges always point
 backward), so nodes execute in that same order and each activation is
 freed once its last reader has run.  No weight is ever drawn whole:
@@ -152,89 +156,59 @@ def _streamed(x: np.ndarray, n_out: int, lcg: Lcg, bias: bool) -> np.ndarray:
     return out
 
 
+def _windows(x: np.ndarray, k: int, stride: int, pad: int, fill: float) -> np.ndarray:
+    """The ``(N, C, OH, OW, k, k)`` window view of ``(N, C, H, W)`` ``x``,
+    padded by ``pad`` cells of ``fill`` on each side and taken every ``stride``."""
+    if pad:
+        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), constant_values=fill)
+    view = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
+    return view[:, :, ::stride, ::stride]
+
+
 def _conv2d(x: np.ndarray, c_out: int, k: int, bias: bool, lcg: Lcg,
             stride: int, pad: int) -> np.ndarray:
     """A ``(c_out, c_in, k, k)`` conv: in C order its weight is ``c_out``
     rows in the im2col column order ``(c_in, k, k)``, streamed like fc rows."""
-    squeeze = x.ndim == 3
-    if squeeze:
-        x = x[None]
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    view = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-    view = view[:, :, ::stride, ::stride]
+    view = _windows(x, k, stride, pad, 0.0)
     n, _, oh, ow = view.shape[:4]
     # im2col: one matmul per batch and row block keeps the contraction in BLAS
     cols = view.transpose(0, 2, 3, 1, 4, 5).reshape(n, oh * ow, -1)
-    out = _streamed(cols, c_out, lcg, bias).transpose(0, 2, 1).reshape(n, c_out, oh, ow)
-    return out[0] if squeeze else out
+    return _streamed(cols, c_out, lcg, bias).transpose(0, 2, 1).reshape(n, c_out, oh, ow)
 
 
 def _maxpool(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:
-    squeeze = x.ndim == 3
-    if squeeze:
-        x = x[None]
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)),
-                   constant_values=-np.inf)
-    view = np.lib.stride_tricks.sliding_window_view(x, (k, k), axis=(2, 3))
-    view = view[:, :, ::stride, ::stride]
-    out = view.max(axis=(-2, -1))
-    return out[0] if squeeze else out
+    return _windows(x, k, stride, pad, -np.inf).max(axis=(-2, -1))
+
+
+def _taps(coords: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lower neighbour, upper neighbour and upper weight of each coordinate
+    on an axis of ``n`` samples, the coordinate clamped to ``[0, n - 1]``."""
+    coords = np.clip(coords, 0.0, n - 1.0)
+    lo = np.floor(coords).astype(int)
+    return lo, np.minimum(lo + 1, n - 1), coords - lo
+
+
+def _bilinear(x: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Sample the last two axes of ``x`` at rows ``ys`` by columns ``xs``:
+    within the two neighbour rows first, then between them."""
+    y0, y1, wy = _taps(ys, x.shape[-2])
+    x0, x1, wx = _taps(xs, x.shape[-1])
+    top, bot = (row[..., x0] * (1 - wx) + row[..., x1] * wx
+                for row in (x[..., y0, :], x[..., y1, :]))
+    return top * (1 - wy[:, None]) + bot * wy[:, None]
 
 
 def _bilinear_resize(x: np.ndarray, oh: int, ow: int) -> np.ndarray:
-    # half-pixel sampling: output center i maps to (i + 0.5) * in/out - 0.5
-    squeeze = x.ndim == 3
-    if squeeze:
-        x = x[None]
     ih, iw = x.shape[-2:]
-    ys = np.clip((np.arange(oh) + 0.5) * (ih / oh) - 0.5, 0.0, ih - 1.0)
-    xs = np.clip((np.arange(ow) + 0.5) * (iw / ow) - 0.5, 0.0, iw - 1.0)
-    y0 = np.floor(ys).astype(int)
-    x0 = np.floor(xs).astype(int)
-    y1 = np.minimum(y0 + 1, ih - 1)
-    x1 = np.minimum(x0 + 1, iw - 1)
-    wy = (ys - y0)[None, None, :, None]
-    wx = (xs - x0)[None, None, None, :]
-    top = x[:, :, y0][:, :, :, x0] * (1 - wx) + x[:, :, y0][:, :, :, x1] * wx
-    bot = x[:, :, y1][:, :, :, x0] * (1 - wx) + x[:, :, y1][:, :, :, x1] * wx
-    out = top * (1 - wy) + bot * wy
-    return out[0] if squeeze else out
-
-
-def _bilinear_at(feat: np.ndarray, ys: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Sample (C,H,W) at float coords; arrays ys/xs share a shape."""
-    h, w = feat.shape[-2:]
-    ys = np.clip(ys, 0.0, h - 1.0)
-    xs = np.clip(xs, 0.0, w - 1.0)
-    y0 = np.floor(ys).astype(int)
-    x0 = np.floor(xs).astype(int)
-    y1 = np.minimum(y0 + 1, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    wy = ys - y0
-    wx = xs - x0
-    v00 = feat[:, y0, x0]
-    v01 = feat[:, y0, x1]
-    v10 = feat[:, y1, x0]
-    v11 = feat[:, y1, x1]
-    return (v00 * (1 - wy) * (1 - wx) + v01 * (1 - wy) * wx
-            + v10 * wy * (1 - wx) + v11 * wy * wx)
+    return _bilinear(x, (np.arange(oh) + 0.5) * (ih / oh) - 0.5,
+                     (np.arange(ow) + 0.5) * (iw / ow) - 0.5)
 
 
 def _roi_align(feat: np.ndarray, rois: np.ndarray, pool: int, scale: float) -> np.ndarray:
-    # one bilinear sample per bin, taken at the bin center
-    n = rois.shape[0]
-    c = feat.shape[0]
-    out = np.empty((n, c, pool, pool))
+    out = np.empty((rois.shape[0], feat.shape[0], pool, pool))
     grid = (np.arange(pool) + 0.5) / pool
-    for i in range(n):
-        x1, y1, x2, y2 = rois[i] * scale
-        ys = y1 + grid * (y2 - y1)
-        xs = x1 + grid * (x2 - x1)
-        yy = np.repeat(ys, pool)
-        xx = np.tile(xs, pool)
-        out[i] = _bilinear_at(feat, yy, xx).reshape(c, pool, pool)
+    for i, (x1, y1, x2, y2) in enumerate(rois * scale):
+        out[i] = _bilinear(feat, y1 + grid * (y2 - y1), x1 + grid * (x2 - x1))
     return out
 
 
@@ -248,6 +222,10 @@ def _products(weight_shapes: list[tuple[str, tuple[int, ...]]]) -> list[tuple[in
 def _run_node(spec: LayerSpec, xs: list[np.ndarray], num_rois: int,
               products: list[tuple[int, int, bool]], lcg: Lcg) -> dict[str, np.ndarray]:
     kind = spec.kind
+    if kind in ("conv2d", "maxpool", "bilinear_resize", "rpn_head") and xs[0].ndim == 3:
+        # the spatial ops take (N, C, H, W): a (C, H, W) tensor runs as a batch of one
+        outs = _run_node(spec, [xs[0][None], *xs[1:]], num_rois, products, lcg)
+        return {port: out[0] for port, out in outs.items()}
     if kind == "conv2d":
         (product,) = products
         return {"out": _conv2d(xs[0], *product, lcg, spec.stride, spec.pad)}
@@ -270,10 +248,7 @@ def _run_node(spec: LayerSpec, xs: list[np.ndarray], num_rois: int,
     if kind == "batch_repeat_concat":
         return {"out": np.repeat(xs[0][None], num_rois, axis=0)}
     if kind == "flatten":
-        x = xs[0]
-        if x.ndim == 3:
-            return {"out": x.reshape(-1)}
-        return {"out": x.reshape(x.shape[0], -1)}
+        return {"out": xs[0].reshape(xs[0].shape[:-3] + (-1,))}
     if kind == "roi_align":
         return {"out": _roi_align(xs[0], xs[1], spec.pool_size, spec.spatial_scale)}
     if kind == "rpn_head":

@@ -117,9 +117,12 @@ def _parse_gravity(text: str) -> np.ndarray:
     if len(parts) != 3:
         raise ValueError(f"--gravity needs 'x,y,z', got {text!r}")
     try:
-        return np.array([decimal_float(p) for p in parts])
+        g = np.array([decimal_float(p) for p in parts])
     except ValueError:
         raise ValueError(f"--gravity needs finite decimal components, got {text!r}") from None
+    # checked before any map is read; passed on as parsed, hdha_encode scales it
+    geometry._unit_gravity(g)
+    return g
 
 
 _OUT_SUFFIX = {"gray": "_gray.pgm", "jet": "_jet.ppm", "hdha": "_hdha.ppm"}

@@ -722,15 +722,18 @@ def _confusion_csv(table: ConfusionMatrix | ConfusionDiff) -> str:
     )
 
 
+def _class_name(cid: int, classes: list[str] | tuple[str, ...] | None) -> str:
+    """The table name of class ``cid``, or the id itself when the table lacks it."""
+    return classes[cid] if classes and 0 <= cid < len(classes) else str(cid)
+
+
 def ap_csv(
     per_class: dict[int, float | None],
     classes: list[str] | tuple[str, ...],
     map_value: float | None,
 ) -> str:
-    rows = [
-        [classes[cid] if 0 <= cid < len(classes) else str(cid), format_metric(per_class[cid])]
-        for cid in sorted(per_class)
-    ]
+    rows = [[_class_name(cid, classes), format_metric(per_class[cid])]
+            for cid in sorted(per_class)]
     rows.append(["mAP", format_metric(map_value)])
     return _csv_table(["class", "ap"], rows)
 

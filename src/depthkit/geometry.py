@@ -50,6 +50,17 @@ def backproject_grid(depth: DepthMap, cam: CameraIntrinsics) -> np.ndarray:
 _DEFAULT_GRAVITY = np.array([0.0, 1.0, 0.0])
 
 
+def _unit_gravity(g) -> np.ndarray:
+    """``g / |g|`` in float64.  A component that is not finite, or a norm
+    that overflows or vanishes, leaves no direction: ``ValueError``."""
+    g = np.asarray(g, dtype=np.float64)
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(g)
+    if not (np.isfinite(norm) and norm > 0):
+        raise ValueError("gravity must be a finite nonzero vector")
+    return g / norm
+
+
 def _scatter(v: np.ndarray) -> np.ndarray:
     """``v.T @ v``, for one gathered cluster that dies on return."""
     return v.T @ v
@@ -72,7 +83,8 @@ def estimate_gravity(
     ``sum_orth n n^T - sum_par n n^T``.  The threshold is 45 degrees on
     the first pass and 15 after; iteration stops when the direction moves
     less than ``tol`` radians or after ``max_iters`` passes.  The sign is
-    kept aligned with the previous estimate.
+    kept aligned with the previous estimate.  ``initial`` (default the
+    camera +y axis) must be a finite nonzero vector, or ``ValueError``.
     """
     n = np.asarray(normals, dtype=np.float64).reshape(-1, 3)
     # the mask joins each pass's clusters rather than gathering the valid
@@ -82,11 +94,7 @@ def estimate_gravity(
              else np.asarray(valid, dtype=bool).ravel())
     if not valid.any():
         raise ValueError("no valid normals to estimate gravity from")
-    g = _DEFAULT_GRAVITY.copy() if initial is None else np.asarray(initial, dtype=np.float64)
-    norm = np.linalg.norm(g)
-    if norm == 0:
-        raise ValueError("initial gravity must be a nonzero vector")
-    g = g / norm
+    g = _unit_gravity(_DEFAULT_GRAVITY if initial is None else initial)
 
     converged = False
     iters = 0
@@ -144,27 +152,19 @@ def hdha_encode(
     ``gravity`` defaults to an estimate from this map's own normals; a
     map with no recovered normal (every reading invalid, or too few
     points near each other to span a plane) skips the estimate and
-    encodes to all zeros.
+    encodes to all zeros.  A given ``gravity`` with no direction raises
+    ``ValueError`` before the normals kernel runs.
     """
+    g = None if gravity is None else _unit_gravity(gravity)
     # the point grid lives only through the normals kernel; the height
     # channel builds it again rather than hold it through the estimate
     normals, n_valid = _kernels.normals_from_points(
         backproject_grid(depth, cam), depth.valid, k_neighbors)
-    if gravity is not None:
-        g = np.asarray(gravity, dtype=np.float64)
-        with np.errstate(over="ignore"):
-            norm = np.linalg.norm(g)
-        # a component that is not finite or a norm that overflows or
-        # vanishes leaves no direction
-        if not (np.isfinite(norm) and norm > 0):
-            raise ValueError("gravity must be a finite nonzero vector")
-        g = g / norm
-    elif n_valid.any():
-        g = estimate_gravity(normals, valid=n_valid).direction
-    else:
-        # no normal to estimate from: every pixel is invalid and encodes
-        # to 0 whatever the direction
-        g = _DEFAULT_GRAVITY
+    if g is None:
+        # with no normal to estimate from, every pixel is invalid and
+        # encodes to 0 whatever the direction
+        g = (estimate_gravity(normals, valid=n_valid).direction if n_valid.any()
+             else _DEFAULT_GRAVITY)
 
     valid = depth.valid & n_valid
     invalid = ~valid

@@ -8,6 +8,7 @@ from depthkit.arch import (
     BACKBONES,
     VARIANTS,
     GraphError,
+    LayerSpec,
     Lcg,
     build_architecture,
     count_parameters,
@@ -18,6 +19,7 @@ from depthkit.arch.execute import (
     BLOCK,
     LCG_A,
     LCG_C,
+    _bilinear,
     _bilinear_resize,
     _conv2d,
     _maxpool,
@@ -212,6 +214,88 @@ def test_roi_align_scale_maps_image_to_feature():
     rois = np.array([[2.0, 2.0, 10.0, 10.0]])
     out = _roi_align(feat, rois, 1, 0.25)
     assert out[0, 0, 0, 0] == pytest.approx(8.0 * 0.25)
+
+
+def _four_corner(feat, ys, xs):
+    """Reference sampler: ``(C, H, W)`` at clamped float coordinates ``ys``
+    and ``xs`` of one shape, each corner weighted by its own product."""
+    h, w = feat.shape[-2:]
+    ys = np.clip(ys, 0.0, h - 1.0)
+    xs = np.clip(xs, 0.0, w - 1.0)
+    y0 = np.floor(ys).astype(int)
+    x0 = np.floor(xs).astype(int)
+    y1 = np.minimum(y0 + 1, h - 1)
+    x1 = np.minimum(x0 + 1, w - 1)
+    wy = ys - y0
+    wx = xs - x0
+    return (feat[:, y0, x0] * (1 - wy) * (1 - wx) + feat[:, y0, x1] * (1 - wy) * wx
+            + feat[:, y1, x0] * wy * (1 - wx) + feat[:, y1, x1] * wy * wx)
+
+
+def test_bilinear_matches_four_corner_reference():
+    # values in [1, 2] keep the sums free of cancellation, so only the
+    # order of the products can move the last bits
+    feat = np.random.default_rng(11).uniform(1.0, 2.0, (2, 3, 5, 7))
+    # integers, the last row and column exactly, fractions, and points
+    # outside the map on either side
+    ys = np.array([-1.5, 0.0, 1.0, 2.25, 3.999, 4.0, 4.5, 9.0])
+    xs = np.array([-0.1, 0.0, 0.5, 3.0, 5.75, 6.0, 6.0001, 20.0, 2.5])
+    yy, xx = np.meshgrid(ys, xs, indexing="ij")
+    got = _bilinear(feat, ys, xs)
+    assert got.shape == (2, 3, 8, 9)
+    for i in range(2):
+        np.testing.assert_allclose(got[i], _four_corner(feat[i], yy, xx), rtol=1e-14, atol=0)
+
+
+def test_roi_align_matches_four_corner_reference():
+    feat = np.random.default_rng(12).uniform(1.0, 2.0, (3, 6, 8))
+    pool, scale = 3, 0.5
+    rois = np.array([
+        [0.0, 0.0, 14.0, 10.0],     # the whole map, last row and column included
+        [-6.0, -4.0, 30.0, 20.0],   # runs past the map on every side
+        [4.0, 2.0, 4.0, 2.0],       # a point: every bin on one integer sample
+        [9.0, 7.0, 3.0, 1.0],       # corners given in reverse order
+    ])
+    grid = (np.arange(pool) + 0.5) / pool
+    expect = np.empty((len(rois), 3, pool, pool))
+    for i, roi in enumerate(rois):
+        x1, y1, x2, y2 = roi * scale
+        yy = np.repeat(y1 + grid * (y2 - y1), pool)
+        xx = np.tile(x1 + grid * (x2 - x1), pool)
+        expect[i] = _four_corner(feat, yy, xx).reshape(3, pool, pool)
+    np.testing.assert_allclose(_roi_align(feat, rois, pool, scale), expect, rtol=1e-14, atol=0)
+
+
+def test_bilinear_resize_keeps_the_row_first_formula_bits():
+    # the resize formula the sampler replaced, with its order of operations
+    x = np.random.default_rng(13).standard_normal((2, 3, 5, 7))
+    oh, ow = 9, 4
+    ih, iw = x.shape[-2:]
+    ys = np.clip((np.arange(oh) + 0.5) * (ih / oh) - 0.5, 0.0, ih - 1.0)
+    xs = np.clip((np.arange(ow) + 0.5) * (iw / ow) - 0.5, 0.0, iw - 1.0)
+    y0, x0 = np.floor(ys).astype(int), np.floor(xs).astype(int)
+    y1, x1 = np.minimum(y0 + 1, ih - 1), np.minimum(x0 + 1, iw - 1)
+    wy, wx = (ys - y0)[:, None], xs - x0
+    top = x[:, :, y0][:, :, :, x0] * (1 - wx) + x[:, :, y0][:, :, :, x1] * wx
+    bot = x[:, :, y1][:, :, :, x0] * (1 - wx) + x[:, :, y1][:, :, :, x1] * wx
+    assert np.array_equal(_bilinear_resize(x, oh, ow), top * (1 - wy) + bot * wy)
+
+
+@pytest.mark.parametrize("spec", [
+    LayerSpec(kind="conv2d", out_channels=4, kernel=3, stride=2, pad=1),
+    LayerSpec(kind="maxpool", kernel=3, stride=2, pad=1),
+    LayerSpec(kind="bilinear_resize", out_size=(5, 9)),
+    LayerSpec(kind="rpn_head", hidden=4, num_anchors=2),
+    LayerSpec(kind="flatten"),
+], ids=lambda spec: spec.kind)
+def test_chw_tensor_runs_as_a_batch_of_one(spec):
+    x = np.random.default_rng(14).standard_normal((3, 6, 7))
+    products = _products(spec.weight_shapes([x.shape]))
+    single = _run_node(spec, [x], 1, products, Lcg(5))
+    batch = _run_node(spec, [x[None]], 1, products, Lcg(5))
+    assert single.keys() == batch.keys()
+    for port in single:
+        assert np.array_equal(single[port], batch[port][0]), port
 
 
 @pytest.mark.parametrize("lead", [(), (3,)])

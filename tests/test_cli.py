@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depthkit import analysis, cli, encoding, evaluation, geometry, netpbm
+from depthkit import _kernels, analysis, cli, encoding, evaluation, geometry, netpbm
 
 
 def _write_jsonl(path, records):
@@ -283,15 +283,19 @@ def _encode_with_gravity(tmp_path, gravity, out):
     return rc, err.getvalue(), caught
 
 
-@pytest.mark.parametrize("gravity", ["nan,0,0", "inf,1,0", "0,-inf,1", "1e308,1e308,0"])
-def test_encode_non_finite_gravity_exits_3(tmp_path, gravity):
+@pytest.mark.parametrize("gravity", ["nan,0,0", "inf,1,0", "0,-inf,1", "1e308,1e308,0", "0,0,0"])
+def test_encode_non_finite_gravity_exits_3(tmp_path, monkeypatch, gravity):
+    # refused before any map is read: no normals call, no --out directory
+    calls = []
+    monkeypatch.setattr(_kernels, "normals_from_points", lambda *args: calls.append(args))
     out = tmp_path / "out"
     rc, err, caught = _encode_with_gravity(tmp_path, gravity, out)
     assert rc == 3
     assert "gravity" in err and "finite" in err
     assert "Traceback" not in err
     assert caught == []
-    assert list(out.glob("*")) == []
+    assert calls == []
+    assert not out.exists()
 
 
 def test_encode_empty_gravity_exits_3(tmp_path):

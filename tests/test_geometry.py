@@ -337,6 +337,26 @@ def test_gravity_needs_normals():
         estimate_gravity(np.ones((4, 3)), initial=np.zeros(3))
 
 
+@pytest.mark.parametrize("initial", [[np.nan, 0.0, 0.0], [np.inf, 1.0, 0.0],
+                                     [0.0, -np.inf, 1.0], [1e308, 1e308, 0.0]],
+                         ids=["nan", "inf", "minus-inf", "overflow"])
+def test_gravity_refuses_a_start_with_no_direction(initial):
+    normals = np.tile([0.0, 1.0, 0.0], (4, 1))
+    # tier-1 turns any overflow warning into a failure
+    with pytest.raises(ValueError, match="finite nonzero"):
+        estimate_gravity(normals, initial=np.array(initial))
+
+
+def test_hdha_checks_gravity_before_the_normals_kernel(monkeypatch):
+    depth, _ = _floor_wall_scene()
+    calls = []
+    monkeypatch.setattr(_kernels, "normals_from_points", lambda *a: calls.append(a))
+    for gravity in ([0.0, 0.0, 0.0], [np.nan, 1.0, 0.0], [1e308, 1e308, 0.0]):
+        with pytest.raises(ValueError, match="finite nonzero"):
+            hdha_encode(depth, CAM, gravity=np.array(gravity))
+    assert calls == []
+
+
 # -------------------------------------------------------------------- hdha
 
 def test_hdha_channels_on_floor_wall_scene():
