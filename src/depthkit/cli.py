@@ -247,6 +247,8 @@ def _cmd_encode(args) -> int:
 
 
 def _cmd_arch(args) -> int:
+    if not 0 <= args.seed < 1 << 64:
+        raise ValueError(f"--seed must be in [0, 2^64 - 1], got {args.seed}")
     try:
         h, w = (decimal_int(p) for p in args.input.lower().split("x"))
     except ValueError:

@@ -517,6 +517,26 @@ def test_arch_forward_seed_changes_digests(tmp_path, capsys):
     assert digest(out0) != digest(out1)
 
 
+@pytest.mark.parametrize("seed", [-1, 2**64])
+def test_arch_seed_outside_64_bits_exits_3_writing_nothing(tmp_path, capsys, seed):
+    # -1 would otherwise draw the weights of 2^64 - 1
+    out = tmp_path / "out"
+    rc = cli.main(["arch", "--variant", "baseline", "--backbone", "vgg16", "--input", "64x64",
+                   "--forward", "--seed", str(seed), "--out", str(out)])
+    assert rc == 3
+    assert f"--seed must be in [0, 2^64 - 1], got {seed}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_arch_seed_range_ends_are_accepted(tmp_path, capsys):
+    # the input filler is seeded with (seed + 1) mod 2^64, so the top seed wraps to 0
+    for seed in (0, 2**64 - 1):
+        rc = cli.main(["arch", "--variant", "baseline", "--backbone", "vgg16", "--input", "32x32",
+                       "--rois", "1", "--forward", "--seed", str(seed), "--out", str(tmp_path)])
+        assert rc == 0
+        assert "forward det:scores: shape=1x21 " in capsys.readouterr().out
+
+
 def test_arch_parameter_errors_exit_3(tmp_path, capsys):
     assert cli.main(["arch", "--variant", "mystery", "--backbone", "vgg16",
                      "--out", str(tmp_path)]) == 3

@@ -10,7 +10,10 @@ enough to span several normals chunks), ``analyze``
 (two builds and their similarity), ``eval`` (every metric) and
 ``arch`` (every variant and backbone at the default input, plus three
 small seeded forwards, which are also rerun under one and two OpenBLAS
-threads); a refactor must leave all of them unchanged.
+threads); a refactor must leave all of them unchanged.  The
+benchmark's two arch forwards are also replayed for three seeds with
+``perfbench/run.py``'s own code and checked against the digests it
+recorded in ``perfbench/digests.json``; that directory is only read.
 After an intended output change, regenerate only the commands whose
 output changed, for example::
 
@@ -20,6 +23,7 @@ Without a command name the script prints its usage and exits 2.
 """
 import contextlib
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -353,6 +357,30 @@ def test_arch_forwards_match_golden_digests_at_each_blas_thread_count(threads):
     assert proc.returncode == 0, proc.stderr
     want = _golden("arch")
     assert json.loads(proc.stdout) == {name: want[name] for name, _ in FORWARD_CASES}
+
+
+def _perfbench_run(monkeypatch):
+    """``perfbench/run.py`` as a module, imported without running it and
+    registered (as its dataclasses need) for the test only."""
+    path = os.path.join(os.path.dirname(HERE), "perfbench", "run.py")
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("seed", [0, 1, 63])
+def test_benchmark_arch_forward_matches_recorded_digests(tmp_path, monkeypatch, seed):
+    # the benchmark's own invocations and digest, checked against its
+    # recorded eval-arch entries 4-5 (the two forwards after four evals)
+    run = _perfbench_run(monkeypatch)
+    monkeypatch.chdir(tmp_path)
+    workload = run.Workload("eval-arch", [run.build_arch_forward(seed)])
+    _, _, outcomes = run.run_pass(cli, workload)
+    with open(run.DIGESTS) as fh:
+        recorded = json.load(fh)["eval-arch"][str(seed)]
+    assert [o.digest for o in outcomes] == recorded[4:6]
 
 
 if __name__ == "__main__":
