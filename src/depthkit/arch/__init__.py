@@ -10,7 +10,6 @@ from .graph import (
     InputSpec,
     LayerSpec,
     Shape,
-    StateError,
     StructuralError,
     propagate_shapes,
 )
@@ -26,7 +25,6 @@ __all__ = [
     "ParamReport",
     "ParamRow",
     "Shape",
-    "StateError",
     "StructuralError",
     "VARIANTS",
     "build_architecture",

@@ -5,18 +5,18 @@ from a seeded 64-bit linear congruential generator, so a forward pass
 is a pure function of (graph, inputs, seed) and bitwise reproducible.
 
 Generator: ``x' = (6364136223846793005 * x + 1442695040888963407) mod 2^64``,
-seeded directly with ``seed``.  Each successive state maps to a weight
-in float64, uniform over the half-open [-0.1, 0.1): or-ing its high 52
-bits into the significand of 1.0 gives ``f`` in [1, 2), and the weight
-is ``(f - 1.5) * 0.2``, the usual bits-to-[1, 2) conversion (Blackman
-and Vigna 2018, arXiv:1805.01407).  ``f - 1.5`` is exact, so each
-weight is rounded once; state 0 draws exactly -0.1.  A weight lies
-within 5.6e-17 of ``0.2 * (x / 2^64) - 0.1``, far below the 7 digits of
-each output sum the CLI prints, so the recorded forward digests hold
-for both rules.  Weights are drawn in node construction order; within a
-node, tensor after tensor of ``LayerSpec.weight_shapes``, each in C
-(row-major) order.  Frozen batch-norm executes as identity and draws
-nothing.
+seeded directly with ``seed``, which must lie in [0, 2^64 - 1].  Each
+successive state maps to a weight in float64, uniform over the
+half-open [-0.1, 0.1): or-ing its high 52 bits into the significand of
+1.0 gives ``f`` in [1, 2), and the weight is ``(f - 1.5) * 0.2``, the
+usual bits-to-[1, 2) conversion (Blackman and Vigna 2018,
+arXiv:1805.01407).  ``f - 1.5`` is exact, so each weight is rounded
+once; state 0 draws exactly -0.1.  A weight lies within 5.6e-17 of
+``0.2 * (x / 2^64) - 0.1``, far below the 7 digits of each output sum
+the CLI prints, so the recorded forward digests hold for both rules.
+Weights are drawn in node construction order; within a node, tensor
+after tensor of ``LayerSpec.weight_shapes``, each in C (row-major)
+order.  Frozen batch-norm executes as identity and draws nothing.
 
 Bilinear resize and RoI Align share one sampler: resize samples at the
 half-pixel centres ``(i + 0.5) * in / out - 0.5``, RoI Align once at
@@ -90,7 +90,9 @@ class Lcg:
     """Sequential generator that fills and converts ``BLOCK`` states at a time."""
 
     def __init__(self, seed: int):
-        self.state = seed % _M64
+        if not 0 <= seed < _M64:
+            raise ValueError(f"seed must be in [0, 2^64 - 1], got {seed}")
+        self.state = seed
 
     def draws(self, n: int) -> np.ndarray:
         """The next n values in [-0.1, 0.1) as float64."""

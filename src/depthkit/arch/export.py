@@ -1,14 +1,14 @@
 """Text exports of an architecture graph: Graphviz DOT and a shape table.
 
 Both walk the graph in construction order, so exporting an unchanged
-graph twice yields byte-identical text.
+graph and shape table twice yields byte-identical text.
 """
 from __future__ import annotations
 
 import io
 
 from ..evaluation import _csv_table
-from .graph import ArchGraph, LayerSpec, Shape, StateError
+from .graph import ArchGraph, LayerSpec, Shape
 
 
 def format_shape(shape: Shape) -> str:
@@ -41,8 +41,8 @@ def _node_label(name: str, spec: LayerSpec) -> str:
     return f"{name}\\n{kind}{detail}"
 
 
-def to_dot(graph: ArchGraph) -> str:
-    """Graphviz source for the graph; edges carry shapes when propagated."""
+def to_dot(graph: ArchGraph, shapes: dict[str, Shape] | None = None) -> str:
+    """Graphviz source for the graph; edges carry shapes when given a table."""
     out = io.StringIO()
     out.write("digraph architecture {\n")
     out.write(f'  label="{graph.variant} / {graph.backbone}";\n')
@@ -54,35 +54,33 @@ def to_dot(graph: ArchGraph) -> str:
         out.write(f'  "{name}" [label="{_node_label(name, spec)}"];\n')
     for src, dst, _ in graph.edges():
         suffix = ""
-        if graph.shapes is not None:
-            suffix = f' [label="{format_shape(graph.shapes[f"{src}:out"])}"]'
+        if shapes is not None:
+            suffix = f' [label="{format_shape(shapes[f"{src}:out"])}"]'
         out.write(f'  "{src}" -> "{dst}"{suffix};\n')
     out.write("}\n")
     return out.getvalue()
 
 
-def shape_rows(graph: ArchGraph) -> list[tuple[str, Shape]]:
+def shape_rows(graph: ArchGraph, shapes: dict[str, Shape]) -> list[tuple[str, Shape]]:
     """Named shapes: the graph inputs, landmark tensors, then every edge.
 
     Landmarks: ``head_input`` (what feeds the detection head), ``fused``
     and ``reduced`` (the fusion concat and its projection) when present.
     """
-    if graph.shapes is None:
-        raise StateError("shape table needs propagated shapes")
     rows: list[tuple[str, Shape]] = []
     for name in graph.inputs:
-        rows.append((f"input_{name}", graph.shapes[f"{name}:out"]))
+        rows.append((f"input_{name}", shapes[f"{name}:out"]))
     for name, spec in graph.nodes.items():
         if spec.kind == "det_head":
-            rows.append(("head_input", graph.shapes[f"{graph.sources[name][0]}:out"]))
+            rows.append(("head_input", shapes[f"{graph.sources[name][0]}:out"]))
     for landmark, node in (("fused", "fuse/concat"), ("reduced", "fuse/reduce")):
         if node in graph.nodes:
-            rows.append((landmark, graph.shapes[f"{node}:out"]))
+            rows.append((landmark, shapes[f"{node}:out"]))
     for src, dst, slot in graph.edges():
-        rows.append((f"{src}:out->{dst}[{slot}]", graph.shapes[f"{src}:out"]))
+        rows.append((f"{src}:out->{dst}[{slot}]", shapes[f"{src}:out"]))
     return rows
 
 
-def shape_csv(graph: ArchGraph) -> str:
+def shape_csv(graph: ArchGraph, shapes: dict[str, Shape]) -> str:
     return _csv_table(["name", "shape"],
-                      ([name, format_shape(shape)] for name, shape in shape_rows(graph)))
+                      ([name, format_shape(shape)] for name, shape in shape_rows(graph, shapes)))

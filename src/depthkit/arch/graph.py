@@ -6,9 +6,10 @@ the proposal and detection heads, the only nodes with named ports, are
 read by nothing and so end a path.  Nodes are added in construction
 order and may only name producers that already exist, so construction
 order is always a valid execution order.  Shape propagation walks the
-graph symbolically and annotates every output port; the parameter
-counter and the numeric executor both build on that, and both read a
-layer's weight tensors from ``LayerSpec.weight_shapes``.
+graph symbolically and returns a table of every output port's shape,
+leaving the graph as it was; the parameter counter, the exports and the
+numeric executor all take that table, and the counter and the executor
+read a layer's weight tensors from ``LayerSpec.weight_shapes``.
 
 Tensor shape conventions: image tensors are ``(C, H, W)`` before the
 region stage and ``(N, C, H, W)`` after it, feature vectors are
@@ -29,10 +30,6 @@ class GraphError(Exception):
 
 class StructuralError(GraphError):
     """Wiring or shape inconsistency, reported against a node or edge."""
-
-
-class StateError(GraphError):
-    """Operation needs shapes propagated first."""
 
 
 KINDS = frozenset(
@@ -169,7 +166,6 @@ class ArchGraph:
     # each node's producers by input slot; every edge reads a producer's "out"
     sources: dict[str, list[str]] = field(default_factory=dict)
     inputs: dict[str, InputSpec] = field(default_factory=dict)
-    shapes: dict[str, Shape] | None = None
 
     def add_input(self, name: str, channels: int = 0, rois: bool = False) -> str:
         if name in self.inputs or name in self.nodes:
@@ -200,7 +196,6 @@ class ArchGraph:
                 raise StructuralError(f"node {name}: unknown input {src!r}")
         self.nodes[name] = spec
         self.sources[name] = list(inputs)
-        self.shapes = None
         return name
 
     def edges(self) -> Iterator[tuple[str, str, int]]:
@@ -208,11 +203,6 @@ class ArchGraph:
         for dst, srcs in self.sources.items():
             for slot, src in enumerate(srcs):
                 yield src, dst, slot
-
-    def shape_of(self, name: str, port: str = "out") -> Shape:
-        if self.shapes is None:
-            raise StateError("shapes not propagated yet, call propagate_shapes first")
-        return self.shapes[f"{name}:{port}"]
 
 
 def _conv_extent(n: int, kernel: int, stride: int, pad: int, where: str) -> int:
@@ -313,12 +303,11 @@ def _node_output_shapes(
 
 
 def propagate_shapes(graph: ArchGraph, input_shape: Shape, num_rois: int) -> dict[str, Shape]:
-    """Annotate every output port with its tensor shape.
+    """The tensor shape of every output port, keyed ``"node:port"``.
 
     ``input_shape`` is the ``(C, H, W)`` of the primary image input; every
     other image-plane input shares its spatial extent, and RoI inputs
-    become ``(num_rois, 4)``.  The result maps ``"node:port"`` to a shape
-    and is also stored on ``graph.shapes``.
+    become ``(num_rois, 4)``.  The graph is left unchanged.
     """
     if len(input_shape) != 3 or any(d < 1 for d in input_shape):
         raise ValueError(f"input shape must be (C, H, W) with positive extents, got {input_shape}")
@@ -345,5 +334,4 @@ def propagate_shapes(graph: ArchGraph, input_shape: Shape, num_rois: int) -> dic
         in_shapes = [shapes[f"{src}:out"] for src in graph.sources[name]]
         for port, shape in _node_output_shapes(name, spec, in_shapes, num_rois).items():
             shapes[f"{name}:{port}"] = shape
-    graph.shapes = shapes
     return shapes

@@ -11,7 +11,7 @@ import csv
 import math
 from dataclasses import dataclass
 
-from .graph import ArchGraph, StateError
+from .graph import ArchGraph, Shape
 
 
 @dataclass(frozen=True)
@@ -57,14 +57,12 @@ class ParamReport:
             writer.writerow(["TOTAL", "", self.trainable, self.fixed])
 
 
-def count_parameters(graph: ArchGraph) -> ParamReport:
-    """Per-node parameter rows plus totals.  Shapes must be propagated."""
-    if graph.shapes is None:
-        raise StateError("count_parameters needs propagated shapes, "
-                         "call propagate_shapes first")
+def count_parameters(graph: ArchGraph, shapes: dict[str, Shape]) -> ParamReport:
+    """Per-node parameter rows plus totals, given the graph's shape table
+    from ``propagate_shapes``."""
     rows = []
     for name, spec in graph.nodes.items():
-        in_shapes = [graph.shapes[f"{src}:out"] for src in graph.sources[name]]
+        in_shapes = [shapes[f"{src}:out"] for src in graph.sources[name]]
         weights = sum(math.prod(shape) for _, shape in spec.weight_shapes(in_shapes))
         bn = 2 * spec.out_channels if spec.kind == "conv2d" and spec.batch_norm else 0
         if weights == 0 and bn == 0:

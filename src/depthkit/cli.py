@@ -256,26 +256,26 @@ def _cmd_arch(args) -> int:
     graph = build_architecture(args.variant, args.backbone, num_classes=args.classes,
                                depth_channels=args.depth_channels)
     try:
-        propagate_shapes(graph, (3, h, w), args.rois)
+        shapes = propagate_shapes(graph, (3, h, w), args.rois)
     except StructuralError as exc:
         # the builder's wiring is fixed, so only the input size can fail here
         raise ValueError(f"--input {args.input} is too small for {args.backbone}: {exc}") from None
     os.makedirs(args.out, exist_ok=True)
     prefix = os.path.join(args.out, f"{args.variant}_{args.backbone}")
 
-    _write_text(f"{prefix}.dot", to_dot(graph))
-    report = count_parameters(graph)
+    _write_text(f"{prefix}.dot", to_dot(graph, shapes))
+    report = count_parameters(graph, shapes)
     report.to_csv(f"{prefix}_params.csv")
-    _write_text(f"{prefix}_shapes.csv", shape_csv(graph))
+    _write_text(f"{prefix}_shapes.csv", shape_csv(graph, shapes))
 
     print(f"{args.variant} / {args.backbone}: trainable={report.trainable:,} "
           f"fixed={report.fixed:,} total={report.total:,}")
-    print(f"head input: {format_shape(dict(shape_rows(graph))['head_input'])}")
+    print(f"head input: {format_shape(dict(shape_rows(graph, shapes))['head_input'])}")
     for suffix in (".dot", "_params.csv", "_shapes.csv"):
         print(f"wrote {prefix}{suffix}")
 
     if args.forward:
-        filler = Lcg(args.seed + 1)
+        filler = Lcg((args.seed + 1) % (1 << 64))
         inputs = {}
         for name, ispec in graph.inputs.items():
             if ispec.rois:

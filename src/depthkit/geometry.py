@@ -48,6 +48,8 @@ def backproject_grid(depth: DepthMap, cam: CameraIntrinsics) -> np.ndarray:
 
 
 _DEFAULT_GRAVITY = np.array([0.0, 1.0, 0.0])
+GRAVITY_MAX_ITERS = 5
+GRAVITY_TOL = 1e-4
 
 
 def _unit_gravity(g) -> np.ndarray:
@@ -70,8 +72,6 @@ def estimate_gravity(
     normals: np.ndarray,
     valid: np.ndarray | None = None,
     initial: np.ndarray | None = None,
-    max_iters: int = 5,
-    tol: float = 1e-4,
 ) -> GravityEstimate:
     """Iteratively refine the gravity direction from surface normals.
 
@@ -82,9 +82,10 @@ def estimate_gravity(
     with floors: the smallest eigenvector of
     ``sum_orth n n^T - sum_par n n^T``.  The threshold is 45 degrees on
     the first pass and 15 after; iteration stops when the direction moves
-    less than ``tol`` radians or after ``max_iters`` passes.  The sign is
-    kept aligned with the previous estimate.  ``initial`` (default the
-    camera +y axis) must be a finite nonzero vector, or ``ValueError``.
+    less than ``GRAVITY_TOL`` radians or after ``GRAVITY_MAX_ITERS``
+    passes.  The sign is kept aligned with the previous estimate.
+    ``initial`` (default the camera +y axis) must be a finite nonzero
+    vector, or ``ValueError``.
     """
     n = np.asarray(normals, dtype=np.float64).reshape(-1, 3)
     # the mask joins each pass's clusters rather than gathering the valid
@@ -99,7 +100,7 @@ def estimate_gravity(
     converged = False
     iters = 0
     n_par = n_orth = 0
-    for it in range(max_iters):
+    for it in range(GRAVITY_MAX_ITERS):
         thresh_deg = 45.0 if it == 0 else 15.0
         cos_par = np.cos(np.deg2rad(thresh_deg))
         sin_thr = np.sin(np.deg2rad(thresh_deg))
@@ -122,7 +123,7 @@ def estimate_gravity(
             g_new = -g_new
         delta = np.arccos(np.clip(g_new @ g, -1.0, 1.0))
         g = g_new
-        if delta < tol:
+        if delta < GRAVITY_TOL:
             converged = True
             break
     return GravityEstimate(

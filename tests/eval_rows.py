@@ -1,6 +1,8 @@
-"""Detections and ground truth as rows, for the brute-force oracles, and
-their column records as the loaders build them."""
+"""Detections and ground truth as rows, their column records as the
+loaders build them, and the brute-force VOC and COCO oracles over rows."""
 from typing import NamedTuple
+
+import numpy as np
 
 from depthkit import evaluation
 
@@ -38,3 +40,101 @@ def det_record(rows) -> evaluation.DetRecord:
 def gt_record(rows) -> evaluation.GtRecord:
     return evaluation.GtRecord([r.image_id for r in rows], [r.class_id for r in rows],
                                [r.box for r in rows], [r.difficult for r in rows])
+
+
+def _ranked(dets, class_id):
+    return sorted((d for d in dets if d.class_id == class_id),
+                  key=lambda d: (-d.score, d.image_id, d.box.x1, d.box.y1,
+                                 d.box.x2, d.box.y2))
+
+
+def interp_ap_oracle(points, recall, precision):
+    total = 0.0
+    for point in points:
+        best = 0.0
+        for r, p in zip(recall, precision):
+            if r >= point and p > best:
+                best = p
+        total += best
+    return total / len(points)
+
+
+def voc_oracle(dets, gts, class_id, iou_thresh, use_difficult):
+    """Literal PASCAL protocol: argmax IoU first, then threshold and flags."""
+    gt_list = [g for g in gts if g.class_id == class_id]
+    npos = sum(1 for g in gt_list if use_difficult or not g.difficult)
+    if npos == 0:
+        return None
+    claimed = set()
+    tps, fps = [], []
+    for d in _ranked(dets, class_id):
+        best, best_ov = None, 0.0
+        for i, g in enumerate(gt_list):
+            if g.image_id != d.image_id:
+                continue
+            ov = evaluation.iou(d.box, g.box)
+            if ov > best_ov:
+                best, best_ov = i, ov
+        if best is not None and best_ov >= iou_thresh:
+            if gt_list[best].difficult and not use_difficult:
+                continue  # neither credit nor penalty
+            if best in claimed:
+                tps.append(0)
+                fps.append(1)
+            else:
+                claimed.add(best)
+                tps.append(1)
+                fps.append(0)
+        else:
+            tps.append(0)
+            fps.append(1)
+    tp = np.cumsum(tps)
+    fp = np.cumsum(fps)
+    return interp_ap_oracle(
+        [i / 10 for i in range(11)], tp / npos, tp / np.maximum(tp + fp, 1)
+    )
+
+
+def in_bucket_oracle(box, bucket):
+    area = (box.x2 - box.x1) * (box.y2 - box.y1)
+    return {"all": True, "small": area < 32 * 32, "medium": 32 * 32 <= area <= 96 * 96,
+            "large": area > 96 * 96}[bucket]
+
+
+def coco_oracle(dets, gts, class_id, thresh, bucket):
+    """COCO protocol for one class and IoU threshold, over the size bucket
+    ``"all"``, ``"small"``, ``"medium"`` or ``"large"``: ground truth
+    outside the bucket is ignored like difficult ground truth, and a
+    detection outside it that matches nothing is ignored rather than
+    counted as a false positive."""
+    gt_list = [g for g in gts if g.class_id == class_id]
+    ignored = [g.difficult or not in_bucket_oracle(g.box, bucket) for g in gt_list]
+    npos = ignored.count(False)
+    if npos == 0:
+        return None
+    claimed = set()
+    flags = []
+    for d in _ranked(dets, class_id):
+        best = {False: (0.0, None), True: (0.0, None)}
+        for i, g in enumerate(gt_list):
+            if g.image_id != d.image_id or i in claimed:
+                continue
+            ov = evaluation.iou(d.box, g.box)
+            if ov < thresh:
+                continue
+            if ov > best[ignored[i]][0]:
+                best[ignored[i]] = (ov, i)
+        if best[False][1] is not None:
+            claimed.add(best[False][1])
+            flags.append(1)
+        elif best[True][1] is not None:
+            claimed.add(best[True][1])
+        elif in_bucket_oracle(d.box, bucket):
+            flags.append(0)
+    if not flags:
+        return 0.0
+    tp = np.cumsum(flags)
+    fp = np.cumsum([1 - f for f in flags])
+    return interp_ap_oracle(
+        [i / 100 for i in range(101)], tp / npos, tp / np.maximum(tp + fp, 1e-12)
+    )

@@ -25,7 +25,16 @@ from depthkit import (
 )
 from depthkit.arch import Lcg, build_architecture, count_parameters, execute_forward, propagate_shapes
 from depthkit.geometry import backproject_grid
-from eval_rows import Box, Det, Gt, det_record, gt_record
+from eval_rows import (
+    Box,
+    Det,
+    Gt,
+    coco_oracle,
+    det_record,
+    gt_record,
+    interp_ap_oracle,
+    voc_oracle,
+)
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "fixtures")
 
@@ -64,8 +73,7 @@ _PARAM_TARGETS = {
 
 def _param_report(variant, backbone):
     graph = build_architecture(variant, backbone)
-    propagate_shapes(graph, (3, 600, 800), 300)
-    return count_parameters(graph)
+    return count_parameters(graph, propagate_shapes(graph, (3, 600, 800), 300))
 
 
 @criterion("criterion 1 (parameter budgets)")
@@ -108,26 +116,25 @@ def test_shape_contracts():
     graphs = {}
     for variant, backbone in cases:
         g = build_architecture(variant, backbone)
-        propagate_shapes(g, (3, 600, 800), 300)
-        graphs[(variant, backbone)] = g
+        graphs[(variant, backbone)] = g, propagate_shapes(g, (3, 600, 800), 300)
 
-    g = graphs[("raw-LC", "vgg16")]
+    g, shapes = graphs[("raw-LC", "vgg16")]
     det = next(n for n, s in g.nodes.items() if s.kind == "det_head")
-    assert g.shapes[f"{g.sources[det][0]}:out"] == (300, 8192)
+    assert shapes[f"{g.sources[det][0]}:out"] == (300, 8192)
 
-    g = graphs[("raw-MC", "resnet101")]
-    assert g.shapes["fuse/concat:out"] == (300, 2048, 7, 7)
+    g, shapes = graphs[("raw-MC", "resnet101")]
+    assert shapes["fuse/concat:out"] == (300, 2048, 7, 7)
 
-    g = graphs[("proc-EC", "resnet101")]
-    assert g.shapes["fuse/concat:out"] == (2048, 38, 50)
-    assert g.shapes["fuse/reduce:out"] == (1024, 38, 50)
+    g, shapes = graphs[("proc-EC", "resnet101")]
+    assert shapes["fuse/concat:out"] == (2048, 38, 50)
+    assert shapes["fuse/reduce:out"] == (1024, 38, 50)
 
     # the same graphs run numerically on 64x64 inputs; every emitted
     # tensor must carry the shape the propagator predicted
     rois = np.array([[0.0, 0.0, 32.0, 32.0], [8.0, 8.0, 64.0, 64.0]])
     for variant, backbone in cases:
         g = build_architecture(variant, backbone)
-        propagate_shapes(g, (3, 64, 64), len(rois))
+        shapes = propagate_shapes(g, (3, 64, 64), len(rois))
         filler = Lcg(1)
         inputs = {}
         for name, ispec in g.inputs.items():
@@ -139,7 +146,7 @@ def test_shape_contracts():
         outputs = execute_forward(g, inputs, seed=0)
         assert outputs, (variant, backbone)
         for key, arr in outputs.items():
-            assert arr.shape == g.shapes[key], (variant, backbone, key)
+            assert arr.shape == shapes[key], (variant, backbone, key)
             assert np.all(np.isfinite(arr)), (variant, backbone, key)
     elapsed = time.perf_counter() - t0
     assert elapsed < 5.0, f"took {elapsed:.2f}s"
@@ -217,92 +224,6 @@ def _rand_scene(rng):
     return dets, gts, n_classes
 
 
-def _interp_ap_oracle(points, recall, precision):
-    total = 0.0
-    for point in points:
-        best = 0.0
-        for r, p in zip(recall, precision):
-            if r >= point and p > best:
-                best = p
-        total += best
-    return total / len(points)
-
-
-def _voc_oracle(dets, gts, class_id, iou_thresh, use_difficult):
-    """Literal PASCAL protocol: argmax IoU first, then threshold and flags."""
-    gt_list = [g for g in gts if g.class_id == class_id]
-    npos = sum(1 for g in gt_list if use_difficult or not g.difficult)
-    if npos == 0:
-        return None
-    order = sorted((d for d in dets if d.class_id == class_id),
-                   key=lambda d: (-d.score, d.image_id, d.box.x1, d.box.y1,
-                                  d.box.x2, d.box.y2))
-    claimed = set()
-    tps, fps = [], []
-    for d in order:
-        best, best_ov = None, 0.0
-        for i, g in enumerate(gt_list):
-            if g.image_id != d.image_id:
-                continue
-            ov = evaluation.iou(d.box, g.box)
-            if ov > best_ov:
-                best, best_ov = i, ov
-        if best is not None and best_ov >= iou_thresh:
-            if gt_list[best].difficult and not use_difficult:
-                continue  # neither credit nor penalty
-            if best in claimed:
-                tps.append(0)
-                fps.append(1)
-            else:
-                claimed.add(best)
-                tps.append(1)
-                fps.append(0)
-        else:
-            tps.append(0)
-            fps.append(1)
-    tp = np.cumsum(tps)
-    fp = np.cumsum(fps)
-    return _interp_ap_oracle(
-        [i / 10 for i in range(11)], tp / npos, tp / np.maximum(tp + fp, 1)
-    )
-
-
-def _coco_oracle(dets, gts, class_id, thresh):
-    gt_list = [g for g in gts if g.class_id == class_id]
-    npos = sum(1 for g in gt_list if not g.difficult)
-    if npos == 0:
-        return None
-    order = sorted((d for d in dets if d.class_id == class_id),
-                   key=lambda d: (-d.score, d.image_id, d.box.x1, d.box.y1,
-                                  d.box.x2, d.box.y2))
-    claimed = set()
-    flags = []
-    for d in order:
-        best = {False: (0.0, None), True: (0.0, None)}
-        for i, g in enumerate(gt_list):
-            if g.image_id != d.image_id or i in claimed:
-                continue
-            ov = evaluation.iou(d.box, g.box)
-            if ov < thresh:
-                continue
-            if ov > best[g.difficult][0]:
-                best[g.difficult] = (ov, i)
-        if best[False][1] is not None:
-            claimed.add(best[False][1])
-            flags.append(1)
-        elif best[True][1] is not None:
-            claimed.add(best[True][1])
-        else:
-            flags.append(0)
-    if not flags:
-        return 0.0
-    tp = np.cumsum(flags)
-    fp = np.cumsum([1 - f for f in flags])
-    return _interp_ap_oracle(
-        [i / 100 for i in range(101)], tp / npos, tp / np.maximum(tp + fp, 1e-12)
-    )
-
-
 @criterion("criterion 4 (oracle equivalence)")
 def test_oracle_equivalence():
     rng = np.random.default_rng(20260819)
@@ -316,7 +237,7 @@ def test_oracle_equivalence():
         for cid in range(n_classes):
             for use_difficult in (False, True):
                 got = evaluation.mean_ap(det_rec, gt_rec, [cid], 0.5, use_difficult)[1][cid]
-                want = _voc_oracle(dets, gts, cid, 0.5, use_difficult)
+                want = voc_oracle(dets, gts, cid, 0.5, use_difficult)
                 if want is None:
                     assert got is None, trial
                 else:
@@ -333,7 +254,7 @@ def test_oracle_equivalence():
                 cells = [
                     v
                     for t in thresholds
-                    for v in (_coco_oracle(dets, gts, cid, t) for cid in class_ids)
+                    for v in (coco_oracle(dets, gts, cid, t, "all") for cid in class_ids)
                     if v is not None
                 ]
                 want = sum(cells) / len(cells) if cells else None
@@ -356,52 +277,6 @@ def test_oracle_equivalence():
         assert np.array_equal(ab.counts, -ba.counts), trial
         assert np.array_equal(ab.fn, -ba.fn), trial
     return f"voc x{checked_voc} and coco x{checked_coco} within 1e-9"
-
-
-def _in_bucket_oracle(box, bucket):
-    area = (box.x2 - box.x1) * (box.y2 - box.y1)
-    return {"small": area < 32 * 32, "medium": 32 * 32 <= area <= 96 * 96,
-            "large": area > 96 * 96}[bucket]
-
-
-def _coco_bucket_oracle(dets, gts, class_id, thresh, bucket):
-    """``_coco_oracle`` with a size bucket: ground truth outside it is
-    ignored like difficult ground truth, and a detection outside it that
-    matches nothing is ignored rather than counted as a false positive."""
-    gt_list = [g for g in gts if g.class_id == class_id]
-    ignored = [g.difficult or not _in_bucket_oracle(g.box, bucket) for g in gt_list]
-    npos = ignored.count(False)
-    if npos == 0:
-        return None
-    order = sorted((d for d in dets if d.class_id == class_id),
-                   key=lambda d: (-d.score, d.image_id, d.box.x1, d.box.y1,
-                                  d.box.x2, d.box.y2))
-    claimed = set()
-    flags = []
-    for d in order:
-        best = {False: (0.0, None), True: (0.0, None)}
-        for i, g in enumerate(gt_list):
-            if g.image_id != d.image_id or i in claimed:
-                continue
-            ov = evaluation.iou(d.box, g.box)
-            if ov < thresh:
-                continue
-            if ov > best[ignored[i]][0]:
-                best[ignored[i]] = (ov, i)
-        if best[False][1] is not None:
-            claimed.add(best[False][1])
-            flags.append(1)
-        elif best[True][1] is not None:
-            claimed.add(best[True][1])
-        elif _in_bucket_oracle(d.box, bucket):
-            flags.append(0)
-    if not flags:
-        return 0.0
-    tp = np.cumsum(flags)
-    fp = np.cumsum([1 - f for f in flags])
-    return _interp_ap_oracle(
-        [i / 100 for i in range(101)], tp / npos, tp / np.maximum(tp + fp, 1e-12)
-    )
 
 
 def _bucket_scene(rng):
@@ -442,7 +317,7 @@ def test_size_buckets_match_oracle():
             cells = [
                 v
                 for t in evaluation.COCO_THRESHOLDS
-                for v in (_coco_bucket_oracle(dets, gts, cid, t, bucket) for cid in class_ids)
+                for v in (coco_oracle(dets, gts, cid, t, bucket) for cid in class_ids)
                 if v is not None
             ]
             got = summary[f"ap_{bucket}"]
@@ -463,7 +338,7 @@ def test_interpolation_matches_oracle_on_random_flags():
         tp = np.cumsum(flags)
         fp = np.cumsum([1 - f for f in flags])
         for points in ([i / 10 for i in range(11)], [i / 100 for i in range(101)]):
-            want = _interp_ap_oracle(points, tp / npos, tp / np.maximum(tp + fp, 1))
+            want = interp_ap_oracle(points, tp / npos, tp / np.maximum(tp + fp, 1))
             # one run with every entry kept
             hits = np.array(flags, dtype=bool)
             got = evaluation._interp_runs(hits, np.ones_like(hits), np.array([len(hits)]),
@@ -486,7 +361,7 @@ def test_ranked_runs_with_left_out_entries_match_oracle():
         for run, (lo, hi) in enumerate(zip(ends - lengths, ends)):
             flags = tp[lo:hi][kept[lo:hi]].astype(int)
             cum_tp = np.cumsum(flags)
-            want = _interp_ap_oracle(points, cum_tp / npos[run],
+            want = interp_ap_oracle(points, cum_tp / npos[run],
                                      cum_tp / np.arange(1, len(flags) + 1))
             assert got[run] == want, (trial, run)
 
@@ -639,23 +514,22 @@ def test_array_matchers_equal_oracles_on_edge_scenes():
         class_ids = [0, 1, 2, 3]
         det_rec, gt_rec = det_record(dets), gt_record(gts)
         summary = evaluation.coco_ap(det_rec, gt_rec, class_ids)
-        for key, thresholds, oracle in (
-            ("ap", evaluation.COCO_THRESHOLDS, _coco_oracle),
-            ("ap50", [0.5], _coco_oracle),
-            ("ap75", [0.75], _coco_oracle),
+        for key, thresholds, bucket in (
+            ("ap", evaluation.COCO_THRESHOLDS, "all"),
+            ("ap50", [0.5], "all"),
+            ("ap75", [0.75], "all"),
             ("ap_small", evaluation.COCO_THRESHOLDS, "small"),
             ("ap_medium", evaluation.COCO_THRESHOLDS, "medium"),
             ("ap_large", evaluation.COCO_THRESHOLDS, "large"),
         ):
             cells = [
                 v for t in thresholds for cid in class_ids
-                if (v := (oracle(dets, gts, cid, t) if callable(oracle)
-                          else _coco_bucket_oracle(dets, gts, cid, t, oracle))) is not None
+                if (v := coco_oracle(dets, gts, cid, t, bucket)) is not None
             ]
             assert summary[key] == (sum(cells) / len(cells) if cells else None), (trial, key)
         for use_difficult in (False, True):
             got_map, per_class = evaluation.mean_ap(det_rec, gt_rec, class_ids, 0.5, use_difficult)
-            want = {cid: _voc_oracle(dets, gts, cid, 0.5, use_difficult) for cid in class_ids}
+            want = {cid: voc_oracle(dets, gts, cid, 0.5, use_difficult) for cid in class_ids}
             assert per_class == want, (trial, use_difficult)
             defined = [v for v in want.values() if v is not None]
             assert got_map == (sum(defined) / len(defined) if defined else None)

@@ -1,4 +1,5 @@
 """Seeded numeric execution: generator stream, kernels, full forwards."""
+import copy
 import tracemalloc
 
 import numpy as np
@@ -147,6 +148,13 @@ def test_different_seeds_differ():
 
 def test_zero_draws():
     assert Lcg(5).draws(0).size == 0
+
+
+@pytest.mark.parametrize("seed", [-1, M64])
+def test_seed_outside_64_bits_is_rejected(seed):
+    # no silent reduction mod 2^64: -1 would run with the weights of 2^64 - 1
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\^64 - 1\]"):
+        Lcg(seed)
 
 
 # ------------------------------------------------------------------ kernels
@@ -389,17 +397,16 @@ def _toy_inputs(graph, h, w, seed=99):
 def test_forward_shapes_match_propagation(variant):
     graph = build_architecture(variant, "vgg16")
     h = w = 64
-    propagate_shapes(graph, (3, h, w), 2)
+    shapes = propagate_shapes(graph, (3, h, w), 2)
     outputs = execute_forward(graph, _toy_inputs(graph, h, w), seed=0)
     assert set(outputs) == {"det:scores", "det:deltas", "rpn:objectness", "rpn:deltas"}
     for key, arr in outputs.items():
-        assert arr.shape == graph.shapes[key], key
+        assert arr.shape == shapes[key], key
         assert np.isfinite(arr).all()
 
 
 def test_forward_is_bitwise_deterministic():
     graph = build_architecture("baseline", "vgg16")
-    propagate_shapes(graph, (3, 64, 64), 2)
     inputs = _toy_inputs(graph, 64, 64)
     a = execute_forward(graph, inputs, seed=5)
     b = execute_forward(graph, inputs, seed=5)
@@ -409,7 +416,6 @@ def test_forward_is_bitwise_deterministic():
 
 def test_forward_seed_changes_outputs():
     graph = build_architecture("baseline", "vgg16")
-    propagate_shapes(graph, (3, 64, 64), 2)
     inputs = _toy_inputs(graph, 64, 64)
     a = execute_forward(graph, inputs, seed=0)
     b = execute_forward(graph, inputs, seed=1)
@@ -440,6 +446,20 @@ def test_forward_propagates_shapes_itself():
     assert outputs["det:scores"].shape == (2, 21)
 
 
+def test_forward_rejects_a_negative_seed():
+    graph = build_architecture("baseline", "vgg16")
+    with pytest.raises(ValueError, match="seed"):
+        execute_forward(graph, _toy_inputs(graph, 32, 32), seed=-1)
+
+
+def test_forward_leaves_the_graph_unchanged():
+    # a forward's 64x64 shapes must not leak into later exports of the graph
+    graph = build_architecture("raw-EC", "vgg16")
+    before = copy.deepcopy(graph)
+    execute_forward(graph, _toy_inputs(graph, 64, 64), seed=0)
+    assert graph == before
+
+
 @pytest.mark.parametrize("backbone", BACKBONES)
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_drawn_values_equal_counted_parameters(monkeypatch, variant, backbone):
@@ -457,7 +477,8 @@ def test_drawn_values_equal_counted_parameters(monkeypatch, variant, backbone):
     execute_forward(graph, inputs, seed=0)
     bn = sum(2 * s.out_channels for s in graph.nodes.values()
              if s.kind == "conv2d" and s.batch_norm)
-    assert sum(drawn) == count_parameters(graph).total - bn
+    shapes = propagate_shapes(graph, (3, 32, 32), 2)
+    assert sum(drawn) == count_parameters(graph, shapes).total - bn
 
 
 def test_forward_memory_is_bounded_by_the_input():

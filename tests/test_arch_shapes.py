@@ -9,7 +9,6 @@ from depthkit.arch import (
     ArchGraph,
     LayerSpec,
     StructuralError,
-    StateError,
     build_architecture,
     propagate_shapes,
     shape_rows,
@@ -33,10 +32,10 @@ def test_variant_and_backbone_catalogs():
 @pytest.mark.parametrize("backbone", sorted(BACKBONES))
 def test_all_variants_validate_and_propagate(variant, backbone):
     graph = build_architecture(variant, backbone)
-    propagate_shapes(graph, *FULL)
+    shapes = propagate_shapes(graph, *FULL)
     for name, spec in graph.nodes.items():
         for port in spec.output_ports():
-            assert f"{name}:{port}" in graph.shapes
+            assert f"{name}:{port}" in shapes
 
 
 def test_unknown_kind_rejected():
@@ -91,25 +90,19 @@ def test_edges_always_point_backward():
             assert order[src] < order[dst], (src, dst, slot)
 
 
-def test_shape_queries_require_propagation():
-    graph = build_architecture("baseline", "vgg16")
-    with pytest.raises(StateError):
-        graph.shape_of("det", "scores")
-
-
 # ------------------------------------------------------------- propagation
 
 def test_vgg16_feature_map_shape():
     graph = build_architecture("baseline", "vgg16")
-    propagate_shapes(graph, *FULL)
+    shapes = propagate_shapes(graph, *FULL)
     # four 2x2 pools: 600x800 -> 37x50
-    assert graph.shape_of("rgb_bb/relu5_3") == (512, 37, 50)
+    assert shapes["rgb_bb/relu5_3:out"] == (512, 37, 50)
 
 
 def test_resnet101_feature_map_shape():
     graph = build_architecture("baseline", "resnet101")
-    propagate_shapes(graph, *FULL)
-    assert graph.shape_of("rgb_bb/l3.b23.relu") == (1024, 38, 50)
+    shapes = propagate_shapes(graph, *FULL)
+    assert shapes["rgb_bb/l3.b23.relu:out"] == (1024, 38, 50)
 
 
 def test_head_input_is_rois_by_features():
@@ -123,34 +116,34 @@ def test_head_input_is_rois_by_features():
     }
     for (variant, backbone), expected in cases.items():
         graph = build_architecture(variant, backbone)
-        propagate_shapes(graph, *FULL)
-        got = graph.shapes[f"{graph.sources['det'][0]}:out"]
+        shapes = propagate_shapes(graph, *FULL)
+        got = shapes[f"{graph.sources['det'][0]}:out"]
         assert got == expected, (variant, backbone, got)
 
 
 def test_feature_concat_before_rpn():
     # EC runs two full backbones and fuses their feature maps
     graph = build_architecture("proc-EC", "vgg16")
-    propagate_shapes(graph, *FULL)
-    assert graph.shape_of("fuse/concat") == (1024, 37, 50)
-    assert graph.shape_of("fuse/reduce") == (512, 37, 50)
+    shapes = propagate_shapes(graph, *FULL)
+    assert shapes["fuse/concat:out"] == (1024, 37, 50)
+    assert shapes["fuse/reduce:out"] == (512, 37, 50)
     assert graph.sources["rpn"][0] == "fuse/reduce"
 
 
 def test_roi_level_concat_keeps_backbone_width():
     # MC pools each stream separately and fuses per region
     graph = build_architecture("proc-MC", "resnet101")
-    propagate_shapes(graph, *FULL)
-    assert graph.shape_of("fuse/concat") == (300, 2048, 7, 7)
-    assert graph.shape_of("fuse/reduce") == (300, 1024, 7, 7)
+    shapes = propagate_shapes(graph, *FULL)
+    assert shapes["fuse/concat:out"] == (300, 2048, 7, 7)
+    assert shapes["fuse/reduce:out"] == (300, 1024, 7, 7)
 
 
 def test_late_concat_appends_depth_vector():
     graph = build_architecture("raw-LC", "vgg16")
-    propagate_shapes(graph, *FULL)
-    assert graph.shape_of("fuse/resize") == (1, 64, 64)
-    assert graph.shape_of("fuse/flatten") == (4096,)
-    assert graph.shape_of("fuse/repeat") == (300, 4096)
+    shapes = propagate_shapes(graph, *FULL)
+    assert shapes["fuse/resize:out"] == (1, 64, 64)
+    assert shapes["fuse/flatten:out"] == (4096,)
+    assert shapes["fuse/repeat:out"] == (300, 4096)
 
 
 def test_raw_input_is_single_channel():
@@ -181,16 +174,16 @@ def test_prior_late_has_second_rpn():
 
 def test_rpn_outputs_anchor_channels():
     graph = build_architecture("baseline", "vgg16")
-    propagate_shapes(graph, *FULL)
-    assert graph.shape_of("rpn", "objectness") == (18, 37, 50)
-    assert graph.shape_of("rpn", "deltas") == (36, 37, 50)
+    shapes = propagate_shapes(graph, *FULL)
+    assert shapes["rpn:objectness"] == (18, 37, 50)
+    assert shapes["rpn:deltas"] == (36, 37, 50)
 
 
 def test_det_head_outputs():
     graph = build_architecture("baseline", "resnet101", num_classes=21)
-    propagate_shapes(graph, *FULL)
-    assert graph.shape_of("det", "scores") == (300, 21)
-    assert graph.shape_of("det", "deltas") == (300, 84)
+    shapes = propagate_shapes(graph, *FULL)
+    assert shapes["det:scores"] == (300, 21)
+    assert shapes["det:deltas"] == (300, 84)
 
 
 def _tiny_detector(pad_b: int) -> ArchGraph:
@@ -211,8 +204,8 @@ def _tiny_detector(pad_b: int) -> ArchGraph:
 
 def test_propagation_rejects_mismatched_concat():
     good = _tiny_detector(pad_b=1)
-    propagate_shapes(good, (3, 32, 32), 4)
-    assert good.shape_of("cat") == (8, 32, 32)
+    shapes = propagate_shapes(good, (3, 32, 32), 4)
+    assert shapes["cat:out"] == (8, 32, 32)
     bad = _tiny_detector(pad_b=0)
     with pytest.raises(StructuralError):
         propagate_shapes(bad, (3, 32, 32), 4)
@@ -235,8 +228,8 @@ def test_collapsed_spatial_extent_is_an_error():
 
 def test_shape_rows_include_landmarks():
     graph = build_architecture("proc-MC", "resnet101")
-    propagate_shapes(graph, *FULL)
-    rows = shape_rows(graph)
+    shapes = propagate_shapes(graph, *FULL)
+    rows = shape_rows(graph, shapes)
     by_name = dict(rows)
     assert by_name["head_input"] == (300, 2048)
     assert by_name["fused"] == (300, 2048, 7, 7)
@@ -246,7 +239,7 @@ def test_shape_rows_include_landmarks():
 def test_dot_before_propagation_is_the_dot_without_edge_shapes():
     graph = build_architecture("hdha-split", "resnet101")
     bare = to_dot(graph)
-    propagate_shapes(graph, *FULL)
-    stripped, n = re.subn(r'(-> "[^"]+") \[label="[^"]*"\];', r"\1;", to_dot(graph))
+    shapes = propagate_shapes(graph, *FULL)
+    stripped, n = re.subn(r'(-> "[^"]+") \[label="[^"]*"\];', r"\1;", to_dot(graph, shapes))
     assert n == len(list(graph.edges()))
     assert bare == stripped

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from eval_rows import Box, Det, Gt, det_record, gt_record
+from eval_rows import Box, Det, Gt, det_record, gt_record, voc_oracle
 
 from depthkit import evaluation as ev
 from depthkit.netpbm import ParseError
@@ -46,47 +46,6 @@ def test_non_finite_boxes_rejected(corners):
 
 # ------------------------------------------------------------------ VOC AP
 
-def _voc_ap_reference(dets, gts, class_id, thresh=0.5, use_difficult=False):
-    """Literal PASCAL protocol, written for clarity over speed."""
-    gt_list = [g for g in gts if g.class_id == class_id]
-    npos = sum(1 for g in gt_list if use_difficult or not g.difficult)
-    if npos == 0:
-        return None
-    claimed = set()
-    order = sorted((d for d in dets if d.class_id == class_id),
-                   key=lambda d: (-d.score, d.image_id, d.box.x1, d.box.y1,
-                                  d.box.x2, d.box.y2))
-    tps, fps = [], []
-    for det in order:
-        best, best_ov = None, 0.0
-        for idx, gt in enumerate(gt_list):
-            if gt.image_id != det.image_id:
-                continue
-            ov = ev.iou(det.box, gt.box)
-            if ov > best_ov:
-                best, best_ov = idx, ov
-        if best is not None and best_ov >= thresh:
-            if gt_list[best].difficult and not use_difficult:
-                continue  # neither credit nor penalty
-            if best in claimed:
-                tps.append(0); fps.append(1)
-            else:
-                claimed.add(best)
-                tps.append(1); fps.append(0)
-        else:
-            tps.append(0); fps.append(1)
-    ap = 0.0
-    tp = fp = 0
-    curve = []
-    for t, f in zip(tps, fps):
-        tp += t; fp += f
-        curve.append((tp / npos, tp / (tp + fp)))
-    for r in [i / 10 for i in range(11)]:
-        precs = [p for rec, p in curve if rec >= r]
-        ap += max(precs) if precs else 0.0
-    return ap / 11
-
-
 def _random_scene(rng, n_images=4, n_classes=3, n_gts=12, n_dets=25):
     gts, dets = [], []
     for _ in range(n_gts):
@@ -119,7 +78,7 @@ def test_voc_ap_matches_reference_on_many_scenes():
             for use_difficult in (False, True):
                 got = ev.mean_ap(det_record(dets), gt_record(gts), [cls], 0.5,
                                  use_difficult)[1][cls]
-                want = _voc_ap_reference(dets, gts, cls, 0.5, use_difficult)
+                want = voc_oracle(dets, gts, cls, 0.5, use_difficult)
                 if want is None:
                     assert got is None
                 else:

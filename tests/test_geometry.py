@@ -300,6 +300,55 @@ def test_gravity_default_seed_is_camera_down():
     assert est.direction @ [0.0, 1.0, 0.0] > 0.99
 
 
+def _pitched_room(pitch, h=120, w=160):
+    """A noise-free room ray-cast through a camera pitched down by ``pitch``
+    radians, after the benchmark corpus's rule: floor, ceiling, back wall
+    and two side walls of a level room, no boxes, no holes.  Returns the
+    depth map, its intrinsics and the mask of floor pixels."""
+    cam = CameraIntrinsics(fx=131.25, fy=131.25, cx=(w - 1) / 2, cy=(h - 1) / 2)
+    cam_h, half_w, offset, back = 1.3, 2.2, 0.3, 6.0
+    ceiling = cam_h - 2.7
+    # rays in the camera frame (x right, y down, z forward, unit z), then
+    # into a level world frame by the downward pitch about x
+    dx = np.broadcast_to(((np.arange(w) - cam.cx) / cam.fx)[None, :], (h, w))
+    dy_c = np.broadcast_to(((np.arange(h) - cam.cy) / cam.fy)[:, None], (h, w))
+    c, s = np.cos(pitch), np.sin(pitch)
+    dy = c * dy_c + s
+    dz = -s * dy_c + c
+    # a ray's camera-frame z is 1, so the depth of a hit is its parameter t
+    t = np.full((h, w), np.inf)
+    plane_id = np.full((h, w), -1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i, (plane, d) in enumerate(((cam_h, dy), (ceiling, dy), (back, dz),
+                                        (offset - half_w, dx), (offset + half_w, dx))):
+            hit = plane / d
+            nearer = (hit > 0) & (hit < t)
+            t = np.where(nearer, hit, t)
+            plane_id[nearer] = i
+    return DepthMap(t), cam, plane_id == 0
+
+
+@pytest.mark.parametrize("pitch_deg", [5.0, 12.5, 20.0])
+def test_gravity_and_floor_normals_match_a_pitched_room(pitch_deg):
+    pitch = np.deg2rad(pitch_deg)
+    depth, cam, floor = _pitched_room(pitch)
+    normals, valid = _kernels.normals_from_points(backproject_grid(depth, cam), depth.valid, 25)
+    assert valid.all()
+    est = estimate_gravity(normals, valid)
+    truth = np.array([0.0, np.cos(pitch), np.sin(pitch)])
+    off = np.rad2deg(np.arccos(min(float(est.direction @ truth), 1.0)))
+    assert off < 0.1, f"gravity {off:.4f} degrees off"
+    assert est.converged and est.iterations <= 5
+    # k = 25 on a fully valid map: a 5x5 window, whole inside the image two
+    # pixels in from its edge; keep the pixels whose window is all floor
+    core = np.zeros_like(floor)
+    core[2:-2, 2:-2] = np.lib.stride_tricks.sliding_window_view(floor, (5, 5)).all(axis=(2, 3))
+    assert core.sum() > 1000
+    # a camera-facing floor normal points up, against gravity
+    cos = np.clip(normals[core] @ -truth, -1.0, 1.0)
+    assert np.rad2deg(np.arccos(cos)).max() < 0.1
+
+
 def _gravity_cases():
     depth, _ = _floor_wall_scene()
     normals, valid = _kernels.normals_from_points(backproject_grid(depth, CAM), depth.valid, 25)
