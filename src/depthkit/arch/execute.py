@@ -29,9 +29,16 @@ every one (conv, proposal head, fc, detection head) goes through one
 streamed product, drawn and multiplied one row block at a time (whole
 multiples of ``WEIGHT_ROW_ALIGN`` rows, about ``WEIGHT_BLOCK_VALUES``
 values); a conv weight is a run of output-channel rows over its
-im2col columns.  The generator holds ``BLOCK`` states.  Peak memory is
-thus the live activations plus one row block: it is set by the input,
-not by the parameter count.
+im2col columns.  No im2col matrix is built whole either: each row block
+multiplies tile after tile of whole output rows, each tile about
+``TILE_VALUES`` values and spanning batch items, as MEC lowers a
+convolution without the whole lowered matrix (Cho and Brand 2017,
+arXiv:1706.06873).  The generator holds ``BLOCK`` states.  Peak memory
+is thus the live activations, plus one weight row block, plus one
+im2col tile: it is set by the input, not by the parameter count.  A
+64x64 ``raw-LC/vgg16`` forward peaks at about 14 MiB of numpy
+allocations (25 MiB with whole im2col matrices), a 128x128 one at about
+27 MiB (97 MiB).
 """
 from __future__ import annotations
 
@@ -51,6 +58,9 @@ BLOCK = 1 << 16
 # multiples of WEIGHT_ROW_ALIGN rows
 WEIGHT_BLOCK_VALUES = 1 << 20
 WEIGHT_ROW_ALIGN = 64
+# a conv's im2col matrix is built about this many values at a time, in
+# whole output rows: 2 MiB of float64, one core's L2 cache
+TILE_VALUES = 1 << 18
 
 
 def _affine_power(n: int) -> tuple[int, int]:
@@ -118,21 +128,66 @@ class Lcg:
         return out
 
 
-def _streamed(x: np.ndarray, n_out: int, lcg: Lcg, bias: bool) -> np.ndarray:
+class _Im2col:
+    """The ``(N * OH * OW, C * k * k)`` im2col matrix of an ``(N, C, OH, OW, k, k)``
+    window view, never built whole.
+
+    Its output rows, counted across batch items, are split into as few
+    tiles of at most ``TILE_VALUES`` values as possible, whose row counts
+    differ by at most one.  No tile is a small remainder, so at the
+    executor's layer sizes every tile's product takes the same OpenBLAS
+    kernel as the whole matrix's: the small-matrix kernel, which sums in
+    another order, takes only products of at most 1,200 outputs and 10^6
+    multiply-adds (OpenBLAS 0.3.31 on AVX-512 cores).  Each tile is
+    copied into one buffer; a matrix that fits one tile is copied once.
+    """
+
+    def __init__(self, view: np.ndarray):
+        self.view = view.transpose(0, 2, 3, 1, 4, 5)
+        n, oh, ow = self.view.shape[:3]
+        self.shape = (n * oh * ow, self.view[0, 0, 0].size)
+        count = -(-n * oh // max(1, TILE_VALUES // (ow * self.shape[1])))
+        self.bounds = [i * n * oh // count for i in range(count + 1)]
+        self._buf = np.empty((-(-n * oh // count),) + self.view.shape[2:])
+        self._held = None  # first output row of the tile in the buffer
+
+    def tiles(self, out: np.ndarray):
+        """Yield each tile with the rows of ``out`` it multiplies into."""
+        oh, ow = self.view.shape[1:3]
+        spans = list(zip(self.bounds, self.bounds[1:]))
+        if self._held == spans[-1][0]:
+            spans.reverse()  # start from the tile the buffer holds
+        for g, end in spans:
+            if self._held != g:
+                for b in range(g // oh, (end - 1) // oh + 1):
+                    lo, hi = max(g, b * oh), min(end, (b + 1) * oh)
+                    self._buf[lo - g : hi - g] = self.view[b, lo - b * oh : hi - b * oh]
+                self._held = g
+            yield self._buf[: end - g].reshape(-1, self.shape[1]), out[g * ow : end * ow]
+
+
+def _streamed(x: np.ndarray | _Im2col, n_out: int, lcg: Lcg, bias: bool) -> np.ndarray:
     """``x @ w.T (+ b)`` with ``w`` ``(n_out, x.shape[-1])`` drawn one row block at a time.
 
-    Rows come off the stream in C order, then any bias, as
-    ``LayerSpec.weight_shapes`` lists them.  OpenBLAS picks its kernel by
-    the block's row count: blocks of a multiple of 64 rows reproduce the
-    whole-matrix product bit for bit, other counts (1, 7, 33, ...) may
-    differ in the last bits.  ``out=`` spares a temporary per block.
+    ``x`` is an array, one tile, or an ``_Im2col`` that yields its rows in
+    tiles.  Each row block is drawn once and multiplied into every tile's
+    rows of the output, then released before the next draw.  Rows come off
+    the stream in C order, then any bias, as ``LayerSpec.weight_shapes``
+    lists them.  OpenBLAS picks its kernel by the block's row count:
+    blocks of a multiple of 64 rows reproduce the whole-matrix product bit
+    for bit, other counts (1, 7, 33, ...) may differ in the last bits.
+    ``out=`` spares a temporary per product.
     """
+    tiles = x.tiles if isinstance(x, _Im2col) else lambda out: [(x, out)]
     n_in = x.shape[-1]
     rows = WEIGHT_ROW_ALIGN * max(1, WEIGHT_BLOCK_VALUES // (WEIGHT_ROW_ALIGN * n_in))
     out = np.empty(x.shape[:-1] + (n_out,))
     for r in range(0, n_out, rows):
         m = min(rows, n_out - r)
-        np.matmul(x, lcg.draws(m * n_in).reshape(m, n_in).T, out=out[..., r : r + m])
+        w = lcg.draws(m * n_in).reshape(m, n_in).T
+        for tile, tile_out in tiles(out):
+            np.matmul(tile, w, out=tile_out[..., r : r + m])
+        del w
     if bias:
         out += lcg.draws(n_out)
     return out
@@ -150,12 +205,18 @@ def _windows(x: np.ndarray, k: int, stride: int, pad: int, fill: float) -> np.nd
 def _conv2d(x: np.ndarray, c_out: int, k: int, bias: bool, lcg: Lcg,
             stride: int, pad: int) -> np.ndarray:
     """A ``(c_out, c_in, k, k)`` conv: in C order its weight is ``c_out``
-    rows in the im2col column order ``(c_in, k, k)``, streamed like fc rows."""
+    rows in the im2col column order ``(c_in, k, k)``, streamed like fc rows
+    over the im2col tiles, each tile one product for every batch item in it."""
     view = _windows(x, k, stride, pad, 0.0)
     n, _, oh, ow = view.shape[:4]
-    # im2col: one matmul per batch and row block keeps the contraction in BLAS
-    cols = view.transpose(0, 2, 3, 1, 4, 5).reshape(n, oh * ow, -1)
-    return _streamed(cols, c_out, lcg, bias).transpose(0, 2, 1).reshape(n, c_out, oh, ow)
+    if n == 1 and k == stride == 1 and not pad:
+        # one image through a 1x1, stride-1 conv: its channel planes,
+        # transposed, are the whole im2col matrix, with nothing to copy
+        cols = x[0].reshape(x.shape[1], -1).T
+    else:
+        cols = _Im2col(view)
+    out = _streamed(cols, c_out, lcg, bias)
+    return out.reshape(n, oh * ow, c_out).transpose(0, 2, 1).reshape(n, c_out, oh, ow)
 
 
 def _maxpool(x: np.ndarray, k: int, stride: int, pad: int) -> np.ndarray:

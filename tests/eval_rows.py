@@ -1,5 +1,9 @@
 """Detections and ground truth as rows, their column records as the
-loaders build them, and the brute-force VOC and COCO oracles over rows."""
+loaders build them, their JSON lines as the loaders read them, and the
+brute-force oracles over rows: VOC, COCO, confusion matrix and the
+greedy matcher."""
+import json
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -40,6 +44,13 @@ def det_record(rows) -> evaluation.DetRecord:
 def gt_record(rows) -> evaluation.GtRecord:
     return evaluation.GtRecord([r.image_id for r in rows], [r.class_id for r in rows],
                                [r.box for r in rows], [r.difficult for r in rows])
+
+
+def write_jsonl(path, records):
+    """Write each record as one JSON line, as the loaders read them."""
+    with open(path, "w") as fh:
+        for r in records:
+            fh.write(json.dumps(r) + "\n")
 
 
 def _ranked(dets, class_id):
@@ -138,3 +149,61 @@ def coco_oracle(dets, gts, class_id, thresh, bucket):
     return interp_ap_oracle(
         [i / 100 for i in range(101)], tp / npos, tp / np.maximum(tp + fp, 1e-12)
     )
+
+
+def coco_mean_oracle(dets, gts, class_ids, thresholds, bucket):
+    """The mean of the defined ``coco_oracle`` cells, thresholds outer and
+    classes inner, or None when no cell is defined."""
+    cells = [v for t in thresholds for cid in class_ids
+             if (v := coco_oracle(dets, gts, cid, t, bucket)) is not None]
+    return sum(cells) / len(cells) if cells else None
+
+
+def confusion_oracle(dets, gts, k, iou_thresh, score_thresh):
+    """Ground truth in input order, each taking the unmatched detection of
+    its image with the smallest (-score, x1, y1, x2, y2, index) key."""
+    counts = np.zeros((k, k), dtype=np.int64)
+    fn = np.zeros(k, dtype=np.int64)
+    strong = [d for d in dets if d.score >= score_thresh]
+    taken = set()
+    for gt in gts:
+        best = None
+        for j, d in enumerate(strong):
+            if d.image_id != gt.image_id or j in taken:
+                continue
+            if evaluation.iou(d.box, gt.box) < iou_thresh:
+                continue
+            key = (-d.score, d.box.x1, d.box.y1, d.box.x2, d.box.y2, j)
+            if best is None or key < best:
+                best = key
+        if best is None:
+            fn[gt.class_id] += 1
+        else:
+            taken.add(best[-1])
+            counts[gt.class_id, strong[best[-1]].class_id] += 1
+    return counts, fn
+
+
+def greedy_oracle(pairs, order, group, ignored, thresholds):
+    """Each group on its own, each of its queries in ``order`` taking the
+    first free candidate of highest value at or above the threshold; a
+    value is the IoU, less 1 where the plane ignores the candidate,
+    computed exactly."""
+    match = np.full((len(ignored), len(thresholds), len(pairs.count)), -1)
+    for plane, ign in enumerate(ignored):
+        for t, thresh in enumerate(thresholds):
+            for g in set(group.tolist()):
+                taken = set()
+                for q in (q for q in order.tolist() if group[q] == g):
+                    best = None
+                    for j in range(pairs.start[q], pairs.start[q] + pairs.count[q]):
+                        cand, iou = int(pairs.cand[j]), float(pairs.ious[j])
+                        if cand in taken or iou < thresh:
+                            continue
+                        value = Fraction(iou) - int(ign[cand])
+                        if best is None or value > best[0]:
+                            best = (value, cand)
+                    if best is not None:
+                        taken.add(best[1])
+                        match[plane, t, q] = best[1]
+    return match

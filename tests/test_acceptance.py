@@ -29,7 +29,8 @@ from eval_rows import (
     Box,
     Det,
     Gt,
-    coco_oracle,
+    coco_mean_oracle,
+    confusion_oracle,
     det_record,
     gt_record,
     interp_ap_oracle,
@@ -198,24 +199,26 @@ def test_encoding_endpoints():
 
 # ------------------------------------------------------------- criterion 4
 
-def _rand_scene(rng):
-    """Up to 50 boxes over up to 5 classes in a couple of images."""
-    n_classes = int(rng.integers(1, 6))
+def _rand_scene(rng, classes=5, boxes=50, extent=80.0, sides=lambda rng: rng.uniform(4, 60, 2),
+                difficult=0.2, copies=lambda rng: int(rng.random() < 0.6), jitter=6.0):
+    """Up to ``boxes`` boxes over up to ``classes`` classes in a couple of
+    images, then ``copies`` jittered detections of each ground truth."""
+    n_classes = int(rng.integers(1, classes + 1))
     gts, dets = [], []
-    for _ in range(int(rng.integers(1, 51))):
+    for _ in range(int(rng.integers(1, boxes + 1))):
         image_id = f"im{rng.integers(0, 3)}"
         cls = int(rng.integers(0, n_classes))
-        x1, y1 = rng.uniform(0, 80, 2)
-        bw, bh = rng.uniform(4, 60, 2)
+        x1, y1 = rng.uniform(0, extent, 2)
+        bw, bh = sides(rng)
         box = Box(x1, y1, x1 + bw, y1 + bh)
         if rng.random() < 0.5:
-            gts.append(Gt(image_id, cls, box, difficult=rng.random() < 0.2))
+            gts.append(Gt(image_id, cls, box, difficult=rng.random() < difficult))
         else:
             dets.append(Det(image_id, cls, float(rng.uniform(0, 1)), box))
     # jittered copies of ground truth give the matcher real work
     for gt in gts:
-        if rng.random() < 0.6:
-            j = rng.uniform(-6, 6, 4)
+        for _ in range(copies(rng)):
+            j = rng.uniform(-jitter, jitter, 4)
             b = gt.box
             jb = Box(b.x1 + j[0], b.y1 + j[1], b.x2 + j[2], b.y2 + j[3])
             if not (jb.x2 > jb.x1 and jb.y2 > jb.y1):
@@ -251,13 +254,7 @@ def test_oracle_equivalence():
                 ("ap50", [0.5]),
                 ("ap75", [0.75]),
             ):
-                cells = [
-                    v
-                    for t in thresholds
-                    for v in (coco_oracle(dets, gts, cid, t, "all") for cid in class_ids)
-                    if v is not None
-                ]
-                want = sum(cells) / len(cells) if cells else None
+                want = coco_mean_oracle(dets, gts, class_ids, thresholds, "all")
                 if want is None:
                     assert summary[key] is None, trial
                 else:
@@ -282,28 +279,10 @@ def test_oracle_equivalence():
 def _bucket_scene(rng):
     """Like ``_rand_scene`` but with box sides from 4 to 160 pixels, so
     every size bucket holds ground truth and detections."""
-    n_classes = int(rng.integers(1, 4))
-    gts, dets = [], []
-    for _ in range(int(rng.integers(1, 31))):
-        image_id = f"im{rng.integers(0, 3)}"
-        cls = int(rng.integers(0, n_classes))
-        x1, y1 = rng.uniform(0, 200, 2)
-        sides = rng.choice([4.0, 24.0, 32.0, 60.0, 96.0, 130.0, 160.0], 2)
-        bw, bh = sides * rng.uniform(0.8, 1.2, 2)
-        box = Box(x1, y1, x1 + bw, y1 + bh)
-        if rng.random() < 0.5:
-            gts.append(Gt(image_id, cls, box, difficult=rng.random() < 0.15))
-        else:
-            dets.append(Det(image_id, cls, float(rng.uniform(0, 1)), box))
-    for gt in gts:
-        for _ in range(int(rng.integers(0, 3))):
-            j = rng.uniform(-8, 8, 4)
-            b = gt.box
-            jb = Box(b.x1 + j[0], b.y1 + j[1], b.x2 + j[2], b.y2 + j[3])
-            if not (jb.x2 > jb.x1 and jb.y2 > jb.y1):
-                continue  # degenerate
-            dets.append(Det(gt.image_id, gt.class_id, float(rng.uniform(0, 1)), jb))
-    return dets, gts, n_classes
+    sides = [4.0, 24.0, 32.0, 60.0, 96.0, 130.0, 160.0]
+    return _rand_scene(rng, classes=3, boxes=30, extent=200.0,
+                       sides=lambda rng: rng.choice(sides, 2) * rng.uniform(0.8, 1.2, 2),
+                       difficult=0.15, copies=lambda rng: int(rng.integers(0, 3)), jitter=8.0)
 
 
 def test_size_buckets_match_oracle():
@@ -314,17 +293,12 @@ def test_size_buckets_match_oracle():
         class_ids = list(range(n_classes))
         summary = evaluation.coco_ap(det_record(dets), gt_record(gts), class_ids)
         for bucket in compared:
-            cells = [
-                v
-                for t in evaluation.COCO_THRESHOLDS
-                for v in (coco_oracle(dets, gts, cid, t, bucket) for cid in class_ids)
-                if v is not None
-            ]
+            want = coco_mean_oracle(dets, gts, class_ids, evaluation.COCO_THRESHOLDS, bucket)
             got = summary[f"ap_{bucket}"]
-            if not cells:
+            if want is None:
                 assert got is None, (trial, bucket)
                 continue
-            assert got == pytest.approx(sum(cells) / len(cells), abs=1e-9), (trial, bucket)
+            assert got == pytest.approx(want, abs=1e-9), (trial, bucket)
             compared[bucket] += 1
     assert all(compared.values()), compared
 
@@ -395,31 +369,6 @@ def test_array_iou_is_bitwise_the_pair_iou():
     assert got_pairs.tobytes() == want[:40, :40].tobytes()
     assert isinstance(evaluation.iou(pairs[0], pairs[1]), float)
     assert table[0, 1] == table[0, 2] == table[0, 3] == 0.0 and table[0, 4] == 1.0
-
-
-def _confusion_oracle(dets, gts, k, iou_thresh, score_thresh):
-    """Ground truth in input order, each taking the unmatched detection of
-    its image with the smallest (-score, x1, y1, x2, y2, index) key."""
-    counts = np.zeros((k, k), dtype=np.int64)
-    fn = np.zeros(k, dtype=np.int64)
-    strong = [d for d in dets if d.score >= score_thresh]
-    taken = set()
-    for gt in gts:
-        best = None
-        for j, d in enumerate(strong):
-            if d.image_id != gt.image_id or j in taken:
-                continue
-            if evaluation.iou(d.box, gt.box) < iou_thresh:
-                continue
-            key = (-d.score, d.box.x1, d.box.y1, d.box.x2, d.box.y2, j)
-            if best is None or key < best:
-                best = key
-        if best is None:
-            fn[gt.class_id] += 1
-        else:
-            taken.add(best[-1])
-            counts[gt.class_id, strong[best[-1]].class_id] += 1
-    return counts, fn
 
 
 # square and oblong sides whose areas fall exactly on 32^2 and 96^2
@@ -522,11 +471,8 @@ def test_array_matchers_equal_oracles_on_edge_scenes():
             ("ap_medium", evaluation.COCO_THRESHOLDS, "medium"),
             ("ap_large", evaluation.COCO_THRESHOLDS, "large"),
         ):
-            cells = [
-                v for t in thresholds for cid in class_ids
-                if (v := coco_oracle(dets, gts, cid, t, bucket)) is not None
-            ]
-            assert summary[key] == (sum(cells) / len(cells) if cells else None), (trial, key)
+            assert summary[key] == coco_mean_oracle(dets, gts, class_ids, thresholds, bucket), \
+                (trial, key)
         for use_difficult in (False, True):
             got_map, per_class = evaluation.mean_ap(det_rec, gt_rec, class_ids, 0.5, use_difficult)
             want = {cid: voc_oracle(dets, gts, cid, 0.5, use_difficult) for cid in class_ids}
@@ -536,7 +482,7 @@ def test_array_matchers_equal_oracles_on_edge_scenes():
         for iou_thresh, score_thresh in ((0.5, 0.5), (0.3, 0.0), (0.75, 0.9)):
             cm = evaluation.confusion_matrix(det_rec, gt_rec, ["c0", "c1", "c2", "c3"],
                                              iou_thresh, score_thresh)
-            counts, fn = _confusion_oracle(dets, gts, 4, iou_thresh, score_thresh)
+            counts, fn = confusion_oracle(dets, gts, 4, iou_thresh, score_thresh)
             assert np.array_equal(cm.counts, counts) and np.array_equal(cm.fn, fn), trial
     assert all(seen.values()), seen
 

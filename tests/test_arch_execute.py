@@ -16,6 +16,7 @@ from depthkit.arch import (
     execute_forward,
     propagate_shapes,
 )
+from depthkit.arch import execute
 from depthkit.arch.execute import (
     BLOCK,
     LCG_A,
@@ -29,6 +30,7 @@ from depthkit.arch.execute import (
     _run_node,
     _states_to_weights,
     _streamed,
+    _windows,
 )
 
 M64 = 1 << 64
@@ -179,13 +181,14 @@ def _conv_reference(x, w, b, stride, pad):
 
 def test_conv2d_matches_direct_loop():
     # the conv draws its weight then its bias; a twin generator replays them
+    # (one image, 1x1, stride 1) multiplies the image's planes in place
     x = np.random.default_rng(0).standard_normal((2, 3, 7, 6))
-    for stride, pad in ((1, 1), (2, 1), (1, 0), (2, 0)):
-        got = _conv2d(x, 4, 3, True, Lcg(stride + 2 * pad), stride, pad)
+    for n, k, stride, pad in ((2, 3, 1, 1), (2, 3, 2, 1), (2, 3, 1, 0), (2, 3, 2, 0), (1, 1, 1, 0)):
+        got = _conv2d(x[:n], 4, k, True, Lcg(stride + 2 * pad), stride, pad)
         twin = Lcg(stride + 2 * pad)
-        w = twin.draws(4 * 3 * 3 * 3).reshape(4, 3, 3, 3)
+        w = twin.draws(4 * 3 * k * k).reshape(4, 3, k, k)
         b = twin.draws(4)
-        np.testing.assert_allclose(got, _conv_reference(x, w, b, stride, pad), atol=1e-10)
+        np.testing.assert_allclose(got, _conv_reference(x[:n], w, b, stride, pad), atol=1e-10)
 
 
 def test_maxpool_matches_direct_loop():
@@ -362,6 +365,33 @@ def test_streamed_conv_matches_materialised_product():
     assert streamed.state == whole.state
 
 
+def _untiled_conv(x, c_out, k, bias, lcg, stride, pad):
+    """The conv over its whole im2col matrix, one matmul per row block."""
+    view = _windows(x, k, stride, pad, 0.0)
+    n, _, oh, ow = view.shape[:4]
+    cols = view.transpose(0, 2, 3, 1, 4, 5).reshape(n, oh * ow, -1)
+    return _streamed(cols, c_out, lcg, bias).transpose(0, 2, 1).reshape(n, c_out, oh, ow)
+
+
+@pytest.mark.parametrize("tile_rows", [1, 3])
+@pytest.mark.parametrize("n", [1, 4])
+@pytest.mark.parametrize("k", [1, 3, 7])
+def test_tiled_conv_is_bitwise_the_untiled_conv(monkeypatch, k, n, tile_rows):
+    # two 64-row blocks over tiles of whole output rows (spanning batch items
+    # when tile_rows is 3); a row holds 19+ positions, so every product has
+    # over 1,200 outputs and takes OpenBLAS's blocked kernel
+    c_in = 5
+    x = np.random.default_rng(k).standard_normal((n, c_in, 19, 41))
+    ow = (41 + 2 - k) // 2 + 1
+    monkeypatch.setattr(execute, "WEIGHT_BLOCK_VALUES", 1)
+    monkeypatch.setattr(execute, "TILE_VALUES", tile_rows * ow * c_in * k * k)
+    assert len(execute._Im2col(_windows(x, k, 2, 1, 0.0)).bounds) >= 4
+    tiled, untiled = Lcg(k), Lcg(k)
+    got = _conv2d(x, 128, k, True, tiled, 2, 1)
+    assert np.array_equal(got, _untiled_conv(x, 128, k, True, untiled, 2, 1))
+    assert tiled.state == untiled.state
+
+
 def test_streamed_det_head_matches_materialised_product():
     # scores, then deltas, each weight before its bias
     graph = build_architecture("baseline", "vgg16")
@@ -485,8 +515,10 @@ def test_forward_memory_is_bounded_by_the_input():
     # fc6 alone holds 102.8M weights (784 MiB as float64) and the resnet101
     # proposal conv 4.72M (36 MiB); every weight streams in row blocks, so
     # the resnet101 case peaks at about 15 MiB, and at about 114 MiB if no
-    # activation is freed once its last reader has run
-    for variant, backbone, side in (("raw-LC", "vgg16", 32), ("hdha-split", "resnet101", 64)):
+    # activation is freed once its last reader has run.  At 128x128 vgg16's
+    # conv1_2 im2col alone would be 72 MiB; in tiles, the forward peaks at 27
+    for variant, backbone, side, mib in (("raw-LC", "vgg16", 32, 24), ("raw-LC", "vgg16", 128, 40),
+                                         ("hdha-split", "resnet101", 64, 24)):
         graph = build_architecture(variant, backbone)
         inputs = _toy_inputs(graph, side, side)
         tracemalloc.start()
@@ -495,4 +527,4 @@ def test_forward_memory_is_bounded_by_the_input():
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 24 * 2**20, (variant, backbone, peak)
+        assert peak < mib * 2**20, (variant, backbone, side, peak)

@@ -13,13 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cli_run import run_cli
 from depthkit import _kernels, analysis, cli, encoding, evaluation, geometry, netpbm
-
-
-def _write_jsonl(path, records):
-    with open(path, "w") as fh:
-        for r in records:
-            fh.write(json.dumps(r) + "\n")
+from eval_rows import write_jsonl
 
 
 def _ramp_pfm(path):
@@ -45,7 +41,7 @@ def eval_files(tmp_path):
     classes = tmp_path / "classes.json"
     classes.write_text(json.dumps(["background", "chair", "table"]))
     gts = tmp_path / "gts.jsonl"
-    _write_jsonl(gts, [
+    write_jsonl(gts, [
         {"image_id": "im1", "class": "chair", "x1": 10, "y1": 10, "x2": 50, "y2": 50},
         {"image_id": "im1", "class": "table", "x1": 60, "y1": 10, "x2": 90, "y2": 40},
         {"image_id": "im2", "class": "chair", "x1": 20, "y1": 20, "x2": 70, "y2": 80},
@@ -53,7 +49,7 @@ def eval_files(tmp_path):
          "difficult": True},
     ])
     dets = tmp_path / "dets.jsonl"
-    _write_jsonl(dets, [
+    write_jsonl(dets, [
         {"image_id": "im1", "class": "chair", "score": 0.9,
          "x1": 12, "y1": 11, "x2": 49, "y2": 52},
         {"image_id": "im1", "class": "chair", "score": 0.8,
@@ -66,7 +62,7 @@ def eval_files(tmp_path):
          "x1": 0, "y1": 0, "x2": 30, "y2": 30},
     ])
     dets_b = tmp_path / "dets_b.jsonl"
-    _write_jsonl(dets_b, [
+    write_jsonl(dets_b, [
         {"image_id": "im1", "class": "chair", "score": 0.9,
          "x1": 12, "y1": 11, "x2": 49, "y2": 52},
         {"image_id": "im1", "class": "table", "score": 0.7,
@@ -81,7 +77,7 @@ def eval_files(tmp_path):
         records = [json.loads(line) for line in src.read_text().splitlines()]
         for r in records:
             r["class"] = table.index(r["class"])
-        _write_jsonl(dst, records)
+        write_jsonl(dst, records)
     return {"classes": str(classes), "gts": str(gts),
             "dets": str(dets), "dets_b": str(dets_b),
             "gts_ids": str(tmp_path / "gts_ids.jsonl"),
@@ -444,7 +440,7 @@ def _unreadable_cases(tmp_path, eval_files):
 @pytest.mark.parametrize("case", ["similarity", "eval", "depth-dir"])
 def test_unreadable_input_exits_3_naming_it(tmp_path, eval_files, case):
     argv, path = _unreadable_cases(tmp_path, eval_files)[case]
-    rc, err, caught = _run(argv)
+    rc, err, caught = run_cli(argv)
     assert rc == 3
     assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
     assert "Traceback" not in err
@@ -870,7 +866,7 @@ def test_analyze_missing_depth_file_exits_3(tmp_path, capsys, eval_files):
 
 def test_analyze_box_area_past_the_float_range_exits_3(tmp_path, capsys, analyze_files):
     gts = tmp_path / "huge.jsonl"
-    _write_jsonl(gts, [
+    write_jsonl(gts, [
         {"image_id": "im1", "class": "chair", "x1": 0, "y1": 0, "x2": 1e200, "y2": 1e200},
         {"image_id": "im1", "class": "chair", "x1": 10, "y1": 10, "x2": 50, "y2": 50},
     ])
@@ -912,7 +908,7 @@ def test_analyze_holds_one_depth_map_at_a_time(tmp_path):
             records.append({"image_id": f"im{i}", "class": 1,
                             "x1": 10, "y1": 10 + i, "x2": 200, "y2": 300})
         gts = tmp_path / f"gts{n}.jsonl"
-        _write_jsonl(gts, records)
+        write_jsonl(gts, records)
         argv = ["analyze", "--gts", str(gts), "--depth-dir", str(depth_dir),
                 "--out", str(tmp_path / f"stats{n}")]
         tracemalloc.start()
@@ -959,16 +955,6 @@ def test_encode_stats_memory_is_bounded_by_the_maps(tmp_path):
 
 # ------------------------------------------------------------ entry point
 
-def _run(argv):
-    """``cli.main(argv)`` in process: exit code, stderr and warnings."""
-    err = io.StringIO()
-    with (warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err),
-          contextlib.redirect_stdout(io.StringIO())):
-        warnings.simplefilter("always")
-        rc = cli.main(argv)
-    return rc, err.getvalue(), caught
-
-
 _ENCODE = ["encode", "scene.pfm", "--mode", "gray", "--dmin", "1", "--dmax", "6"]
 _ARCH = ["arch", "--variant", "raw-EC", "--backbone", "vgg16", "--input", "64x64", "--rois", "4",
          "--forward"]
@@ -989,7 +975,7 @@ _NUMERIC_OPTIONS = [
                          ids=[f"{argv[0]}{opt}={form}" for argv, opt, form in _NUMERIC_OPTIONS])
 def test_numeric_options_take_ascii_decimals_only(tmp_path, argv, option, form, value):
     out = tmp_path / "out"
-    rc, err, caught = _run([*argv, f"{option}={form.format(value)}", "--out", str(out)])
+    rc, err, caught = run_cli([*argv, f"{option}={form.format(value)}", "--out", str(out)])
     assert rc == 3, err
     assert option in err and "Traceback" not in err
     assert caught == []
@@ -1003,7 +989,7 @@ def test_numeric_options_take_ascii_decimals_only(tmp_path, argv, option, form, 
 ], ids=["no-command", "unknown-command", "missing-mode", "missing-dets", "text-integer",
         "removed-scale", "removed-report"])
 def test_usage_errors_exit_3(tmp_path, argv):
-    rc, err, caught = _run([*argv, "--out", str(tmp_path / "out")] if argv else argv)
+    rc, err, caught = run_cli([*argv, "--out", str(tmp_path / "out")] if argv else argv)
     assert rc == 3, err
     assert err.startswith("error: ") and "Traceback" not in err
     assert caught == []

@@ -1,10 +1,9 @@
 """Detection metrics against brute-force reference implementations."""
 import random
-from fractions import Fraction
 
 import numpy as np
 import pytest
-from eval_rows import Box, Det, Gt, det_record, gt_record, voc_oracle
+from eval_rows import Box, Det, Gt, det_record, greedy_oracle, gt_record, voc_oracle
 
 from depthkit import evaluation as ev
 from depthkit.netpbm import ParseError
@@ -313,31 +312,6 @@ def test_scorers_refuse_an_iou_threshold_outside_0_1(thresh):
 
 # ----------------------------------------------------------------- matcher
 
-def _greedy_oracle(pairs, order, group, ignored, thresholds):
-    """Each group on its own, each of its queries in ``order`` taking the
-    first free candidate of highest value at or above the threshold; a
-    value is the IoU, less 1 where the plane ignores the candidate,
-    computed exactly."""
-    match = np.full((len(ignored), len(thresholds), len(pairs.count)), -1)
-    for plane, ign in enumerate(ignored):
-        for t, thresh in enumerate(thresholds):
-            for g in set(group.tolist()):
-                taken = set()
-                for q in (q for q in order.tolist() if group[q] == g):
-                    best = None
-                    for j in range(pairs.start[q], pairs.start[q] + pairs.count[q]):
-                        cand, iou = int(pairs.cand[j]), float(pairs.ious[j])
-                        if cand in taken or iou < thresh:
-                            continue
-                        value = Fraction(iou) - int(ign[cand])
-                        if best is None or value > best[0]:
-                            best = (value, cand)
-                    if best is not None:
-                        taken.add(best[1])
-                        match[plane, t, q] = best[1]
-    return match
-
-
 def _ragged_groups(rng, singletons: bool):
     """Pairs of random ragged groups: each group owns its candidates, and
     its queries all hold them in one order.  One crowded group is more
@@ -375,7 +349,7 @@ def test_greedy_matches_a_sequential_loop_per_group(singletons):
         ignored = rng.random((3, n_cand)) < 0.3
         ignored[0] = False
         got = ev._greedy(pairs, order, group, ignored, thresholds)
-        want = _greedy_oracle(pairs, order, group, ignored, thresholds)
+        want = greedy_oracle(pairs, order, group, ignored, thresholds)
         assert got.shape == want.shape and np.array_equal(got, want), trial
 
 

@@ -36,6 +36,7 @@ import pytest
 
 from depthkit import cli, netpbm
 from depthkit.arch import BACKBONES, VARIANTS
+from eval_rows import write_jsonl
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 FIXTURES = os.path.join(HERE, "fixtures")
@@ -45,12 +46,6 @@ _CLASSES = ["background", "person", "car", "chair", "bottle"]
 # box sides spanning the three size buckets, with the bucket edges
 # 32x32 and 96x96 (areas 32^2 and 96^2) hit exactly
 _SIDES = (6, 12, 20, 31, 32, 33, 50, 80, 95, 96, 97, 140, 220)
-
-
-def _write_jsonl(path, records):
-    with open(path, "w") as fh:
-        for r in records:
-            fh.write(json.dumps(r) + "\n")
 
 
 def _box(rng, w, h):
@@ -105,10 +100,10 @@ def _corpus(directory):
         json.dump(_CLASSES, fh)
     for name, records in (("gts", gts), ("dets", runs[0]), ("dets_b", runs[1])):
         paths[name] = os.path.join(directory, f"{name}.jsonl")
-        _write_jsonl(paths[name], records)
+        write_jsonl(paths[name], records)
         # numeric-class twins for runs that load no class table
         paths[f"{name}_ids"] = os.path.join(directory, f"{name}_ids.jsonl")
-        _write_jsonl(paths[f"{name}_ids"],
+        write_jsonl(paths[f"{name}_ids"],
                      [{**r, "class": _CLASSES.index(r["class"])} for r in records])
     return paths
 
@@ -241,9 +236,9 @@ def _analyze_cases(work):
     with open(classes, "w") as fh:
         json.dump(_CLASSES, fh)
     named, ids = os.path.join(work, "gts.jsonl"), os.path.join(work, "gts_ids.jsonl")
-    _write_jsonl(named, gts)
+    write_jsonl(named, gts)
     # numeric classes, every other box: a second, different heatmap
-    _write_jsonl(ids, [{**r, "class": _CLASSES.index(r["class"])} for r in gts[::2]])
+    write_jsonl(ids, [{**r, "class": _CLASSES.index(r["class"])} for r in gts[::2]])
     heatmaps = [os.path.join(_out_dir(work, name), "heatmap.csv")
                 for name in ("build", "build-ids")]
     # the similarity case reads the heatmaps the two build cases wrote

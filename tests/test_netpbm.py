@@ -1,16 +1,14 @@
 """Netpbm reader/writer round-trips and malformed-input diagnostics."""
-import contextlib
-import io
 import json
 import re
 import struct
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cli_run import run_cli
 from depthkit import cli, netpbm
 from depthkit.netpbm import ParseError
 
@@ -208,12 +206,7 @@ def test_fuzzed_depth_headers_keep_the_cli_contract(tmp_path_factory, name_data,
     cam.write_text(json.dumps({"fx": 4.0, "fy": 4.0, "cx": 3.5, "cy": 3.5}))
     argv = ["encode", str(src), "--mode", mode, "--out", str(tmp / "out")]
     argv += ["--dmin", "0.5", "--dmax", "8"] if mode == "gray" else ["--intrinsics", str(cam)]
-    err = io.StringIO()
-    with (warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err),
-          contextlib.redirect_stdout(io.StringIO())):
-        warnings.simplefilter("always")
-        rc = cli.main(argv)
-    err = err.getvalue()
+    rc, err, caught = run_cli(argv)
     assert rc in (0, 2, 3), err
     assert "Traceback" not in err and "Warning" not in err
     assert caught == []

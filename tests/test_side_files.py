@@ -2,32 +2,20 @@
 the command-line contract: a file that does not decode, or holds the
 wrong shape, exits 2 with a byte offset; a value out of range exits 3;
 neither prints a traceback or a warning."""
-import contextlib
-import io
 import json
 import re
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cli_run import run_cli
 from depthkit import cli, netpbm
 
 _GTS = b'{"image_id": "a", "class": 1, "x1": 5, "y1": 5, "x2": 40, "y2": 35}\n'
 _DETS = b'{"image_id": "a", "class": 2, "score": 0.9, "x1": 6, "y1": 5, "x2": 40, "y2": 36}\n'
 _CAM = {"fx": 20.0, "fy": 20.0, "cx": 7.5, "cy": 5.5, "baseline": 0.075}
-
-
-def _run(argv):
-    """``cli.main(argv)`` in process: exit code, stderr and warnings."""
-    err = io.StringIO()
-    with (warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err),
-          contextlib.redirect_stdout(io.StringIO())):
-        warnings.simplefilter("always")
-        rc = cli.main(argv)
-    return rc, err.getvalue(), caught
 
 
 def _scene(tmp):
@@ -60,7 +48,7 @@ def _run_side_file(tmp, kind, data: bytes):
         argv = ["encode", str(_scene(tmp)), "--mode", "hdha", "--intrinsics", str(cam)]
         if kind == "stats":
             argv += ["--stats", str(side)]
-    return (*_run(argv + ["--out", str(out)]), side, out)
+    return (*run_cli(argv + ["--out", str(out)]), side, out)
 
 
 def _assert_contract(rc, err, caught, side, out, codes=(0, 2, 3)):
