@@ -178,10 +178,15 @@ def heatmap_similarity(a: Heatmap2D, b: Heatmap2D) -> float:
         raise ValueError(
             f"heatmap grids differ: {a.counts.shape} vs {b.counts.shape}"
         )
-    if a.total == 0 or b.total == 0:
+    # a mass past the float range reads inf, which no cell can be a share of
+    with np.errstate(over="ignore"):
+        total_a, total_b = a.total, b.total
+    if total_a == 0 or total_b == 0:
         raise ValueError("cannot compare an empty heatmap")
-    va = (a.counts / a.total).ravel()
-    vb = (b.counts / b.total).ravel()
+    if not (math.isfinite(total_a) and math.isfinite(total_b)):
+        raise ValueError("heatmap mass overflows the float range")
+    va = (a.counts / total_a).ravel()
+    vb = (b.counts / total_b).ravel()
     return float(va @ vb / (np.linalg.norm(va) * np.linalg.norm(vb)))
 
 
@@ -193,12 +198,17 @@ def pearson_r(x, y) -> float:
         raise ValueError("pearson_r needs two equal-length 1-D arrays")
     if len(x) < 2:
         raise ValueError("pearson_r needs at least two samples")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    denom = np.sqrt((dx * dx).sum() * (dy * dy).sum())
+    # values near the float range overflow the sums to inf or nan
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx = x - x.mean()
+        dy = y - y.mean()
+        sums = (dx * dx).sum(), (dy * dy).sum(), (dx * dy).sum()
+        denom = np.sqrt(sums[0] * sums[1])
+    if not np.isfinite([*sums, denom]).all():
+        raise ValueError("pearson_r sums overflow the float range")
     if denom == 0:
         raise ValueError("pearson_r undefined for a constant sequence")
-    return float((dx * dy).sum() / denom)
+    return float(sums[2] / denom)
 
 
 def samples_csv(samples: SampleRecord, classes: list[str] | None = None) -> str:

@@ -4,9 +4,9 @@ Four subcommands: ``encode`` renders depth maps to 8-bit imagery,
 ``arch`` reports on detector architecture graphs, ``eval`` scores
 detections against ground truth, ``analyze`` builds depth-vs-size
 statistics.  Exit codes: 0 success, 2 malformed input file (naming the
-file and the location of the fault), 3 bad parameter, usage error, or a
-file that is missing or cannot be opened, 4 internal invariant
-violation.  Given identical inputs and flags, every subcommand writes
+file and the location of the fault), 3 bad parameter, usage error, a
+file that is missing or cannot be opened, or a run out of memory, 4
+internal invariant violation.  Given identical inputs and flags, every subcommand writes
 byte-identical output files on every run.
 """
 from __future__ import annotations
@@ -373,6 +373,7 @@ def _cmd_analyze(args) -> int:
         raise ValueError("no usable samples: no ground-truth box holds valid depth")
     hm = analysis.build_heatmap(samples.mean_depth, samples.area,
                                 bins_x=args.bins, bins_y=args.bins)
+    r = analysis.pearson_r(samples.mean_depth, samples.area)
     os.makedirs(args.out, exist_ok=True)
     samples_path = os.path.join(args.out, "samples.csv")
     _write_text(samples_path, analysis.samples_csv(samples, classes))
@@ -380,7 +381,6 @@ def _cmd_analyze(args) -> int:
     _write_text(hm_path, analysis.heatmap_csv(hm))
     pgm_path = os.path.join(args.out, "heatmap.pgm")
     netpbm.write_pgm8(pgm_path, analysis.heatmap_to_pgm_bytes(hm))
-    r = analysis.pearson_r(samples.mean_depth, samples.area)
     print(f"samples={len(samples)} pearson_r={r:.6f}")
     for path in (samples_path, hm_path, pgm_path):
         print(f"wrote {path}")
@@ -407,6 +407,9 @@ def _fail(exc: Exception) -> int:
     if isinstance(exc, GraphError):
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
+    if isinstance(exc, MemoryError):
+        print("error: out of memory" + (f": {exc}" if str(exc) else ""), file=sys.stderr)
+        return 3
     print(f"error: {exc}", file=sys.stderr)
     return 2 if isinstance(exc, ParseError) else 3
 
@@ -415,7 +418,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
-    except (ValueError, OSError, GraphError) as exc:
+    except (ValueError, OSError, GraphError, MemoryError) as exc:
         return _fail(exc)
 
 

@@ -1,7 +1,10 @@
-"""``cli.main`` run in process, as the contract tests call it."""
+"""``cli.main`` run in process, as the contract tests call it, and the
+traced memory peak of a call."""
 import contextlib
 import io
+import tracemalloc
 import warnings
+from pathlib import Path
 
 from depthkit import cli
 
@@ -14,3 +17,29 @@ def run_cli(argv):
         warnings.simplefilter("always")
         rc = cli.main(argv)
     return rc, err.getvalue(), caught
+
+
+def assert_contract(argv, codes=(0, 2, 3)):
+    """Run ``argv`` and check the command-line contract: an exit code in
+    ``codes``, no traceback and no warning, and a failure that prints one
+    ``error:`` line and leaves no file under ``--out``.  Returns the exit
+    code and stderr."""
+    rc, err, caught = run_cli(argv)
+    assert rc in codes, err
+    assert "Traceback" not in err and "Warning" not in err, err
+    assert caught == []
+    if rc != 0:
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        if "--out" in argv:
+            out = Path(argv[argv.index("--out") + 1])
+            assert not out.exists() or not any(out.iterdir()), err
+    return rc, err
+
+
+def numpy_peak(fn, *args):
+    """``fn(*args)`` and the peak of the memory traced while it ran, in bytes."""
+    tracemalloc.start()
+    try:
+        return fn(*args), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -36,6 +36,14 @@ class Gt(NamedTuple):
     difficult: bool = False
 
 
+def D(image, cls, score, x1, y1, x2, y2) -> Det:
+    return Det(image, cls, score, Box(x1, y1, x2, y2))
+
+
+def G(image, cls, x1, y1, x2, y2, difficult=False) -> Gt:
+    return Gt(image, cls, Box(x1, y1, x2, y2), difficult)
+
+
 def det_record(rows) -> evaluation.DetRecord:
     return evaluation.DetRecord([r.image_id for r in rows], [r.class_id for r in rows],
                                 [r.score for r in rows], [r.box for r in rows])

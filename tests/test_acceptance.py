@@ -5,7 +5,6 @@ check is independent; a failure prints its FAIL line and then fails the
 test normally.
 """
 import functools
-import json
 import os
 import time
 
@@ -22,9 +21,11 @@ from depthkit import (
     estimate_gravity,
     evaluation,
     hdha_encode,
+    netpbm,
 )
 from depthkit.arch import Lcg, build_architecture, count_parameters, execute_forward, propagate_shapes
 from depthkit.geometry import backproject_grid
+from depth_scenes import floor_wall, write_cam
 from eval_rows import (
     Box,
     Det,
@@ -170,12 +171,7 @@ def test_encoding_endpoints():
     assert tuple(table[255]) == (128, 0, 0)
 
     cam = CameraIntrinsics(fx=100.0, fy=100.0, cx=39.5, cy=29.5, baseline=0.075)
-    h, w, cam_height, wall_z = 60, 80, 1.2, 6.0
-    us, vs = np.meshgrid(np.arange(w, dtype=float), np.arange(h, dtype=float))
-    ys = (vs - cam.cy) / cam.fy
-    values = np.full((h, w), wall_z)
-    floor = ys > cam_height / wall_z
-    values[floor] = cam_height / ys[floor]
+    values, floor = floor_wall()
     depth = DepthMap(values)
 
     img = hdha_encode(depth, cam, gravity=np.array([0.0, 1.0, 0.0]))
@@ -542,24 +538,15 @@ def test_depth_size_statistics():
 
 @criterion("criterion 7 (determinism)")
 def test_determinism(tmp_path, capsys):
-    cam = {"fx": 100.0, "fy": 100.0, "cx": 39.5, "cy": 29.5, "baseline": 0.075}
-    us, vs = np.meshgrid(np.arange(80, dtype=float), np.arange(60, dtype=float))
-    ys = (vs - cam["cy"]) / cam["fy"]
-    values = np.full((60, 80), 6.0)
-    floor = ys > 0.2
-    values[floor] = 1.2 / ys[floor]
-    from depthkit import netpbm
-
     src = tmp_path / "room.pfm"
-    netpbm.write_pfm(str(src), values)
-    cam_path = tmp_path / "cam.json"
-    cam_path.write_text(json.dumps(cam))
+    netpbm.write_pfm(str(src), floor_wall()[0])
+    cam_path = write_cam(tmp_path / "cam.json", 60, 80, 100.0)
 
     produced = {}
     for run in ("a", "b"):
         out = tmp_path / run
         assert cli.main(["encode", str(src), "--mode", "hdha",
-                         "--intrinsics", str(cam_path), "--out", str(out)]) == 0
+                         "--intrinsics", cam_path, "--out", str(out)]) == 0
         assert cli.main(["arch", "--variant", "proc-MC", "--backbone", "vgg16",
                          "--out", str(out)]) == 0
         assert cli.main(["eval", "--metric", "voc",

@@ -16,11 +16,7 @@ from depthkit.analysis import (
     samples_csv,
 )
 from depthkit.encoding import DepthMap
-from eval_rows import Box, Gt, gt_record
-
-
-def _gt(image_id, box, class_id=1):
-    return Gt(image_id=image_id, class_id=class_id, box=Box(*box))
+from eval_rows import G, gt_record
 
 
 def _ramp_map():
@@ -34,7 +30,7 @@ def test_sample_mean_over_outward_rounded_window():
     # floor(1.2)=1, floor(0.5)=0, ceil(3.0)=3, ceil(2.5)=3:
     # window rows 0..2, cols 1..2 holds 2,3,10,11,18,19
     samples = collect_samples(
-        gt_record([_gt("a", (1.2, 0.5, 3.0, 2.5))]), {"a": _ramp_map()}
+        gt_record([G("a", 1, 1.2, 0.5, 3.0, 2.5)]), {"a": _ramp_map()}
     )
     assert len(samples) == 1
     assert samples.mean_depth[0] == pytest.approx((2 + 3 + 10 + 11 + 18 + 19) / 6)
@@ -47,14 +43,14 @@ def test_sample_skips_invalid_pixels_in_window():
     values = np.arange(48, dtype=np.float64).reshape(6, 8) + 1.0
     values[0, 1] = 0.0  # drops the reading of 2 from the window above
     samples = collect_samples(
-        gt_record([_gt("a", (1.2, 0.5, 3.0, 2.5))]), {"a": DepthMap(values)}
+        gt_record([G("a", 1, 1.2, 0.5, 3.0, 2.5)]), {"a": DepthMap(values)}
     )
     assert samples.mean_depth[0] == pytest.approx((3 + 10 + 11 + 18 + 19) / 5)
 
 
 def test_sample_window_clips_to_image():
     samples = collect_samples(
-        gt_record([_gt("a", (5.0, 3.0, 100.0, 100.0))]), {"a": _ramp_map()}
+        gt_record([G("a", 1, 5.0, 3.0, 100.0, 100.0)]), {"a": _ramp_map()}
     )
     window = (np.arange(48, dtype=np.float64).reshape(6, 8) + 1.0)[3:6, 5:8]
     assert samples.mean_depth[0] == pytest.approx(window.mean())
@@ -66,7 +62,7 @@ def test_box_with_no_valid_depth_yields_no_sample():
     values = np.ones((6, 8))
     values[:3, :3] = 0.0
     samples = collect_samples(
-        gt_record([_gt("a", (0.0, 0.0, 3.0, 3.0)), _gt("a", (4.0, 4.0, 6.0, 6.0))]),
+        gt_record([G("a", 1, 0.0, 0.0, 3.0, 3.0), G("a", 1, 4.0, 4.0, 6.0, 6.0)]),
         {"a": DepthMap(values)},
     )
     assert len(samples) == 1
@@ -75,20 +71,20 @@ def test_box_with_no_valid_depth_yields_no_sample():
 
 def test_box_entirely_outside_image_yields_no_sample():
     samples = collect_samples(
-        gt_record([_gt("a", (-5.0, -5.0, -1.0, -1.0))]), {"a": _ramp_map()}
+        gt_record([G("a", 1, -5.0, -5.0, -1.0, -1.0)]), {"a": _ramp_map()}
     )
     assert len(samples) == 0
 
 
 def test_missing_depth_map_is_an_error():
     with pytest.raises(ValueError, match="nowhere"):
-        collect_samples(gt_record([_gt("nowhere", (0, 0, 2, 2))]), {"a": _ramp_map()})
+        collect_samples(gt_record([G("nowhere", 1, 0, 0, 2, 2)]), {"a": _ramp_map()})
 
 
 def test_samples_preserve_input_order():
     gts = [
-        _gt("a", (0.0, 0.0, 2.0, 2.0), class_id=2),
-        _gt("a", (3.0, 3.0, 5.0, 5.0), class_id=1),
+        G("a", 2, 0.0, 0.0, 2.0, 2.0),
+        G("a", 1, 3.0, 3.0, 5.0, 5.0),
     ]
     samples = collect_samples(gt_record(gts), {"a": _ramp_map()})
     assert samples.class_id.tolist() == [2, 1]
@@ -296,7 +292,7 @@ def test_projected_size_shrinks_with_distance():
         image_id = f"img{i}"
         depth_maps[image_id] = DepthMap(np.full((40, 40), d))
         side = 36.0 / d
-        gts.append(_gt(image_id, (2.0, 2.0, 2.0 + side, 2.0 + side)))
+        gts.append(G(image_id, 1, 2.0, 2.0, 2.0 + side, 2.0 + side))
     samples = collect_samples(gt_record(gts), depth_maps)
     r = pearson_r(samples.mean_depth, samples.area)
     assert r < -0.5

@@ -1,10 +1,10 @@
 """Seeded numeric execution: generator stream, kernels, full forwards."""
 import copy
-import tracemalloc
 
 import numpy as np
 import pytest
 
+from cli_run import numpy_peak
 from depthkit.arch import (
     BACKBONES,
     VARIANTS,
@@ -521,10 +521,5 @@ def test_forward_memory_is_bounded_by_the_input():
                                          ("hdha-split", "resnet101", 64, 24)):
         graph = build_architecture(variant, backbone)
         inputs = _toy_inputs(graph, side, side)
-        tracemalloc.start()
-        try:
-            execute_forward(graph, inputs, seed=0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peak = numpy_peak(execute_forward, graph, inputs, 0)[1]
         assert peak < mib * 2**20, (variant, backbone, side, peak)

@@ -1,19 +1,16 @@
 """End-to-end command-line behavior: exit codes, artifacts, determinism."""
-import contextlib
-import io
 import json
 import re
 import subprocess
 import sys
-import tracemalloc
-import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cli_run import run_cli
+from cli_run import assert_contract, numpy_peak
+from depth_scenes import dropout, floor_wall, write_cam
 from depthkit import _kernels, analysis, cli, encoding, evaluation, geometry, netpbm
 from eval_rows import write_jsonl
 
@@ -24,16 +21,6 @@ def _ramp_pfm(path):
     values[2, 2] = 0.0
     netpbm.write_pfm(str(path), values)
     return np.float64(values)
-
-
-def _floor_wall_scene(h=60, w=80, cam_height=1.2, wall_z=6.0, fx=100.0):
-    cx, cy = (w - 1) / 2.0, (h - 1) / 2.0
-    us, vs = np.meshgrid(np.arange(w), np.arange(h))
-    ys = (vs - cy) / fx
-    depth = np.full((h, w), wall_z)
-    floor = ys > cam_height / wall_z
-    depth[floor] = cam_height / ys[floor]
-    return depth, {"fx": fx, "fy": fx, "cx": cx, "cy": cy, "baseline": 0.075}
 
 
 @pytest.fixture
@@ -115,15 +102,13 @@ def test_encode_jet_matches_library(tmp_path):
 
 
 def test_encode_hdha_writes_stats_then_reuses_them(tmp_path):
-    depth, cam = _floor_wall_scene()
     src = tmp_path / "room.pfm"
-    netpbm.write_pfm(str(src), depth)
-    cam_path = tmp_path / "cam.json"
-    cam_path.write_text(json.dumps(cam))
+    netpbm.write_pfm(str(src), floor_wall()[0])
+    cam_path = write_cam(tmp_path / "cam.json", 60, 80, 100.0)
     stats_path = tmp_path / "stats.json"
 
     rc = cli.main(["encode", str(src), "--mode", "hdha",
-                   "--intrinsics", str(cam_path), "--stats", str(stats_path),
+                   "--intrinsics", cam_path, "--stats", str(stats_path),
                    "--out", str(tmp_path / "a")])
     assert rc == 0
     assert stats_path.exists()
@@ -131,20 +116,18 @@ def test_encode_hdha_writes_stats_then_reuses_them(tmp_path):
 
     # second run finds the stats file and applies it: identical output
     rc = cli.main(["encode", str(src), "--mode", "hdha",
-                   "--intrinsics", str(cam_path), "--stats", str(stats_path),
+                   "--intrinsics", cam_path, "--stats", str(stats_path),
                    "--out", str(tmp_path / "b")])
     assert rc == 0
     assert (tmp_path / "b" / "room_hdha.ppm").read_bytes() == first
 
 
 def test_encode_hdha_stats_creation_encodes_each_map_once(tmp_path, monkeypatch):
-    cam_path = tmp_path / "cam.json"
+    cam_path = write_cam(tmp_path / "cam.json", 60, 80, 100.0)
     srcs = []
     for name, cam_height, wall_z in (("c", 1.2, 6.0), ("a", 1.5, 4.0), ("b", 0.9, 5.0)):
-        depth, cam = _floor_wall_scene(cam_height=cam_height, wall_z=wall_z)
         srcs.append(tmp_path / f"{name}.pfm")
-        netpbm.write_pfm(str(srcs[-1]), depth)
-    cam_path.write_text(json.dumps(cam))
+        netpbm.write_pfm(str(srcs[-1]), floor_wall(cam_height=cam_height, wall_z=wall_z)[0])
     stats_path = tmp_path / "stats.json"
 
     real_encode = geometry.hdha_encode
@@ -156,12 +139,12 @@ def test_encode_hdha_stats_creation_encodes_each_map_once(tmp_path, monkeypatch)
 
     monkeypatch.setattr(geometry, "hdha_encode", counting_encode)
     rc = cli.main(["encode", *map(str, srcs), "--mode", "hdha",
-                   "--intrinsics", str(cam_path), "--stats", str(stats_path),
+                   "--intrinsics", cam_path, "--stats", str(stats_path),
                    "--out", str(tmp_path / "out")])
     assert rc == 0
     assert len(calls) == 3
 
-    cam_obj = encoding.CameraIntrinsics.from_json(str(cam_path))
+    cam_obj = encoding.CameraIntrinsics.from_json(cam_path)
     images = [real_encode(encoding.load_depth(str(p)), cam_obj) for p in srcs]
     expected = encoding.compute_channel_stats(images)
     written = json.loads(stats_path.read_text())
@@ -173,16 +156,14 @@ def test_encode_hdha_stats_creation_encodes_each_map_once(tmp_path, monkeypatch)
 
 def test_encode_hdha_stats_failure_writes_no_images(tmp_path, capsys):
     # frontal walls at one constant depth have a constant disparity channel
-    depth, cam = _floor_wall_scene()
     walls = [tmp_path / "wall1.pfm", tmp_path / "wall2.pfm"]
     for wall in walls:
-        netpbm.write_pfm(str(wall), np.full_like(depth, 6.0))
-    cam_path = tmp_path / "cam.json"
-    cam_path.write_text(json.dumps(cam))
+        netpbm.write_pfm(str(wall), np.full((60, 80), 6.0))
+    cam_path = write_cam(tmp_path / "cam.json", 60, 80, 100.0)
     stats_path = tmp_path / "stats.json"
     out = tmp_path / "out"
     rc = cli.main(["encode", *map(str, walls), "--mode", "hdha",
-                   "--intrinsics", str(cam_path), "--stats", str(stats_path),
+                   "--intrinsics", cam_path, "--stats", str(stats_path),
                    "--out", str(out)])
     assert rc == 3
     assert "constant channel" in capsys.readouterr().err
@@ -195,11 +176,10 @@ def test_encode_hdha_stats_on_a_batch_with_no_valid_pixel(tmp_path):
     maps = [tmp_path / "a.pfm", tmp_path / "b.pfm"]
     for path in maps:
         netpbm.write_pfm(str(path), np.zeros((4, 4), dtype=np.float32))
-    cam_path = tmp_path / "cam.json"
-    cam_path.write_text(json.dumps({"fx": 4.0, "fy": 4.0, "cx": 1.5, "cy": 1.5}))
+    cam_path = write_cam(tmp_path / "cam.json", 4, 4, 4.0)
     stats_path = tmp_path / "o" / "s.json"
     rc = cli.main(["encode", *map(str, maps), "--mode", "hdha",
-                   "--intrinsics", str(cam_path), "--stats", str(stats_path),
+                   "--intrinsics", cam_path, "--stats", str(stats_path),
                    "--out", str(tmp_path / "o")])
     assert rc == 0
     assert not stats_path.exists()
@@ -210,13 +190,11 @@ def test_encode_hdha_stats_on_a_batch_with_no_valid_pixel(tmp_path):
 
 
 def test_encode_hdha_accepts_fixed_gravity(tmp_path):
-    depth, cam = _floor_wall_scene()
     src = tmp_path / "room.pfm"
-    netpbm.write_pfm(str(src), depth)
-    cam_path = tmp_path / "cam.json"
-    cam_path.write_text(json.dumps(cam))
+    netpbm.write_pfm(str(src), floor_wall()[0])
+    cam_path = write_cam(tmp_path / "cam.json", 60, 80, 100.0)
     rc = cli.main(["encode", str(src), "--mode", "hdha",
-                   "--intrinsics", str(cam_path), "--gravity", "0,1,0",
+                   "--intrinsics", cam_path, "--gravity", "0,1,0",
                    "--out", str(tmp_path)])
     assert rc == 0
     assert (tmp_path / "room_hdha.ppm").exists()
@@ -230,10 +208,9 @@ def test_encode_hdha_accepts_fixed_gravity(tmp_path):
 def test_encode_hdha_without_normals_writes_black_image(tmp_path, capsys, name, values, gravity):
     src = tmp_path / f"{name}.pfm"
     netpbm.write_pfm(str(src), values)
-    cam_path = tmp_path / "cam.json"
-    cam_path.write_text(json.dumps(_floor_wall_scene()[1]))
+    cam_path = write_cam(tmp_path / "cam.json", 60, 80, 100.0)
     out = tmp_path / "out"
-    argv = ["encode", str(src), "--mode", "hdha", "--intrinsics", str(cam_path),
+    argv = ["encode", str(src), "--mode", "hdha", "--intrinsics", cam_path,
             "--out", str(out)]
     if gravity is not None:
         argv += ["--gravity", gravity]
@@ -247,8 +224,7 @@ def test_encode_hdha_without_normals_writes_black_image(tmp_path, capsys, name, 
 def test_encode_parameter_errors_exit_3(tmp_path, capsys):
     src = tmp_path / "scene.pfm"
     _ramp_pfm(src)
-    cam_path = tmp_path / "cam.json"
-    cam_path.write_text(json.dumps(_floor_wall_scene()[1]))
+    cam_path = write_cam(tmp_path / "cam.json", 60, 80, 100.0)
     assert cli.main(["encode", str(src), "--mode", "gray"]) == 3
     assert "requires --dmin" in capsys.readouterr().err
     assert cli.main(["encode", str(src), "--mode", "sepia",
@@ -256,27 +232,17 @@ def test_encode_parameter_errors_exit_3(tmp_path, capsys):
     assert cli.main(["encode", str(src), "--mode", "hdha"]) == 3
     assert "--intrinsics" in capsys.readouterr().err
     assert cli.main(["encode", str(src), "--mode", "hdha",
-                     "--intrinsics", str(cam_path), "--gravity", "0,1"]) == 3
+                     "--intrinsics", cam_path, "--gravity", "0,1"]) == 3
     assert "x,y,z" in capsys.readouterr().err
 
 
-def _encode_with_gravity(tmp_path, gravity, out):
-    """Run ``encode --mode hdha --gravity=<gravity>`` in process on a small scene.
-
-    Returns the exit code, stderr and every warning raised during the run.
-    """
-    depth, cam = _floor_wall_scene(h=12, w=16, fx=20.0)
-    src = tmp_path / "room.pfm"
-    netpbm.write_pfm(str(src), depth)
-    cam_path = tmp_path / "cam.json"
-    cam_path.write_text(json.dumps(cam))
-    err = io.StringIO()
-    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err):
-        warnings.simplefilter("always")
-        rc = cli.main(["encode", str(src), "--mode", "hdha",
-                       "--intrinsics", str(cam_path), f"--gravity={gravity}",
-                       "--out", str(out)])
-    return rc, err.getvalue(), caught
+def _gravity_argv(tmp, gravity):
+    """``encode --mode hdha --gravity=<gravity>`` of a small room into ``tmp/out``."""
+    src = tmp / "room.pfm"
+    netpbm.write_pfm(str(src), floor_wall(12, 16, fy=20.0, cy=5.5)[0])
+    cam = write_cam(tmp / "cam.json", 12, 16, 20.0)
+    return ["encode", str(src), "--mode", "hdha", "--intrinsics", cam, f"--gravity={gravity}",
+            "--out", str(tmp / "out")]
 
 
 @pytest.mark.parametrize("gravity", ["nan,0,0", "inf,1,0", "0,-inf,1", "1e308,1e308,0", "0,0,0"])
@@ -284,24 +250,16 @@ def test_encode_non_finite_gravity_exits_3(tmp_path, monkeypatch, gravity):
     # refused before any map is read: no normals call, no --out directory
     calls = []
     monkeypatch.setattr(_kernels, "normals_from_points", lambda *args: calls.append(args))
-    out = tmp_path / "out"
-    rc, err, caught = _encode_with_gravity(tmp_path, gravity, out)
-    assert rc == 3
+    err = assert_contract(_gravity_argv(tmp_path, gravity), (3,))[1]
     assert "gravity" in err and "finite" in err
-    assert "Traceback" not in err
-    assert caught == []
     assert calls == []
-    assert not out.exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_encode_empty_gravity_exits_3(tmp_path):
-    out = tmp_path / "out"
-    rc, err, caught = _encode_with_gravity(tmp_path, "", out)
-    assert rc == 3
+    err = assert_contract(_gravity_argv(tmp_path, ""), (3,))[1]
     assert "--gravity needs 'x,y,z', got ''" in err
-    assert "Traceback" not in err
-    assert caught == []
-    assert not out.exists()
+    assert not (tmp_path / "out").exists()
 
 
 _FLOATS = st.one_of(
@@ -317,26 +275,16 @@ _FLOATS = st.one_of(
     st.text(alphabet="0123456789.,-+eEinfatxyz ", max_size=16),
 ))
 def test_encode_gravity_fuzz_never_crashes_or_warns(tmp_path_factory, gravity):
-    tmp = tmp_path_factory.mktemp("gravity")
-    out = tmp / "out"
-    rc, err, caught = _encode_with_gravity(tmp, gravity, out)
-    assert rc in (0, 3), err
-    assert "Traceback" not in err and "Warning" not in err
-    assert caught == []
-    if rc == 3:
-        assert list(out.glob("*")) == []
+    # a refused direction leaves no file under --out
+    assert_contract(_gravity_argv(tmp_path_factory.mktemp("gravity"), gravity), (0, 3))
 
 
 @pytest.mark.parametrize("gravity", ["1_0,0,0", "0,\u0661,0", " 0 ,1,0"],
                          ids=["underscore", "arabic-indic-digit", "padded"])
 def test_encode_gravity_components_are_ascii_decimals(tmp_path, gravity):
-    out = tmp_path / "out"
-    rc, err, caught = _encode_with_gravity(tmp_path, gravity, out)
-    assert rc == 3
+    err = assert_contract(_gravity_argv(tmp_path, gravity), (3,))[1]
     assert "--gravity needs finite decimal components" in err
-    assert "Traceback" not in err
-    assert caught == []
-    assert not out.exists()
+    assert not (tmp_path / "out").exists()
 
 
 def test_encode_missing_file_exits_3(tmp_path, capsys):
@@ -387,14 +335,12 @@ def test_encode_batch_exits_with_the_code_of_the_first_bad_map(tmp_path, capsys)
 
 
 def test_encode_batch_stats_need_every_map(tmp_path, capsys):
-    depth, cam = _floor_wall_scene(h=12, w=16, fx=20.0)
     good, cut = tmp_path / "good.pfm", tmp_path / "cut.pfm"
-    netpbm.write_pfm(str(good), depth)
+    netpbm.write_pfm(str(good), floor_wall(12, 16, fy=20.0, cy=5.5)[0])
     cut.write_bytes(good.read_bytes()[:30])
-    cam_path = tmp_path / "cam.json"
-    cam_path.write_text(json.dumps(cam))
+    cam_path = write_cam(tmp_path / "cam.json", 12, 16, 20.0)
     out = tmp_path / "out"
-    rc = cli.main(["encode", str(good), str(cut), "--mode", "hdha", "--intrinsics", str(cam_path),
+    rc = cli.main(["encode", str(good), str(cut), "--mode", "hdha", "--intrinsics", cam_path,
                    "--stats", str(tmp_path / "stats.json"), "--out", str(out)])
     captured = capsys.readouterr()
     assert rc == 2
@@ -440,11 +386,8 @@ def _unreadable_cases(tmp_path, eval_files):
 @pytest.mark.parametrize("case", ["similarity", "eval", "depth-dir"])
 def test_unreadable_input_exits_3_naming_it(tmp_path, eval_files, case):
     argv, path = _unreadable_cases(tmp_path, eval_files)[case]
-    rc, err, caught = run_cli(argv)
-    assert rc == 3
-    assert err.startswith(f"error: {path}: ") and err.count("\n") == 1, err
-    assert "Traceback" not in err
-    assert caught == []
+    err = assert_contract(argv, (3,))[1]
+    assert err.startswith(f"error: {path}: "), err
 
 
 def test_encode_batch_writes_the_maps_around_an_unreadable_one(tmp_path, capsys):
@@ -878,6 +821,47 @@ def test_analyze_box_area_past_the_float_range_exits_3(tmp_path, capsys, analyze
     assert not out.exists()
 
 
+@pytest.mark.parametrize("values, x2, message", [
+    (np.full((8, 8), 2.0), 6.0, "constant sequence"),
+    (np.arange(64.0).reshape(8, 8), 1e154, "overflow"),
+], ids=["constant-depth", "area-squared-past-float-range"])
+def test_analyze_failure_writes_no_output(tmp_path, values, x2, message):
+    # pearson_r fails after the heatmap is built: one box of about 1e308
+    # leaves the axes finite, but not the sums of squares
+    (tmp_path / "depth").mkdir()
+    netpbm.write_pfm(str(tmp_path / "depth" / "im1.pfm"), values.astype(np.float32))
+    write_jsonl(tmp_path / "gts.jsonl", [
+        {"image_id": "im1", "class": 1, "x1": 0, "y1": 0, "x2": x2, "y2": x2},
+        {"image_id": "im1", "class": 1, "x1": 2, "y1": 2, "x2": 4, "y2": 4}])
+    out = tmp_path / "stats"
+    err = assert_contract(["analyze", "--gts", str(tmp_path / "gts.jsonl"), "--depth-dir",
+                           str(tmp_path / "depth"), "--out", str(out)], (3,))[1]
+    assert message in err
+    assert not out.exists()
+
+
+def test_analyze_similarity_of_a_mass_past_the_float_range_exits_3(tmp_path):
+    heatmap = tmp_path / "huge.csv"
+    heatmap.write_bytes(b"x_edges,1.0,2.0,3.0\ny_edges,10.0,20.0\n1e308,1e308\n")
+    err = assert_contract(["analyze", "--similarity", str(heatmap), str(heatmap)], (3,))[1]
+    assert "overflow" in err
+
+
+@pytest.mark.parametrize("message, line", [
+    ("", "out of memory"),
+    ("Unable to allocate 7.45 EiB", "out of memory: Unable to allocate 7.45 EiB"),
+], ids=["bare", "numpy"])
+def test_out_of_memory_exits_3(tmp_path, monkeypatch, analyze_files, message, line):
+    # the count grid is where a huge --bins fails to allocate; none is made here
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(np, "bincount", no_memory)
+    err = assert_contract(["analyze", "--gts", analyze_files["gts_ids"], "--depth-dir",
+                           analyze_files["depth_dir"], "--out", str(tmp_path / "stats")], (3,))[1]
+    assert err == f"error: {line}\n"
+
+
 def test_analyze_without_inputs_exits_3(tmp_path, capsys):
     assert cli.main(["analyze", "--out", str(tmp_path)]) == 3
     assert "--gts" in capsys.readouterr().err
@@ -911,13 +895,7 @@ def test_analyze_holds_one_depth_map_at_a_time(tmp_path):
         write_jsonl(gts, records)
         argv = ["analyze", "--gts", str(gts), "--depth-dir", str(depth_dir),
                 "--out", str(tmp_path / f"stats{n}")]
-        tracemalloc.start()
-        try:
-            with contextlib.redirect_stdout(io.StringIO()):
-                assert cli.main(argv) == 0
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        return numpy_peak(assert_contract, argv, (0,))[1]
 
     two, eight = peak(2), peak(8)
     assert eight - two < footprint, (two, eight)
@@ -932,23 +910,13 @@ def test_encode_stats_memory_is_bounded_by_the_maps(tmp_path):
     rng = np.random.default_rng(4)
     maps = []
     for name, cam_height in (("a", 1.2), ("b", 1.5)):
-        depth, cam = _floor_wall_scene(h=480, w=640, cam_height=cam_height, fx=500.0)
-        for r, c in rng.integers(0, 440, (40, 2)):
-            depth[r:r + 30, c:c + 40] = 0.0
-        depth[rng.random(depth.shape) < 0.05] = 0.0
+        depth = floor_wall(480, 640, cam_height, fy=500.0, cy=239.5)[0]
         maps.append(tmp_path / f"{name}.pfm")
-        netpbm.write_pfm(str(maps[-1]), depth)
-    cam_path = tmp_path / "cam.json"
-    cam_path.write_text(json.dumps(cam))
-    argv = ["encode", *map(str, maps), "--mode", "hdha", "--intrinsics", str(cam_path),
+        netpbm.write_pfm(str(maps[-1]), dropout(depth, rng, 40, (0, 440), (30, 40), 0.05))
+    argv = ["encode", *map(str, maps), "--mode", "hdha", "--intrinsics",
+            write_cam(tmp_path / "cam.json", 480, 640, 500.0),
             "--stats", str(tmp_path / "stats.json"), "--out", str(tmp_path / "out")]
-    tracemalloc.start()
-    try:
-        with contextlib.redirect_stdout(io.StringIO()):
-            assert cli.main(argv) == 0
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    peak = numpy_peak(assert_contract, argv, (0,))[1]
     assert (tmp_path / "stats.json").exists()
     assert peak < 60 * 2**20, peak
 
@@ -975,10 +943,8 @@ _NUMERIC_OPTIONS = [
                          ids=[f"{argv[0]}{opt}={form}" for argv, opt, form in _NUMERIC_OPTIONS])
 def test_numeric_options_take_ascii_decimals_only(tmp_path, argv, option, form, value):
     out = tmp_path / "out"
-    rc, err, caught = run_cli([*argv, f"{option}={form.format(value)}", "--out", str(out)])
-    assert rc == 3, err
-    assert option in err and "Traceback" not in err
-    assert caught == []
+    err = assert_contract([*argv, f"{option}={form.format(value)}", "--out", str(out)], (3,))[1]
+    assert option in err
     assert not out.exists()
 
 
@@ -989,10 +955,7 @@ def test_numeric_options_take_ascii_decimals_only(tmp_path, argv, option, form, 
 ], ids=["no-command", "unknown-command", "missing-mode", "missing-dets", "text-integer",
         "removed-scale", "removed-report"])
 def test_usage_errors_exit_3(tmp_path, argv):
-    rc, err, caught = run_cli([*argv, "--out", str(tmp_path / "out")] if argv else argv)
-    assert rc == 3, err
-    assert err.startswith("error: ") and "Traceback" not in err
-    assert caught == []
+    assert_contract([*argv, "--out", str(tmp_path / "out")] if argv else argv, (3,))
     assert not (tmp_path / "out").exists()
 
 

@@ -1,5 +1,4 @@
 """Depth-to-image encodings: quantization, grayscale, jet table, stats."""
-import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -7,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cli_run import numpy_peak
 from depthkit import (
     CameraIntrinsics,
     ChannelStats,
@@ -347,11 +347,6 @@ def test_hdha_to_rgb_memory_is_bounded_by_the_map():
     # the rounding would take it to 28.2 MiB
     image = _render_case(6, shape=(480, 640))
     stats = ChannelStats((11.0, 4.0, 95.0), (3.5, 0.25, 40.0))
-    tracemalloc.start()
-    try:
-        rgb = hdha_to_rgb(image, stats)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    rgb, peak = numpy_peak(hdha_to_rgb, image, stats)
     assert rgb.shape == (480, 640, 3)
     assert peak < 9 * 2**20, peak

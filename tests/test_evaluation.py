@@ -3,18 +3,10 @@ import random
 
 import numpy as np
 import pytest
-from eval_rows import Box, Det, Gt, det_record, greedy_oracle, gt_record, voc_oracle
+from eval_rows import Box, D, G, det_record, greedy_oracle, gt_record, voc_oracle
 
 from depthkit import evaluation as ev
 from depthkit.netpbm import ParseError
-
-
-def D(image, cls, score, x1, y1, x2, y2):
-    return Det(image_id=image, class_id=cls, score=score, box=Box(x1, y1, x2, y2))
-
-
-def G(image, cls, x1, y1, x2, y2, difficult=False):
-    return Gt(image_id=image, class_id=cls, box=Box(x1, y1, x2, y2), difficult=difficult)
 
 
 # --------------------------------------------------------------------- IoU

@@ -1,24 +1,14 @@
 """Backprojection, surface normals, gravity, HDHA."""
-import tracemalloc
-
 import numpy as np
 import pytest
 
+from cli_run import numpy_peak
+from depth_scenes import dropout, floor_wall
 from depthkit import CameraIntrinsics, DepthMap, estimate_gravity, hdha_encode
 from depthkit import _kernels
 from depthkit.geometry import backproject_grid
 
 CAM = CameraIntrinsics(fx=100.0, fy=100.0, cx=39.5, cy=29.5, baseline=0.075)
-
-
-def _floor_wall_scene(h=60, w=80, cam_height=1.2, wall_z=6.0, cam=CAM):
-    """Horizontal floor below the camera meeting a frontal wall."""
-    us, vs = np.meshgrid(np.arange(w, dtype=float), np.arange(h, dtype=float))
-    ys = (vs - cam.cy) / cam.fy
-    depth = np.full((h, w), wall_z)
-    floor = ys > cam_height / wall_z
-    depth[floor] = cam_height / ys[floor]
-    return DepthMap(depth), floor
 
 
 # ----------------------------------------------------------- backprojection
@@ -67,7 +57,8 @@ def test_backprojection_matches_meshgrid_and_stack(seed):
 # ----------------------------------------------------------------- normals
 
 def test_plane_normals():
-    depth, floor = _floor_wall_scene()
+    values, floor = floor_wall()
+    depth = DepthMap(values)
     normals, valid = _kernels.normals_from_points(backproject_grid(depth, CAM), depth.valid, 25)
     # squarely inside each region the normal is exact; pixels whose
     # windows straddle the floor/wall crease (rows 50-54) are excluded
@@ -204,16 +195,6 @@ def test_checkpoint_spacing_changes_no_bit(monkeypatch, case):
             assert np.array_equal(ok, expected[1]), (spacing, chunk)
 
 
-def _hdha_peak(depth, cam):
-    tracemalloc.start()
-    try:
-        enc = hdha_encode(depth, cam)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return enc, peak
-
-
 _VGA_CAM = CameraIntrinsics(fx=500.0, fy=500.0, cx=319.5, cy=239.5, baseline=0.075)
 
 
@@ -224,13 +205,9 @@ def test_hdha_memory_is_bounded_by_the_map():
     # kernel at about 25.0 MiB; holding the grid through the gravity
     # estimate and gathering the valid normals there would take it to
     # 28.7 MiB, and a whole-image 10-moment integral image to about 50 MiB
-    depth, _ = _floor_wall_scene(h=480, w=640, cam=_VGA_CAM)
-    rng = np.random.default_rng(5)
-    values = depth.values.copy()
-    for r, c in rng.integers(0, 440, (40, 2)):
-        values[r:r + 30, c:c + 40] = 0.0
-    values[rng.random(values.shape) < 0.05] = 0.0
-    enc, peak = _hdha_peak(DepthMap(values), _VGA_CAM)
+    values = floor_wall(480, 640, fy=_VGA_CAM.fy, cy=_VGA_CAM.cy)[0]
+    dropout(values, np.random.default_rng(5), 40, (0, 440), (30, 40), 0.05)
+    enc, peak = numpy_peak(hdha_encode, DepthMap(values), _VGA_CAM)
     assert enc.valid.sum() > 200_000
     assert peak < 26 * 2**20, peak
 
@@ -241,13 +218,13 @@ def test_hdha_memory_when_windows_span_the_map():
     rng = np.random.default_rng(7)
     values = np.zeros((480, 640))
     values.flat[rng.choice(values.size, 20, replace=False)] = rng.uniform(2.0, 4.0, 20)
-    enc, peak = _hdha_peak(DepthMap(values), _VGA_CAM)
+    enc, peak = numpy_peak(hdha_encode, DepthMap(values), _VGA_CAM)
     assert enc.valid.sum() == 20
     assert peak < 80 * 2**20, peak
 
 
 def test_normals_face_the_camera():
-    depth, _ = _floor_wall_scene()
+    depth = DepthMap(floor_wall()[0])
     points = backproject_grid(depth, CAM)
     normals, ok = _kernels.normals_from_points(points, depth.valid, 25)
     assert normals.shape == points.shape
@@ -283,7 +260,7 @@ def test_window_grows_until_enough_points():
 # ----------------------------------------------------------------- gravity
 
 def test_gravity_recovers_from_tilted_start():
-    depth, _ = _floor_wall_scene()
+    depth = DepthMap(floor_wall()[0])
     normals, valid = _kernels.normals_from_points(backproject_grid(depth, CAM), depth.valid, 25)
     tilt = np.deg2rad(10.0)
     initial = np.array([np.sin(tilt), np.cos(tilt), 0.0])
@@ -294,7 +271,7 @@ def test_gravity_recovers_from_tilted_start():
 
 
 def test_gravity_default_seed_is_camera_down():
-    depth, _ = _floor_wall_scene()
+    depth = DepthMap(floor_wall()[0])
     normals, valid = _kernels.normals_from_points(backproject_grid(depth, CAM), depth.valid, 25)
     est = estimate_gravity(normals, valid)
     assert est.direction @ [0.0, 1.0, 0.0] > 0.99
@@ -350,7 +327,7 @@ def test_gravity_and_floor_normals_match_a_pitched_room(pitch_deg):
 
 
 def _gravity_cases():
-    depth, _ = _floor_wall_scene()
+    depth = DepthMap(floor_wall()[0])
     normals, valid = _kernels.normals_from_points(backproject_grid(depth, CAM), depth.valid, 25)
     yield normals, valid, None
     yield normals, valid, np.array([np.sin(0.3), np.cos(0.3), 0.0])
@@ -397,7 +374,7 @@ def test_gravity_refuses_a_start_with_no_direction(initial):
 
 
 def test_hdha_checks_gravity_before_the_normals_kernel(monkeypatch):
-    depth, _ = _floor_wall_scene()
+    depth = DepthMap(floor_wall()[0])
     calls = []
     monkeypatch.setattr(_kernels, "normals_from_points", lambda *a: calls.append(a))
     for gravity in ([0.0, 0.0, 0.0], [np.nan, 1.0, 0.0], [1e308, 1e308, 0.0]):
@@ -409,7 +386,8 @@ def test_hdha_checks_gravity_before_the_normals_kernel(monkeypatch):
 # -------------------------------------------------------------------- hdha
 
 def test_hdha_channels_on_floor_wall_scene():
-    depth, floor = _floor_wall_scene()
+    values, floor = floor_wall()
+    depth = DepthMap(values)
     enc = hdha_encode(depth, CAM)
     # disparity: fx * baseline / z, exact on the wall
     wall = ~floor & enc.valid
@@ -426,7 +404,7 @@ def test_hdha_channels_on_floor_wall_scene():
 
 
 def test_hdha_fixed_gravity_skips_estimation():
-    depth, _ = _floor_wall_scene()
+    depth = DepthMap(floor_wall()[0])
     g = np.array([0.0, 1.0, 0.0])
     enc = hdha_encode(depth, CAM, gravity=g)
     enc2 = hdha_encode(depth, CAM)
@@ -434,7 +412,7 @@ def test_hdha_fixed_gravity_skips_estimation():
 
 
 def test_hdha_height_spans_scene_extent():
-    depth, _ = _floor_wall_scene(cam_height=1.2)
+    depth = DepthMap(floor_wall(cam_height=1.2)[0])
     enc = hdha_encode(depth, CAM)
     # scene spans from the floor to the top of the wall
     top = enc.height[enc.valid].max()

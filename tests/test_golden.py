@@ -36,6 +36,7 @@ import pytest
 
 from depthkit import cli, netpbm
 from depthkit.arch import BACKBONES, VARIANTS
+from depth_scenes import dropout, floor_wall, write_cam
 from eval_rows import write_jsonl
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -149,23 +150,12 @@ ARCH_CASES = [(f"{v}/{b}", ["arch", "--variant", v, "--backbone", b])
 FORWARD_CASES = [(name, argv) for name, argv in ARCH_CASES if name.endswith("-forward")]
 
 
-# intrinsics of the 48x64 encode maps
-_CAM = {"fx": 60.0, "fy": 60.0, "cx": 31.5, "cy": 23.5, "baseline": 0.075}
-
-
 def _room(rng, cam_height, wall_z, h=48, w=64):
-    """Floor below the camera meeting a frontal wall, in meters, with
-    sensor noise, a dropout patch and scattered invalid readings."""
-    vs = np.arange(h, dtype=float)[:, None].repeat(w, axis=1)
-    ys = (vs - _CAM["cy"]) / _CAM["fy"]
-    depth = np.full((h, w), wall_z)
-    floor = ys > cam_height / wall_z
-    depth[floor] = cam_height / ys[floor]
+    """The room seen by the 48x64 camera, with sensor noise, a dropout
+    patch and scattered invalid readings."""
+    depth = floor_wall(h, w, cam_height, wall_z, fy=60.0, cy=23.5)[0]
     depth *= 1.0 + 0.01 * rng.standard_normal((h, w))
-    r, c = (int(v) for v in rng.integers(4, 30, 2))
-    depth[r:r + 6, c:c + 9] = 0.0
-    depth[rng.random((h, w)) < 0.03] = 0.0
-    return depth
+    return dropout(depth, rng, 1, (4, 30), (6, 9), 0.03)
 
 
 def _depth_maps(directory):
@@ -179,10 +169,7 @@ def _depth_maps(directory):
     paths = [os.path.join(directory, "room.pfm"), os.path.join(directory, "hall.pgm")]
     netpbm.write_pfm(paths[0], room)
     netpbm.write_pgm16(paths[1], np.round(hall * 1000.0).astype(np.uint16))
-    cam = os.path.join(directory, "cam.json")
-    with open(cam, "w") as fh:
-        json.dump(_CAM, fh)
-    return paths, cam
+    return paths, write_cam(os.path.join(directory, "cam.json"), 48, 64, 60.0)
 
 
 def _large_map(directory):
@@ -191,8 +178,7 @@ def _large_map(directory):
     os.makedirs(directory)
     rng = np.random.default_rng(20261020)
     room = _room(rng, cam_height=1.3, wall_z=5.0, h=160, w=224)
-    for r, c in rng.integers(10, 140, (6, 2)):
-        room[r:r + 12, c:c + 16] = 0.0
+    dropout(room, rng, 6, (10, 140), (12, 16))
     path = os.path.join(directory, "large.pfm")
     netpbm.write_pfm(path, room.astype(np.float32))
     return path

@@ -1,5 +1,4 @@
 """Netpbm reader/writer round-trips and malformed-input diagnostics."""
-import json
 import re
 import struct
 
@@ -8,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cli_run import run_cli
+from cli_run import assert_contract
+from depth_scenes import write_cam
 from depthkit import cli, netpbm
 from depthkit.netpbm import ParseError
 
@@ -202,14 +202,10 @@ def test_fuzzed_depth_headers_keep_the_cli_contract(tmp_path_factory, name_data,
     tmp = tmp_path_factory.mktemp("netpbm")
     src = tmp / f"map{suffix}"
     src.write_bytes(data)
-    cam = tmp / "cam.json"
-    cam.write_text(json.dumps({"fx": 4.0, "fy": 4.0, "cx": 3.5, "cy": 3.5}))
     argv = ["encode", str(src), "--mode", mode, "--out", str(tmp / "out")]
-    argv += ["--dmin", "0.5", "--dmax", "8"] if mode == "gray" else ["--intrinsics", str(cam)]
-    rc, err, caught = run_cli(argv)
-    assert rc in (0, 2, 3), err
-    assert "Traceback" not in err and "Warning" not in err
-    assert caught == []
+    argv += (["--dmin", "0.5", "--dmax", "8"] if mode == "gray"
+             else ["--intrinsics", write_cam(tmp / "cam.json", 8, 8, 4.0)])
+    rc, err = assert_contract(argv)
     if rc == 2:
         found = re.search(r"\(byte offset (\d+)\)$", err.strip())
         assert found, err

@@ -5,12 +5,12 @@ neither prints a traceback or a warning."""
 import json
 import re
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cli_run import run_cli
+from cli_run import assert_contract
+from depth_scenes import floor_wall
 from depthkit import cli, netpbm
 
 _GTS = b'{"image_id": "a", "class": 1, "x1": 5, "y1": 5, "x2": 40, "y2": 35}\n'
@@ -20,18 +20,15 @@ _CAM = {"fx": 20.0, "fy": 20.0, "cx": 7.5, "cy": 5.5, "baseline": 0.075}
 
 def _scene(tmp):
     """A small floor-and-wall depth map, as in the gravity fuzz."""
-    h, w, fx = 12, 16, _CAM["fx"]
-    ys = (np.arange(h, dtype=float)[:, None] - _CAM["cy"]) / fx * np.ones((1, w))
-    depth = np.full((h, w), 6.0)
-    floor = ys > 1.2 / 6.0
-    depth[floor] = 1.2 / ys[floor]
     src = tmp / "room.pfm"
-    netpbm.write_pfm(str(src), depth)
+    netpbm.write_pfm(str(src), floor_wall(12, 16, fy=_CAM["fy"], cy=_CAM["cy"])[0])
     return src
 
 
-def _run_side_file(tmp, kind, data: bytes):
-    """Run the subcommand that reads a ``kind`` side file holding ``data``."""
+def _run_side_file(tmp, kind, data: bytes, codes=(0, 2, 3)):
+    """Run the subcommand that reads a ``kind`` side file holding ``data``
+    and check the contract; a file at fault is named at byte offset 0.
+    Returns stderr, the side file and the ``--out`` directory."""
     side = tmp / f"{kind}.json"
     side.write_bytes(data)
     out = tmp / "out"
@@ -48,37 +45,27 @@ def _run_side_file(tmp, kind, data: bytes):
         argv = ["encode", str(_scene(tmp)), "--mode", "hdha", "--intrinsics", str(cam)]
         if kind == "stats":
             argv += ["--stats", str(side)]
-    return (*run_cli(argv + ["--out", str(out)]), side, out)
-
-
-def _assert_contract(rc, err, caught, side, out, codes=(0, 2, 3)):
-    assert rc in codes, err
-    assert "Traceback" not in err and "Warning" not in err
-    assert caught == []
+    rc, err = assert_contract(argv + ["--out", str(out)], codes)
     if rc == 2:
         assert re.fullmatch(rf"error: {re.escape(str(side))}: .*\(byte offset 0\)", err.strip()), err
-    if rc != 0:
-        assert not list(out.glob("*.ppm"))
+    return err, side, out
 
 
 # ------------------------------------------------------------- one repro each
 
 @pytest.mark.parametrize("data", [b"[", b"\xff[]"], ids=["truncated", "invalid-utf8"])
 def test_undecodable_class_table_exits_2_with_offset(tmp_path, data):
-    rc, err, caught, side, out = _run_side_file(tmp_path, "classes", data)
-    _assert_contract(rc, err, caught, side, out, codes=(2,))
+    _run_side_file(tmp_path, "classes", data, (2,))
 
 
 @pytest.mark.parametrize("kind", ["classes", "intrinsics", "stats"])
 def test_deeply_nested_side_file_exits_2(tmp_path, kind):
-    rc, err, caught, side, out = _run_side_file(tmp_path, kind, b"[" * 100_000)
-    _assert_contract(rc, err, caught, side, out, codes=(2,))
+    err = _run_side_file(tmp_path, kind, b"[" * 100_000, (2,))[0]
     assert "nested too deeply" in err
 
 
 def test_intrinsics_that_are_not_an_object_exit_2(tmp_path):
-    rc, err, caught, side, out = _run_side_file(tmp_path, "intrinsics", b"[1]")
-    _assert_contract(rc, err, caught, side, out, codes=(2,))
+    _run_side_file(tmp_path, "intrinsics", b"[1]", (2,))
 
 
 @pytest.mark.parametrize("stats", [{"mean": [0.0, 0.0, 0.0]},
@@ -87,8 +74,7 @@ def test_intrinsics_that_are_not_an_object_exit_2(tmp_path):
                                    {"mean": [0, "1_0", 0], "std": [1, 1, 1]}],
                          ids=["missing-std", "text-mean", "boolean-std", "numeric-text-mean"])
 def test_malformed_stats_exit_2(tmp_path, stats):
-    rc, err, caught, side, out = _run_side_file(tmp_path, "stats", json.dumps(stats).encode())
-    _assert_contract(rc, err, caught, side, out, codes=(2,))
+    _run_side_file(tmp_path, "stats", json.dumps(stats).encode(), (2,))
 
 
 @pytest.mark.parametrize("stats, message", [
@@ -96,8 +82,7 @@ def test_malformed_stats_exit_2(tmp_path, stats):
     ({"mean": [0, 0, 0], "std": [0, 1, 1]}, "'std' must hold positive numbers"),
 ], ids=["unequal-lengths", "zero-std"])
 def test_stats_the_record_cannot_hold_exit_2(tmp_path, stats, message):
-    rc, err, caught, side, out = _run_side_file(tmp_path, "stats", json.dumps(stats).encode())
-    _assert_contract(rc, err, caught, side, out, codes=(2,))
+    err, side, out = _run_side_file(tmp_path, "stats", json.dumps(stats).encode(), (2,))
     assert err == f"error: {side}: {message} (byte offset 0)\n"
     assert not out.exists()
 
@@ -108,39 +93,34 @@ def test_stats_without_three_channels_exit_2_before_any_map_is_read(tmp_path, mo
     read = []
     monkeypatch.setattr(cli.encoding, "load_depth", lambda path: read.append(path))
     stats = {"mean": [0.0] * channels, "std": [1.0] * channels}
-    rc, err, caught, side, out = _run_side_file(tmp_path, "stats", json.dumps(stats).encode())
-    _assert_contract(rc, err, caught, side, out, codes=(2,))
+    err, side, out = _run_side_file(tmp_path, "stats", json.dumps(stats).encode(), (2,))
     assert "3-channel" in err and read == [] and not out.exists()
 
 
 @pytest.mark.parametrize("field, value", [("fx", True), ("fy", "1_0"), ("baseline", "0.075")])
 def test_intrinsics_that_are_not_json_numbers_exit_2(tmp_path, field, value):
     data = json.dumps({**_CAM, field: value}).encode()
-    rc, err, caught, side, out = _run_side_file(tmp_path, "intrinsics", data)
-    _assert_contract(rc, err, caught, side, out, codes=(2,))
+    err = _run_side_file(tmp_path, "intrinsics", data, (2,))[0]
     assert f"'{field}' must hold numbers" in err
 
 
 def test_non_finite_stats_exit_3_without_warning(tmp_path):
     data = b'{"mean": [NaN, 0, 0], "std": [1, 1, 1]}'
-    rc, err, caught, side, out = _run_side_file(tmp_path, "stats", data)
-    _assert_contract(rc, err, caught, side, out, codes=(3,))
+    err = _run_side_file(tmp_path, "stats", data, (3,))[0]
     assert "finite" in err
 
 
 @pytest.mark.parametrize("field, value", [("cx", float("nan")), ("baseline", float("inf"))])
 def test_non_finite_intrinsics_exit_3(tmp_path, field, value):
     data = json.dumps({**_CAM, field: value}).encode()   # NaN, Infinity
-    rc, err, caught, side, out = _run_side_file(tmp_path, "intrinsics", data)
-    _assert_contract(rc, err, caught, side, out, codes=(3,))
+    err = _run_side_file(tmp_path, "intrinsics", data, (3,))[0]
     assert "finite" in err
 
 
 @pytest.mark.parametrize("field, value", [("fx", 1e-300), ("cy", 1e200), ("baseline", 1e308)])
 def test_intrinsics_past_float_range_exit_3_without_warning(tmp_path, field, value):
     data = json.dumps({**_CAM, field: value}).encode()
-    rc, err, caught, side, out = _run_side_file(tmp_path, "intrinsics", data)
-    _assert_contract(rc, err, caught, side, out, codes=(3,))
+    err = _run_side_file(tmp_path, "intrinsics", data, (3,))[0]
     assert "magnitude" in err
 
 
@@ -209,5 +189,4 @@ def _side_file(draw):
 @given(_side_file())
 def test_fuzzed_side_files_never_crash(tmp_path_factory, kind_data):
     kind, data = kind_data
-    rc, err, caught, side, out = _run_side_file(tmp_path_factory.mktemp("side"), kind, data)
-    _assert_contract(rc, err, caught, side, out)
+    _run_side_file(tmp_path_factory.mktemp("side"), kind, data)
