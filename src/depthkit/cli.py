@@ -14,12 +14,11 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
-from . import analysis, encoding, evaluation, geometry, netpbm
+from . import _kernels, analysis, encoding, evaluation, geometry, netpbm
 from .arch import (
     GraphError,
     Lcg,
@@ -219,26 +218,28 @@ def _cmd_encode(args) -> int:
     defer = bool(args.stats) and stats is None
     os.makedirs(args.out, exist_ok=True)
 
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
+    def encode_one(path):
+        return _encode_one(path, args, cam, gravity, stats, defer)
+
+    if args.mode == "hdha":
+        # one map at a time: its normals kernel spreads its chunks across
+        # the pool, so only one map's working set is alive
+        results = [encode_one(path) for path in args.files]
     else:
-        cores = os.cpu_count() or 1
-    with ThreadPoolExecutor(max_workers=min(cores, len(args.files))) as pool:
-        results = list(pool.map(
-            lambda p: _encode_one(p, args, cam, gravity, stats, defer), args.files
-        ))
-        failed = [r for r in results if isinstance(r, Exception)]
-        if defer and failed:
-            # the stats describe the whole batch: without it nothing is written
-            results = []
-        elif defer:
-            held = [hdha for _, (_, hdha) in results]
-            # a batch with no valid pixel renders to zeros under any stats,
-            # so it writes its images and no stats file
-            if any(hdha.valid.any() for hdha in held):
-                stats = encoding.compute_channel_stats(held)
-                stats.to_json(args.stats)
-            list(pool.map(lambda r: _write_hdha(*r[1], stats), results))
+        results = _kernels.pool_map(encode_one, args.files)
+    failed = [r for r in results if isinstance(r, Exception)]
+    if defer and failed:
+        # the stats describe the whole batch: without it nothing is written
+        results = []
+    elif defer:
+        held = [hdha for _, (_, hdha) in results]
+        # a batch with no valid pixel renders to zeros under any stats,
+        # so it writes its images and no stats file
+        if any(hdha.valid.any() for hdha in held):
+            stats = encoding.compute_channel_stats(held)
+            stats.to_json(args.stats)
+        for _, (out_path, hdha) in results:
+            _write_hdha(out_path, hdha, stats)
     for result in results:
         if not isinstance(result, Exception):
             print(result[0])

@@ -28,23 +28,50 @@ class GravityEstimate:
     orthogonal_count: int
 
 
-def backproject_grid(depth: DepthMap, cam: CameraIntrinsics) -> np.ndarray:
-    """Camera-frame coordinates for every pixel, ``(H, W, 3)``.
-
-    Invalid pixels get zero vectors; consult ``depth.valid``.  Each
-    plane is computed in place in the result, ``(u - cx) * d / fx`` and
-    ``(v - cy) * d / fy`` in that order of operations.
-    """
-    h, w = depth.values.shape
-    grid = np.zeros((h, w, 3))
-    x, y, d = (grid[..., a] for a in range(3))
-    np.copyto(d, depth.values, where=depth.valid)
-    np.subtract(np.arange(w, dtype=np.float64), cam.cx, out=x)
-    np.subtract(np.arange(h, dtype=np.float64)[:, None], cam.cy, out=y)
+def _backproject(u, v, out: np.ndarray, cam: CameraIntrinsics) -> np.ndarray:
+    """Fill ``out[..., 0]`` and ``out[..., 1]`` from pixel columns ``u``,
+    rows ``v`` and the depths already in ``out[..., 2]``: in place,
+    ``(u - cx) * d / fx`` and ``(v - cy) * d / fy`` in that order of
+    operations."""
+    x, y, d = (out[..., a] for a in range(3))
+    np.subtract(u, cam.cx, out=x)
+    np.subtract(v, cam.cy, out=y)
     for plane, f in ((x, cam.fx), (y, cam.fy)):
         np.multiply(plane, d, out=plane)
         np.divide(plane, f, out=plane)
-    return grid
+    return out
+
+
+def backproject_grid(depth: DepthMap, cam: CameraIntrinsics,
+                     lo: int = 0, hi: int | None = None) -> np.ndarray:
+    """Camera-frame coordinates of every pixel of rows ``lo..hi-1`` (by
+    default all), ``(hi - lo, W, 3)``.
+
+    Invalid pixels get zero vectors; consult ``depth.valid``.  A pixel's
+    point does not depend on the rows asked for.
+    """
+    h, w = depth.values.shape
+    hi = h if hi is None else hi
+    grid = np.zeros((hi - lo, w, 3))
+    np.copyto(grid[..., 2], depth.values[lo:hi], where=depth.valid[lo:hi])
+    return _backproject(np.arange(w, dtype=np.float64),
+                        np.arange(lo, hi, dtype=np.float64)[:, None], grid, cam)
+
+
+class _DepthRows:
+    """The row source of a depth map's point grid: rows and pixels are
+    back-projected when the normals kernel asks for them."""
+
+    def __init__(self, depth: DepthMap, cam: CameraIntrinsics):
+        self.depth, self.cam = depth, cam
+
+    def rows(self, lo: int, hi: int) -> np.ndarray:
+        return backproject_grid(self.depth, self.cam, lo, hi)
+
+    def at(self, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+        points = np.empty((i.size, 3))
+        points[:, 2] = np.where(self.depth.valid[i, j], self.depth.values[i, j], 0.0)
+        return _backproject(j, i, points, self.cam)
 
 
 _DEFAULT_GRAVITY = np.array([0.0, 1.0, 0.0])
@@ -63,8 +90,11 @@ def _unit_gravity(g) -> np.ndarray:
     return g / norm
 
 
-def _scatter(v: np.ndarray) -> np.ndarray:
-    """``v.T @ v``, for one gathered cluster that dies on return."""
+def _scatter(n: np.ndarray, cluster: np.ndarray) -> np.ndarray:
+    """``v.T @ v`` of the rows ``v = n[cluster]``, gathered for the product
+    only; ``np.compress`` gathers the same rows as the boolean index in
+    a fraction of its time."""
+    v = np.compress(cluster, n, axis=0)
     return v.T @ v
 
 
@@ -114,9 +144,9 @@ def estimate_gravity(
             break
         m = np.zeros((3, 3))
         if n_orth:
-            m += _scatter(n[orth])
+            m += _scatter(n, orth)
         if n_par:
-            m -= _scatter(n[par])
+            m -= _scatter(n, par)
         _, vecs = np.linalg.eigh(m)
         g_new = vecs[:, 0]
         if g_new @ g < 0:
@@ -157,10 +187,10 @@ def hdha_encode(
     ``ValueError`` before the normals kernel runs.
     """
     g = None if gravity is None else _unit_gravity(gravity)
-    # the point grid lives only through the normals kernel; the height
-    # channel builds it again rather than hold it through the estimate
+    # no point grid is held: the kernel and the height channel each
+    # back-project the rows they read, one strip at a time
     normals, n_valid = _kernels.normals_from_points(
-        backproject_grid(depth, cam), depth.valid, k_neighbors)
+        _DepthRows(depth, cam), depth.valid, k_neighbors)
     if g is None:
         # with no normal to estimate from, every pixel is invalid and
         # encodes to 0 whatever the direction
@@ -182,7 +212,9 @@ def hdha_encode(
 
     # height increases opposite gravity; shift so the scene's lowest
     # valid point reads exactly 0
-    height = backproject_grid(depth, cam) @ g
+    height = np.empty(depth.values.shape)
+    for lo, hi in _kernels.strips(height.shape[0]):
+        np.matmul(backproject_grid(depth, cam, lo, hi), g, out=height[lo:hi])
     np.negative(height, out=height)
     if valid.any():
         height -= height[valid].min()

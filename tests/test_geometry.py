@@ -1,12 +1,16 @@
 """Backprojection, surface normals, gravity, HDHA."""
+import threading
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cli_run import numpy_peak
 from depth_scenes import dropout, floor_wall
 from depthkit import CameraIntrinsics, DepthMap, estimate_gravity, hdha_encode
 from depthkit import _kernels
-from depthkit.geometry import backproject_grid
+from depthkit.geometry import _DepthRows, backproject_grid
 
 CAM = CameraIntrinsics(fx=100.0, fy=100.0, cx=39.5, cy=29.5, baseline=0.075)
 
@@ -52,6 +56,18 @@ def test_backprojection_matches_meshgrid_and_stack(seed):
     d = np.where(depth.valid, depth.values, 0.0)
     expected = np.stack([(uu - cam.cx) * d / cam.fx, (vv - cam.cy) * d / cam.fy, d], axis=-1)
     assert np.array_equal(_bits(backproject_grid(depth, cam)), _bits(expected))
+
+
+def test_backprojected_rows_are_the_grid_rows():
+    rng = np.random.default_rng(3)
+    values = rng.uniform(0.5, 8.0, (37, 23))
+    values[rng.random(values.shape) < 0.3] = 0.0
+    depth = DepthMap(values)
+    grid = backproject_grid(depth, CAM)
+    for lo, hi in ((0, 37), (0, 1), (5, 21), (36, 37), (9, 9)):
+        assert np.array_equal(_bits(backproject_grid(depth, CAM, lo, hi)), _bits(grid[lo:hi]))
+    rows, cols = np.nonzero(rng.random(values.shape) < 0.5)
+    assert np.array_equal(_bits(_DepthRows(depth, CAM).at(rows, cols)), _bits(grid[rows, cols]))
 
 
 # ----------------------------------------------------------------- normals
@@ -195,21 +211,115 @@ def test_checkpoint_spacing_changes_no_bit(monkeypatch, case):
             assert np.array_equal(ok, expected[1]), (spacing, chunk)
 
 
+def _row_source_case(case):
+    """A depth map of one row-source case: dense with holes, sparse with
+    windows that span the map, or with no valid pixel."""
+    rng = np.random.default_rng(23)
+    values = floor_wall()[0]
+    if case == "dense":
+        dropout(values, rng, 6, (0, 50), (6, 9), 0.05)
+    elif case == "sparse":
+        values[rng.random(values.shape) > 0.004] = 0.0
+    else:
+        values[:] = 0.0
+    return DepthMap(values)
+
+
+@pytest.mark.parametrize("case", ["dense", "sparse", "empty"])
+def test_row_source_kernel_is_bitwise_the_grid_kernel(monkeypatch, case):
+    # many chunks, each reading its band and its own points through the
+    # source; the windows of the sparse case grow to max(H, W)
+    depth = _row_source_case(case)
+    monkeypatch.setattr(_kernels, "CHUNK", 97)
+    expected = _kernels.normals_from_points(backproject_grid(depth, CAM), depth.valid, 25)
+    normals, ok = _kernels.normals_from_points(_DepthRows(depth, CAM), depth.valid, 25)
+    assert np.array_equal(_bits(normals), _bits(expected[0]))
+    assert np.array_equal(ok, expected[1])
+    assert ok.any() == (case != "empty")
+    if case == "sparse":
+        assert 3 <= depth.valid.sum() < 25
+
+
+@settings(max_examples=80, deadline=None)
+@given(h=st.integers(1, 60), w=st.integers(1, 12), blank=st.integers(0, 40),
+       density=st.sampled_from([0.0, 0.01, 0.3, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_strip_mean_is_bitwise_the_gathered_mean(h, w, blank, density, seed):
+    # magnitudes over eight decades make the order of additions show
+    rng = np.random.default_rng(seed)
+    points = rng.normal(size=(h, w, 3)) * 10.0 ** rng.uniform(-4, 4, (h, w, 1))
+    valid = rng.random((h, w)) < density
+    valid[:blank] = False
+    if density == 0.01 and not valid.any():
+        valid[rng.integers(h), rng.integers(w)] = True  # one valid pixel
+    mean = _kernels.valid_mean(_kernels._Grid(points), valid)
+    expected = points[valid].mean(axis=0) if valid.any() else np.zeros(3)
+    assert np.array_equal(_bits(mean), _bits(expected))
+
+
+class _ThreadRows(_kernels._Grid):
+    """A whole-grid row source that records the threads reading points."""
+
+    def __init__(self, points):
+        super().__init__(points)
+        self.threads = set()
+
+    def at(self, i, j):
+        self.threads.add(threading.current_thread().name)
+        return super().at(i, j)
+
+
+@pytest.mark.parametrize("case", ["holes", "sparse"])
+def test_pooled_chunks_are_bitwise_the_inline_chunks(monkeypatch, case):
+    points, valid, k = _oracle_case(case)
+    monkeypatch.setattr(_kernels, "CHUNK", 7)
+    results = []
+    for cores in (1, 2):
+        monkeypatch.setattr(_kernels, "_cores", lambda: cores)
+        source = _ThreadRows(points)
+        results.append(_kernels.normals_from_points(source, valid, k))
+        on_main = source.threads == {threading.current_thread().name}
+        assert on_main == (cores == 1), source.threads
+    assert results[0][1].any()
+    assert np.array_equal(_bits(results[1][0]), _bits(results[0][0]))
+    assert np.array_equal(results[1][1], results[0][1])
+
+
+def test_hdha_encode_runs_as_pool_tasks(monkeypatch):
+    # as many encodes as the pool has workers, each with many chunks: a
+    # worker that queued its chunks behind the other encodes would wait
+    # forever, so each runs its chunks inline
+    monkeypatch.setattr(_kernels, "CHUNK", 256)
+    maps = [DepthMap(floor_wall(cam_height=1.0 + 0.1 * i)[0])
+            for i in range(max(2, _kernels._cores()))]
+    expected = [hdha_encode(d, CAM) for d in maps]
+    results = []
+    runner = threading.Thread(target=lambda: results.append(
+        _kernels.pool_map(lambda d: hdha_encode(d, CAM), maps)), daemon=True)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive(), "pooled encodes did not finish"
+    for enc, ref in zip(results[0], expected):
+        for channel in ("hd", "height", "angle"):
+            assert np.array_equal(_bits(getattr(enc, channel)), _bits(getattr(ref, channel)))
+        assert np.array_equal(enc.valid, ref.valid)
+
+
 _VGA_CAM = CameraIntrinsics(fx=500.0, fy=500.0, cx=319.5, cy=239.5, baseline=0.075)
 
 
 def test_hdha_memory_is_bounded_by_the_map():
-    # a VGA floor/wall scene with dropout holes: beside the point grid
-    # and the normals, the encode holds the count integral image, the
-    # moment checkpoints and one chunk's band, and peaks in the normals
-    # kernel at about 25.0 MiB; holding the grid through the gravity
-    # estimate and gathering the valid normals there would take it to
-    # 28.7 MiB, and a whole-image 10-moment integral image to about 50 MiB
+    # a VGA floor/wall scene with dropout holes: beside the normals, the
+    # encode holds the count integral image, the moment checkpoints and
+    # up to two chunks' bands and temporaries, one a pool worker, and
+    # peaks in the normals kernel at about 19.4 MiB (15.5 MiB with the
+    # chunks run inline); the whole point grid held through the kernel
+    # would take it to about 25.5 MiB, and a whole-image 10-moment
+    # integral image to about 50 MiB
     values = floor_wall(480, 640, fy=_VGA_CAM.fy, cy=_VGA_CAM.cy)[0]
     dropout(values, np.random.default_rng(5), 40, (0, 440), (30, 40), 0.05)
     enc, peak = numpy_peak(hdha_encode, DepthMap(values), _VGA_CAM)
     assert enc.valid.sum() > 200_000
-    assert peak < 26 * 2**20, peak
+    assert peak < 21 * 2**20, peak
 
 
 def test_hdha_memory_when_windows_span_the_map():
@@ -409,6 +519,23 @@ def test_hdha_fixed_gravity_skips_estimation():
     enc = hdha_encode(depth, CAM, gravity=g)
     enc2 = hdha_encode(depth, CAM)
     np.testing.assert_allclose(enc.angle[enc.valid], enc2.angle[enc2.valid], atol=0.5)
+
+
+@pytest.mark.parametrize("shape", [(60, 80), (37, 23), (17, 1)])
+def test_hdha_height_is_the_whole_grid_product(shape):
+    # the height channel takes its product strip by strip; each pixel's
+    # value is that of the product over the whole point grid
+    rng = np.random.default_rng(shape[1])
+    values = rng.uniform(2.0, 2.5, shape)
+    values[rng.random(shape) < 0.2] = 0.0
+    depth = DepthMap(values)
+    g = np.array([0.1, 0.9, 0.3])
+    enc = hdha_encode(depth, CAM, gravity=g)
+    expected = -(backproject_grid(depth, CAM) @ (g / np.linalg.norm(g)))
+    expected -= expected[enc.valid].min()
+    expected[~enc.valid] = 0.0
+    assert enc.valid.sum() > values.size // 2
+    assert np.array_equal(_bits(enc.height), _bits(expected))
 
 
 def test_hdha_height_spans_scene_extent():
