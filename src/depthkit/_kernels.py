@@ -304,7 +304,8 @@ def normals_from_points(
         # the per-pixel stage for one chunk; its temporaries die when it
         # returns
         ci, cj = pixels(start)
-        r = base_radius(k)
+        # a window of radius max_r already spans the image, whatever k is
+        r = min(base_radius(k), max_r)
         radius = np.full(ci.size, r)
         counts = window_sums(count, *bounds(ci, cj, r))
         pending = np.nonzero(counts < k)[0]

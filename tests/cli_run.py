@@ -10,29 +10,34 @@ from depthkit import cli
 
 
 def run_cli(argv):
-    """``cli.main(argv)`` in process: exit code, stderr and warnings."""
-    err = io.StringIO()
+    """``cli.main(argv)`` in process: exit code, stdout, stderr and warnings."""
+    out, err = io.StringIO(), io.StringIO()
     with (warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err),
-          contextlib.redirect_stdout(io.StringIO())):
+          contextlib.redirect_stdout(out)):
         warnings.simplefilter("always")
         rc = cli.main(argv)
-    return rc, err.getvalue(), caught
+    return rc, out.getvalue(), err.getvalue(), caught
 
 
 def assert_contract(argv, codes=(0, 2, 3)):
     """Run ``argv`` and check the command-line contract: an exit code in
     ``codes``, no traceback and no warning, and a failure that prints one
-    ``error:`` line and leaves no file under ``--out``.  Returns the exit
-    code and stderr."""
-    rc, err, caught = run_cli(argv)
+    error line (``internal error:`` for exit 4, else ``error:``).  A bad
+    input or parameter (exit 2 or 3) prints nothing on stdout and leaves
+    no file under ``--out``; an internal error may come after outputs were
+    written.  Returns the exit code and stderr."""
+    rc, out, err, caught = run_cli(argv)
     assert rc in codes, err
     assert "Traceback" not in err and "Warning" not in err, err
     assert caught == []
     if rc != 0:
-        assert err.startswith("error: ") and err.count("\n") == 1, err
+        prefix = "internal error: " if rc == 4 else "error: "
+        assert err.startswith(prefix) and err.count("\n") == 1, err
+    if rc in (2, 3):
+        assert out == "", out
         if "--out" in argv:
-            out = Path(argv[argv.index("--out") + 1])
-            assert not out.exists() or not any(out.iterdir()), err
+            out_dir = Path(argv[argv.index("--out") + 1])
+            assert not out_dir.exists() or not any(out_dir.iterdir()), err
     return rc, err
 
 

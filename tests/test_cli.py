@@ -1,8 +1,11 @@
 """End-to-end command-line behavior: exit codes, artifacts, determinism."""
 import json
 import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 import pytest
@@ -15,71 +18,70 @@ from depthkit import _kernels, analysis, cli, encoding, evaluation, geometry, ne
 from eval_rows import write_jsonl
 
 
+_RAMP = np.arange(20, dtype=np.float32).reshape(4, 5) / 4.0 + 1.0  # meters
+_RAMP[2, 2] = 0.0  # one hole
+
+
 def _ramp_pfm(path):
-    # 4x5 meters, one hole
-    values = np.arange(20, dtype=np.float32).reshape(4, 5) / 4.0 + 1.0
-    values[2, 2] = 0.0
-    netpbm.write_pfm(str(path), values)
-    return np.float64(values)
+    netpbm.write_pfm(str(path), _RAMP)
+
+
+def _room(tmp):
+    """A 12x16 floor-and-wall room and its camera, written into ``tmp``."""
+    src = tmp / "room.pfm"
+    netpbm.write_pfm(str(src), floor_wall(12, 16, fy=20.0, cy=5.5)[0])
+    return str(src), write_cam(tmp / "cam.json", 12, 16, 20.0)
+
+
+_GT_KEYS = ("image_id", "class", "x1", "y1", "x2", "y2", "difficult")
+_DET_KEYS = ("image_id", "class", "score", "x1", "y1", "x2", "y2")
 
 
 @pytest.fixture
 def eval_files(tmp_path):
-    classes = tmp_path / "classes.json"
-    classes.write_text(json.dumps(["background", "chair", "table"]))
-    gts = tmp_path / "gts.jsonl"
-    write_jsonl(gts, [
-        {"image_id": "im1", "class": "chair", "x1": 10, "y1": 10, "x2": 50, "y2": 50},
-        {"image_id": "im1", "class": "table", "x1": 60, "y1": 10, "x2": 90, "y2": 40},
-        {"image_id": "im2", "class": "chair", "x1": 20, "y1": 20, "x2": 70, "y2": 80},
-        {"image_id": "im2", "class": "chair", "x1": 0, "y1": 0, "x2": 10, "y2": 10,
-         "difficult": True},
-    ])
-    dets = tmp_path / "dets.jsonl"
-    write_jsonl(dets, [
-        {"image_id": "im1", "class": "chair", "score": 0.9,
-         "x1": 12, "y1": 11, "x2": 49, "y2": 52},
-        {"image_id": "im1", "class": "chair", "score": 0.8,
-         "x1": 10, "y1": 10, "x2": 50, "y2": 50},
-        {"image_id": "im1", "class": "table", "score": 0.7,
-         "x1": 58, "y1": 12, "x2": 88, "y2": 42},
-        {"image_id": "im2", "class": "chair", "score": 0.6,
-         "x1": 25, "y1": 25, "x2": 65, "y2": 75},
-        {"image_id": "im2", "class": "table", "score": 0.55,
-         "x1": 0, "y1": 0, "x2": 30, "y2": 30},
-    ])
-    dets_b = tmp_path / "dets_b.jsonl"
-    write_jsonl(dets_b, [
-        {"image_id": "im1", "class": "chair", "score": 0.9,
-         "x1": 12, "y1": 11, "x2": 49, "y2": 52},
-        {"image_id": "im1", "class": "table", "score": 0.7,
-         "x1": 58, "y1": 12, "x2": 88, "y2": 42},
-        {"image_id": "im2", "class": "table", "score": 0.6,
-         "x1": 25, "y1": 25, "x2": 65, "y2": 75},
-    ])
-    # numeric-class twins for runs that load no class table
     table = ["background", "chair", "table"]
-    for src, dst in ((gts, tmp_path / "gts_ids.jsonl"),
-                     (dets, tmp_path / "dets_ids.jsonl")):
-        records = [json.loads(line) for line in src.read_text().splitlines()]
-        for r in records:
-            r["class"] = table.index(r["class"])
-        write_jsonl(dst, records)
-    return {"classes": str(classes), "gts": str(gts),
-            "dets": str(dets), "dets_b": str(dets_b),
-            "gts_ids": str(tmp_path / "gts_ids.jsonl"),
-            "dets_ids": str(tmp_path / "dets_ids.jsonl")}
+    (tmp_path / "classes.json").write_text(json.dumps(table))
+    gts = [("im1", "chair", 10, 10, 50, 50), ("im1", "table", 60, 10, 90, 40),
+           ("im2", "chair", 20, 20, 70, 80), ("im2", "chair", 0, 0, 10, 10, True)]
+    dets = [("im1", "chair", 0.9, 12, 11, 49, 52), ("im1", "chair", 0.8, 10, 10, 50, 50),
+            ("im1", "table", 0.7, 58, 12, 88, 42), ("im2", "chair", 0.6, 25, 25, 65, 75),
+            ("im2", "table", 0.55, 0, 0, 30, 30)]
+    dets_b = [dets[0], dets[2], ("im2", "table", 0.6, 25, 25, 65, 75)]
+    # with numeric-class twins for runs that load no class table
+    for name, rows, keys in (("gts", gts, _GT_KEYS), ("dets", dets, _DET_KEYS),
+                             ("dets_b", dets_b, _DET_KEYS), ("gts_ids", gts, _GT_KEYS),
+                             ("dets_ids", dets, _DET_KEYS)):
+        if name.endswith("_ids"):
+            rows = [(row[0], table.index(row[1]), *row[2:]) for row in rows]
+        write_jsonl(tmp_path / f"{name}.jsonl", [dict(zip(keys, row)) for row in rows])
+    return {"classes": str(tmp_path / "classes.json"),
+            **{name: str(tmp_path / f"{name}.jsonl")
+               for name in ("gts", "dets", "dets_b", "gts_ids", "dets_ids")}}
+
+
+@pytest.fixture
+def analyze_files(tmp_path, eval_files):
+    depth_dir = tmp_path / "depth"
+    depth_dir.mkdir()
+    rng = np.random.default_rng(2)
+    for image_id in ("im1", "im2"):
+        values = rng.uniform(1.0, 6.0, size=(90, 100)).astype(np.float32)
+        if image_id == "im1":
+            netpbm.write_pfm(str(depth_dir / f"{image_id}.pfm"), values)
+        else:
+            netpbm.write_pgm16(str(depth_dir / f"{image_id}.pgm"),
+                               np.round(values * 1000).astype(np.uint16))
+    return {"depth_dir": str(depth_dir), **eval_files}
 
 
 # ------------------------------------------------------------------ encode
 
 def test_encode_gray_matches_library(tmp_path, capsys):
     src = tmp_path / "scene.pfm"
-    values = _ramp_pfm(src)
+    _ramp_pfm(src)
     out = tmp_path / "out"
-    rc = cli.main(["encode", str(src), "--mode", "gray",
-                   "--dmin", "1.0", "--dmax", "6.0", "--out", str(out)])
-    assert rc == 0
+    assert cli.main(["encode", str(src), "--mode", "gray",
+                     "--dmin", "1.0", "--dmax", "6.0", "--out", str(out)]) == 0
     img, maxval = netpbm.read_pgm(str(out / "scene_gray.pgm"))
     assert maxval == 255
     expected = encoding.grayscale_encode(encoding.load_depth(str(src)), 1.0, 6.0)
@@ -92,9 +94,8 @@ def test_encode_gray_matches_library(tmp_path, capsys):
 def test_encode_jet_matches_library(tmp_path):
     src = tmp_path / "scene.pfm"
     _ramp_pfm(src)
-    rc = cli.main(["encode", str(src), "--mode", "jet",
-                   "--dmin", "1.0", "--dmax", "6.0", "--out", str(tmp_path)])
-    assert rc == 0
+    assert cli.main(["encode", str(src), "--mode", "jet",
+                     "--dmin", "1.0", "--dmax", "6.0", "--out", str(tmp_path)]) == 0
     rgb, _ = netpbm.read_ppm(str(tmp_path / "scene_jet.ppm"))
     depth = encoding.load_depth(str(src))
     gray = encoding.grayscale_encode(depth, 1.0, 6.0)
@@ -106,20 +107,13 @@ def test_encode_hdha_writes_stats_then_reuses_them(tmp_path):
     netpbm.write_pfm(str(src), floor_wall()[0])
     cam_path = write_cam(tmp_path / "cam.json", 60, 80, 100.0)
     stats_path = tmp_path / "stats.json"
-
-    rc = cli.main(["encode", str(src), "--mode", "hdha",
-                   "--intrinsics", cam_path, "--stats", str(stats_path),
-                   "--out", str(tmp_path / "a")])
-    assert rc == 0
-    assert stats_path.exists()
-    first = (tmp_path / "a" / "room_hdha.ppm").read_bytes()
-
-    # second run finds the stats file and applies it: identical output
-    rc = cli.main(["encode", str(src), "--mode", "hdha",
-                   "--intrinsics", cam_path, "--stats", str(stats_path),
-                   "--out", str(tmp_path / "b")])
-    assert rc == 0
-    assert (tmp_path / "b" / "room_hdha.ppm").read_bytes() == first
+    # the second run finds the stats file and applies it: identical output
+    for sub in ("a", "b"):
+        assert cli.main(["encode", str(src), "--mode", "hdha", "--intrinsics", cam_path,
+                         "--stats", str(stats_path), "--out", str(tmp_path / sub)]) == 0
+        assert stats_path.exists()
+    assert (tmp_path / "b" / "room_hdha.ppm").read_bytes() == \
+        (tmp_path / "a" / "room_hdha.ppm").read_bytes()
 
 
 def test_encode_hdha_stats_creation_encodes_each_map_once(tmp_path, monkeypatch):
@@ -132,16 +126,11 @@ def test_encode_hdha_stats_creation_encodes_each_map_once(tmp_path, monkeypatch)
 
     real_encode = geometry.hdha_encode
     calls = []
-
-    def counting_encode(*args, **kwargs):
-        calls.append(1)
-        return real_encode(*args, **kwargs)
-
-    monkeypatch.setattr(geometry, "hdha_encode", counting_encode)
-    rc = cli.main(["encode", *map(str, srcs), "--mode", "hdha",
-                   "--intrinsics", cam_path, "--stats", str(stats_path),
-                   "--out", str(tmp_path / "out")])
-    assert rc == 0
+    monkeypatch.setattr(geometry, "hdha_encode",
+                        lambda *args, **kwargs: calls.append(1) or real_encode(*args, **kwargs))
+    assert cli.main(["encode", *map(str, srcs), "--mode", "hdha",
+                     "--intrinsics", cam_path, "--stats", str(stats_path),
+                     "--out", str(tmp_path / "out")]) == 0
     assert len(calls) == 3
 
     cam_obj = encoding.CameraIntrinsics.from_json(cam_path)
@@ -154,23 +143,6 @@ def test_encode_hdha_stats_creation_encodes_each_map_once(tmp_path, monkeypatch)
         assert np.array_equal(rgb, encoding.hdha_to_rgb(image, stats=expected))
 
 
-def test_encode_hdha_stats_failure_writes_no_images(tmp_path, capsys):
-    # frontal walls at one constant depth have a constant disparity channel
-    walls = [tmp_path / "wall1.pfm", tmp_path / "wall2.pfm"]
-    for wall in walls:
-        netpbm.write_pfm(str(wall), np.full((60, 80), 6.0))
-    cam_path = write_cam(tmp_path / "cam.json", 60, 80, 100.0)
-    stats_path = tmp_path / "stats.json"
-    out = tmp_path / "out"
-    rc = cli.main(["encode", *map(str, walls), "--mode", "hdha",
-                   "--intrinsics", cam_path, "--stats", str(stats_path),
-                   "--out", str(out)])
-    assert rc == 3
-    assert "constant channel" in capsys.readouterr().err
-    assert not stats_path.exists()
-    assert list(out.glob("*_hdha.ppm")) == []
-
-
 def test_encode_hdha_stats_on_a_batch_with_no_valid_pixel(tmp_path):
     # no stats exist to compute, and none could change a byte of a zero image
     maps = [tmp_path / "a.pfm", tmp_path / "b.pfm"]
@@ -178,10 +150,9 @@ def test_encode_hdha_stats_on_a_batch_with_no_valid_pixel(tmp_path):
         netpbm.write_pfm(str(path), np.zeros((4, 4), dtype=np.float32))
     cam_path = write_cam(tmp_path / "cam.json", 4, 4, 4.0)
     stats_path = tmp_path / "o" / "s.json"
-    rc = cli.main(["encode", *map(str, maps), "--mode", "hdha",
-                   "--intrinsics", cam_path, "--stats", str(stats_path),
-                   "--out", str(tmp_path / "o")])
-    assert rc == 0
+    assert cli.main(["encode", *map(str, maps), "--mode", "hdha",
+                     "--intrinsics", cam_path, "--stats", str(stats_path),
+                     "--out", str(tmp_path / "o")]) == 0
     assert not stats_path.exists()
     for path in maps:
         rgb, _ = netpbm.read_ppm(str(tmp_path / "o" / f"{path.stem}_hdha.ppm"))
@@ -193,10 +164,9 @@ def test_encode_hdha_accepts_fixed_gravity(tmp_path):
     src = tmp_path / "room.pfm"
     netpbm.write_pfm(str(src), floor_wall()[0])
     cam_path = write_cam(tmp_path / "cam.json", 60, 80, 100.0)
-    rc = cli.main(["encode", str(src), "--mode", "hdha",
-                   "--intrinsics", cam_path, "--gravity", "0,1,0",
-                   "--out", str(tmp_path)])
-    assert rc == 0
+    assert cli.main(["encode", str(src), "--mode", "hdha",
+                     "--intrinsics", cam_path, "--gravity", "0,1,0",
+                     "--out", str(tmp_path)]) == 0
     assert (tmp_path / "room_hdha.ppm").exists()
 
 
@@ -221,45 +191,18 @@ def test_encode_hdha_without_normals_writes_black_image(tmp_path, capsys, name, 
     assert not rgb.any()
 
 
-def test_encode_parameter_errors_exit_3(tmp_path, capsys):
-    src = tmp_path / "scene.pfm"
-    _ramp_pfm(src)
-    cam_path = write_cam(tmp_path / "cam.json", 60, 80, 100.0)
-    assert cli.main(["encode", str(src), "--mode", "gray"]) == 3
-    assert "requires --dmin" in capsys.readouterr().err
-    assert cli.main(["encode", str(src), "--mode", "sepia",
-                     "--dmin", "1", "--dmax", "2"]) == 3
-    assert cli.main(["encode", str(src), "--mode", "hdha"]) == 3
-    assert "--intrinsics" in capsys.readouterr().err
-    assert cli.main(["encode", str(src), "--mode", "hdha",
-                     "--intrinsics", cam_path, "--gravity", "0,1"]) == 3
-    assert "x,y,z" in capsys.readouterr().err
-
-
-def _gravity_argv(tmp, gravity):
-    """``encode --mode hdha --gravity=<gravity>`` of a small room into ``tmp/out``."""
-    src = tmp / "room.pfm"
-    netpbm.write_pfm(str(src), floor_wall(12, 16, fy=20.0, cy=5.5)[0])
-    cam = write_cam(tmp / "cam.json", 12, 16, 20.0)
-    return ["encode", str(src), "--mode", "hdha", "--intrinsics", cam, f"--gravity={gravity}",
-            "--out", str(tmp / "out")]
-
-
 @pytest.mark.parametrize("gravity", ["nan,0,0", "inf,1,0", "0,-inf,1", "1e308,1e308,0", "0,0,0"])
 def test_encode_non_finite_gravity_exits_3(tmp_path, monkeypatch, gravity):
     # refused before any map is read: no normals call, no --out directory
     calls = []
     monkeypatch.setattr(_kernels, "normals_from_points", lambda *args: calls.append(args))
-    err = assert_contract(_gravity_argv(tmp_path, gravity), (3,))[1]
+    src, cam = _room(tmp_path)
+    out = tmp_path / "out"
+    err = assert_contract(["encode", src, "--mode", "hdha", "--intrinsics", cam,
+                           f"--gravity={gravity}", "--out", str(out)], (3,))[1]
     assert "gravity" in err and "finite" in err
     assert calls == []
-    assert not (tmp_path / "out").exists()
-
-
-def test_encode_empty_gravity_exits_3(tmp_path):
-    err = assert_contract(_gravity_argv(tmp_path, ""), (3,))[1]
-    assert "--gravity needs 'x,y,z', got ''" in err
-    assert not (tmp_path / "out").exists()
+    assert not out.exists()
 
 
 _FLOATS = st.one_of(
@@ -276,31 +219,10 @@ _FLOATS = st.one_of(
 ))
 def test_encode_gravity_fuzz_never_crashes_or_warns(tmp_path_factory, gravity):
     # a refused direction leaves no file under --out
-    assert_contract(_gravity_argv(tmp_path_factory.mktemp("gravity"), gravity), (0, 3))
-
-
-@pytest.mark.parametrize("gravity", ["1_0,0,0", "0,\u0661,0", " 0 ,1,0"],
-                         ids=["underscore", "arabic-indic-digit", "padded"])
-def test_encode_gravity_components_are_ascii_decimals(tmp_path, gravity):
-    err = assert_contract(_gravity_argv(tmp_path, gravity), (3,))[1]
-    assert "--gravity needs finite decimal components" in err
-    assert not (tmp_path / "out").exists()
-
-
-def test_encode_missing_file_exits_3(tmp_path, capsys):
-    rc = cli.main(["encode", str(tmp_path / "absent.pfm"), "--mode", "gray",
-                   "--dmin", "1", "--dmax", "2", "--out", str(tmp_path)])
-    assert rc == 3
-    assert "missing file" in capsys.readouterr().err
-
-
-def test_encode_corrupt_file_exits_2_with_offset(tmp_path, capsys):
-    bad = tmp_path / "bad.pfm"
-    bad.write_bytes(b"Pf\n3 3\n-1.0\n\x00\x01")
-    rc = cli.main(["encode", str(bad), "--mode", "gray",
-                   "--dmin", "1", "--dmax", "2", "--out", str(tmp_path)])
-    assert rc == 2
-    assert "byte offset" in capsys.readouterr().err
+    tmp = tmp_path_factory.mktemp("gravity")
+    src, cam = _room(tmp)
+    assert_contract(["encode", src, "--mode", "hdha", "--intrinsics", cam, f"--gravity={gravity}",
+                     "--out", str(tmp / "out")], (0, 3))
 
 
 @pytest.mark.parametrize("bad", [0, 1, 2], ids=["first", "middle", "last"])
@@ -334,62 +256,6 @@ def test_encode_batch_exits_with_the_code_of_the_first_bad_map(tmp_path, capsys)
     assert err[0] == err[3] and err[1] == err[2] == f"error: missing file: {missing}"
 
 
-def test_encode_batch_stats_need_every_map(tmp_path, capsys):
-    good, cut = tmp_path / "good.pfm", tmp_path / "cut.pfm"
-    netpbm.write_pfm(str(good), floor_wall(12, 16, fy=20.0, cy=5.5)[0])
-    cut.write_bytes(good.read_bytes()[:30])
-    cam_path = write_cam(tmp_path / "cam.json", 12, 16, 20.0)
-    out = tmp_path / "out"
-    rc = cli.main(["encode", str(good), str(cut), "--mode", "hdha", "--intrinsics", cam_path,
-                   "--stats", str(tmp_path / "stats.json"), "--out", str(out)])
-    captured = capsys.readouterr()
-    assert rc == 2
-    assert captured.err.startswith(f"error: {cut}: ")
-    assert captured.out == ""
-    assert not (tmp_path / "stats.json").exists()
-    assert list(out.iterdir()) == []
-
-
-def test_encode_inputs_sharing_an_output_exit_3_before_any_read(tmp_path, capsys):
-    (tmp_path / "a").mkdir()
-    (tmp_path / "b").mkdir()
-    first, second = tmp_path / "a" / "x.pfm", tmp_path / "b" / "x.pfm"
-    _ramp_pfm(first)
-    # a truncated map would exit 2 if it were read
-    second.write_bytes(first.read_bytes()[:30])
-    out = tmp_path / "out"
-    rc = cli.main(["encode", str(first), str(second), "--mode", "gray", "--dmin", "1",
-                   "--dmax", "6", "--out", str(out)])
-    captured = capsys.readouterr()
-    assert rc == 3
-    shared = out / "x_gray.pgm"
-    assert captured.err == f"error: inputs {first} and {second} would both write {shared}\n"
-    assert captured.out == ""
-    assert not out.exists()
-
-
-def _unreadable_cases(tmp_path, eval_files):
-    """(argv, the directory given where a file belongs) per input kind."""
-    directory = tmp_path / "dir.pfm"
-    directory.mkdir()
-    depth_dir = tmp_path / "depth"
-    (depth_dir / "im1.pfm").mkdir(parents=True)
-    return {
-        "similarity": (["analyze", "--similarity", str(directory), str(directory)], directory),
-        "eval": (["eval", "--metric", "voc", "--dets", eval_files["dets_ids"],
-                  "--gts", str(directory), "--out", str(tmp_path / "out")], directory),
-        "depth-dir": (["analyze", "--gts", eval_files["gts_ids"], "--depth-dir", str(depth_dir),
-                       "--out", str(tmp_path / "out")], depth_dir / "im1.pfm"),
-    }
-
-
-@pytest.mark.parametrize("case", ["similarity", "eval", "depth-dir"])
-def test_unreadable_input_exits_3_naming_it(tmp_path, eval_files, case):
-    argv, path = _unreadable_cases(tmp_path, eval_files)[case]
-    err = assert_contract(argv, (3,))[1]
-    assert err.startswith(f"error: {path}: "), err
-
-
 def test_encode_batch_writes_the_maps_around_an_unreadable_one(tmp_path, capsys):
     good = tmp_path / "good.pfm"
     _ramp_pfm(good)
@@ -408,9 +274,8 @@ def test_encode_batch_writes_the_maps_around_an_unreadable_one(tmp_path, capsys)
 # -------------------------------------------------------------------- arch
 
 def test_arch_writes_reports_and_summarizes(tmp_path, capsys):
-    rc = cli.main(["arch", "--variant", "baseline", "--backbone", "vgg16",
-                   "--out", str(tmp_path)])
-    assert rc == 0
+    assert cli.main(["arch", "--variant", "baseline", "--backbone", "vgg16",
+                     "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "baseline / vgg16: trainable=136,818,079 fixed=260,160" in out
     assert "head input: 300x4096" in out
@@ -418,16 +283,6 @@ def test_arch_writes_reports_and_summarizes(tmp_path, capsys):
         path = tmp_path / f"baseline_vgg16{suffix}"
         assert path.exists(), suffix
         assert f"wrote {path}" in out
-
-
-def test_arch_artifacts_are_byte_identical_across_runs(tmp_path):
-    for sub in ("a", "b"):
-        cli.main(["arch", "--variant", "proc-EC", "--backbone", "vgg16",
-                  "--out", str(tmp_path / sub)])
-    for name in ("proc-EC_vgg16.dot", "proc-EC_vgg16_params.csv",
-                 "proc-EC_vgg16_shapes.csv"):
-        assert (tmp_path / "a" / name).read_bytes() == \
-            (tmp_path / "b" / name).read_bytes()
 
 
 def test_arch_forward_prints_deterministic_digests(tmp_path, capsys):
@@ -456,17 +311,6 @@ def test_arch_forward_seed_changes_digests(tmp_path, capsys):
     assert digest(out0) != digest(out1)
 
 
-@pytest.mark.parametrize("seed", [-1, 2**64])
-def test_arch_seed_outside_64_bits_exits_3_writing_nothing(tmp_path, capsys, seed):
-    # -1 would otherwise draw the weights of 2^64 - 1
-    out = tmp_path / "out"
-    rc = cli.main(["arch", "--variant", "baseline", "--backbone", "vgg16", "--input", "64x64",
-                   "--forward", "--seed", str(seed), "--out", str(out)])
-    assert rc == 3
-    assert f"--seed must be in [0, 2^64 - 1], got {seed}" in capsys.readouterr().err
-    assert not out.exists()
-
-
 def test_arch_seed_range_ends_are_accepted(tmp_path, capsys):
     # the input filler is seeded with (seed + 1) mod 2^64, so the top seed wraps to 0
     for seed in (0, 2**64 - 1):
@@ -476,60 +320,30 @@ def test_arch_seed_range_ends_are_accepted(tmp_path, capsys):
         assert "forward det:scores: shape=1x21 " in capsys.readouterr().out
 
 
-def test_arch_parameter_errors_exit_3(tmp_path, capsys):
-    assert cli.main(["arch", "--variant", "mystery", "--backbone", "vgg16",
-                     "--out", str(tmp_path)]) == 3
-    assert cli.main(["arch", "--variant", "baseline", "--backbone", "vgg16",
-                     "--input", "600by800", "--out", str(tmp_path)]) == 3
-    assert "600x800" in capsys.readouterr().err
-
-
-def test_arch_input_too_small_exits_3(tmp_path, capsys):
-    # an 8x8 input collapses vgg16's fourth pooling stage to zero extent
-    rc = cli.main(["arch", "--variant", "baseline", "--backbone", "vgg16",
-                   "--input", "8x8", "--out", str(tmp_path)])
-    assert rc == 3
-    err = capsys.readouterr().err
-    assert "--input" in err and "rgb_bb/pool4" in err
-    assert "internal error" not in err
-
-
-def test_arch_internal_invariant_exits_4(tmp_path, capsys, monkeypatch):
-    def disagree(graph, inputs, seed=0):
-        raise cli.StructuralError("executor produced 1x1 at det:scores, propagation said 4x21")
-
-    monkeypatch.setattr(cli, "execute_forward", disagree)
-    rc = cli.main(["arch", "--variant", "baseline", "--backbone", "vgg16",
-                   "--input", "64x64", "--rois", "4", "--forward", "--out", str(tmp_path)])
-    assert rc == 4
-    assert "internal error" in capsys.readouterr().err
-
-
 def test_arch_forward_feeds_rois_rows(tmp_path, capsys):
-    rc = cli.main(["arch", "--variant", "baseline", "--backbone", "vgg16",
-                   "--input", "64x64", "--rois", "7", "--forward", "--out", str(tmp_path)])
-    assert rc == 0
+    assert cli.main(["arch", "--variant", "baseline", "--backbone", "vgg16",
+                     "--input", "64x64", "--rois", "7", "--forward", "--out", str(tmp_path)]) == 0
     assert "forward det:scores: shape=7x21 " in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("variant", ["baseline", "hdha-split"])
-def test_arch_depth_channels_without_single_depth_input_exits_3(tmp_path, capsys, variant):
-    rc = cli.main(["arch", "--variant", variant, "--backbone", "vgg16",
-                   "--depth-channels", "5", "--out", str(tmp_path)])
-    assert rc == 3
-    assert "depth_channels" in capsys.readouterr().err
 
 
 # -------------------------------------------------------------------- eval
 
+def _named(files, metric, *flags):
+    """``eval`` of the fixture files whose classes are given by name."""
+    return ["eval", "--metric", metric, "--dets", files["dets"], "--gts", files["gts"],
+            "--classes", files["classes"], *flags]
+
+
+def _loaded(files):
+    """The class table, detections and ground truth of ``_named`` as the library loads them."""
+    classes = evaluation.load_classes(files["classes"])
+    return (classes, evaluation.load_detections(files["dets"], classes),
+            evaluation.load_groundtruth(files["gts"], classes))
+
+
 def test_eval_voc_matches_library(tmp_path, capsys, eval_files):
-    rc = cli.main(["eval", "--metric", "voc", "--dets", eval_files["dets"],
-                   "--gts", eval_files["gts"], "--classes", eval_files["classes"],
-                   "--out", str(tmp_path)])
-    assert rc == 0
-    classes = evaluation.load_classes(eval_files["classes"])
-    dets = evaluation.load_detections(eval_files["dets"], classes)
-    gts = evaluation.load_groundtruth(eval_files["gts"], classes)
+    assert cli.main(_named(eval_files, "voc", "--out", str(tmp_path))) == 0
+    classes, dets, gts = _loaded(eval_files)
     map_value, per_class = evaluation.mean_ap(dets, gts, [1, 2], 0.5, False)
     expected = evaluation.ap_csv(per_class, classes, map_value)
     assert (tmp_path / "voc_ap.csv").read_text() == expected
@@ -537,139 +351,39 @@ def test_eval_voc_matches_library(tmp_path, capsys, eval_files):
 
 
 def test_eval_voc_use_difficult_changes_the_score(tmp_path, eval_files):
-    args = ["eval", "--metric", "voc", "--dets", eval_files["dets"],
-            "--gts", eval_files["gts"], "--classes", eval_files["classes"]]
-    cli.main(args + ["--out", str(tmp_path / "plain")])
-    cli.main(args + ["--use-difficult", "--out", str(tmp_path / "hard")])
+    cli.main(_named(eval_files, "voc", "--out", str(tmp_path / "plain")))
+    cli.main(_named(eval_files, "voc", "--use-difficult", "--out", str(tmp_path / "hard")))
     plain = (tmp_path / "plain" / "voc_ap.csv").read_text()
     hard = (tmp_path / "hard" / "voc_ap.csv").read_text()
     assert plain != hard  # the difficult chair now counts as a miss
 
 
 def test_eval_coco_matches_library(tmp_path, capsys, eval_files):
-    rc = cli.main(["eval", "--metric", "coco", "--dets", eval_files["dets"],
-                   "--gts", eval_files["gts"], "--classes", eval_files["classes"],
-                   "--out", str(tmp_path)])
-    assert rc == 0
-    classes = evaluation.load_classes(eval_files["classes"])
-    dets = evaluation.load_detections(eval_files["dets"], classes)
-    gts = evaluation.load_groundtruth(eval_files["gts"], classes)
+    assert cli.main(_named(eval_files, "coco", "--out", str(tmp_path))) == 0
+    classes, dets, gts = _loaded(eval_files)
     summary = evaluation.coco_ap(dets, gts, [1, 2])
     assert (tmp_path / "coco_ap.csv").read_text() == evaluation.coco_csv(summary)
     assert f"AP: {summary['ap']:.6f}" in capsys.readouterr().out
 
 
 def test_eval_confusion_matches_library(tmp_path, capsys, eval_files):
-    rc = cli.main(["eval", "--metric", "confusion", "--dets", eval_files["dets"],
-                   "--gts", eval_files["gts"], "--classes", eval_files["classes"],
-                   "--out", str(tmp_path)])
-    assert rc == 0
-    classes = evaluation.load_classes(eval_files["classes"])
-    dets = evaluation.load_detections(eval_files["dets"], classes)
-    gts = evaluation.load_groundtruth(eval_files["gts"], classes)
+    assert cli.main(_named(eval_files, "confusion", "--out", str(tmp_path))) == 0
+    classes, dets, gts = _loaded(eval_files)
     cm = evaluation.confusion_matrix(dets, gts, classes, 0.5, 0.5)
     assert (tmp_path / "confusion.csv").read_text() == cm.to_csv()
     out = capsys.readouterr().out
     assert f"matched={int(cm.counts.sum())} missed={int(cm.fn.sum())}" in out
 
 
-def test_eval_class_name_that_cannot_be_written_exits_2(tmp_path, capsys, eval_files):
-    # a lone surrogate decodes from its JSON escape but has no UTF-8 form
-    classes = tmp_path / "surrogate.json"
-    classes.write_text(json.dumps(["background", "chair", "table", "\ud800"]))
-    out = tmp_path / "out"
-    rc = cli.main(["eval", "--metric", "confusion", "--dets", eval_files["dets"],
-                   "--gts", eval_files["gts"], "--classes", str(classes), "--out", str(out)])
-    assert rc == 2
-    assert "surrogate.json" in capsys.readouterr().err
-    assert not (out / "confusion.csv").exists()
-
-
-def test_eval_confusion_requires_class_table(tmp_path, capsys, eval_files):
-    rc = cli.main(["eval", "--metric", "confusion", "--dets", eval_files["dets_ids"],
-                   "--gts", eval_files["gts_ids"], "--out", str(tmp_path)])
-    assert rc == 3
-    assert "--classes" in capsys.readouterr().err
-
-
 def test_eval_confdiff_prints_table_and_writes_csv(tmp_path, capsys, eval_files):
-    rc = cli.main(["eval", "--metric", "confdiff", "--dets", eval_files["dets"],
-                   "--dets-b", eval_files["dets_b"], "--gts", eval_files["gts"],
-                   "--classes", eval_files["classes"], "--out", str(tmp_path)])
-    assert rc == 0
+    argv = _named(eval_files, "confdiff", "--dets-b", eval_files["dets_b"], "--out", str(tmp_path))
+    assert cli.main(argv) == 0
     out = capsys.readouterr().out
     assert (tmp_path / "confusion_diff.csv").exists()
     assert "chair" in out and "wrote" in out
 
 
-def test_eval_confdiff_without_second_run_exits_3(tmp_path, capsys, eval_files):
-    rc = cli.main(["eval", "--metric", "confdiff", "--dets", eval_files["dets"],
-                   "--gts", eval_files["gts"], "--classes", eval_files["classes"],
-                   "--out", str(tmp_path)])
-    assert rc == 3
-    assert "--dets-b" in capsys.readouterr().err
-
-
-def test_eval_malformed_jsonl_exits_2(tmp_path, capsys, eval_files):
-    bad = tmp_path / "bad.jsonl"
-    bad.write_text('{"image_id": "a", "class": 1, "score": 0.5, "x1": 0}\n')
-    rc = cli.main(["eval", "--metric", "voc", "--dets", str(bad),
-                   "--gts", eval_files["gts"], "--out", str(tmp_path)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "line 1" in err and "byte offset" in err
-
-
-def test_eval_unknown_metric_exits_3(tmp_path, eval_files):
-    assert cli.main(["eval", "--metric", "f-beta", "--dets", eval_files["dets_ids"],
-                     "--gts", eval_files["gts_ids"], "--out", str(tmp_path)]) == 3
-
-
 _GOOD_DET = '{"image_id": "im1", "class": 1, "score": 0.5, "x1": 0, "y1": 0, "x2": 9, "y2": 9}'
-
-
-@pytest.mark.parametrize("record", [
-    '{"image_id": "im1", "class": [0], "score": 0.5, "x1": 0, "y1": 0, "x2": 9, "y2": 9}',
-    '{"image_id": "im1", "class": 1.7, "score": 0.5, "x1": 0, "y1": 0, "x2": 9, "y2": 9}',
-    '{"image_id": "im1", "class": -1, "score": 0.5, "x1": 0, "y1": 0, "x2": 9, "y2": 9}',
-    '{"image_id": "im1", "class": 1, "score": 0.5, "x1": null, "y1": 0, "x2": 9, "y2": 9}',
-    '{"image_id": "im1", "class": 1, "score": "hi", "x1": 0, "y1": 0, "x2": 9, "y2": 9}',
-    '{"image_id": "im1", "class": 1, "score": NaN, "x1": 0, "y1": 0, "x2": 9, "y2": 9}',
-    '{"image_id": "im1", "class": 1, "score": Infinity, "x1": 0, "y1": 0, "x2": 9, "y2": 9}',
-    '42',
-    '{"image_id": "im1", "class": 1, "score": 0.5, "x1": -Infinity, "y1": 0, "x2": 9, "y2": 9}',
-    _GOOD_DET.encode().replace(b"im1", b"im\xff"),
-    _GOOD_DET + " " + _GOOD_DET,
-    "[" * 100000,
-], ids=["class-list", "class-fraction", "class-negative", "box-null", "score-text",
-        "score-nan", "score-infinity", "not-an-object", "box-infinity", "invalid-utf8",
-        "two-objects", "deep-nesting"])
-def test_eval_bad_record_exits_2_with_offset(tmp_path, capsys, eval_files, record):
-    bad = tmp_path / "bad.jsonl"
-    if isinstance(record, str):
-        record = record.encode()
-    bad.write_bytes(_GOOD_DET.encode() + b"\n" + record + b"\n")
-    rc = cli.main(["eval", "--metric", "voc", "--dets", str(bad),
-                   "--gts", eval_files["gts_ids"], "--out", str(tmp_path)])
-    assert rc == 2
-    err = capsys.readouterr().err
-    assert "line 2" in err and f"(byte offset {len(_GOOD_DET) + 1})" in err
-    assert not (tmp_path / "voc_ap.csv").exists()
-
-
-@pytest.mark.parametrize("record", [
-    '{"image_id": "im1", "class": -2, "x1": 0, "y1": 0, "x2": 9, "y2": 9}',
-    '{"image_id": "im1", "class": 1, "difficult": "false", "x1": 0, "y1": 0, "x2": 9, "y2": 9}',
-    '{"image_id": "im1", "class": 1, "difficult": 0, "x1": 0, "y1": 0, "x2": 9, "y2": 9}',
-    '{"image_id": "im1", "class": 1, "x1": -Infinity, "y1": 0, "x2": 9, "y2": 9}',
-], ids=["class-negative", "difficult-string", "difficult-int", "box-infinity"])
-def test_eval_bad_ground_truth_exits_2(tmp_path, capsys, eval_files, record):
-    bad = tmp_path / "gts.jsonl"
-    bad.write_text(record + "\n")
-    rc = cli.main(["eval", "--metric", "voc", "--dets", eval_files["dets_ids"],
-                   "--gts", str(bad), "--out", str(tmp_path)])
-    assert rc == 2
-    assert "(byte offset 0)" in capsys.readouterr().err
 
 
 def test_eval_bom_on_first_line_still_loads(tmp_path, capsys, eval_files):
@@ -687,51 +401,17 @@ def test_eval_integral_float_class_id_still_loads(tmp_path):
     assert evaluation.load_detections(str(dets)).class_id[0] == 1
 
 
-@pytest.mark.parametrize("flags", [
-    ["--iou", "1.5"], ["--iou", "-1"], ["--iou", "0"], ["--iou", "nan"],
-    ["--score-thresh", "nan"], ["--score-thresh", "inf"],
-], ids=["iou-above-1", "iou-negative", "iou-zero", "iou-nan", "score-nan", "score-inf"])
-@pytest.mark.parametrize("metric", ["voc", "confusion"])
-def test_eval_bad_threshold_exits_3(tmp_path, capsys, eval_files, flags, metric):
-    rc = cli.main(["eval", "--metric", metric, "--dets", eval_files["dets"],
-                   "--gts", eval_files["gts"], "--classes", eval_files["classes"],
-                   *flags, "--out", str(tmp_path)])
-    assert rc == 3
-    assert flags[0] in capsys.readouterr().err
-    assert not any(tmp_path.glob("*.csv"))
-
-
 def test_eval_iou_of_exactly_one_is_accepted(tmp_path, eval_files):
-    rc = cli.main(["eval", "--metric", "voc", "--dets", eval_files["dets"],
-                   "--gts", eval_files["gts"], "--classes", eval_files["classes"],
-                   "--iou", "1", "--out", str(tmp_path)])
-    assert rc == 0
+    assert cli.main(_named(eval_files, "voc", "--iou", "1", "--out", str(tmp_path))) == 0
 
 
 # ----------------------------------------------------------------- analyze
 
-@pytest.fixture
-def analyze_files(tmp_path, eval_files):
-    depth_dir = tmp_path / "depth"
-    depth_dir.mkdir()
-    rng = np.random.default_rng(2)
-    for image_id in ("im1", "im2"):
-        values = rng.uniform(1.0, 6.0, size=(90, 100)).astype(np.float32)
-        if image_id == "im1":
-            netpbm.write_pfm(str(depth_dir / f"{image_id}.pfm"), values)
-        else:
-            netpbm.write_pgm16(str(depth_dir / f"{image_id}.pgm"),
-                               np.round(values * 1000).astype(np.uint16))
-    return {"depth_dir": str(depth_dir), **eval_files}
-
-
 def test_analyze_writes_samples_and_heatmap(tmp_path, capsys, analyze_files):
     out = tmp_path / "stats"
-    rc = cli.main(["analyze", "--gts", analyze_files["gts"],
-                   "--depth-dir", analyze_files["depth_dir"],
-                   "--classes", analyze_files["classes"],
-                   "--bins", "5", "--out", str(out)])
-    assert rc == 0
+    assert cli.main(["analyze", "--gts", analyze_files["gts"], "--depth-dir",
+                     analyze_files["depth_dir"], "--classes", analyze_files["classes"],
+                     "--bins", "5", "--out", str(out)]) == 0
     stdout = capsys.readouterr().out
     assert stdout.startswith("samples=4 pearson_r=")
     for name in ("samples.csv", "heatmap.csv", "heatmap.pgm"):
@@ -745,49 +425,15 @@ def test_analyze_writes_samples_and_heatmap(tmp_path, capsys, analyze_files):
 
 def test_analyze_similarity_of_a_heatmap_with_itself(tmp_path, capsys, analyze_files):
     out = tmp_path / "stats"
-    cli.main(["analyze", "--gts", analyze_files["gts"],
-              "--depth-dir", analyze_files["depth_dir"],
+    cli.main(["analyze", "--gts", analyze_files["gts"], "--depth-dir", analyze_files["depth_dir"],
               "--classes", analyze_files["classes"], "--out", str(out)])
     capsys.readouterr()
     hm_path = str(out / "heatmap.csv")
-    rc = cli.main(["analyze", "--similarity", hm_path, hm_path])
-    assert rc == 0
+    assert cli.main(["analyze", "--similarity", hm_path, hm_path]) == 0
     assert capsys.readouterr().out == "similarity: 1.000000\n"
 
 
 _HEATMAP = b"x_edges,1.0,2.0,3.0\ny_edges,10.0,20.0,30.0\n4.0,1.0\n0.0,2.5\n"
-_ROW_2 = _HEATMAP.index(b"4.0")
-
-
-@pytest.mark.parametrize("data, offset", [
-    (b"\n\n\n", 0),
-    (b"", 0),
-    (_HEATMAP.replace(b"4.0,", b"nan,"), _ROW_2),
-    (_HEATMAP.replace(b"4.0,", b"-1.0,"), _ROW_2),
-    (_HEATMAP.replace(b"4.0,", b"4.0\xff,"), _ROW_2),
-    (_HEATMAP.replace(b"4.0,", b"four,"), _ROW_2),
-    (_HEATMAP.replace(b"4.0,", b"1_0,"), _ROW_2),
-    (_HEATMAP.replace(b"4.0,1.0", b"4.0,1.0,2.0"), _ROW_2),
-    (_HEATMAP.replace(b"4.0,1.0", b"4.0"), _ROW_2),
-    (_HEATMAP.replace(b"4.0,1.0\n", b"\n"), _ROW_2),
-    (_HEATMAP.replace(b"2.0,3.0", b"3.0,2.0"), 0),
-    (_HEATMAP.replace(b"2.0,3.0", b"2.0,inf"), 0),
-    (_HEATMAP.replace(b"1.0,2.0,3.0", b"1.0"), 0),
-    (_HEATMAP.replace(b"y_edges", b"z_edges"), _HEATMAP.index(b"y_edges")),
-    (_HEATMAP.replace(b"0.0,2.5\n", b""), len(_HEATMAP) - len(b"0.0,2.5\n")),
-    (_HEATMAP + b"1.0,1.0\n", len(_HEATMAP)),
-], ids=["blank-lines", "empty", "nan-count", "negative-count", "invalid-utf8", "text-count",
-        "underscore-count", "long-row", "short-row", "blank-row", "decreasing-edges",
-        "infinite-edge", "one-edge", "bad-label", "missing-row", "extra-row"])
-def test_analyze_similarity_names_a_malformed_heatmap_row(tmp_path, capsys, data, offset):
-    good, bad = tmp_path / "good.csv", tmp_path / "bad.csv"
-    good.write_bytes(_HEATMAP)
-    bad.write_bytes(data)
-    rc = cli.main(["analyze", "--similarity", str(good), str(bad)])
-    err = capsys.readouterr().err
-    assert rc == 2, err
-    assert err.startswith(f"error: {bad}: heatmap CSV ")
-    assert err.endswith(f"(byte offset {offset})\n")
 
 
 def test_analyze_similarity_reads_crlf_rows(tmp_path, capsys):
@@ -796,55 +442,6 @@ def test_analyze_similarity_reads_crlf_rows(tmp_path, capsys):
     crlf.write_bytes(_HEATMAP.replace(b"\n", b"\r\n"))
     assert cli.main(["analyze", "--similarity", str(lf), str(crlf)]) == 0
     assert capsys.readouterr().out == "similarity: 1.000000\n"
-
-
-def test_analyze_missing_depth_file_exits_3(tmp_path, capsys, eval_files):
-    empty = tmp_path / "nodepth"
-    empty.mkdir()
-    rc = cli.main(["analyze", "--gts", eval_files["gts_ids"],
-                   "--depth-dir", str(empty), "--out", str(tmp_path)])
-    assert rc == 3
-    assert "im1" in capsys.readouterr().err
-
-
-def test_analyze_box_area_past_the_float_range_exits_3(tmp_path, capsys, analyze_files):
-    gts = tmp_path / "huge.jsonl"
-    write_jsonl(gts, [
-        {"image_id": "im1", "class": "chair", "x1": 0, "y1": 0, "x2": 1e200, "y2": 1e200},
-        {"image_id": "im1", "class": "chair", "x1": 10, "y1": 10, "x2": 50, "y2": 50},
-    ])
-    out = tmp_path / "stats"
-    rc = cli.main(["analyze", "--gts", str(gts), "--depth-dir", analyze_files["depth_dir"],
-                   "--classes", analyze_files["classes"], "--out", str(out)])
-    assert rc == 3
-    assert "axis range" in capsys.readouterr().err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("values, x2, message", [
-    (np.full((8, 8), 2.0), 6.0, "constant sequence"),
-    (np.arange(64.0).reshape(8, 8), 1e154, "overflow"),
-], ids=["constant-depth", "area-squared-past-float-range"])
-def test_analyze_failure_writes_no_output(tmp_path, values, x2, message):
-    # pearson_r fails after the heatmap is built: one box of about 1e308
-    # leaves the axes finite, but not the sums of squares
-    (tmp_path / "depth").mkdir()
-    netpbm.write_pfm(str(tmp_path / "depth" / "im1.pfm"), values.astype(np.float32))
-    write_jsonl(tmp_path / "gts.jsonl", [
-        {"image_id": "im1", "class": 1, "x1": 0, "y1": 0, "x2": x2, "y2": x2},
-        {"image_id": "im1", "class": 1, "x1": 2, "y1": 2, "x2": 4, "y2": 4}])
-    out = tmp_path / "stats"
-    err = assert_contract(["analyze", "--gts", str(tmp_path / "gts.jsonl"), "--depth-dir",
-                           str(tmp_path / "depth"), "--out", str(out)], (3,))[1]
-    assert message in err
-    assert not out.exists()
-
-
-def test_analyze_similarity_of_a_mass_past_the_float_range_exits_3(tmp_path):
-    heatmap = tmp_path / "huge.csv"
-    heatmap.write_bytes(b"x_edges,1.0,2.0,3.0\ny_edges,10.0,20.0\n1e308,1e308\n")
-    err = assert_contract(["analyze", "--similarity", str(heatmap), str(heatmap)], (3,))[1]
-    assert "overflow" in err
 
 
 @pytest.mark.parametrize("message, line", [
@@ -860,21 +457,6 @@ def test_out_of_memory_exits_3(tmp_path, monkeypatch, analyze_files, message, li
     err = assert_contract(["analyze", "--gts", analyze_files["gts_ids"], "--depth-dir",
                            analyze_files["depth_dir"], "--out", str(tmp_path / "stats")], (3,))[1]
     assert err == f"error: {line}\n"
-
-
-def test_analyze_without_inputs_exits_3(tmp_path, capsys):
-    assert cli.main(["analyze", "--out", str(tmp_path)]) == 3
-    assert "--gts" in capsys.readouterr().err
-
-
-def test_analyze_names_a_malformed_depth_map(tmp_path, capsys, analyze_files):
-    bad = tmp_path / "depth" / "im2.pgm"
-    bad.write_bytes(bad.read_bytes()[:40])
-    rc = cli.main(["analyze", "--gts", analyze_files["gts_ids"],
-                   "--depth-dir", analyze_files["depth_dir"], "--out", str(tmp_path / "stats")])
-    assert rc == 2
-    assert re.fullmatch(rf"error: {re.escape(str(bad))}: raster truncated.* \(byte offset 40\)\n",
-                        capsys.readouterr().err)
 
 
 def test_analyze_holds_one_depth_map_at_a_time(tmp_path):
@@ -923,42 +505,6 @@ def test_encode_stats_memory_is_bounded_by_the_maps(tmp_path):
 
 # ------------------------------------------------------------ entry point
 
-_ENCODE = ["encode", "scene.pfm", "--mode", "gray", "--dmin", "1", "--dmax", "6"]
-_ARCH = ["arch", "--variant", "raw-EC", "--backbone", "vgg16", "--input", "64x64", "--rois", "4",
-         "--forward"]
-_EVAL = ["eval", "--metric", "confusion", "--dets", "d.jsonl", "--gts", "g.jsonl",
-         "--classes", "c.json"]
-_NUMERIC_OPTIONS = [
-    (_ENCODE, "--dmin", "{}"), (_ENCODE, "--dmax", "{}"), (_ENCODE, "--k-neighbors", "{}"),
-    (_ARCH, "--classes", "{}"), (_ARCH, "--rois", "{}"), (_ARCH, "--depth-channels", "{}"),
-    (_ARCH, "--seed", "{}"), (_ARCH, "--input", "{}x64"), (_ARCH, "--input", "64x{}"),
-    (_EVAL, "--iou", "{}"), (_EVAL, "--score-thresh", "{}"),
-    (["analyze", "--gts", "g.jsonl", "--depth-dir", "depth"], "--bins", "{}"),
-]
-
-
-@pytest.mark.parametrize("value", ["1_0", "inf", "nan", "\u0661", " 1"],
-                         ids=["underscore", "inf", "nan", "arabic-indic-digit", "padded"])
-@pytest.mark.parametrize("argv, option, form", _NUMERIC_OPTIONS,
-                         ids=[f"{argv[0]}{opt}={form}" for argv, opt, form in _NUMERIC_OPTIONS])
-def test_numeric_options_take_ascii_decimals_only(tmp_path, argv, option, form, value):
-    out = tmp_path / "out"
-    err = assert_contract([*argv, f"{option}={form.format(value)}", "--out", str(out)], (3,))[1]
-    assert option in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("argv", [
-    [], ["frobnicate"], ["encode", "scene.pfm"], ["eval", "--metric", "voc", "--gts", "g.jsonl"],
-    [*_ENCODE, "--k-neighbors", "abc"], [*_ENCODE, "--scale", "600"],
-    ["arch", "--variant", "baseline", "--backbone", "vgg16", "--report", "params"],
-], ids=["no-command", "unknown-command", "missing-mode", "missing-dets", "text-integer",
-        "removed-scale", "removed-report"])
-def test_usage_errors_exit_3(tmp_path, argv):
-    assert_contract([*argv, "--out", str(tmp_path / "out")] if argv else argv, (3,))
-    assert not (tmp_path / "out").exists()
-
-
 @pytest.mark.parametrize("argv", [["--help"], ["encode", "--help"], ["arch", "-h"]])
 def test_help_exits_0(capsys, argv):
     with pytest.raises(SystemExit) as exit_:
@@ -981,3 +527,307 @@ def test_cli_runs_as_a_process(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert (tmp_path / "scene_gray.pgm").exists()
     assert "valid=0.950" in proc.stdout
+
+
+# ------------------------------------------------- one run, one outcome
+
+class _Inputs(dict):
+    """The ``{name}`` fields of a row's argv, made on first use in the
+    test's ``tmp_path``: ``tmp``, ``out``, a ``ramp`` map, a ``room`` map
+    and its ``cam``, and the paths of the eval and analyze fixtures."""
+
+    def __init__(self, request, tmp, out):
+        super().__init__(tmp=str(tmp), out=str(out))
+        self.request, self.tmp = request, tmp
+
+    def __missing__(self, key):
+        if key == "ramp":
+            _ramp_pfm(self.tmp / "scene.pfm")
+            self[key] = str(self.tmp / "scene.pfm")
+        elif key in ("room", "cam"):
+            self["room"], self["cam"] = _room(self.tmp)
+        else:
+            files = self.request.getfixturevalue(
+                "analyze_files" if key == "depth_dir" else "eval_files")
+            self[key] = files[key]
+        return self[key]
+
+    def argv(self, words):
+        return [word.format_map(self) for word in shlex.split(words)]
+
+
+class _Row(NamedTuple):
+    id: str | None  # the case id; rows without one run in turn as one test
+    argv: str  # shell words with _Inputs fields, less --out
+    code: int
+    # a regex searched in the error line, {tmp} and {out} filled in; for
+    # exit 0, the argv of a run that must write the same bytes
+    expect: str
+    files: dict = {}  # under {tmp}: text, bytes, PFM array, JSONL list, None a directory
+    makes_out: bool = False  # the failing run makes --out (empty unless it exits 4)
+    setup: Callable | None = None  # called with the _Inputs before the run
+
+
+def _check(row, f):
+    for name, data in row.files.items():
+        path = f.tmp / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        if data is None:
+            path.mkdir()
+        elif isinstance(data, np.ndarray):
+            netpbm.write_pfm(str(path), data.astype(np.float32))
+        elif isinstance(data, list):
+            write_jsonl(path, data)
+        else:
+            path.write_bytes(data.encode() if isinstance(data, str) else data)
+    if row.setup:
+        row.setup(f)
+    argv = f.argv(row.argv)
+    # with no subcommand there is no --out to take
+    err = assert_contract([*argv, "--out", f["out"]] if argv else argv, (row.code,))[1]
+    out = Path(f["out"])
+    if row.code == 0:
+        ref = f.tmp / "ref"
+        assert_contract([*f.argv(row.expect), "--out", str(ref)], (0,))
+        written = {path.name: path.read_bytes() for path in out.iterdir()}
+        assert written and written == {path.name: path.read_bytes() for path in ref.iterdir()}
+        return
+    pattern = row.expect.format(tmp=re.escape(f["tmp"]), out=re.escape(f["out"]))
+    assert re.search(pattern, err), (pattern, err)
+    assert out.exists() == row.makes_out
+
+
+def _contract_test(rows):
+    """A test of ``rows``: one case a row, or, when the rows carry no id,
+    one case that runs every row, each into an ``--out`` of its own."""
+    if rows[0].id is None:
+        def test(request, tmp_path):
+            for i, row in enumerate(rows):
+                _check(row, _Inputs(request, tmp_path, tmp_path / f"out{i}"))
+        return test
+
+    @pytest.mark.parametrize("row", rows, ids=[row.id for row in rows])
+    def test(request, tmp_path, row):
+        _check(row, _Inputs(request, tmp_path, tmp_path / "out"))
+    return test
+
+
+def _disagreeing_forward(f):
+    def disagree(graph, inputs, seed=0):
+        raise cli.StructuralError("executor produced 1x1 at det:scores, propagation said 4x21")
+
+    f.request.getfixturevalue("monkeypatch").setattr(cli, "execute_forward", disagree)
+
+
+_CUT_PFM = b"Pf\n3 3\n-1.0\n\x00\x01"  # a 36-byte raster cut to 2
+_HDHA = "encode {room} --mode hdha --intrinsics {cam}"
+_VGG = "arch --variant baseline --backbone vgg16"
+_GOOD = _GOOD_DET.encode()
+_GOOD_GT = '{"image_id": "im1", "class": 1, "x1": 0, "y1": 0, "x2": 9, "y2": 9}'
+_ROW_2 = _HEATMAP.index(b"4.0")
+_ENCODE = "encode scene.pfm --mode gray --dmin 1 --dmax 6"
+_ARCH = "arch --variant raw-EC --backbone vgg16 --input 64x64 --rois 4 --forward"
+_EVAL = "eval --metric confusion --dets d.jsonl --gts g.jsonl --classes c.json"
+_NUMERIC_OPTIONS = [
+    (_ENCODE, "--dmin={}"), (_ENCODE, "--dmax={}"), (_ENCODE, "--k-neighbors={}"),
+    (_ARCH, "--classes={}"), (_ARCH, "--rois={}"), (_ARCH, "--depth-channels={}"),
+    (_ARCH, "--seed={}"), (_ARCH, "--input={}x64"), (_ARCH, "--input=64x{}"),
+    (_EVAL, "--iou={}"), (_EVAL, "--score-thresh={}"),
+    ("analyze --gts g.jsonl --depth-dir depth", "--bins={}")]
+
+_CONTRACT = {
+    # ---------------------------------------------------------- encode
+    "test_encode_hdha_stats_failure_writes_no_images": [
+        # frontal walls at one constant depth have a constant disparity channel
+        _Row(None, "encode {tmp}/wall1.pfm {tmp}/wall2.pfm --mode hdha --intrinsics {cam} "
+             "--stats {out}/s.json", 3, "^error: constant channel, std would be zero: ",
+             {"wall1.pfm": np.full((60, 80), 6.0), "wall2.pfm": np.full((60, 80), 6.0)}, True)],
+    "test_encode_parameter_errors_exit_3": [
+        _Row(None, "encode {ramp} --mode gray", 3, "^error: --mode gray requires --dmin and "),
+        _Row(None, "encode {ramp} --mode sepia --dmin 1 --dmax 2", 3, "invalid choice: 'sepia'"),
+        _Row(None, "encode {ramp} --mode hdha", 3,
+             r"^error: --mode hdha requires --intrinsics \(camera intrinsics JSON\)$"),
+        _Row(None, "encode {ramp} --mode hdha --intrinsics {cam} --gravity 0,1", 3,
+             "^error: --gravity needs 'x,y,z', got '0,1'$"),
+        _Row(None, _HDHA + " --k-neighbors 2", 3, "^error: k must be at least 3, got 2$",
+             makes_out=True)],
+    "test_encode_empty_gravity_exits_3": [
+        _Row(None, _HDHA + " --gravity=", 3, "^error: --gravity needs 'x,y,z', got ''$")],
+    "test_encode_gravity_components_are_ascii_decimals": [
+        _Row(case, f"{_HDHA} '--gravity={gravity}'", 3, "--gravity needs finite decimal components")
+        for case, gravity in (("underscore", "1_0,0,0"), ("arabic-indic-digit", "0,\u0661,0"),
+                              ("padded", " 0 ,1,0"))],
+    "test_encode_k_neighbors_past_the_pixel_count": [
+        # no window holds more than the room's 12 x 16 pixels
+        _Row(None, f"{_HDHA} --k-neighbors={10**60}", 0, f"{_HDHA} --k-neighbors={12 * 16}")],
+    "test_encode_missing_file_exits_3": [
+        _Row(None, "encode {tmp}/absent.pfm --mode gray --dmin 1 --dmax 6", 3,
+             r"^error: missing file: {tmp}/absent\.pfm$", makes_out=True)],
+    "test_encode_corrupt_file_exits_2_with_offset": [
+        _Row(None, "encode {tmp}/bad.pfm --mode gray --dmin 1 --dmax 6", 2,
+             r"^error: {tmp}/bad\.pfm: raster truncated, need 36 bytes, have 2 \(byte offset 14\)$",
+             {"bad.pfm": _CUT_PFM}, True)],
+    "test_encode_batch_stats_need_every_map": [
+        # the stats need every map, so the good one is not written either
+        _Row(None, "encode {room} {tmp}/cut.pfm --mode hdha --intrinsics {cam} --stats {out}/s",
+             2, r"^error: {tmp}/cut\.pfm: raster truncated, ", {"cut.pfm": _CUT_PFM}, True)],
+    "test_encode_inputs_sharing_an_output_exit_3_before_any_read": [
+        # refused before any read: the second map is cut and would exit 2
+        _Row(None, "encode {tmp}/a/x.pfm {tmp}/b/x.pfm --mode gray --dmin 1 --dmax 6", 3,
+             r"^error: inputs {tmp}/a/x\.pfm and {tmp}/b/x\.pfm would both write "
+             r"{out}/x_gray\.pgm$", {"a/x.pfm": _RAMP, "b/x.pfm": _CUT_PFM})],
+    "test_unreadable_input_exits_3_naming_it": [
+        _Row("similarity", "analyze --similarity {tmp}/dir.pfm {tmp}/dir.pfm", 3,
+             r"^error: {tmp}/dir\.pfm: ", {"dir.pfm": None}),
+        _Row("eval", "eval --metric voc --dets {dets_ids} --gts {tmp}/dir.pfm", 3,
+             r"^error: {tmp}/dir\.pfm: ", {"dir.pfm": None}),
+        _Row("depth-dir", "analyze --gts {gts_ids} --depth-dir {tmp}/depth", 3,
+             r"^error: {tmp}/depth/im1\.pfm: ", {"depth/im1.pfm": None})],
+    # ------------------------------------------------------------ arch
+    "test_arch_artifacts_are_byte_identical_across_runs": [
+        _Row(None, "arch --variant proc-EC --backbone vgg16", 0,
+             "arch --variant proc-EC --backbone vgg16")],
+    "test_arch_seed_outside_64_bits_exits_3_writing_nothing": [
+        # -1 would otherwise draw the weights of 2^64 - 1
+        _Row(str(seed), f"{_VGG} --input 64x64 --forward --seed {seed}", 3,
+             r"^error: --seed must be in \[0, 2\^64 - 1\], got %d$" % seed)
+        for seed in (-1, 2**64)],
+    "test_arch_parameter_errors_exit_3": [
+        _Row(None, "arch --variant mystery --backbone vgg16", 3,
+             "^error: unknown variant 'mystery', expected one of baseline, "),
+        _Row(None, _VGG + " --input 600by800", 3,
+             "^error: --input must look like 600x800, got '600by800'$")],
+    "test_arch_input_too_small_exits_3": [
+        # an 8x8 input collapses vgg16's fourth pooling stage to zero extent
+        _Row(None, _VGG + " --input 8x8", 3, r"^error: --input 8x8 is too small for vgg16: node "
+             r"rgb_bb/pool4: spatial extent collapses to 0 \(in=1, k=2, s=2, p=0\)$")],
+    "test_arch_internal_invariant_exits_4": [
+        # the forward runs after the reports are written
+        _Row(None, _VGG + " --input 64x64 --rois 4 --forward", 4,
+             "^internal error: executor produced 1x1 at det:scores, propagation said 4x21$",
+             makes_out=True, setup=_disagreeing_forward)],
+    "test_arch_depth_channels_without_single_depth_input_exits_3": [
+        _Row(variant, f"arch --variant {variant} --backbone vgg16 --depth-channels 5", 3,
+             f"^error: depth_channels does not apply to {variant}, ")
+        for variant in ("baseline", "hdha-split")],
+    # ------------------------------------------------------------ eval
+    "test_eval_class_name_that_cannot_be_written_exits_2": [
+        # a lone surrogate decodes from its JSON escape but has no UTF-8 form
+        _Row(None, "eval --metric confusion --dets {dets} --gts {gts} --classes {tmp}/s.json", 2,
+             r"^error: {tmp}/s\.json", {"s.json": json.dumps(["background", "chair", "table",
+                                                               "\ud800"])})],
+    "test_eval_confusion_requires_class_table": [
+        _Row(None, "eval --metric confusion --dets {dets_ids} --gts {gts_ids}", 3,
+             "^error: --metric confusion requires --classes$", makes_out=True)],
+    "test_eval_confdiff_without_second_run_exits_3": [
+        _Row(None, "eval --metric confdiff --dets {dets} --gts {gts} --classes {classes}", 3,
+             r"^error: --metric confdiff requires --dets-b \(", makes_out=True)],
+    "test_eval_malformed_jsonl_exits_2": [
+        _Row(None, "eval --metric voc --dets {tmp}/bad.jsonl --gts {gts}", 2,
+             r"^error: {tmp}/bad\.jsonl line 1: .*\(byte offset 0\)$",
+             {"bad.jsonl": '{"image_id": "a", "class": 1, "score": 0.5, "x1": 0}\n'})],
+    "test_eval_unknown_metric_exits_3": [
+        _Row(None, "eval --metric f-beta --dets {dets_ids} --gts {gts_ids}", 3,
+             "invalid choice: 'f-beta'")],
+    "test_eval_bad_record_exits_2_with_offset": [
+        _Row(case, "eval --metric voc --dets {tmp}/bad.jsonl --gts {gts_ids}", 2,
+             r"^error: {tmp}/bad\.jsonl line 2: .*\(byte offset %d\)$" % (len(_GOOD) + 1),
+             {"bad.jsonl": b"%s\n%s\n" % (_GOOD, record)}) for case, record in (
+            ("class-list", _GOOD.replace(b'"class": 1', b'"class": [0]')),
+            ("class-fraction", _GOOD.replace(b'"class": 1', b'"class": 1.7')),
+            ("class-negative", _GOOD.replace(b'"class": 1', b'"class": -1')),
+            ("box-null", _GOOD.replace(b'"x1": 0', b'"x1": null')),
+            ("score-text", _GOOD.replace(b"0.5", b'"hi"')),
+            ("score-nan", _GOOD.replace(b"0.5", b"NaN")),
+            ("score-infinity", _GOOD.replace(b"0.5", b"Infinity")),
+            ("not-an-object", b"42"),
+            ("box-infinity", _GOOD.replace(b'"x1": 0', b'"x1": -Infinity')),
+            ("invalid-utf8", _GOOD.replace(b"im1", b"im\xff")),
+            ("two-objects", _GOOD + b" " + _GOOD),
+            ("deep-nesting", b"[" * 100000))],
+    "test_eval_bad_ground_truth_exits_2": [
+        _Row(case, "eval --metric voc --dets {dets_ids} --gts {tmp}/bad.jsonl", 2,
+             r"^error: {tmp}/bad\.jsonl line 1: .*\(byte offset 0\)$",
+             {"bad.jsonl": _GOOD_GT.replace(*change) + "\n"}) for case, change in (
+            ("class-negative", ('"class": 1', '"class": -2')),
+            ("difficult-string", ('"class": 1', '"class": 1, "difficult": "false"')),
+            ("difficult-int", ('"class": 1', '"class": 1, "difficult": 0')),
+            ("box-infinity", ('"x1": 0', '"x1": -Infinity')))],
+    "test_eval_bad_threshold_exits_3": [
+        _Row(f"{metric}-{case}",
+             f"eval --metric {metric} --dets {{dets}} --gts {{gts}} --classes {{classes}} {flags}",
+             3, flags.split()[0]) for metric in ("voc", "confusion") for case, flags in (
+            ("iou-above-1", "--iou 1.5"), ("iou-negative", "--iou -1"), ("iou-zero", "--iou 0"),
+            ("iou-nan", "--iou nan"), ("score-nan", "--score-thresh nan"),
+            ("score-inf", "--score-thresh inf"))],
+    # --------------------------------------------------------- analyze
+    "test_analyze_similarity_names_a_malformed_heatmap_row": [
+        _Row(case, "analyze --similarity {tmp}/good.csv {tmp}/bad.csv", 2,
+             r"^error: {tmp}/bad\.csv: heatmap CSV .*\(byte offset %d\)$" % offset,
+             {"good.csv": _HEATMAP, "bad.csv": data}) for case, data, offset in (
+            ("blank-lines", b"\n\n\n", 0),
+            ("empty", b"", 0),
+            ("nan-count", _HEATMAP.replace(b"4.0,", b"nan,"), _ROW_2),
+            ("negative-count", _HEATMAP.replace(b"4.0,", b"-1.0,"), _ROW_2),
+            ("invalid-utf8", _HEATMAP.replace(b"4.0,", b"4.0\xff,"), _ROW_2),
+            ("text-count", _HEATMAP.replace(b"4.0,", b"four,"), _ROW_2),
+            ("underscore-count", _HEATMAP.replace(b"4.0,", b"1_0,"), _ROW_2),
+            ("long-row", _HEATMAP.replace(b"4.0,1.0", b"4.0,1.0,2.0"), _ROW_2),
+            ("short-row", _HEATMAP.replace(b"4.0,1.0", b"4.0"), _ROW_2),
+            ("blank-row", _HEATMAP.replace(b"4.0,1.0\n", b"\n"), _ROW_2),
+            ("decreasing-edges", _HEATMAP.replace(b"2.0,3.0", b"3.0,2.0"), 0),
+            ("infinite-edge", _HEATMAP.replace(b"2.0,3.0", b"2.0,inf"), 0),
+            ("one-edge", _HEATMAP.replace(b"1.0,2.0,3.0", b"1.0"), 0),
+            ("bad-label", _HEATMAP.replace(b"y_edges", b"z_edges"), _HEATMAP.index(b"y_edges")),
+            ("missing-row", _HEATMAP.replace(b"0.0,2.5\n", b""), len(_HEATMAP) - 8),
+            ("extra-row", _HEATMAP + b"1.0,1.0\n", len(_HEATMAP)))],
+    "test_analyze_missing_depth_file_exits_3": [
+        _Row(None, "analyze --gts {gts_ids} --depth-dir {tmp}/none", 3, "im1", {"none": None})],
+    "test_analyze_box_area_past_the_float_range_exits_3": [
+        _Row(None, "analyze --gts {tmp}/huge.jsonl --depth-dir {depth_dir} --classes {classes}", 3,
+             "axis range", {"huge.jsonl": [
+                 {"image_id": "im1", "class": "chair", "x1": 0, "y1": 0, "x2": 1e200, "y2": 1e200},
+                 {"image_id": "im1", "class": "chair", "x1": 10, "y1": 10, "x2": 50, "y2": 50}]})],
+    "test_analyze_failure_writes_no_output": [
+        # pearson_r fails after the heatmap is built: one box of about 1e308
+        # leaves the axes finite, but not the sums of squares
+        _Row(case, "analyze --gts {tmp}/gts.jsonl --depth-dir {tmp}/depth", 3, message, {
+            "depth/im1.pfm": values, "gts.jsonl": [
+                {"image_id": "im1", "class": 1, "x1": 0, "y1": 0, "x2": x2, "y2": x2},
+                {"image_id": "im1", "class": 1, "x1": 2, "y1": 2, "x2": 4, "y2": 4}]})
+        for case, values, x2, message in (
+            ("constant-depth", np.full((8, 8), 2.0), 6.0, "constant sequence"),
+            ("area-squared-past-float-range", np.arange(64.0).reshape(8, 8), 1e154, "overflow"))],
+    "test_analyze_similarity_of_a_mass_past_the_float_range_exits_3": [
+        _Row(None, "analyze --similarity {tmp}/huge.csv {tmp}/huge.csv", 3, "overflow",
+             {"huge.csv": b"x_edges,1.0,2.0,3.0\ny_edges,10.0,20.0\n1e308,1e308\n"})],
+    "test_analyze_without_inputs_exits_3": [
+        _Row(None, "analyze", 3, "^error: analyze needs --gts and --depth-dir ")],
+    "test_analyze_names_a_malformed_depth_map": [
+        _Row(None, "analyze --gts {gts_ids} --depth-dir {tmp}/depth", 2,
+             r"^error: {tmp}/depth/im2\.pgm: raster truncated.* \(byte offset 40\)$",
+             # a 16-bit PGM cut to 40 bytes
+             {"depth/im1.pfm": np.full((9, 10), 2.0),
+              "depth/im2.pgm": b"P5\n10 9\n65535\n".ljust(40, b"\0")})],
+    # ----------------------------------------------------- entry point
+    "test_numeric_options_take_ascii_decimals_only": [
+        _Row(f"{argv.split()[0]}{option}-{case}", f"{argv} '{option.format(value)}'", 3,
+             option.split("=")[0]) for argv, option in _NUMERIC_OPTIONS
+        for case, value in (("underscore", "1_0"), ("inf", "inf"), ("nan", "nan"),
+                            ("arabic-indic-digit", "\u0661"), ("padded", " 1"))],
+    "test_usage_errors_exit_3": [
+        _Row(case, argv, 3, message) for case, argv, message in (
+            ("no-command", "", "required: command$"),
+            ("unknown-command", "frobnicate", "invalid choice: 'frobnicate'"),
+            ("missing-mode", "encode scene.pfm", "required: --mode$"),
+            ("missing-dets", "eval --metric voc --gts g.jsonl", "required: --dets$"),
+            ("text-integer", _ENCODE + " --k-neighbors abc",
+             "argument --k-neighbors: invalid decimal_int value: 'abc'$"),
+            ("removed-scale", _ENCODE + " --scale 600", "unrecognized arguments: --scale 600$"),
+            ("removed-report", _VGG + " --report params",
+             "unrecognized arguments: --report params$"))],
+}
+
+# each name above is a test of the module, its rows' ids the case ids
+for _name, _rows in _CONTRACT.items():
+    globals()[_name] = _contract_test(_rows)

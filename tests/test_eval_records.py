@@ -1,17 +1,16 @@
 """Fuzzed eval inputs: every JSONL file either loads exactly as a
 line-by-line reference reads it or fails with the same error, and the
-command line answers it with exit 0, 2 or 3 and never a traceback."""
-import contextlib
-import io
+command line answers it within its contract: exit 0, 2 or 3, no
+traceback, and a failure that prints one error line and writes nothing."""
 import json
 import math
 import re
-import warnings
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from depthkit import cli, evaluation
+from cli_run import assert_contract
+from depthkit import evaluation
 from depthkit.netpbm import ParseError
 
 CLASSES = ["background", "chair", "table"]
@@ -215,15 +214,7 @@ def test_fuzzed_records_load_like_the_reference_and_never_crash(tmp_path_factory
             "--gts", str(tmp / "gts.jsonl"), "--out", str(tmp / "out")]
     if named or metric == "confusion":
         argv += ["--classes", str(table)]
-    err = io.StringIO()
-    with (warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(err),
-          contextlib.redirect_stdout(io.StringIO())):
-        warnings.simplefilter("always")
-        rc = cli.main(argv)
-    err = err.getvalue()
-    assert rc in (0, 2, 3), err
-    assert "Traceback" not in err and "Warning" not in err
-    assert caught == []
+    rc, err = assert_contract(argv)
     if rc == 2:
         found = re.search(rf"{re.escape(str(fuzzed))} line (\d+): .*\(byte offset (\d+)\)$",
                           err.strip())

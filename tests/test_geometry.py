@@ -169,6 +169,11 @@ def test_normals_match_brute_force_oracle(case):
     np.testing.assert_array_equal(ok, ref_ok)
     assert np.abs(normals[ok] - ref_n[ok]).max(initial=0.0) < 1e-6
     assert not normals[~ok].any()
+    # at k = H*W every window grows to span the grid; a k past any machine
+    # integer starts there and gives the same bits
+    widest, huge = (_kernels.normals_from_points(points, valid, big) for big in (h * w, 10**60))
+    assert np.array_equal(_bits(huge[0]), _bits(widest[0]))
+    assert np.array_equal(huge[1], widest[1])
 
 
 @pytest.mark.parametrize("case", ["holes", "sparse"])
