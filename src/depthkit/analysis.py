@@ -191,24 +191,28 @@ def heatmap_similarity(a: Heatmap2D, b: Heatmap2D) -> float:
 
 
 def pearson_r(x, y) -> float:
-    """Pearson correlation; needs two or more pairs and spread on both axes."""
+    """Pearson correlation; needs two or more finite pairs and spread on
+    both axes."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if x.shape != y.shape or x.ndim != 1:
         raise ValueError("pearson_r needs two equal-length 1-D arrays")
     if len(x) < 2:
         raise ValueError("pearson_r needs at least two samples")
-    # values near the float range overflow the sums to inf or nan
-    with np.errstate(over="ignore", invalid="ignore"):
-        dx = x - x.mean()
-        dy = y - y.mean()
-        sums = (dx * dx).sum(), (dy * dy).sum(), (dx * dy).sum()
-        denom = np.sqrt(sums[0] * sums[1])
-    if not np.isfinite([*sums, denom]).all():
-        raise ValueError("pearson_r sums overflow the float range")
+    if not (np.isfinite(x).all() and np.isfinite(y).all()):
+        raise ValueError("pearson_r needs finite samples")
+    # r does not depend on scale: each axis is divided by the power of two
+    # of its largest magnitude, which keeps every sum in range and commutes
+    # with every rounding below (bar underflow of terms far below the sums'
+    # last bit), so r keeps the bits of the unscaled sums where they are finite
+    x = np.ldexp(x, -np.frexp(np.abs(x).max())[1])
+    y = np.ldexp(y, -np.frexp(np.abs(y).max())[1])
+    dx = x - x.mean()
+    dy = y - y.mean()
+    denom = np.sqrt((dx * dx).sum() * (dy * dy).sum())
     if denom == 0:
         raise ValueError("pearson_r undefined for a constant sequence")
-    return float(sums[2] / denom)
+    return float((dx * dy).sum() / denom)
 
 
 def samples_csv(samples: SampleRecord, classes: list[str] | None = None) -> str:

@@ -8,6 +8,14 @@ file and the location of the fault), 3 bad parameter, usage error, a
 file that is missing or cannot be opened, or a run out of memory, 4
 internal invariant violation.  Given identical inputs and flags, every subcommand writes
 byte-identical output files on every run.
+
+Every subcommand checks all its options before it reads any input, and
+computes before it writes or prints anything; ``--out`` is made at the
+first write.  So a run that exits nonzero prints one error line on
+stderr, nothing on stdout, and leaves no ``--out`` directory.  Two
+exceptions: a write that itself fails (a full disk, an unwritable
+``--out``) may leave the files written before it, and an ``encode``
+batch writes and reports its good maps around a bad one.
 """
 from __future__ import annotations
 
@@ -52,7 +60,7 @@ def _build_parser() -> argparse.ArgumentParser:
     enc = sub.add_parser("encode", help="render depth maps to 8-bit imagery")
     enc.add_argument("files", nargs="+", help="depth maps (PFM meters or 16-bit PGM millimeters)")
     enc.add_argument("--mode", required=True, choices=("gray", "jet", "hdha"))
-    enc.add_argument("--dmin", type=decimal_float, help="depth mapped to 0 (gray/jet)")
+    enc.add_argument("--dmin", type=decimal_float, help="depth mapped to 0 (gray/jet), below --dmax")
     enc.add_argument("--dmax", type=decimal_float, help="depth mapped to 255 (gray/jet)")
     enc.add_argument("--intrinsics", help="camera intrinsics JSON (hdha)")
     enc.add_argument("--stats", help="channel stats JSON: applied if the file exists, "
@@ -60,7 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
     enc.add_argument("--gravity", help="fixed gravity direction as 'x,y,z' (hdha); "
                                        "default: estimated per image")
     enc.add_argument("--k-neighbors", type=decimal_int, default=25,
-                     help="valid points per normal-estimation window (default 25)")
+                     help="valid points per normal-estimation window, at least 3 "
+                          "(default 25)")
     enc.add_argument("--out", default=".", help="output directory (default: current)")
 
     arch = sub.add_parser("arch", help="inspect a detector architecture graph")
@@ -77,7 +86,8 @@ def _build_parser() -> argparse.ArgumentParser:
                       help="depth input channels of the raw (default 1) and processed "
                            "(default 3) variants")
     arch.add_argument("--forward", action="store_true",
-                      help="run the seeded numeric executor and print output digests")
+                      help="run the seeded numeric executor, before any report is "
+                           "written, and print output digests")
     arch.add_argument("--seed", type=decimal_int, default=0, help="weight seed for --forward")
     arch.add_argument("--out", default=".", help="output directory (default: current)")
 
@@ -156,17 +166,15 @@ def _encode_one(path: str, args, cam, gravity, stats, defer: bool):
     deferred = None
     if args.mode in ("gray", "jet"):
         gray = encoding.grayscale_encode(depth, args.dmin, args.dmax)
-        if args.mode == "gray":
-            netpbm.write_pgm8(out_path, gray)
-        else:
-            netpbm.write_ppm8(out_path, encoding.jet_encode(gray, depth.valid))
+        _write_image(args, out_path, gray if args.mode == "gray"
+                     else encoding.jet_encode(gray, depth.valid))
     else:
         hdha = geometry.hdha_encode(depth, cam, gravity=gravity,
                                     k_neighbors=args.k_neighbors)
         if defer:
             deferred = (out_path, hdha)
         else:
-            _write_hdha(out_path, hdha, stats)
+            _write_image(args, out_path, encoding.hdha_to_rgb(hdha, stats=stats))
     if info["min"] is None:
         line = f"{path}: valid=0.000 -> {out_path}"
     else:
@@ -182,20 +190,29 @@ def _write_text(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _write_hdha(out_path: str, hdha, stats) -> None:
-    netpbm.write_ppm8(out_path, encoding.hdha_to_rgb(hdha, stats=stats))
+def _write_image(args, path: str, image: np.ndarray) -> None:
+    """Write an 8-bit gray (H, W) or RGB (H, W, 3) image, making ``--out``
+    first: a map that fails before its write leaves no directory behind."""
+    os.makedirs(args.out, exist_ok=True)
+    (netpbm.write_pgm8 if image.ndim == 2 else netpbm.write_ppm8)(path, image)
 
 
 def _cmd_encode(args) -> int:
     if args.mode in ("gray", "jet"):
         if args.dmin is None or args.dmax is None:
             raise ValueError(f"--mode {args.mode} requires --dmin and --dmax")
-    cam = None
-    if args.mode == "hdha":
+        # grayscale_encode's own rule, worded for the options
+        if not args.dmax > args.dmin:
+            raise ValueError(f"--dmin must be below --dmax, got {args.dmin} and {args.dmax}")
+    else:
         if not args.intrinsics:
             raise ValueError("--mode hdha requires --intrinsics (camera intrinsics JSON)")
-        cam = encoding.CameraIntrinsics.from_json(args.intrinsics)
+        # the normals kernel's own rule, worded for the option
+        if args.k_neighbors < 3:
+            raise ValueError(f"--k-neighbors must be at least 3, got {args.k_neighbors}")
     gravity = _parse_gravity(args.gravity) if args.gravity is not None else None
+    if args.stats and args.mode != "hdha":
+        raise ValueError("--stats applies to --mode hdha only")
     # two inputs with one stem would race for one output file
     writer = {}
     for path in args.files:
@@ -204,19 +221,17 @@ def _cmd_encode(args) -> int:
             raise ValueError(f"inputs {writer[out_path]} and {path} would both write {out_path}")
         writer[out_path] = path
 
+    # every option is checked: the side files are read, then the maps
+    cam = encoding.CameraIntrinsics.from_json(args.intrinsics) if args.mode == "hdha" else None
     stats = None
-    if args.stats:
-        if args.mode != "hdha":
-            raise ValueError("--stats applies to --mode hdha only")
-        if os.path.exists(args.stats):
-            stats = encoding.ChannelStats.from_json(args.stats)
-            if len(stats.means) != 3:
-                raise ParseError(f"{args.stats}: hdha rendering needs 3-channel stats, "
-                                 f"got {len(stats.means)}", 0)
+    if args.stats and os.path.exists(args.stats):
+        stats = encoding.ChannelStats.from_json(args.stats)
+        if len(stats.means) != 3:
+            raise ParseError(f"{args.stats}: hdha rendering needs 3-channel stats, "
+                             f"got {len(stats.means)}", 0)
     # without the stats file the batch itself defines the stats: every map
     # is encoded once, held until the stats are known, then rendered
     defer = bool(args.stats) and stats is None
-    os.makedirs(args.out, exist_ok=True)
 
     def encode_one(path):
         return _encode_one(path, args, cam, gravity, stats, defer)
@@ -237,14 +252,41 @@ def _cmd_encode(args) -> int:
         # so it writes its images and no stats file
         if any(hdha.valid.any() for hdha in held):
             stats = encoding.compute_channel_stats(held)
+            # the first write of the batch; the stats file may lie in --out
+            os.makedirs(args.out, exist_ok=True)
             stats.to_json(args.stats)
         for _, (out_path, hdha) in results:
-            _write_hdha(out_path, hdha, stats)
+            _write_image(args, out_path, encoding.hdha_to_rgb(hdha, stats=stats))
     for result in results:
         if not isinstance(result, Exception):
             print(result[0])
     codes = [_fail(exc) for exc in failed]
     return codes[0] if codes else 0
+
+
+def _forward_lines(graph, args, h: int, w: int) -> list[str]:
+    """The ``--forward`` digest lines: one per output tensor of the seeded
+    executor, run on deterministically filled inputs."""
+    filler = Lcg((args.seed + 1) % (1 << 64))
+    inputs = {}
+    for name, ispec in graph.inputs.items():
+        if ispec.rois:
+            # a deterministic spread of boxes across the image, cycled
+            # to --rois rows
+            fr = np.array([
+                [0.0, 0.0, 0.5, 0.5],
+                [0.25, 0.25, 1.0, 1.0],
+                [0.1, 0.4, 0.9, 0.8],
+                [0.0, 0.0, 1.0, 1.0],
+            ])
+            boxes = fr[np.arange(args.rois) % len(fr)]
+            inputs[name] = boxes * np.array([w, h, w, h], dtype=float)
+        else:
+            c = ispec.channels
+            inputs[name] = filler.draws(c * h * w).reshape(c, h, w)
+    outputs = execute_forward(graph, inputs, seed=args.seed)
+    return [f"forward {key}: shape={format_shape(arr.shape)} sum={arr.sum():.6e}"
+            for key, arr in sorted(outputs.items())]
 
 
 def _cmd_arch(args) -> int:
@@ -261,89 +303,65 @@ def _cmd_arch(args) -> int:
     except StructuralError as exc:
         # the builder's wiring is fixed, so only the input size can fail here
         raise ValueError(f"--input {args.input} is too small for {args.backbone}: {exc}") from None
+    # the forward runs before the reports are built, so a failed forward
+    # writes and prints nothing, and no report is held while it runs
+    forward = _forward_lines(graph, args, h, w) if args.forward else []
+    dot, report = to_dot(graph, shapes), count_parameters(graph, shapes)
+    table = shape_csv(graph, shapes)
+
     os.makedirs(args.out, exist_ok=True)
     prefix = os.path.join(args.out, f"{args.variant}_{args.backbone}")
-
-    _write_text(f"{prefix}.dot", to_dot(graph, shapes))
-    report = count_parameters(graph, shapes)
+    _write_text(f"{prefix}.dot", dot)
     report.to_csv(f"{prefix}_params.csv")
-    _write_text(f"{prefix}_shapes.csv", shape_csv(graph, shapes))
+    _write_text(f"{prefix}_shapes.csv", table)
 
     print(f"{args.variant} / {args.backbone}: trainable={report.trainable:,} "
           f"fixed={report.fixed:,} total={report.total:,}")
     print(f"head input: {format_shape(dict(shape_rows(graph, shapes))['head_input'])}")
     for suffix in (".dot", "_params.csv", "_shapes.csv"):
         print(f"wrote {prefix}{suffix}")
-
-    if args.forward:
-        filler = Lcg((args.seed + 1) % (1 << 64))
-        inputs = {}
-        for name, ispec in graph.inputs.items():
-            if ispec.rois:
-                # a deterministic spread of boxes across the image, cycled
-                # to --rois rows
-                fr = np.array([
-                    [0.0, 0.0, 0.5, 0.5],
-                    [0.25, 0.25, 1.0, 1.0],
-                    [0.1, 0.4, 0.9, 0.8],
-                    [0.0, 0.0, 1.0, 1.0],
-                ])
-                boxes = fr[np.arange(args.rois) % len(fr)]
-                inputs[name] = boxes * np.array([w, h, w, h], dtype=float)
-            else:
-                c = ispec.channels
-                inputs[name] = filler.draws(c * h * w).reshape(c, h, w)
-        outputs = execute_forward(graph, inputs, seed=args.seed)
-        for key in sorted(outputs):
-            arr = outputs[key]
-            print(f"forward {key}: shape={format_shape(arr.shape)} sum={arr.sum():.6e}")
+    for line in forward:
+        print(line)
     return 0
 
 
 def _cmd_eval(args) -> int:
     if not 0 < args.iou <= 1:
         raise ValueError(f"--iou must be in (0, 1], got {args.iou}")
+    if args.metric in ("confusion", "confdiff") and not args.classes:
+        raise ValueError(f"--metric {args.metric} requires --classes")
+    if args.metric == "confdiff" and not args.dets_b:
+        raise ValueError("--metric confdiff requires --dets-b (the comparison run)")
     classes = evaluation.load_classes(args.classes) if args.classes else None
     dets = evaluation.load_detections(args.dets, classes)
     gts = evaluation.load_groundtruth(args.gts, classes)
     class_ids = np.unique(gts.class_id).tolist()
-    os.makedirs(args.out, exist_ok=True)
 
     if args.metric == "voc":
         map_value, per_class = evaluation.mean_ap(dets, gts, class_ids, args.iou,
                                                   args.use_difficult)
         # without a table every class is named by its id
-        path = os.path.join(args.out, "voc_ap.csv")
-        _write_text(path, evaluation.ap_csv(per_class, classes or [], map_value))
-        print(f"mAP: {evaluation.format_metric(map_value)}")
-        print(f"wrote {path}")
-        return 0
+        name, text = "voc_ap.csv", evaluation.ap_csv(per_class, classes or [], map_value)
+        summary = f"mAP: {evaluation.format_metric(map_value)}\n"
+    elif args.metric == "coco":
+        coco = evaluation.coco_ap(dets, gts, class_ids)
+        name, text = "coco_ap.csv", evaluation.coco_csv(coco)
+        summary = f"AP: {evaluation.format_metric(coco['ap'])}\n"
+    else:
+        cm = evaluation.confusion_matrix(dets, gts, classes, args.iou, args.score_thresh)
+        if args.metric == "confusion":
+            name, text = "confusion.csv", cm.to_csv()
+            summary = f"matched={int(cm.counts.sum())} missed={int(cm.fn.sum())}\n"
+        else:
+            dets_b = evaluation.load_detections(args.dets_b, classes)
+            cm_b = evaluation.confusion_matrix(dets_b, gts, classes, args.iou, args.score_thresh)
+            diff = evaluation.confusion_diff(cm, cm_b)
+            name, text, summary = "confusion_diff.csv", diff.to_csv(), diff.format_text()
 
-    if args.metric == "coco":
-        summary = evaluation.coco_ap(dets, gts, class_ids)
-        path = os.path.join(args.out, "coco_ap.csv")
-        _write_text(path, evaluation.coco_csv(summary))
-        print(f"AP: {evaluation.format_metric(summary['ap'])}")
-        print(f"wrote {path}")
-        return 0
-
-    if classes is None:
-        raise ValueError(f"--metric {args.metric} requires --classes")
-    cm = evaluation.confusion_matrix(dets, gts, classes, args.iou, args.score_thresh)
-    if args.metric == "confusion":
-        path = os.path.join(args.out, "confusion.csv")
-        _write_text(path, cm.to_csv())
-        print(f"matched={int(cm.counts.sum())} missed={int(cm.fn.sum())}")
-        print(f"wrote {path}")
-        return 0
-    if not args.dets_b:
-        raise ValueError("--metric confdiff requires --dets-b (the comparison run)")
-    dets_b = evaluation.load_detections(args.dets_b, classes)
-    cm_b = evaluation.confusion_matrix(dets_b, gts, classes, args.iou, args.score_thresh)
-    diff = evaluation.confusion_diff(cm, cm_b)
-    path = os.path.join(args.out, "confusion_diff.csv")
-    _write_text(path, diff.to_csv())
-    print(diff.format_text(), end="")
+    os.makedirs(args.out, exist_ok=True)
+    path = os.path.join(args.out, name)
+    _write_text(path, text)
+    print(summary, end="")
     print(f"wrote {path}")
     return 0
 
@@ -366,6 +384,9 @@ def _cmd_analyze(args) -> int:
         return 0
     if not args.gts or not args.depth_dir:
         raise ValueError("analyze needs --gts and --depth-dir (or --similarity A B)")
+    # build_heatmap's own rule, worded for the option
+    if args.bins < 1:
+        raise ValueError(f"--bins must be at least 1, got {args.bins}")
     classes = evaluation.load_classes(args.classes) if args.classes else None
     gts = evaluation.load_groundtruth(args.gts, classes)
     samples = analysis.collect_samples(gts, lambda image_id: _load(

@@ -21,11 +21,10 @@ def run_cli(argv):
 
 def assert_contract(argv, codes=(0, 2, 3)):
     """Run ``argv`` and check the command-line contract: an exit code in
-    ``codes``, no traceback and no warning, and a failure that prints one
-    error line (``internal error:`` for exit 4, else ``error:``).  A bad
-    input or parameter (exit 2 or 3) prints nothing on stdout and leaves
-    no file under ``--out``; an internal error may come after outputs were
-    written.  Returns the exit code and stderr."""
+    ``codes``, no traceback and no warning.  A failure (exit 2, 3 or 4)
+    prints one error line (``internal error:`` for exit 4, else
+    ``error:``), nothing on stdout, and leaves no ``--out`` directory.
+    Returns the exit code and stderr."""
     rc, out, err, caught = run_cli(argv)
     assert rc in codes, err
     assert "Traceback" not in err and "Warning" not in err, err
@@ -33,11 +32,9 @@ def assert_contract(argv, codes=(0, 2, 3)):
     if rc != 0:
         prefix = "internal error: " if rc == 4 else "error: "
         assert err.startswith(prefix) and err.count("\n") == 1, err
-    if rc in (2, 3):
         assert out == "", out
         if "--out" in argv:
-            out_dir = Path(argv[argv.index("--out") + 1])
-            assert not out_dir.exists() or not any(out_dir.iterdir()), err
+            assert not Path(argv[argv.index("--out") + 1]).exists(), err
     return rc, err
 
 

@@ -280,6 +280,38 @@ def test_pearson_rejects_degenerate_input():
         pearson_r([1.0, 1.0], [2.0, 3.0])
     with pytest.raises(ValueError):
         pearson_r([1.0, 2.0, 3.0], [1.0, 2.0])
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            pearson_r([1.0, bad], [2.0, 3.0])
+
+
+def _unscaled_pearson(x, y):
+    """The formula on the samples as given: None where its sums overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        dx, dy = x - x.mean(), y - y.mean()
+        sums = (dx * dx).sum(), (dy * dy).sum(), (dx * dy).sum()
+        denom = np.sqrt(sums[0] * sums[1])
+    return float(sums[2] / denom) if np.isfinite([*sums, denom]).all() else None
+
+
+def test_pearson_keeps_the_bits_of_the_unscaled_formula():
+    # the power-of-two rescale commutes with every rounding of the formula,
+    # so wherever the unscaled sums stay in range r is bit for bit theirs;
+    # past that range r is still defined
+    rng = np.random.default_rng(5)
+    overflowed = 0
+    for _ in range(2000):
+        n = int(rng.integers(2, 50))
+        x = rng.normal(size=n) * 10.0 ** rng.uniform(-30, 170)
+        y = (rng.uniform(-1, 1) * x / np.abs(x).max() + rng.normal(size=n)) \
+            * 10.0 ** rng.uniform(-30, 170)
+        expected = _unscaled_pearson(x, y)
+        if expected is None:
+            overflowed += 1
+            assert abs(pearson_r(x, y)) <= 1 + 1e-15
+        else:
+            assert pearson_r(x, y).hex() == expected.hex(), (x, y)
+    assert 0 < overflowed < 2000
 
 
 def test_projected_size_shrinks_with_distance():

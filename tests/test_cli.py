@@ -423,6 +423,20 @@ def test_analyze_writes_samples_and_heatmap(tmp_path, capsys, analyze_files):
     assert "chair" in (out / "samples.csv").read_text()
 
 
+def test_analyze_correlates_areas_whose_squares_pass_the_float_range(tmp_path, capsys):
+    # any two samples with spread correlate to 1 or -1; one box of area
+    # 1e308 squares past the float range, but r does not depend on scale
+    depth_dir = tmp_path / "depth"
+    depth_dir.mkdir()
+    netpbm.write_pfm(str(depth_dir / "im1.pfm"), np.arange(64, dtype=np.float32).reshape(8, 8))
+    gts = tmp_path / "gts.jsonl"
+    write_jsonl(gts, [{"image_id": "im1", "class": 1, "x1": 0, "y1": 0, "x2": 1e154, "y2": 1e154},
+                      {"image_id": "im1", "class": 1, "x1": 2, "y1": 2, "x2": 4, "y2": 4}])
+    assert cli.main(["analyze", "--gts", str(gts), "--depth-dir", str(depth_dir),
+                     "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().out.startswith("samples=2 pearson_r=1.000000\n")
+
+
 def test_analyze_similarity_of_a_heatmap_with_itself(tmp_path, capsys, analyze_files):
     out = tmp_path / "stats"
     cli.main(["analyze", "--gts", analyze_files["gts"], "--depth-dir", analyze_files["depth_dir"],
@@ -564,7 +578,6 @@ class _Row(NamedTuple):
     # exit 0, the argv of a run that must write the same bytes
     expect: str
     files: dict = {}  # under {tmp}: text, bytes, PFM array, JSONL list, None a directory
-    makes_out: bool = False  # the failing run makes --out (empty unless it exits 4)
     setup: Callable | None = None  # called with the _Inputs before the run
 
 
@@ -585,16 +598,14 @@ def _check(row, f):
     argv = f.argv(row.argv)
     # with no subcommand there is no --out to take
     err = assert_contract([*argv, "--out", f["out"]] if argv else argv, (row.code,))[1]
-    out = Path(f["out"])
     if row.code == 0:
         ref = f.tmp / "ref"
         assert_contract([*f.argv(row.expect), "--out", str(ref)], (0,))
-        written = {path.name: path.read_bytes() for path in out.iterdir()}
+        written = {path.name: path.read_bytes() for path in Path(f["out"]).iterdir()}
         assert written and written == {path.name: path.read_bytes() for path in ref.iterdir()}
         return
     pattern = row.expect.format(tmp=re.escape(f["tmp"]), out=re.escape(f["out"]))
     assert re.search(pattern, err), (pattern, err)
-    assert out.exists() == row.makes_out
 
 
 def _contract_test(rows):
@@ -610,6 +621,18 @@ def _contract_test(rows):
     def test(request, tmp_path, row):
         _check(row, _Inputs(request, tmp_path, tmp_path / "out"))
     return test
+
+
+def _no_reads(f):
+    """Fail the run at its first depth-map or JSONL read: the row must be
+    refused on its options alone."""
+    def read(path, *args):
+        raise AssertionError(f"{path} was read before the options were checked")
+
+    monkeypatch = f.request.getfixturevalue("monkeypatch")
+    monkeypatch.setattr(encoding, "load_depth", read)
+    for name in ("load_detections", "load_groundtruth"):
+        monkeypatch.setattr(evaluation, name, read)
 
 
 def _disagreeing_forward(f):
@@ -641,16 +664,23 @@ _CONTRACT = {
         # frontal walls at one constant depth have a constant disparity channel
         _Row(None, "encode {tmp}/wall1.pfm {tmp}/wall2.pfm --mode hdha --intrinsics {cam} "
              "--stats {out}/s.json", 3, "^error: constant channel, std would be zero: ",
-             {"wall1.pfm": np.full((60, 80), 6.0), "wall2.pfm": np.full((60, 80), 6.0)}, True)],
+             {"wall1.pfm": np.full((60, 80), 6.0), "wall2.pfm": np.full((60, 80), 6.0)})],
     "test_encode_parameter_errors_exit_3": [
-        _Row(None, "encode {ramp} --mode gray", 3, "^error: --mode gray requires --dmin and "),
-        _Row(None, "encode {ramp} --mode sepia --dmin 1 --dmax 2", 3, "invalid choice: 'sepia'"),
+        # each refused before any map is read
+        _Row(None, "encode {ramp} --mode gray", 3, "^error: --mode gray requires --dmin and ",
+             setup=_no_reads),
+        _Row(None, "encode {ramp} --mode sepia --dmin 1 --dmax 2", 3, "invalid choice: 'sepia'",
+             setup=_no_reads),
         _Row(None, "encode {ramp} --mode hdha", 3,
-             r"^error: --mode hdha requires --intrinsics \(camera intrinsics JSON\)$"),
+             r"^error: --mode hdha requires --intrinsics \(camera intrinsics JSON\)$",
+             setup=_no_reads),
         _Row(None, "encode {ramp} --mode hdha --intrinsics {cam} --gravity 0,1", 3,
-             "^error: --gravity needs 'x,y,z', got '0,1'$"),
-        _Row(None, _HDHA + " --k-neighbors 2", 3, "^error: k must be at least 3, got 2$",
-             makes_out=True)],
+             "^error: --gravity needs 'x,y,z', got '0,1'$", setup=_no_reads),
+        _Row(None, _HDHA + " --k-neighbors 2", 3,
+             "^error: --k-neighbors must be at least 3, got 2$", setup=_no_reads),
+        _Row(None, "encode {tmp}/a.pfm {tmp}/b.pfm --mode gray --dmin 5 --dmax 1", 3,
+             r"^error: --dmin must be below --dmax, got 5\.0 and 1\.0$",
+             {"a.pfm": _RAMP, "b.pfm": _RAMP}, setup=_no_reads)],
     "test_encode_empty_gravity_exits_3": [
         _Row(None, _HDHA + " --gravity=", 3, "^error: --gravity needs 'x,y,z', got ''$")],
     "test_encode_gravity_components_are_ascii_decimals": [
@@ -662,15 +692,15 @@ _CONTRACT = {
         _Row(None, f"{_HDHA} --k-neighbors={10**60}", 0, f"{_HDHA} --k-neighbors={12 * 16}")],
     "test_encode_missing_file_exits_3": [
         _Row(None, "encode {tmp}/absent.pfm --mode gray --dmin 1 --dmax 6", 3,
-             r"^error: missing file: {tmp}/absent\.pfm$", makes_out=True)],
+             r"^error: missing file: {tmp}/absent\.pfm$")],
     "test_encode_corrupt_file_exits_2_with_offset": [
         _Row(None, "encode {tmp}/bad.pfm --mode gray --dmin 1 --dmax 6", 2,
              r"^error: {tmp}/bad\.pfm: raster truncated, need 36 bytes, have 2 \(byte offset 14\)$",
-             {"bad.pfm": _CUT_PFM}, True)],
+             {"bad.pfm": _CUT_PFM})],
     "test_encode_batch_stats_need_every_map": [
         # the stats need every map, so the good one is not written either
         _Row(None, "encode {room} {tmp}/cut.pfm --mode hdha --intrinsics {cam} --stats {out}/s",
-             2, r"^error: {tmp}/cut\.pfm: raster truncated, ", {"cut.pfm": _CUT_PFM}, True)],
+             2, r"^error: {tmp}/cut\.pfm: raster truncated, ", {"cut.pfm": _CUT_PFM})],
     "test_encode_inputs_sharing_an_output_exit_3_before_any_read": [
         # refused before any read: the second map is cut and would exit 2
         _Row(None, "encode {tmp}/a/x.pfm {tmp}/b/x.pfm --mode gray --dmin 1 --dmax 6", 3,
@@ -702,10 +732,17 @@ _CONTRACT = {
         _Row(None, _VGG + " --input 8x8", 3, r"^error: --input 8x8 is too small for vgg16: node "
              r"rgb_bb/pool4: spatial extent collapses to 0 \(in=1, k=2, s=2, p=0\)$")],
     "test_arch_internal_invariant_exits_4": [
-        # the forward runs after the reports are written
+        # the forward runs before any report is written or printed
         _Row(None, _VGG + " --input 64x64 --rois 4 --forward", 4,
              "^internal error: executor produced 1x1 at det:scores, propagation said 4x21$",
-             makes_out=True, setup=_disagreeing_forward)],
+             setup=_disagreeing_forward)],
+    "test_arch_forward_failure_writes_nothing": [
+        # numpy refuses each size (its message names no option) before any
+        # report is written or printed
+        _Row(case, f"{_ARCH} --{option}", 3, "^error: ") for case, option in (
+            ("rois", f"rois={10**60}"), ("classes", f"classes={10**60}"),
+            ("depth-channels", f"depth-channels={10**60}"),
+            ("input-height", f"input={10**60}x64"), ("input-width", f"input=64x{10**60}"))],
     "test_arch_depth_channels_without_single_depth_input_exits_3": [
         _Row(variant, f"arch --variant {variant} --backbone vgg16 --depth-channels 5", 3,
              f"^error: depth_channels does not apply to {variant}, ")
@@ -717,11 +754,12 @@ _CONTRACT = {
              r"^error: {tmp}/s\.json", {"s.json": json.dumps(["background", "chair", "table",
                                                                "\ud800"])})],
     "test_eval_confusion_requires_class_table": [
-        _Row(None, "eval --metric confusion --dets {dets_ids} --gts {gts_ids}", 3,
-             "^error: --metric confusion requires --classes$", makes_out=True)],
+        # refused before any read: the missing --dets is not the fault named
+        _Row(None, "eval --metric confusion --dets {tmp}/absent.jsonl --gts {gts_ids}", 3,
+             "^error: --metric confusion requires --classes$", setup=_no_reads)],
     "test_eval_confdiff_without_second_run_exits_3": [
         _Row(None, "eval --metric confdiff --dets {dets} --gts {gts} --classes {classes}", 3,
-             r"^error: --metric confdiff requires --dets-b \(", makes_out=True)],
+             r"^error: --metric confdiff requires --dets-b \(", setup=_no_reads)],
     "test_eval_malformed_jsonl_exits_2": [
         _Row(None, "eval --metric voc --dets {tmp}/bad.jsonl --gts {gts}", 2,
              r"^error: {tmp}/bad\.jsonl line 1: .*\(byte offset 0\)$",
@@ -789,15 +827,14 @@ _CONTRACT = {
                  {"image_id": "im1", "class": "chair", "x1": 0, "y1": 0, "x2": 1e200, "y2": 1e200},
                  {"image_id": "im1", "class": "chair", "x1": 10, "y1": 10, "x2": 50, "y2": 50}]})],
     "test_analyze_failure_writes_no_output": [
-        # pearson_r fails after the heatmap is built: one box of about 1e308
-        # leaves the axes finite, but not the sums of squares
-        _Row(case, "analyze --gts {tmp}/gts.jsonl --depth-dir {tmp}/depth", 3, message, {
-            "depth/im1.pfm": values, "gts.jsonl": [
-                {"image_id": "im1", "class": 1, "x1": 0, "y1": 0, "x2": x2, "y2": x2},
-                {"image_id": "im1", "class": 1, "x1": 2, "y1": 2, "x2": 4, "y2": 4}]})
-        for case, values, x2, message in (
-            ("constant-depth", np.full((8, 8), 2.0), 6.0, "constant sequence"),
-            ("area-squared-past-float-range", np.arange(64.0).reshape(8, 8), 1e154, "overflow"))],
+        # pearson_r fails after the heatmap is built: a constant depth has no spread
+        _Row("constant-depth", "analyze --gts {tmp}/gts.jsonl --depth-dir {tmp}/depth", 3,
+             "constant sequence", {"depth/im1.pfm": np.full((8, 8), 2.0), "gts.jsonl": [
+                 {"image_id": "im1", "class": 1, "x1": 0, "y1": 0, "x2": 6, "y2": 6},
+                 {"image_id": "im1", "class": 1, "x1": 2, "y1": 2, "x2": 4, "y2": 4}]})],
+    "test_analyze_bins_are_checked_before_any_read": [
+        _Row(None, "analyze --gts {gts_ids} --depth-dir {depth_dir} --bins 0", 3,
+             "^error: --bins must be at least 1, got 0$", setup=_no_reads)],
     "test_analyze_similarity_of_a_mass_past_the_float_range_exits_3": [
         _Row(None, "analyze --similarity {tmp}/huge.csv {tmp}/huge.csv", 3, "overflow",
              {"huge.csv": b"x_edges,1.0,2.0,3.0\ny_edges,10.0,20.0\n1e308,1e308\n"})],

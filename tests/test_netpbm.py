@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from cli_run import assert_contract
 from depth_scenes import write_cam
-from depthkit import cli, netpbm
+from depthkit import netpbm
 from depthkit.netpbm import ParseError
 
 
@@ -125,31 +125,29 @@ def test_dimension_limits(tmp_path):
         netpbm.read_pgm(str(path))
 
 
-def _encode_gray_exit(tmp_path, capsys, name, data):
+def _encode_gray_exit(tmp_path, name, data):
+    """stderr of a gray encode of ``data`` that exits 2 under the contract."""
     src = tmp_path / name
     src.write_bytes(data)
-    rc = cli.main(["encode", str(src), "--mode", "gray", "--dmin", "0.5", "--dmax", "8",
-                   "--out", str(tmp_path / "out")])
-    return rc, capsys.readouterr().err
+    return assert_contract(["encode", str(src), "--mode", "gray", "--dmin", "0.5", "--dmax", "8",
+                            "--out", str(tmp_path / "out")], (2,))[1]
 
 
 @pytest.mark.parametrize("scale", [b"nan", b"-nan", b"inf", b"-inf", b"-1e400", b"1_0",
                                    b"-1_0", "-\u0661".encode()])
-def test_non_finite_pfm_scale_exits_2_at_its_offset(tmp_path, capsys, scale):
+def test_non_finite_pfm_scale_exits_2_at_its_offset(tmp_path, scale):
     # the sign of the scale picks the byte order: a NaN has no usable one;
     # the scale is an ASCII decimal float, not any spelling float() takes
     raster = np.full((2, 2), 2.0, dtype="<f4").tobytes()
-    rc, err = _encode_gray_exit(tmp_path, capsys, "d.pfm", b"Pf\n2 2\n" + scale + b"\n" + raster)
-    assert rc == 2, err
+    err = _encode_gray_exit(tmp_path, "d.pfm", b"Pf\n2 2\n" + scale + b"\n" + raster)
     assert err.strip().endswith("(byte offset 7)"), err
 
 
 @pytest.mark.parametrize("header", [b"P5 1_0 +1 65535", b"P5 2 +1 65535", b"P5 2 1 6_5535",
                                     b"P5 2 1 +65535"])
-def test_header_integers_are_decimal_digits_only(tmp_path, capsys, header):
+def test_header_integers_are_decimal_digits_only(tmp_path, header):
     bad = next(tok for tok in header.split()[1:] if not tok.isdigit())
-    rc, err = _encode_gray_exit(tmp_path, capsys, "d.pgm", header + b"\n" + b"\x00" * 40)
-    assert rc == 2, err
+    err = _encode_gray_exit(tmp_path, "d.pgm", header + b"\n" + b"\x00" * 40)
     assert err.strip().endswith(f"(byte offset {header.index(bad)})"), err
 
 
