@@ -50,17 +50,19 @@ the sequence in which ``np.add.reduce`` adds along axis 0, so it equals
 ``points[valid].mean(axis=0)`` bit for bit.
 
 Pool: one ``ThreadPoolExecutor`` a process, built on first use with one
-thread per core the process may run on.  ``pool_map`` spreads work
-across it and waits for every item; a caller that is itself a pool
-worker runs its items inline, so no worker ever waits on work queued
-behind it.
+thread fewer than the cores the process may run on, since the caller
+works too.  ``pool_map`` lets the caller and the workers take the items
+from one shared, locked index until none are left, and returns once
+every item has finished.  A thread running ``pool_map`` items, caller
+or worker, runs any nested ``pool_map`` inline, so no thread ever waits
+on work queued behind it.
 """
 from __future__ import annotations
 
 import math
 import os
 import threading
-from concurrent.futures import ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -78,11 +80,13 @@ CHECKPOINT_ROWS = 16
 
 _pool = None
 _pool_lock = threading.Lock()
-_on_worker = threading.local()
+# set on a thread while it runs pool_map items: worker threads always,
+# the caller for the length of its call
+_busy = threading.local()
 
 
-def _mark_worker() -> None:
-    _on_worker.flag = True
+def _mark_busy() -> None:
+    _busy.flag = True
 
 
 def _cores() -> int:
@@ -92,21 +96,56 @@ def _cores() -> int:
 
 
 def pool_map(fn, items) -> list:
-    """``[fn(x) for x in items]``, the items spread across the process-wide
-    pool.  Returns, or raises the first item's error, only after every
-    item has finished.  One item, one core, or a caller that is itself a
-    pool worker runs the items inline, in order."""
+    """``[fn(x) for x in items]``, the items spread across the calling
+    thread and the process-wide pool.  Returns, or raises the first
+    item's error, only after every item has finished.  One item, one
+    core, or a caller that is already running ``pool_map`` items runs
+    the items inline, in order."""
     global _pool
     items = list(items)
-    if len(items) < 2 or getattr(_on_worker, "flag", False) or _cores() < 2:
+    cores = _cores()
+    if len(items) < 2 or getattr(_busy, "flag", False) or cores < 2:
         return [fn(x) for x in items]
     with _pool_lock:
         if _pool is None:
-            _pool = ThreadPoolExecutor(max_workers=_cores(), initializer=_mark_worker,
+            _pool = ThreadPoolExecutor(max_workers=cores - 1, initializer=_mark_busy,
                                        thread_name_prefix="depthkit")
-    futures = [_pool.submit(fn, x) for x in items]
-    wait(futures)
-    return [f.result() for f in futures]
+    results, errors = [None] * len(items), [None] * len(items)
+    lock, finished = threading.Lock(), threading.Event()
+    taken, left = 0, len(items)
+
+    def work():
+        # take the next item until none is left; the thread that
+        # finishes the last one wakes the caller
+        nonlocal taken, left
+        while True:
+            with lock:
+                i = taken
+                if i == len(items):
+                    return
+                taken += 1
+            try:
+                results[i] = fn(items[i])
+            except BaseException as exc:  # raised by the caller, in item order
+                errors[i] = exc
+            with lock:
+                left -= 1
+                if not left:
+                    finished.set()
+
+    # a helper that starts after the caller took the last item returns at once
+    for _ in range(min(cores, len(items)) - 1):
+        _pool.submit(work)
+    _busy.flag = True
+    try:
+        work()
+    finally:
+        _busy.flag = False
+    finished.wait()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 class _Grid:

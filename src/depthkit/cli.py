@@ -67,9 +67,9 @@ def _build_parser() -> argparse.ArgumentParser:
                                      "otherwise computed from the inputs and written there (hdha)")
     enc.add_argument("--gravity", help="fixed gravity direction as 'x,y,z' (hdha); "
                                        "default: estimated per image")
-    enc.add_argument("--k-neighbors", type=decimal_int, default=25,
+    enc.add_argument("--k-neighbors", type=decimal_int,
                      help="valid points per normal-estimation window, at least 3 "
-                          "(default 25)")
+                          "(hdha; default 25)")
     enc.add_argument("--out", default=".", help="output directory (default: current)")
 
     arch = sub.add_parser("arch", help="inspect a detector architecture graph")
@@ -197,22 +197,37 @@ def _write_image(args, path: str, image: np.ndarray) -> None:
     (netpbm.write_pgm8 if image.ndim == 2 else netpbm.write_ppm8)(path, image)
 
 
+# the encode options of one group of modes; given with another mode, a
+# run exits 3 before any read
+_HDHA_OPTIONS = ("intrinsics", "stats", "gravity", "k_neighbors")
+_GRAY_OPTIONS = ("dmin", "dmax")
+
+
+def _refuse_options(args, names, applies: str) -> None:
+    """Exit 3 on the first of the options ``names`` that ``args`` holds."""
+    for name in names:
+        if getattr(args, name) is not None:
+            raise ValueError(f"--{name.replace('_', '-')} applies to {applies} only")
+
+
 def _cmd_encode(args) -> int:
     if args.mode in ("gray", "jet"):
+        _refuse_options(args, _HDHA_OPTIONS, "--mode hdha")
         if args.dmin is None or args.dmax is None:
             raise ValueError(f"--mode {args.mode} requires --dmin and --dmax")
         # grayscale_encode's own rule, worded for the options
         if not args.dmax > args.dmin:
             raise ValueError(f"--dmin must be below --dmax, got {args.dmin} and {args.dmax}")
     else:
+        _refuse_options(args, _GRAY_OPTIONS, "--mode gray and jet")
         if not args.intrinsics:
             raise ValueError("--mode hdha requires --intrinsics (camera intrinsics JSON)")
+        if args.k_neighbors is None:
+            args.k_neighbors = 25
         # the normals kernel's own rule, worded for the option
         if args.k_neighbors < 3:
             raise ValueError(f"--k-neighbors must be at least 3, got {args.k_neighbors}")
     gravity = _parse_gravity(args.gravity) if args.gravity is not None else None
-    if args.stats and args.mode != "hdha":
-        raise ValueError("--stats applies to --mode hdha only")
     # two inputs with one stem would race for one output file
     writer = {}
     for path in args.files:
@@ -296,6 +311,15 @@ def _cmd_arch(args) -> int:
         h, w = (decimal_int(p) for p in args.input.lower().split("x"))
     except ValueError:
         raise ValueError(f"--input must look like 600x800, got {args.input!r}") from None
+    if args.forward:
+        # the executor sizes numpy arrays by these, and no array passes
+        # the largest index
+        limit = np.iinfo(np.intp).max
+        for option, value in (("--classes", args.classes), ("--rois", args.rois),
+                              ("--depth-channels", args.depth_channels),
+                              ("--input height", h), ("--input width", w)):
+            if value is not None and value > limit:
+                raise ValueError(f"{option} must be at most {limit} with --forward, got {value}")
     graph = build_architecture(args.variant, args.backbone, num_classes=args.classes,
                                depth_channels=args.depth_channels)
     try:
@@ -332,6 +356,8 @@ def _cmd_eval(args) -> int:
         raise ValueError(f"--metric {args.metric} requires --classes")
     if args.metric == "confdiff" and not args.dets_b:
         raise ValueError("--metric confdiff requires --dets-b (the comparison run)")
+    if args.metric != "confdiff":
+        _refuse_options(args, ("dets_b",), "--metric confdiff")
     classes = evaluation.load_classes(args.classes) if args.classes else None
     dets = evaluation.load_detections(args.dets, classes)
     gts = evaluation.load_groundtruth(args.gts, classes)

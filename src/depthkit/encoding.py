@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import netpbm
+from ._kernels import strips
 
 
 def quantize_u8(values: np.ndarray, valid: np.ndarray | None = None) -> np.ndarray:
@@ -72,11 +73,11 @@ class DepthMap:
         n = self.values.size
         if not self.valid.any():
             return {"valid_fraction": 0.0, "min": None, "max": None}
-        vals = self.values[self.valid]
+        # reduced under the mask, with no gather of the valid depths
         return {
             "valid_fraction": float(self.valid.sum()) / n,
-            "min": float(vals.min()),
-            "max": float(vals.max()),
+            "min": float(self.values.min(where=self.valid, initial=np.inf)),
+            "max": float(self.values.max(where=self.valid, initial=-np.inf)),
         }
 
 
@@ -210,9 +211,12 @@ def grayscale_encode(depth: DepthMap, d_min: float, d_max: float) -> np.ndarray:
 # [0, 1], centered at c = 3/4, 1/2, 1/4 for R, G, B.  Scaled by 255 it
 # is 382.5 - |4t - 1020c| with 1020c an integer, so rounding half up is
 # exactly 383 - |4t - 1020c|.
-_JET_TABLE = np.clip(383 - np.abs(4 * np.arange(256)[:, None] - np.array([765, 510, 255])),
-                     0, 255).astype(np.uint8)
-_JET_TABLE.setflags(write=False)
+# Row 256, past the levels, is the black of invalid pixels.
+_JET_ROWS = np.zeros((257, 3), dtype=np.uint8)
+_JET_ROWS[:256] = np.clip(383 - np.abs(4 * np.arange(256)[:, None] - np.array([765, 510, 255])),
+                          0, 255)
+_JET_ROWS.setflags(write=False)
+_JET_TABLE = _JET_ROWS[:256]
 
 
 def jet_table() -> np.ndarray:
@@ -225,9 +229,23 @@ def jet_encode(gray: np.ndarray, valid: np.ndarray) -> np.ndarray:
     table: an ``(H, W, 3)`` uint8 image.
 
     Pixels outside ``valid`` encode to (0, 0, 0), which is not a table
-    entry; a valid level 0 is blue.
+    entry; a valid level 0 is blue.  One gather builds the image: an
+    invalid pixel looks up the black row past the table's end.
     """
-    return np.where(valid[..., None], _JET_TABLE[gray], 0).astype(np.uint8)
+    return _JET_ROWS.take(np.where(valid, gray, np.uint16(256)), axis=0)
+
+
+def _gather(column: np.ndarray, images: list[HdhaImage], name: str) -> None:
+    """Fill ``column`` with the valid pixels of channel ``name`` of every
+    image, in image order and row-major within an image, one strip of
+    rows at a time: no temporary is larger than a strip."""
+    row = 0
+    for img in images:
+        plane = getattr(img, name)
+        for lo, hi in strips(plane.shape[0]):
+            part = plane[lo:hi][img.valid[lo:hi]]
+            column[row:row + part.size] = part
+            row += part.size
 
 
 def compute_channel_stats(images: list[HdhaImage]) -> ChannelStats:
@@ -239,26 +257,25 @@ def compute_channel_stats(images: list[HdhaImage]) -> ChannelStats:
     row-major within an image, and every sum runs sequentially down it
     (the last element of a ``cumsum``): the order in which ``np.mean``
     and ``np.std`` add along axis 0 of the pooled ``(N, 3)`` array, so
-    the stats keep those bits without that array.
+    the stats keep those bits without that array.  The ``cumsum`` runs
+    in place, so the column is the only channel-sized array: it is
+    gathered again before the deviations are squared into it.
     """
     if not images:
         raise ValueError("need at least one image to compute stats")
-    counts = [int(np.count_nonzero(img.valid)) for img in images]
-    n = sum(counts)
+    n = sum(int(np.count_nonzero(img.valid)) for img in images)
     if n == 0:
         raise ValueError("no valid pixels in any input image")
     column = np.empty(n)
     means, stds = [], []
     for name in ("hd", "height", "angle"):
-        row = 0
-        for img, count in zip(images, counts):
-            column[row:row + count] = getattr(img, name)[img.valid]
-            row += count
-        mean = np.cumsum(column)[-1] / n
+        _gather(column, images, name)
+        mean = np.cumsum(column, out=column)[-1] / n
+        _gather(column, images, name)
         column -= mean
         np.square(column, out=column)
         means.append(float(mean))
-        stds.append(float(np.sqrt(np.cumsum(column)[-1] / n)))
+        stds.append(float(np.sqrt(np.cumsum(column, out=column)[-1] / n)))
     if any(s <= 0 for s in stds):
         raise ValueError(f"constant channel, std would be zero: stds={stds}")
     return ChannelStats(means=tuple(means), stds=tuple(stds))

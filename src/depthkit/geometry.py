@@ -134,9 +134,16 @@ def estimate_gravity(
         thresh_deg = 45.0 if it == 0 else 15.0
         cos_par = np.cos(np.deg2rad(thresh_deg))
         sin_thr = np.sin(np.deg2rad(thresh_deg))
-        align = np.abs(n @ g)
-        par = (align > cos_par) & valid
-        orth = (align < sin_thr) & valid
+        # abs and the masks work in place, and the alignment is dropped
+        # before the clusters are gathered: one cluster's rows are the
+        # largest temporary
+        align = n @ g
+        np.abs(align, out=align)
+        par = align > cos_par
+        par &= valid
+        orth = align < sin_thr
+        orth &= valid
+        del align
         n_par = int(par.sum())
         n_orth = int(orth.sum())
         iters = it + 1

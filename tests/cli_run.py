@@ -1,12 +1,15 @@
-"""``cli.main`` run in process, as the contract tests call it, and the
-traced memory peak of a call."""
+"""``cli.main`` run in process, as the contract tests call it, the
+traced memory peak of a call, and the worker pool of a two-core
+machine."""
 import contextlib
 import io
 import tracemalloc
 import warnings
 from pathlib import Path
 
-from depthkit import cli
+import pytest
+
+from depthkit import _kernels, cli
 
 
 def run_cli(argv):
@@ -45,3 +48,15 @@ def numpy_peak(fn, *args):
         return fn(*args), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+@pytest.fixture
+def two_cores(monkeypatch):
+    """``_kernels`` as on a machine with two cores, with a pool of its own
+    that is shut down after the test, so its threads are the only
+    workers that take items."""
+    monkeypatch.setattr(_kernels, "_cores", lambda: 2)
+    monkeypatch.setattr(_kernels, "_pool", None)
+    yield
+    if _kernels._pool is not None:
+        _kernels._pool.shutdown()

@@ -4,6 +4,7 @@ import re
 import shlex
 import subprocess
 import sys
+import threading
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cli_run import assert_contract, numpy_peak
+from cli_run import assert_contract, numpy_peak, two_cores  # two_cores is a fixture
 from depth_scenes import dropout, floor_wall, write_cam
 from depthkit import _kernels, analysis, cli, encoding, evaluation, geometry, netpbm
 from eval_rows import write_jsonl
@@ -517,6 +518,31 @@ def test_encode_stats_memory_is_bounded_by_the_maps(tmp_path):
     assert peak < 36 * 2**20, peak
 
 
+def test_encode_on_two_cores_runs_the_caller_and_one_worker(tmp_path, monkeypatch, two_cores):
+    # the caller encodes maps beside the pool's one thread: each thread's
+    # first map waits at a barrier for the other's, and the run makes
+    # exactly one depthkit thread
+    maps = [tmp_path / f"m{i}.pfm" for i in range(4)]
+    for path in maps:
+        netpbm.write_pfm(str(path), _RAMP)
+    barrier, threads, real = threading.Barrier(2), set(), encoding.grayscale_encode
+
+    def gray(depth, d_min, d_max):
+        name = threading.current_thread().name
+        if name not in threads:
+            threads.add(name)
+            barrier.wait(timeout=30)
+        return real(depth, d_min, d_max)
+
+    monkeypatch.setattr(encoding, "grayscale_encode", gray)
+    before = set(threading.enumerate())
+    assert_contract(["encode", *map(str, maps), "--mode", "gray", "--dmin", "1", "--dmax", "6",
+                     "--out", str(tmp_path / "out")], (0,))
+    made = [t.name for t in threading.enumerate() if t not in before]
+    assert len(made) == 1 and made[0].startswith("depthkit"), made
+    assert threads == {threading.current_thread().name, made[0]}, threads
+
+
 # ------------------------------------------------------------ entry point
 
 @pytest.mark.parametrize("argv", [["--help"], ["encode", "--help"], ["arch", "-h"]])
@@ -651,6 +677,9 @@ _ROW_2 = _HEATMAP.index(b"4.0")
 _ENCODE = "encode scene.pfm --mode gray --dmin 1 --dmax 6"
 _ARCH = "arch --variant raw-EC --backbone vgg16 --input 64x64 --rois 4 --forward"
 _EVAL = "eval --metric confusion --dets d.jsonl --gts g.jsonl --classes c.json"
+_MAX_INDEX = int(np.iinfo(np.intp).max)
+_MODE_OPTIONS = {"gray": "--dmin 1 --dmax 6", "jet": "--dmin 1 --dmax 6",
+                 "hdha": "--intrinsics {tmp}/absent.json"}
 _NUMERIC_OPTIONS = [
     (_ENCODE, "--dmin={}"), (_ENCODE, "--dmax={}"), (_ENCODE, "--k-neighbors={}"),
     (_ARCH, "--classes={}"), (_ARCH, "--rois={}"), (_ARCH, "--depth-channels={}"),
@@ -681,6 +710,17 @@ _CONTRACT = {
         _Row(None, "encode {tmp}/a.pfm {tmp}/b.pfm --mode gray --dmin 5 --dmax 1", 3,
              r"^error: --dmin must be below --dmax, got 5\.0 and 1\.0$",
              {"a.pfm": _RAMP, "b.pfm": _RAMP}, setup=_no_reads)],
+    "test_encode_options_outside_the_mode_exit_3": [
+        # each refused before any read, naming the option; the hdha rows'
+        # camera file does not exist
+        _Row(f"{mode}-{extra.split()[0][2:]}",
+             f"encode {{ramp}} --mode {mode} {_MODE_OPTIONS[mode]} {extra}", 3,
+             f"^error: {extra.split()[0]} applies to --mode "
+             f"{'gray and jet' if mode == 'hdha' else 'hdha'} only$", setup=_no_reads)
+        for mode, extra in (
+            ("gray", "--k-neighbors 2"), ("gray", "--intrinsics {tmp}/absent.json"),
+            ("gray", "--gravity 0,1,0"), ("jet", "--k-neighbors 25"), ("jet", "--stats s.json"),
+            ("hdha", "--dmin 5 --dmax 1"), ("hdha", "--dmax 8"))],
     "test_encode_empty_gravity_exits_3": [
         _Row(None, _HDHA + " --gravity=", 3, "^error: --gravity needs 'x,y,z', got ''$")],
     "test_encode_gravity_components_are_ascii_decimals": [
@@ -737,12 +777,16 @@ _CONTRACT = {
              "^internal error: executor produced 1x1 at det:scores, propagation said 4x21$",
              setup=_disagreeing_forward)],
     "test_arch_forward_failure_writes_nothing": [
-        # numpy refuses each size (its message names no option) before any
-        # report is written or printed
-        _Row(case, f"{_ARCH} --{option}", 3, "^error: ") for case, option in (
-            ("rois", f"rois={10**60}"), ("classes", f"classes={10**60}"),
-            ("depth-channels", f"depth-channels={10**60}"),
-            ("input-height", f"input={10**60}x64"), ("input-width", f"input=64x{10**60}"))],
+        # a size past the largest array index is refused, naming its
+        # option, before anything is built, written or printed
+        _Row(case + suffix, f"{_ARCH} --{option.format(value)}", 3,
+             f"^error: {named} must be at most {_MAX_INDEX} with --forward, got {value}$")
+        for suffix, value in (("", 10**60), ("-past-max-index", _MAX_INDEX + 1))
+        for case, option, named in (
+            ("rois", "rois={}", "--rois"), ("classes", "classes={}", "--classes"),
+            ("depth-channels", "depth-channels={}", "--depth-channels"),
+            ("input-height", "input={}x64", "--input height"),
+            ("input-width", "input=64x{}", "--input width"))],
     "test_arch_depth_channels_without_single_depth_input_exits_3": [
         _Row(variant, f"arch --variant {variant} --backbone vgg16 --depth-channels 5", 3,
              f"^error: depth_channels does not apply to {variant}, ")
@@ -757,6 +801,11 @@ _CONTRACT = {
         # refused before any read: the missing --dets is not the fault named
         _Row(None, "eval --metric confusion --dets {tmp}/absent.jsonl --gts {gts_ids}", 3,
              "^error: --metric confusion requires --classes$", setup=_no_reads)],
+    "test_eval_second_run_outside_confdiff_exits_3": [
+        # refused before any read: the missing --dets-b is not the fault named
+        _Row(metric, f"eval --metric {metric} --dets {{dets}} --gts {{gts}} --classes {{classes}} "
+             "--dets-b {tmp}/absent.jsonl", 3, "^error: --dets-b applies to --metric confdiff only$",
+             setup=_no_reads) for metric in ("voc", "coco", "confusion")],
     "test_eval_confdiff_without_second_run_exits_3": [
         _Row(None, "eval --metric confdiff --dets {dets} --gts {gts} --classes {classes}", 3,
              r"^error: --metric confdiff requires --dets-b \(", setup=_no_reads)],

@@ -149,8 +149,31 @@ def test_jet_encode_uses_table_and_zeroes_invalid():
 
 
 def test_jet_table_is_read_only():
+    assert jet_table().shape == (256, 3)
     with pytest.raises(ValueError):
         jet_table()[0, 0] = 9
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_jet_render_and_summary_match_the_gathering_expressions(seed):
+    # references: the 3-byte row gather, np.where and astype of the jet
+    # render, and min and max of the gathered valid depths
+    rng = np.random.default_rng(seed)
+    shape = tuple(rng.integers(1, 70, 2))
+    values = rng.uniform(0.2, 9.0, shape) * 10.0 ** rng.uniform(-3, 3, shape)
+    values[rng.random(shape) < rng.choice([0.0, 0.3, 0.99])] = 0.0
+    depth = DepthMap(values)
+    gray = grayscale_encode(depth, 0.1, 50.0)
+    rgb = jet_encode(gray, depth.valid)
+    expected = np.where(depth.valid[..., None], jet_table()[gray], 0).astype(np.uint8)
+    assert rgb.dtype == np.uint8 and rgb.flags.c_contiguous
+    assert np.array_equal(rgb, expected)
+    info = depth.summary()
+    if depth.valid.any():
+        vals = values[depth.valid]
+        assert (info["min"], info["max"]) == (float(vals.min()), float(vals.max()))
+    else:
+        assert (info["min"], info["max"]) == (None, None)
 
 
 # ------------------------------------------------------------------- stats
@@ -189,6 +212,21 @@ def test_channel_stats_match_the_concatenated_pool():
                           stacked.mean(axis=0).view(np.uint64))
     assert np.array_equal(np.array(stats.stds).view(np.uint64),
                           stacked.std(axis=0).view(np.uint64))
+
+
+def test_channel_stats_memory_is_the_column():
+    # two VGA maps of which about 80% of pixels are valid: the stats hold
+    # one column of 8 bytes a valid pixel (3.8 MiB) and strip-sized
+    # gathers; gathering each map whole and a cumsum into a second
+    # column took it to 7.7 MiB
+    rng = np.random.default_rng(12)
+    images = [_fake_hdha(rng.normal(size=(3, 480, 640)) * [[[9.0]], [[0.8]], [[40.0]]],
+                         rng.random((480, 640)) < 0.8) for _ in range(2)]
+    stats, peak = numpy_peak(compute_channel_stats, images)
+    stacked = np.concatenate([img.channels()[img.valid] for img in images], axis=0)
+    assert np.array_equal(np.array(stats.means), stacked.mean(axis=0))
+    column = 8 * len(stacked)
+    assert peak < column + 2**20, (peak, column)
 
 
 def test_channel_stats_reject_constant_channel():

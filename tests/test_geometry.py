@@ -1,12 +1,14 @@
 """Backprojection, surface normals, gravity, HDHA."""
+import sys
 import threading
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cli_run import numpy_peak
+from cli_run import numpy_peak, two_cores  # two_cores is a fixture
 from depth_scenes import dropout, floor_wall
 from depthkit import CameraIntrinsics, DepthMap, estimate_gravity, hdha_encode
 from depthkit import _kernels
@@ -262,37 +264,116 @@ def test_strip_mean_is_bitwise_the_gathered_mean(h, w, blank, density, seed):
 
 
 class _ThreadRows(_kernels._Grid):
-    """A whole-grid row source that records the threads reading points."""
+    """A whole-grid row source that records the threads reading points.
+    With a barrier, each thread's first read waits at it."""
 
-    def __init__(self, points):
+    def __init__(self, points, barrier=None):
         super().__init__(points)
-        self.threads = set()
+        self.threads, self.barrier = set(), barrier
 
     def at(self, i, j):
-        self.threads.add(threading.current_thread().name)
+        name = threading.current_thread().name
+        if name not in self.threads:
+            self.threads.add(name)
+            if self.barrier is not None:
+                self.barrier.wait(timeout=30)
         return super().at(i, j)
 
 
 @pytest.mark.parametrize("case", ["holes", "sparse"])
-def test_pooled_chunks_are_bitwise_the_inline_chunks(monkeypatch, case):
+def test_pooled_chunks_are_bitwise_the_inline_chunks(monkeypatch, two_cores, case):
     points, valid, k = _oracle_case(case)
     monkeypatch.setattr(_kernels, "CHUNK", 7)
-    results = []
-    for cores in (1, 2):
-        monkeypatch.setattr(_kernels, "_cores", lambda: cores)
-        source = _ThreadRows(points)
-        results.append(_kernels.normals_from_points(source, valid, k))
-        on_main = source.threads == {threading.current_thread().name}
-        assert on_main == (cores == 1), source.threads
+    # on two cores the caller and the one worker each read a chunk: the
+    # first read of each waits for the other's
+    pooled = _ThreadRows(points, threading.Barrier(2))
+    results = [_kernels.normals_from_points(pooled, valid, k)]
+    assert threading.current_thread().name in pooled.threads, pooled.threads
+    assert len(pooled.threads) == 2, pooled.threads
+    monkeypatch.setattr(_kernels, "_cores", lambda: 1)
+    inline = _ThreadRows(points)
+    results.append(_kernels.normals_from_points(inline, valid, k))
+    assert inline.threads == {threading.current_thread().name}
     assert results[0][1].any()
     assert np.array_equal(_bits(results[1][0]), _bits(results[0][0]))
     assert np.array_equal(results[1][1], results[0][1])
 
 
+def test_pool_map_keeps_order_and_raises_the_first_error_after_every_item(two_cores):
+    def square(x):
+        time.sleep(0.002 * (x % 3))  # items finish out of order
+        return x * x
+
+    assert _kernels.pool_map(square, range(12)) == [x * x for x in range(12)]
+    ran = []
+
+    def fail_some(x):
+        time.sleep(0.002 * (x % 3))
+        ran.append(x)
+        if x in (3, 6):
+            raise ValueError(f"item {x}")
+
+    with pytest.raises(ValueError, match="^item 3$"):
+        _kernels.pool_map(fail_some, range(10))
+    assert sorted(ran) == list(range(10))
+
+
+def test_pool_map_runs_each_item_once_under_contention(monkeypatch, two_cores):
+    # seven workers beside the caller on two cores, switching threads
+    # every microsecond: an index taken twice or a finish not counted
+    # would run an item twice, skip one, or never return
+    monkeypatch.setattr(_kernels, "_cores", lambda: 8)
+    ran, results = [], []
+
+    def item(x):
+        ran.append(x)
+        for _ in range(200):  # a loop the threads switch in
+            pass
+        return x
+
+    def stress():
+        for _ in range(100):
+            results.append(_kernels.pool_map(item, range(300)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        runner = threading.Thread(target=stress, daemon=True)
+        runner.start()
+        runner.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not runner.is_alive(), "pool_map did not return"
+    assert results == [list(range(300))] * 100
+    assert sorted(ran) == sorted(list(range(300)) * 100)
+
+
+def test_nested_pool_maps_from_the_caller_and_a_worker_finish(two_cores):
+    # one outer item on each thread (each waits for the other); the
+    # nested call of each runs inline on its own thread
+    barrier = threading.Barrier(2)
+
+    def outer(x):
+        barrier.wait(timeout=30)
+        return threading.current_thread().name, _kernels.pool_map(
+            lambda y: (threading.current_thread().name, y), range(4))
+
+    results = []
+    runner = threading.Thread(target=lambda: results.append(_kernels.pool_map(outer, range(2))),
+                              daemon=True)
+    runner.start()
+    runner.join(timeout=60)
+    assert not runner.is_alive(), "nested pool_map calls did not finish"
+    names = {name for name, _ in results[0]}
+    assert runner.name in names and len(names) == 2, names
+    for name, inner in results[0]:
+        assert inner == [(name, y) for y in range(4)]
+
+
 def test_hdha_encode_runs_as_pool_tasks(monkeypatch):
-    # as many encodes as the pool has workers, each with many chunks: a
-    # worker that queued its chunks behind the other encodes would wait
-    # forever, so each runs its chunks inline
+    # as many encodes as the caller and the pool have threads, each with
+    # many chunks: a thread that queued its chunks behind the other
+    # encodes would wait forever, so each runs its chunks inline
     monkeypatch.setattr(_kernels, "CHUNK", 256)
     maps = [DepthMap(floor_wall(cam_height=1.0 + 0.1 * i)[0])
             for i in range(max(2, _kernels._cores()))]
@@ -315,11 +396,11 @@ _VGA_CAM = CameraIntrinsics(fx=500.0, fy=500.0, cx=319.5, cy=239.5, baseline=0.0
 def test_hdha_memory_is_bounded_by_the_map():
     # a VGA floor/wall scene with dropout holes: beside the normals, the
     # encode holds the count integral image, the moment checkpoints and
-    # up to two chunks' bands and temporaries, one a pool worker, and
-    # peaks in the normals kernel at about 19.4 MiB (15.5 MiB with the
-    # chunks run inline); the whole point grid held through the kernel
-    # would take it to about 25.5 MiB, and a whole-image 10-moment
-    # integral image to about 50 MiB
+    # up to two chunks' bands and temporaries, on two cores one on the
+    # caller and one on the pool worker, and peaks in the normals kernel at
+    # about 19.3 MiB (15.4 MiB with the chunks run inline); the whole
+    # point grid held through the kernel would take it to about 25.5
+    # MiB, and a whole-image 10-moment integral image to about 50 MiB
     values = floor_wall(480, 640, fy=_VGA_CAM.fy, cy=_VGA_CAM.cy)[0]
     dropout(values, np.random.default_rng(5), 40, (0, 440), (30, 40), 0.05)
     enc, peak = numpy_peak(hdha_encode, DepthMap(values), _VGA_CAM)
@@ -329,13 +410,29 @@ def test_hdha_memory_is_bounded_by_the_map():
 
 def test_hdha_memory_when_windows_span_the_map():
     # fewer than k valid points in a VGA map: every window grows to
-    # max(H, W), so one chunk's band is the whole 9-moment integral image
+    # max(H, W), so the one chunk, run on the caller, reads a band that
+    # is the whole 9-moment integral image: about 33.5 MiB
     rng = np.random.default_rng(7)
     values = np.zeros((480, 640))
     values.flat[rng.choice(values.size, 20, replace=False)] = rng.uniform(2.0, 4.0, 20)
     enc, peak = numpy_peak(hdha_encode, DepthMap(values), _VGA_CAM)
     assert enc.valid.sum() == 20
     assert peak < 80 * 2**20, peak
+
+
+def test_gravity_memory_is_bounded_by_a_cluster():
+    # the normals of a VGA floor/wall scene with dropout holes are the
+    # caller's; the estimate holds the two cluster masks and, one at a
+    # time, the alignment column (8 bytes a row) or one gathered cluster
+    # (24 bytes a row of it): about 6.0 MiB; with the alignment kept
+    # alive through the gathers it took 8.4 MiB
+    values = floor_wall(480, 640, 1.2, fy=_VGA_CAM.fy, cy=_VGA_CAM.cy)[0]
+    dropout(values, np.random.default_rng(4), 40, (0, 440), (30, 40), 0.05)
+    depth = DepthMap(values)
+    normals, ok = _kernels.normals_from_points(_DepthRows(depth, _VGA_CAM), depth.valid, 25)
+    estimate, peak = numpy_peak(estimate_gravity, normals, ok)
+    assert ok.sum() > 200_000 and estimate.orthogonal_count > 100_000
+    assert peak < 7 * 2**20, peak
 
 
 def test_normals_face_the_camera():
