@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -149,18 +150,26 @@ def _load(read, path: str):
         raise ParseError(f"{path}: {exc.message}", exc.offset) from None
 
 
-def _encode_one(path: str, args, cam, gravity, stats, defer: bool):
+def _load_depth(path: str):
+    """The depth map at ``path``, or the error that kept it from loading."""
+    try:
+        return _load(encoding.load_depth, path)
+    except (ParseError, OSError) as exc:
+        return exc
+
+
+def _encode_one(path: str, args, cam, gravity, stats, spill: str | None = None):
     """Load, encode and write one map; return its summary line and a
     deferral, or the error that kept the map from loading.
 
-    With ``defer`` set (hdha stats still to be computed from the batch),
-    nothing is written and the deferral is ``(out_path, HdhaImage)``;
+    With a ``spill`` path (hdha stats still to be computed from the
+    batch), nothing is written: the map's channels are spilled to a new
+    file there and the deferral is ``(out_path, SpilledHdha)``;
     otherwise it is None.
     """
-    try:
-        depth = _load(encoding.load_depth, path)
-    except (ParseError, OSError) as exc:
-        return exc
+    depth = _load_depth(path)
+    if isinstance(depth, Exception):
+        return depth
     out_path = _out_path(args, path)
     info = depth.summary()
     deferred = None
@@ -171,8 +180,8 @@ def _encode_one(path: str, args, cam, gravity, stats, defer: bool):
     else:
         hdha = geometry.hdha_encode(depth, cam, gravity=gravity,
                                     k_neighbors=args.k_neighbors)
-        if defer:
-            deferred = (out_path, hdha)
+        if spill is not None:
+            deferred = (out_path, encoding.spill_hdha(hdha, spill))
         else:
             _write_image(args, out_path, encoding.hdha_to_rgb(hdha, stats=stats))
     if info["min"] is None:
@@ -181,6 +190,45 @@ def _encode_one(path: str, args, cam, gravity, stats, defer: bool):
         line = (f"{path}: valid={info['valid_fraction']:.3f} "
                 f"min={info['min']:.3f}m max={info['max']:.3f}m -> {out_path}")
     return line, deferred
+
+
+def _encode_batch_stats(args, cam, gravity) -> list:
+    """Encode an hdha batch whose stats the batch itself defines; return
+    the results of :func:`_encode_one` in argument order, or only the
+    errors when a map failed.
+
+    Each map is encoded once and spilled to a private temporary
+    directory, outside ``--out`` and removed on every exit, so one map
+    at a time is held.  Once a map has failed nothing will be written:
+    the later maps are only loaded, to report their faults.  Otherwise,
+    once every map is spilled, the stats are computed from the spills
+    and written, then each map is rendered from its spill.
+    """
+    with tempfile.TemporaryDirectory(prefix="depthkit-") as spill_dir:
+        results, failed = [], []
+        for i, path in enumerate(args.files):
+            result = (_load_depth(path) if failed else
+                      _encode_one(path, args, cam, gravity, None,
+                                  os.path.join(spill_dir, f"{i}.hdha")))
+            if isinstance(result, Exception):
+                failed.append(result)
+            elif not failed:
+                results.append(result)
+        if failed:
+            # the stats describe the whole batch: without it nothing is written
+            return failed
+        spilled = [deferred for _, (_, deferred) in results]
+        stats = None
+        # a batch with no valid pixel renders to zeros under any stats,
+        # so it writes its images and no stats file
+        if any(image.count for image in spilled):
+            stats = encoding.compute_channel_stats(spilled)
+            # the first write of the batch; the stats file may lie in --out
+            os.makedirs(args.out, exist_ok=True)
+            stats.to_json(args.stats)
+        for _, (out_path, image) in results:
+            _write_image(args, out_path, encoding.hdha_to_rgb(image, stats=stats))
+    return results
 
 
 def _write_text(path: str, text: str) -> None:
@@ -244,38 +292,23 @@ def _cmd_encode(args) -> int:
         if len(stats.means) != 3:
             raise ParseError(f"{args.stats}: hdha rendering needs 3-channel stats, "
                              f"got {len(stats.means)}", 0)
-    # without the stats file the batch itself defines the stats: every map
-    # is encoded once, held until the stats are known, then rendered
-    defer = bool(args.stats) and stats is None
 
     def encode_one(path):
-        return _encode_one(path, args, cam, gravity, stats, defer)
+        return _encode_one(path, args, cam, gravity, stats)
 
-    if args.mode == "hdha":
+    if args.mode != "hdha":
+        results = _kernels.pool_map(encode_one, args.files)
+    elif args.stats and stats is None:
+        # without the stats file the batch itself defines the stats
+        results = _encode_batch_stats(args, cam, gravity)
+    else:
         # one map at a time: its normals kernel spreads its chunks across
         # the pool, so only one map's working set is alive
         results = [encode_one(path) for path in args.files]
-    else:
-        results = _kernels.pool_map(encode_one, args.files)
-    failed = [r for r in results if isinstance(r, Exception)]
-    if defer and failed:
-        # the stats describe the whole batch: without it nothing is written
-        results = []
-    elif defer:
-        held = [hdha for _, (_, hdha) in results]
-        # a batch with no valid pixel renders to zeros under any stats,
-        # so it writes its images and no stats file
-        if any(hdha.valid.any() for hdha in held):
-            stats = encoding.compute_channel_stats(held)
-            # the first write of the batch; the stats file may lie in --out
-            os.makedirs(args.out, exist_ok=True)
-            stats.to_json(args.stats)
-        for _, (out_path, hdha) in results:
-            _write_image(args, out_path, encoding.hdha_to_rgb(hdha, stats=stats))
     for result in results:
         if not isinstance(result, Exception):
             print(result[0])
-    codes = [_fail(exc) for exc in failed]
+    codes = [_fail(result) for result in results if isinstance(result, Exception)]
     return codes[0] if codes else 0
 
 

@@ -188,8 +188,53 @@ class HdhaImage:
     angle: np.ndarray
     valid: np.ndarray
 
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.valid.shape
+
     def channels(self) -> np.ndarray:
         return np.stack([self.hd, self.height, self.angle], axis=-1)
+
+    def strip(self, lo: int, hi: int) -> "HdhaImage":
+        """Rows ``lo..hi-1`` of every plane, as views."""
+        return HdhaImage(self.hd[lo:hi], self.height[lo:hi], self.angle[lo:hi],
+                         self.valid[lo:hi])
+
+
+@dataclass(frozen=True)
+class SpilledHdha:
+    """An :class:`HdhaImage` kept in a file in place of memory, read back
+    one strip of rows at a time.
+
+    The file holds the ``hd``, ``height`` and ``angle`` planes as
+    row-major float64 and then the ``valid`` mask as one byte a pixel:
+    25 bytes a pixel, the bytes the planes held.  ``count`` is the
+    number of valid pixels.
+    """
+
+    path: str
+    shape: tuple[int, int]
+    count: int
+
+    def strip(self, lo: int, hi: int) -> HdhaImage:
+        """Rows ``lo..hi-1`` of every plane, read into fresh arrays."""
+        h, w = self.shape
+        n = (hi - lo) * w
+        planes = [np.fromfile(self.path, np.float64, n, offset=8 * (c * h + lo) * w)
+                  .reshape(hi - lo, w) for c in range(3)]
+        valid = np.fromfile(self.path, bool, n, offset=24 * h * w + lo * w)
+        return HdhaImage(*planes, valid.reshape(hi - lo, w))
+
+
+def spill_hdha(image: HdhaImage, path: str) -> SpilledHdha:
+    """Write ``image`` to a new file at ``path`` in the layout
+    :class:`SpilledHdha` reads."""
+    with open(path, "xb") as fh:
+        # a file write, unlike ``ndarray.tofile``, names a full disk's errno
+        for plane, dtype in ((image.hd, np.float64), (image.height, np.float64),
+                             (image.angle, np.float64), (image.valid, bool)):
+            fh.write(np.ascontiguousarray(plane, dtype=dtype).data)
+    return SpilledHdha(path, image.shape, int(np.count_nonzero(image.valid)))
 
 
 def grayscale_encode(depth: DepthMap, d_min: float, d_max: float) -> np.ndarray:
@@ -235,50 +280,58 @@ def jet_encode(gray: np.ndarray, valid: np.ndarray) -> np.ndarray:
     return _JET_ROWS.take(np.where(valid, gray, np.uint16(256)), axis=0)
 
 
-def _gather(column: np.ndarray, images: list[HdhaImage], name: str) -> None:
-    """Fill ``column`` with the valid pixels of channel ``name`` of every
-    image, in image order and row-major within an image, one strip of
-    rows at a time: no temporary is larger than a strip."""
-    row = 0
+def _valid_sums(images, means=None) -> tuple[list, int]:
+    """Per channel, the sum of the valid pixels of every image (given
+    ``means``, of their squared deviations from the channel's mean), and
+    the count of valid pixels.
+
+    Each sum adds its pixels one by one in image order, row-major within
+    an image, one strip of rows at a time: a strip's pixels are gathered,
+    its first one gets the running sum, and the last element of their
+    in-place ``cumsum`` is the new running sum.  A channel with no valid
+    pixel sums to None.
+    """
+    totals, n = [None, None, None], 0
     for img in images:
-        plane = getattr(img, name)
-        for lo, hi in strips(plane.shape[0]):
-            part = plane[lo:hi][img.valid[lo:hi]]
-            column[row:row + part.size] = part
-            row += part.size
+        for lo, hi in strips(img.shape[0]):
+            part = img.strip(lo, hi)
+            n += int(np.count_nonzero(part.valid))
+            for c, plane in enumerate((part.hd, part.height, part.angle)):
+                values = plane[part.valid]
+                if not values.size:
+                    continue
+                if means is not None:
+                    values -= means[c]
+                    np.square(values, out=values)
+                if totals[c] is not None:
+                    values[0] += totals[c]
+                totals[c] = np.cumsum(values, out=values)[-1]
+    return totals, n
 
 
-def compute_channel_stats(images: list[HdhaImage]) -> ChannelStats:
-    """Pooled per-channel mean/std over the valid pixels of all images.
+def compute_channel_stats(images: list) -> ChannelStats:
+    """Pooled per-channel mean/std over the valid pixels of all images,
+    each an :class:`HdhaImage` or a :class:`SpilledHdha`.
 
     Population std (ddof=0).  Raises if no valid pixels or a channel is
-    constant.  One channel at a time, the valid pixels of every image
-    are gathered into one column (8 bytes a valid pixel) in image order,
-    row-major within an image, and every sum runs sequentially down it
-    (the last element of a ``cumsum``): the order in which ``np.mean``
-    and ``np.std`` add along axis 0 of the pooled ``(N, 3)`` array, so
-    the stats keep those bits without that array.  The ``cumsum`` runs
-    in place, so the column is the only channel-sized array: it is
-    gathered again before the deviations are squared into it.
+    constant.  Every sum runs sequentially over the valid pixels in
+    image order, row-major within an image: the order in which
+    ``np.mean`` and ``np.std`` add along axis 0 of the pooled ``(N, 3)``
+    array, so the stats keep those bits without that array.  The images
+    are read twice, for the means and then for the squared deviations,
+    one strip of rows at a time, so no temporary is larger than a
+    strip: the memory is that of one strip whatever the batch size.
     """
     if not images:
         raise ValueError("need at least one image to compute stats")
-    n = sum(int(np.count_nonzero(img.valid)) for img in images)
+    sums, n = _valid_sums(images)
     if n == 0:
         raise ValueError("no valid pixels in any input image")
-    column = np.empty(n)
-    means, stds = [], []
-    for name in ("hd", "height", "angle"):
-        _gather(column, images, name)
-        mean = np.cumsum(column, out=column)[-1] / n
-        _gather(column, images, name)
-        column -= mean
-        np.square(column, out=column)
-        means.append(float(mean))
-        stds.append(float(np.sqrt(np.cumsum(column, out=column)[-1] / n)))
+    means = [total / n for total in sums]
+    stds = [float(np.sqrt(total / n)) for total in _valid_sums(images, means)[0]]
     if any(s <= 0 for s in stds):
         raise ValueError(f"constant channel, std would be zero: stds={stds}")
-    return ChannelStats(means=tuple(means), stds=tuple(stds))
+    return ChannelStats(means=tuple(map(float, means)), stds=tuple(stds))
 
 
 def load_depth(path: str) -> DepthMap:
@@ -292,47 +345,63 @@ def load_depth(path: str) -> DepthMap:
         values, _ = netpbm.read_pfm(path)
         values = values.astype(np.float64)
         valid = np.isfinite(values) & (values > 0)
-        return DepthMap(np.where(valid, values, 0.0), valid)
+        # the float64 copy is this map's own, so it is zeroed in place
+        np.copyto(values, 0.0, where=~valid)
+        return DepthMap(values, valid)
     if magic == "P5":
         raw, maxval = netpbm.read_pgm(path)
         if maxval <= 255:
             raise netpbm.ParseError(
                 f"depth PGM must be 16-bit (maxval > 255), got maxval {maxval}", 0
             )
-        values = raw.astype(np.float64) / 1000.0
+        values = raw.astype(np.float64)
+        values /= 1000.0
         return DepthMap(values, raw > 0)
     raise netpbm.ParseError(f"unrecognized depth format magic {magic!r}", 0)
 
 
-def hdha_to_rgb(image: HdhaImage, stats: ChannelStats | None = None) -> np.ndarray:
+def hdha_to_rgb(image, stats: ChannelStats | None = None) -> np.ndarray:
     """Render HDHA channels to bytes: hd into R, height into G, angle into B.
 
-    Without stats each channel is min-max scaled over its valid pixels.
-    With stats the z-score window [-3, 3] maps linearly onto [0, 255].
-    Invalid pixels render to (0, 0, 0).  The scaling and the rounding
-    run in place in one ``(H, W, 3)`` float copy of the channels;
-    ``image`` is left alone.
+    ``image`` is an :class:`HdhaImage`, left alone, or a
+    :class:`SpilledHdha`.  Without stats each channel is min-max scaled
+    over its valid pixels, found in a first pass over the rows.  With
+    stats the z-score window [-3, 3] maps linearly onto [0, 255].
+    Invalid pixels render to (0, 0, 0).  The image is rendered one strip
+    of rows at a time, the scaling and the rounding in place in one
+    float copy of the strip's channels, so beside the ``(H, W, 3)``
+    uint8 result no temporary is larger than a strip.
     """
-    out = image.channels()
     if stats is not None:
         if len(stats.means) != 3:
             raise ValueError("hdha rendering needs 3-channel stats")
-        # a z-score too large for a double lies outside the window anyway
-        with np.errstate(over="ignore"):
-            out -= stats.means
-            out /= stats.stds
-            out += 3.0
-            out /= 6.0
-            out *= 255.0
     else:
-        for c in range(3):
-            chan = out[..., c]
-            vals = chan[image.valid]
-            lo, hi = (vals.min(), vals.max()) if vals.size else (0.0, 0.0)
-            if hi > lo:
-                chan -= lo
-                chan /= hi - lo
-                chan *= 255.0
-            else:
-                chan[...] = 0.0
-    return _quantize_owned(out, image.valid[..., None])
+        lows, highs = np.full(3, np.inf), np.full(3, -np.inf)
+        for lo, hi in strips(image.shape[0]):
+            part = image.strip(lo, hi)
+            for c, plane in enumerate((part.hd, part.height, part.angle)):
+                lows[c] = np.minimum(lows[c], plane.min(where=part.valid, initial=np.inf))
+                highs[c] = np.maximum(highs[c], plane.max(where=part.valid, initial=-np.inf))
+    out = np.empty((*image.shape, 3), dtype=np.uint8)
+    for lo, hi in strips(image.shape[0]):
+        part = image.strip(lo, hi)
+        scaled = part.channels()
+        if stats is not None:
+            # a z-score too large for a double lies outside the window anyway
+            with np.errstate(over="ignore"):
+                scaled -= stats.means
+                scaled /= stats.stds
+                scaled += 3.0
+                scaled /= 6.0
+                scaled *= 255.0
+        else:
+            for c in range(3):
+                chan = scaled[..., c]
+                if highs[c] > lows[c]:
+                    chan -= lows[c]
+                    chan /= highs[c] - lows[c]
+                    chan *= 255.0
+                else:
+                    chan[...] = 0.0
+        out[lo:hi] = _quantize_owned(scaled, part.valid[..., None])
+    return out

@@ -1,9 +1,12 @@
 """End-to-end command-line behavior: exit codes, artifacts, determinism."""
+import errno
 import json
+import os
 import re
 import shlex
 import subprocess
 import sys
+import tempfile
 import threading
 from pathlib import Path
 from typing import Callable, NamedTuple
@@ -13,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cli_run import assert_contract, numpy_peak, two_cores  # two_cores is a fixture
+from cli_run import assert_contract, numpy_peak, run_cli, two_cores  # two_cores is a fixture
 from depth_scenes import dropout, floor_wall, write_cam
 from depthkit import _kernels, analysis, cli, encoding, evaluation, geometry, netpbm
 from eval_rows import write_jsonl
@@ -142,6 +145,77 @@ def test_encode_hdha_stats_creation_encodes_each_map_once(tmp_path, monkeypatch)
     for src, image in zip(srcs, images):
         rgb, _ = netpbm.read_ppm(str(tmp_path / "out" / f"{src.stem}_hdha.ppm"))
         assert np.array_equal(rgb, encoding.hdha_to_rgb(image, stats=expected))
+
+
+@pytest.mark.parametrize("names, encoded", [
+    (("cut", "room1", "room2"), 0),
+    (("room1", "cut", "room2"), 1),
+    (("cut", "room1", "gone"), 0),  # a later map's fault is still reported
+], ids=["first", "middle", "later-fault"])
+def test_encode_batch_stats_encodes_no_map_after_a_failed_one(tmp_path, monkeypatch, names,
+                                                             encoded):
+    # nothing will be written once a map has failed: the later maps are
+    # loaded, to report their faults, but not encoded
+    room, cam = _room(tmp_path)
+    (tmp_path / "cut.pfm").write_bytes(_CUT_PFM)
+    for name in ("room1", "room2"):
+        (tmp_path / f"{name}.pfm").write_bytes(Path(room).read_bytes())
+    real_encode, calls = geometry.hdha_encode, []
+    monkeypatch.setattr(geometry, "hdha_encode",
+                        lambda *args, **kwargs: calls.append(1) or real_encode(*args, **kwargs))
+    out = tmp_path / "out"
+    rc, stdout, err, _ = run_cli(["encode", *(str(tmp_path / f"{n}.pfm") for n in names),
+                                  "--mode", "hdha", "--intrinsics", cam,
+                                  "--stats", str(out / "s.json"), "--out", str(out)])
+    assert (rc, stdout, len(calls)) == (2, "", encoded)
+    expected = [f"error: {tmp_path}/cut.pfm: raster truncated, need 36 bytes, have 2 "
+                "(byte offset 14)"]
+    if "gone" in names:
+        expected.append(f"error: missing file: {tmp_path}/gone.pfm")
+    assert err.splitlines() == expected
+    assert not out.exists()
+
+
+def _full_disk_spill(image, path):
+    """A spill write that fails as on a full disk, after part of its file."""
+    with open(path, "xb") as fh:
+        fh.write(bytes(64))
+    raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize("case, code", [("stats-written", 0), ("failed-map", 2),
+                                        ("full-disk", 3)])
+def test_encode_batch_stats_spill_lives_only_in_its_run(tmp_path, monkeypatch, case, code):
+    # the spill lies in a private directory under the temporary root,
+    # never under --out, and the run removes it however it ends; no
+    # file is made under --out before the stats file
+    root = tmp_path / "tmp"
+    root.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(root))
+    room, cam = _room(tmp_path)
+    second = tmp_path / "second.pfm"
+    second.write_bytes(_CUT_PFM if case == "failed-map" else Path(room).read_bytes())
+    out = tmp_path / "out"
+    spill, spills = (_full_disk_spill if case == "full-disk" else encoding.spill_hdha), []
+
+    def watched(image, path):
+        assert not out.exists()
+        spills.append(Path(path))
+        return spill(image, path)
+
+    to_json = encoding.ChannelStats.to_json
+
+    def first_write(stats, path):
+        assert list(out.iterdir()) == []
+        to_json(stats, path)
+
+    monkeypatch.setattr(encoding, "spill_hdha", watched)
+    monkeypatch.setattr(encoding.ChannelStats, "to_json", first_write)
+    assert_contract(["encode", room, str(second), "--mode", "hdha", "--intrinsics", cam,
+                     "--stats", str(out / "s.json"), "--out", str(out)], (code,))
+    assert spills and all(path.parent.parent == root for path in spills), spills
+    assert list(root.iterdir()) == []
+    assert (out / "s.json").exists() == (code == 0)
 
 
 def test_encode_hdha_stats_on_a_batch_with_no_valid_pixel(tmp_path):
@@ -498,24 +572,46 @@ def test_analyze_holds_one_depth_map_at_a_time(tmp_path):
     assert eight - two < footprint, (two, eight)
 
 
-def test_encode_stats_memory_is_bounded_by_the_maps(tmp_path):
-    # two VGA floor/wall maps with dropout holes, encoded one at a time
-    # (each map's chunks across the pool) and held for the stats: about
-    # 29 MiB of numpy allocations; the two maps encoded at once, each
-    # holding its point grid through the normals kernel, took about
-    # 55 MiB
+def _vga_scenes(tmp_path, n):
+    """``n`` VGA floor/wall maps with dropout holes, each seen from its
+    own camera height, and their camera file."""
     rng = np.random.default_rng(4)
     maps = []
-    for name, cam_height in (("a", 1.2), ("b", 1.5)):
-        depth = floor_wall(480, 640, cam_height, fy=500.0, cy=239.5)[0]
-        maps.append(tmp_path / f"{name}.pfm")
+    for i in range(n):
+        depth = floor_wall(480, 640, 1.2 + 0.1 * i, fy=500.0, cy=239.5)[0]
+        maps.append(tmp_path / f"m{i}.pfm")
         netpbm.write_pfm(str(maps[-1]), dropout(depth, rng, 40, (0, 440), (30, 40), 0.05))
-    argv = ["encode", *map(str, maps), "--mode", "hdha", "--intrinsics",
-            write_cam(tmp_path / "cam.json", 480, 640, 500.0),
-            "--stats", str(tmp_path / "stats.json"), "--out", str(tmp_path / "out")]
-    peak = numpy_peak(assert_contract, argv, (0,))[1]
+    return maps, write_cam(tmp_path / "cam.json", 480, 640, 500.0)
+
+
+def _encode_peak(tmp_path, maps, cam, *options):
+    """The traced peak of an hdha encode of ``maps``, into an ``--out``
+    of its own."""
+    out = tmp_path / f"out{len(list(tmp_path.glob('out*')))}"
+    argv = ["encode", *map(str, maps), "--mode", "hdha", "--intrinsics", cam, *options,
+            "--out", str(out)]
+    return numpy_peak(assert_contract, argv, (0,))[1]
+
+
+def test_encode_stats_memory_is_bounded_by_the_maps(tmp_path):
+    # each map is spilled once encoded, so a batch that computes its
+    # stats peaks where encoding one of its maps alone does, about
+    # 22 MiB of numpy allocations; held for the stats, two maps took
+    # about 29 MiB
+    maps, cam = _vga_scenes(tmp_path, 2)
+    one_map = max(_encode_peak(tmp_path, [path], cam) for path in maps)
+    both = _encode_peak(tmp_path, maps, cam, "--stats", str(tmp_path / "stats.json"))
     assert (tmp_path / "stats.json").exists()
-    assert peak < 36 * 2**20, peak
+    assert both < one_map + 2 * 2**20, (both, one_map)
+
+
+def test_encode_stats_memory_does_not_grow_with_the_batch(tmp_path):
+    # held for the stats, every map added about 7.6 MiB: 28.8 MiB for 2
+    # maps and 74.2 MiB for 8
+    maps, cam = _vga_scenes(tmp_path, 8)
+    two = _encode_peak(tmp_path, maps[:2], cam, "--stats", str(tmp_path / "two.json"))
+    eight = _encode_peak(tmp_path, maps, cam, "--stats", str(tmp_path / "eight.json"))
+    assert eight < two + 2 * 2**20, (two, eight)
 
 
 def test_encode_on_two_cores_runs_the_caller_and_one_worker(tmp_path, monkeypatch, two_cores):
@@ -741,6 +837,12 @@ _CONTRACT = {
         # the stats need every map, so the good one is not written either
         _Row(None, "encode {room} {tmp}/cut.pfm --mode hdha --intrinsics {cam} --stats {out}/s",
              2, r"^error: {tmp}/cut\.pfm: raster truncated, ", {"cut.pfm": _CUT_PFM})],
+    "test_encode_batch_stats_on_a_full_disk_exit_3": [
+        # the first map's spill write fails after part of its file
+        _Row(None, "encode {room} --mode hdha --intrinsics {cam} --stats {out}/s.json", 3,
+             r"^error: \[Errno %d\] %s$" % (errno.ENOSPC, re.escape(os.strerror(errno.ENOSPC))),
+             setup=lambda f: f.request.getfixturevalue("monkeypatch").setattr(
+                 encoding, "spill_hdha", _full_disk_spill))],
     "test_encode_inputs_sharing_an_output_exit_3_before_any_read": [
         # refused before any read: the second map is cut and would exit 2
         _Row(None, "encode {tmp}/a/x.pfm {tmp}/b/x.pfm --mode gray --dmin 1 --dmax 6", 3,

@@ -1,4 +1,5 @@
 """Depth-to-image encodings: quantization, grayscale, jet table, stats."""
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +20,7 @@ from depthkit import (
     quantize_u8,
 )
 from depthkit import netpbm
-from depthkit.encoding import hdha_to_rgb
+from depthkit.encoding import hdha_to_rgb, spill_hdha
 from depthkit.geometry import HdhaImage
 
 
@@ -200,11 +201,7 @@ def test_channel_stats_match_the_concatenated_pool():
     # the reference: every image's stacked channels gathered, concatenated
     # and reduced by np.mean and np.std; the batch holds a map with no
     # valid pixel and maps of different shapes
-    rng = np.random.default_rng(8)
-    images = []
-    for h, w, frac in ((40, 60, 0.8), (7, 9, 0.0), (120, 33, 0.35), (1, 1, 1.0)):
-        chans = rng.uniform(-1.0, 1.0, (3, h, w)) * [[[1e3]], [[2.5]], [[180.0]]] + 7.0
-        images.append(_fake_hdha(chans, rng.random((h, w)) < frac))
+    images = _stats_case(8)
     assert not images[1].valid.any()
     stacked = np.concatenate([img.channels()[img.valid] for img in images], axis=0)
     stats = compute_channel_stats(images)
@@ -214,19 +211,48 @@ def test_channel_stats_match_the_concatenated_pool():
                           stacked.std(axis=0).view(np.uint64))
 
 
-def test_channel_stats_memory_is_the_column():
-    # two VGA maps of which about 80% of pixels are valid: the stats hold
-    # one column of 8 bytes a valid pixel (3.8 MiB) and strip-sized
-    # gathers; gathering each map whole and a cumsum into a second
-    # column took it to 7.7 MiB
+def _stats_case(seed, shapes=((40, 60, 0.8), (7, 9, 0.0), (120, 33, 0.35), (1, 1, 1.0))):
+    # maps of different shapes, one of them with no valid pixel
+    rng = np.random.default_rng(seed)
+    images = []
+    for h, w, frac in shapes:
+        chans = rng.uniform(-1.0, 1.0, (3, h, w)) * [[[1e3]], [[2.5]], [[180.0]]] + 7.0
+        images.append(_fake_hdha(chans, rng.random((h, w)) < frac))
+    return images
+
+
+def test_spilled_maps_read_back_pool_and_render_as_the_held_maps(tmp_path):
+    images = _stats_case(9)
+    spilled = [spill_hdha(img, str(tmp_path / f"{i}.hdha")) for i, img in enumerate(images)]
+    for img, spill in zip(images, spilled):
+        assert spill.shape == img.shape and spill.count == np.count_nonzero(img.valid)
+        assert os.path.getsize(spill.path) == 25 * img.valid.size
+        for lo, hi in ((0, img.shape[0]), (img.shape[0] // 3, img.shape[0] // 2 + 1)):
+            held, read = img.strip(lo, hi), spill.strip(lo, hi)
+            for name in ("hd", "height", "angle", "valid"):
+                assert np.array_equal(getattr(read, name).view(np.uint8),
+                                      getattr(held, name).view(np.uint8)), name
+    stats = compute_channel_stats(images)
+    assert compute_channel_stats(spilled) == stats
+    for img, spill in zip(images, spilled):
+        for with_stats in (None, stats):
+            assert np.array_equal(hdha_to_rgb(spill, with_stats), hdha_to_rgb(img, with_stats))
+
+
+def test_channel_stats_memory_is_a_strip(tmp_path):
+    # two VGA maps of which about 80% of pixels are valid, held and then
+    # spilled: the stats hold one strip of each plane and its gathers,
+    # 0.1 and 0.6 MiB; one column of every valid pixel took 3.8 MiB, and
+    # grew with the batch
     rng = np.random.default_rng(12)
-    images = [_fake_hdha(rng.normal(size=(3, 480, 640)) * [[[9.0]], [[0.8]], [[40.0]]],
-                         rng.random((480, 640)) < 0.8) for _ in range(2)]
-    stats, peak = numpy_peak(compute_channel_stats, images)
-    stacked = np.concatenate([img.channels()[img.valid] for img in images], axis=0)
-    assert np.array_equal(np.array(stats.means), stacked.mean(axis=0))
-    column = 8 * len(stacked)
-    assert peak < column + 2**20, (peak, column)
+    held = [_fake_hdha(rng.normal(size=(3, 480, 640)) * [[[9.0]], [[0.8]], [[40.0]]],
+                       rng.random((480, 640)) < 0.8) for _ in range(2)]
+    stacked = np.concatenate([img.channels()[img.valid] for img in held], axis=0)
+    spilled = [spill_hdha(img, str(tmp_path / f"{i}.hdha")) for i, img in enumerate(held)]
+    for images in (held, spilled):
+        stats, peak = numpy_peak(compute_channel_stats, images)
+        assert np.array_equal(np.array(stats.means), stacked.mean(axis=0))
+        assert peak < 2**20, peak
 
 
 def test_channel_stats_reject_constant_channel():
@@ -291,6 +317,23 @@ def test_load_depth_pgm16_is_millimeters(tmp_path):
     assert d.values[0, 0] == pytest.approx(1.5)
     assert not d.valid[0, 1]
     assert d.values[1, 1] == pytest.approx(65.535)
+
+
+def test_load_depth_builds_its_map_in_place(tmp_path):
+    # a VGA PFM with holes: the float32 raster and its float64 copy,
+    # zeroed in place, are 3.5 MiB; a second float64 array for the
+    # zeroed values took 5.6 MiB
+    rng = np.random.default_rng(2)
+    vals = rng.uniform(0.5, 8.0, (480, 640)).astype(np.float32)
+    vals[rng.random(vals.shape) < 0.1] = 0.0
+    vals[0, :3] = (np.nan, np.inf, -1.0)
+    path = tmp_path / "d.pfm"
+    netpbm.write_pfm(str(path), vals)
+    depth, peak = numpy_peak(load_depth, str(path))
+    valid = np.isfinite(vals) & (vals > 0)
+    assert np.array_equal(depth.valid, valid)
+    assert np.array_equal(depth.values, np.where(valid, vals.astype(np.float64), 0.0))
+    assert peak < 4 * 2**20, peak
 
 
 def test_load_depth_rejects_8bit_pgm(tmp_path):
@@ -378,13 +421,13 @@ def test_hdha_to_rgb_matches_the_reference_and_leaves_its_input(with_stats):
         assert np.array_equal(plane.view(np.uint8), copy.view(np.uint8))
 
 
-def test_hdha_to_rgb_memory_is_bounded_by_the_map():
-    # one VGA render with stats holds the (H, W, 3) float copy of the
-    # channels, the mask and the uint8 result: 7.9 MiB; a zeros_like
-    # beside the stack and fresh arrays for each step of the z-score and
-    # the rounding would take it to 28.2 MiB
-    image = _render_case(6, shape=(480, 640))
-    stats = ChannelStats((11.0, 4.0, 95.0), (3.5, 0.25, 40.0))
-    rgb, peak = numpy_peak(hdha_to_rgb, image, stats)
-    assert rgb.shape == (480, 640, 3)
-    assert peak < 9 * 2**20, peak
+def test_hdha_to_rgb_memory_is_bounded_by_the_map(tmp_path):
+    # one VGA render, held and then spilled, holds the uint8 result
+    # (0.9 MiB) and the float copy of one strip's channels: 1.4 and
+    # 1.7 MiB; the (H, W, 3) float copy of the whole map took 7.9 MiB
+    held = _render_case(6, shape=(480, 640))
+    for image in (held, spill_hdha(held, str(tmp_path / "map.hdha"))):
+        for stats in (None, ChannelStats((11.0, 4.0, 95.0), (3.5, 0.25, 40.0))):
+            rgb, peak = numpy_peak(hdha_to_rgb, image, stats)
+            assert rgb.shape == (480, 640, 3)
+            assert peak < rgb.nbytes + 2**20, peak
